@@ -210,8 +210,13 @@ class BatchSimulator(Simulator):
                             except BaseException:
                                 # Put the undispatched tail back so the
                                 # finally-flush preserves it, matching
-                                # what the popleft form leaves behind.
+                                # what the popleft form leaves behind,
+                                # and count what did dispatch (the
+                                # reference kernel counts an event
+                                # before calling it).
                                 slot.extendleft(reversed(list(it)))
+                                self.events_executed += ran
+                                self._live -= ran
                                 raise
                         self.events_executed += ran
                         self._live -= ran
@@ -305,8 +310,13 @@ class BatchSimulator(Simulator):
                             except BaseException:
                                 # Put the undispatched tail back so the
                                 # finally-flush preserves it, matching
-                                # what the popleft form leaves behind.
+                                # what the popleft form leaves behind,
+                                # and count what did dispatch (the
+                                # reference kernel counts an event
+                                # before calling it).
                                 slot.extendleft(reversed(list(it)))
+                                self.events_executed += ran
+                                self._live -= ran
                                 raise
                         self.events_executed += ran
                         self._live -= ran

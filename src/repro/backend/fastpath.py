@@ -134,9 +134,11 @@ class SoaProcessor(Processor):
             cycles = op[1]
             self.busy_cycles += cycles
             self._slots[_THINK_SLOT] += cycles
-            if cycles < _RING:
+            if 0 <= cycles < _RING:
                 # sim.post inlined: _step always runs as an event, so the
                 # simulator is mid-run and a short delay takes the ring.
+                # (A negative think goes to the checked post below and
+                # raises, as on the reference step.)
                 seq = sim._seq
                 sim._seq = seq + 1
                 slot = (now + cycles) & _MASK

@@ -97,6 +97,9 @@ def _ensure_setup() -> None:
             "LOAD": ops.LOAD,
             "STORE": ops.STORE,
             "RMW": ops.RMW,
+            "FENCE": ops.FENCE,
+            "SWITCH_HINT": ops.SWITCH_HINT,
+            "BURST": ops.BURST,
             "Op": Op,
             "OP_NAMES": OP_NAMES,
             "OP_BY_NAME": OP_BY_NAME,
@@ -331,12 +334,32 @@ def finalize(machine) -> None:
             )
 
 
+def fallthroughs(machine) -> Optional[int]:
+    """Ops the compiled processor steps handed back to Python, machine-wide.
+
+    Sums :attr:`_native.StepKernel.fallthroughs` — bumped each time the
+    kernel calls ``Processor._execute_op`` instead of executing an op
+    itself — over the machine's processors.  ``None`` when no processor
+    runs the compiled step (extension absent, or ``memory_model="wo"``
+    and other unfused pairings), so 0 always means "never left C".
+    """
+    if _native is None:
+        return None
+    counts = [
+        node.processor._step.fallthroughs
+        for node in machine.nodes
+        if isinstance(node.processor._step, _native.StepKernel)
+    ]
+    return sum(counts) if counts else None
+
+
 __all__ = [
     "NativePacketPool",
     "NativeProcessor",
     "NativeSimulator",
     "NativeWormholeNetwork",
     "available",
+    "fallthroughs",
     "finalize",
     "load_status",
 ]

@@ -52,7 +52,9 @@ static PyObject *g_sim_error;       /* SimulationError */
 static PyObject *g_event_type;      /* kernel.Event */
 static PyObject *g_no_arg;          /* kernel._NO_ARG sentinel */
 static PyObject *g_ctx_done, *g_ctx_running, *g_ctx_blocked;
-static PyObject *g_op_think, *g_op_load, *g_op_store, *g_op_rmw;
+#define N_OP_KINDS 7
+static PyObject *g_op_kinds[N_OP_KINDS]; /* repro.proc.ops kind constants,
+                                            in the step kernel's K_* order */
 static PyObject *g_op_type;         /* packet.Op (IntEnum class) */
 static PyObject *g_op_names;        /* packet.OP_NAMES tuple */
 static PyObject *g_protocol_packet; /* packet.protocol_packet */
@@ -68,7 +70,10 @@ static PktOffsets g_pkt;
 static StatOffsets g_stat;
 static int g_ready = 0;
 
-static PyObject *s_max_cycles, *s_busy_cycles, *s_trap_free_at;
+static PyObject *g_zero;            /* int 0, for resetting burst_pos */
+static PyObject *g_one;             /* int 1, burst_pos after the first op */
+
+static PyObject *s_max_cycles, *s_busy_cycles, *s_trap_free_at, *s_contexts;
 static PyObject *s_crc_enabled, *s_packets_received, *s_fault_injector;
 static PyObject *s_admit, *s_words, *s_send;
 
@@ -858,9 +863,12 @@ core_run_loop(CoreObject *core, int until_mode, int has_limit,
                         if (invoke(PyTuple_GET_ITEM(e, 1),
                                    PyTuple_GET_ITEM(e, 2)) < 0) {
                             /* Restore the undispatched tail, matching
-                             * slot.extendleft(reversed(list(it))). */
+                             * slot.extendleft(reversed(list(it))), and
+                             * settle the counters for what did dispatch. */
                             PyObject *tail =
                                 PyList_GetSlice(snap, i + 1, n);
+                            core->executed += ran;
+                            core->live -= ran;
                             if (tail != NULL) {
                                 PyObject *exc, *val, *tb;
                                 PyErr_Fetch(&exc, &val, &tb);
@@ -1186,6 +1194,7 @@ typedef struct {
     PyObject *proc_slots;   /* live counter slot list */
     Py_ssize_t think_slot;
     PyObject *issue, *park, *retire, *execute_op;  /* bound methods */
+    long long fallthroughs; /* ops handed to execute_op (see fallback:) */
 } StepKernelObject;
 
 static PyTypeObject StepKernel_Type;
@@ -1352,12 +1361,35 @@ call2_drop(PyObject *fn, PyObject *a, PyObject *b)
     return 0;
 }
 
-static inline int
-kind_is(PyObject *kind, PyObject *interned)
+/* Op kinds the compiled step executes itself; the order is g_op_kinds'. */
+enum { K_OTHER = 0, K_THINK, K_LOAD, K_STORE, K_RMW, K_SWITCH_HINT,
+       K_FENCE, K_BURST };
+
+/* Classify ``op[0]``.  Ops built through repro.proc.ops carry the
+ * module's own constants, so the identity pass settles every ordinary
+ * op; the equality pass only runs for hand-built strings.  -1 on error. */
+static int
+kind_code(PyObject *kind)
 {
-    if (kind == interned)
-        return 1;
-    return PyObject_RichCompareBool(kind, interned, Py_EQ);
+    int i;
+    for (i = 0; i < N_OP_KINDS; i++)
+        if (kind == g_op_kinds[i])
+            return i + 1;
+    for (i = 0; i < N_OP_KINDS; i++) {
+        int is = PyObject_RichCompareBool(kind, g_op_kinds[i], Py_EQ);
+        if (is)
+            return is < 0 ? -1 : i + 1;
+    }
+    return K_OTHER;
+}
+
+/* ``op`` has at least ``n`` items and an int operand at [1]; any other
+ * shape is the Python step's to reject, with Python's own exception. */
+static inline int
+op_shape_ok(PyObject *op, Py_ssize_t n)
+{
+    return PyTuple_GET_SIZE(op) >= n &&
+           PyLong_Check(PyTuple_GET_ITEM(op, 1));
 }
 
 /* the completion-event ring insert every hit/think shares */
@@ -1367,15 +1399,86 @@ sk_ring_post(StepKernelObject *k, long long time, PyObject *ctx)
     return core_ring_post(k->core, time, (PyObject *)k, ctx);
 }
 
+/* ctx.ops_executed += 1 */
+static int
+ctx_count_op(PyObject *ctx)
+{
+    long long n = PyLong_AsLongLong(SLOT_GET(ctx, g_ctx.ops_executed));
+    PyObject *n_obj;
+    if (n == -1 && PyErr_Occurred())
+        return -1;
+    n_obj = PyLong_FromLongLong(n + 1);
+    if (n_obj == NULL)
+        return -1;
+    slot_set(ctx, g_ctx.ops_executed, n_obj);
+    return 0;
+}
+
+/* Tag-check ``addr`` against the direct-mapped columns: the slot's state
+ * byte when it holds the block, 0 (a miss) otherwise, -1 on error. */
+static inline int
+sk_probe(StepKernelObject *k, long long addr, long long *block,
+         long long *index)
+{
+    long long tag;
+    *block = addr & k->block_mask;
+    *index = (*block >> k->shift) & k->imask;
+    tag = PyLong_AsLongLong(PyList_GET_ITEM(k->tags, (Py_ssize_t)*index));
+    if (tag == -1 && PyErr_Occurred())
+        return -1;
+    if (tag != *block)
+        return 0;
+    return (unsigned char)PyByteArray_AS_STRING(k->states)[*index];
+}
+
+/* what every fused hit does before it touches the word */
+static int
+sk_hit_begin(StepKernelObject *k, PyObject *ctx, Py_ssize_t hit_slot)
+{
+    slot_set_incref(ctx, g_ctx.state, g_ctx_blocked);
+    if (dict_add_ll(k->proc_dict, s_busy_cycles, k->latency) < 0)
+        return -1;
+    return list_add_ll(k->cache_slots, hit_slot, 1);
+}
+
+/* Processor._issue(ctx, kind, addr, payload, block): hand a miss to the
+ * cache controller */
+static int
+sk_issue(StepKernelObject *k, PyObject *ctx, PyObject *kind, PyObject *addr,
+         PyObject *payload, long long block)
+{
+    PyObject *block_obj = PyLong_FromLongLong(block), *r;
+    if (block_obj == NULL)
+        return -1;
+    r = PyObject_CallFunctionObjArgs(k->issue, ctx, kind, addr, payload,
+                                     block_obj, NULL);
+    Py_DECREF(block_obj);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+/* ``busy_cycles += 1`` and resume one cycle on: a switch hint nobody can
+ * take and a fence with nothing buffered cost exactly this. */
+static int
+sk_one_cycle(StepKernelObject *k, PyObject *ctx)
+{
+    if (dict_add_ll(k->proc_dict, s_busy_cycles, 1) < 0)
+        return -1;
+    return core_post_impl(k->core, k->core->now + 1, NULL, (PyObject *)k,
+                          ctx);
+}
+
 static PyObject *
 step_kernel_vectorcall(PyObject *kself, PyObject *const *args, size_t nargsf,
                        PyObject *kwnames)
 {
     StepKernelObject *k = (StepKernelObject *)kself;
     CoreObject *core = k->core;
-    PyObject *ctx, *op = NULL, *kind;
-    long long now, tfa;
-    int err = 0, decref_op = 0;
+    PyObject *ctx, *op = NULL;
+    long long now, tfa, addr, block, index;
+    int err = 0, state;
     if (PyVectorcall_NARGS(nargsf) != 1 ||
         (kwnames && PyTuple_GET_SIZE(kwnames))) {
         PyErr_SetString(PyExc_TypeError, "step kernel takes exactly (ctx)");
@@ -1397,336 +1500,294 @@ step_kernel_vectorcall(PyObject *kself, PyObject *const *args, size_t nargsf,
     if (SLOT_GET(ctx, g_ctx.pending_op) != Py_None) {
         op = SLOT_GET(ctx, g_ctx.pending_op);
         Py_INCREF(op);
-        decref_op = 1;
         slot_set_incref(ctx, g_ctx.pending_op, Py_None);
         slot_set_incref(ctx, g_ctx.pending_needs, Py_None);
     }
     else if (SLOT_GET(ctx, g_ctx.burst_ops) != Py_None) {
         PyObject *burst = SLOT_GET(ctx, g_ctx.burst_ops);
-        long long pos = PyLong_AsLongLong(SLOT_GET(ctx, g_ctx.burst_pos));
+        PyObject *pos_obj = SLOT_GET(ctx, g_ctx.burst_pos);
+        Py_ssize_t pos, n;
         slot_set_incref(ctx, g_ctx.resume_value, Py_None);
+        pos = PyLong_AsSsize_t(pos_obj);
         if (pos == -1 && PyErr_Occurred())
             return NULL;
-        op = PyTuple_GET_ITEM(burst, pos);
-        Py_INCREF(op);
-        decref_op = 1;
-        pos += 1;
-        if (pos == PyTuple_GET_SIZE(burst)) {
-            slot_set_incref(ctx, g_ctx.burst_ops, Py_None);
-            slot_set(ctx, g_ctx.burst_pos, PyLong_FromLong(0));
+        if (PyTuple_Check(burst) && pos >= 0 &&
+            pos < PyTuple_GET_SIZE(burst)) {
+            n = PyTuple_GET_SIZE(burst);
+            op = PyTuple_GET_ITEM(burst, pos);
+            Py_INCREF(op);
         }
         else {
-            PyObject *pos_obj = PyLong_FromLongLong(pos);
-            if (pos_obj == NULL) {
-                Py_DECREF(op);
-                return NULL;
-            }
+            /* A stale burst_pos (restore, test poke) or a run that is
+             * not a tuple: index it the way ``burst[pos]`` does, so the
+             * IndexError — or the negative wrap-around — is Python's. */
+            Py_INCREF(burst);
+            op = PyObject_GetItem(burst, pos_obj);
+            n = op != NULL ? PyObject_Size(burst) : -1;
+            Py_DECREF(burst);
+            if (n < 0)
+                goto fail_op;
+        }
+        pos += 1;
+        if (pos == n) {
+            slot_set_incref(ctx, g_ctx.burst_ops, Py_None);
+            slot_set_incref(ctx, g_ctx.burst_pos, g_zero);
+        }
+        else {
+            pos_obj = PyLong_FromSsize_t(pos);
+            if (pos_obj == NULL)
+                goto fail_op;
             slot_set(ctx, g_ctx.burst_pos, pos_obj);
         }
-        {
-            long long n =
-                PyLong_AsLongLong(SLOT_GET(ctx, g_ctx.ops_executed));
-            PyObject *n_obj;
-            if (n == -1 && PyErr_Occurred()) {
-                Py_DECREF(op);
-                return NULL;
-            }
-            n_obj = PyLong_FromLongLong(n + 1);
-            if (n_obj == NULL) {
-                Py_DECREF(op);
-                return NULL;
-            }
-            slot_set(ctx, g_ctx.ops_executed, n_obj);
-        }
+        if (ctx_count_op(ctx) < 0)
+            goto fail_op;
     }
     else {
         PyObject *value = SLOT_GET(ctx, g_ctx.resume_value);
-        PyObject *res, *gen;
+        PyObject *gen;
         PySendResult sr;
         Py_INCREF(value);
         slot_set_incref(ctx, g_ctx.resume_value, Py_None);
         gen = SLOT_GET(ctx, g_ctx.gen);
         if (SLOT_GET(ctx, g_ctx.started) != Py_True) {
             slot_set_incref(ctx, g_ctx.started, Py_True);
-            sr = PyIter_Send(gen, Py_None, &res);
+            sr = PyIter_Send(gen, Py_None, &op);
         }
         else
-            sr = PyIter_Send(gen, value, &res);
+            sr = PyIter_Send(gen, value, &op);
         Py_DECREF(value);
         if (sr == PYGEN_ERROR)
             return NULL;
         if (sr == PYGEN_RETURN) {
             long long outstanding;
-            Py_XDECREF(res);
+            PyObject *r;
+            Py_XDECREF(op);
             outstanding = PyLong_AsLongLong(
                 SLOT_GET(ctx, g_ctx.outstanding_stores));
             if (outstanding == -1 && PyErr_Occurred())
                 return NULL;
-            if (outstanding) {
-                PyObject *r = PyObject_CallFunctionObjArgs(
+            if (outstanding)
+                r = PyObject_CallFunctionObjArgs(
                     k->park, ctx, g_retire_op, g_str_all, NULL);
-                if (r == NULL)
-                    return NULL;
-                Py_DECREF(r);
-                Py_RETURN_NONE;
-            }
-            {
-                PyObject *r = PyObject_CallOneArg(k->retire, ctx);
-                if (r == NULL)
-                    return NULL;
-                Py_DECREF(r);
-            }
+            else
+                r = PyObject_CallOneArg(k->retire, ctx);
+            if (r == NULL)
+                return NULL;
+            Py_DECREF(r);
             Py_RETURN_NONE;
         }
-        op = res;
-        decref_op = 1;
-        {
-            long long n =
-                PyLong_AsLongLong(SLOT_GET(ctx, g_ctx.ops_executed));
-            PyObject *n_obj;
-            if (n == -1 && PyErr_Occurred())
-                goto fail_op;
-            n_obj = PyLong_FromLongLong(n + 1);
-            if (n_obj == NULL)
-                goto fail_op;
-            slot_set(ctx, g_ctx.ops_executed, n_obj);
-        }
+        if (ctx_count_op(ctx) < 0)
+            goto fail_op;
     }
     slot_set_incref(ctx, g_ctx.last_op, op);
+redispatch:
+    /* Anything the branches below do not recognize — an unknown kind, a
+     * tuple too short for its kind, a condition only the Python step
+     * models — goes to Processor._execute_op untouched. */
     if (!PyTuple_Check(op) || PyTuple_GET_SIZE(op) == 0)
         goto fallback;
-    kind = PyTuple_GET_ITEM(op, 0);
-    {
-        int is = kind_is(kind, g_op_think);
-        if (is < 0)
-            goto fail_op;
-        if (is) {
-            long long cycles =
-                PyLong_AsLongLong(PyTuple_GET_ITEM(op, 1));
-            if (cycles == -1 && PyErr_Occurred())
-                goto fail_op;
-            if (dict_add_ll(k->proc_dict, s_busy_cycles, cycles) < 0)
-                goto fail_op;
-            if (list_add_ll(k->proc_slots, k->think_slot, cycles) < 0)
-                goto fail_op;
-            if (cycles < RING) {
-                if (sk_ring_post(k, now + cycles, ctx) < 0)
-                    goto fail_op;
-            }
-            else if (core_post_impl(core, now + cycles, NULL, kself, ctx)
-                     < 0)
-                goto fail_op;
-            Py_DECREF(op);
-            Py_RETURN_NONE;
-        }
-    }
-    {
-        int is = kind_is(kind, g_op_load);
-        if (is < 0)
-            goto fail_op;
-        if (is) {
-            long long addr =
-                PyLong_AsLongLong(PyTuple_GET_ITEM(op, 1));
-            long long block, index;
-            if (addr == -1 && PyErr_Occurred())
-                goto fail_op;
-            block = addr & k->block_mask;
-            index = (block >> k->shift) & k->imask;
-            {
-                long long tag = PyLong_AsLongLong(
-                    PyList_GET_ITEM(k->tags, (Py_ssize_t)index));
-                if (tag == -1 && PyErr_Occurred())
-                    goto fail_op;
-                if (tag == block &&
-                    PyByteArray_AS_STRING(k->states)[index]) {
-                    long long *slab = (long long *)k->slab_buf.buf;
-                    long long word =
-                        slab[index * k->wpb + ((addr & k->low_mask) >> 2)];
-                    PyObject *word_obj;
-                    slot_set_incref(ctx, g_ctx.state, g_ctx_blocked);
-                    if (dict_add_ll(k->proc_dict, s_busy_cycles,
-                                    k->latency) < 0)
-                        goto fail_op;
-                    if (list_add_ll(k->cache_slots, k->hit_load, 1) < 0)
-                        goto fail_op;
-                    word_obj = PyLong_FromLongLong(word);
-                    if (word_obj == NULL)
-                        goto fail_op;
-                    slot_set(ctx, g_ctx.resume_value, word_obj);
-                    if (sk_ring_post(k, now + k->latency, ctx) < 0)
-                        goto fail_op;
-                    Py_DECREF(op);
-                    Py_RETURN_NONE;
-                }
-            }
-            {
-                PyObject *block_obj = PyLong_FromLongLong(block);
-                PyObject *r;
-                if (block_obj == NULL)
-                    goto fail_op;
-                r = PyObject_CallFunctionObjArgs(
-                    k->issue, ctx, g_str_load, PyTuple_GET_ITEM(op, 1),
-                    Py_None, block_obj, NULL);
-                Py_DECREF(block_obj);
-                if (r == NULL)
-                    goto fail_op;
-                Py_DECREF(r);
-            }
-            Py_DECREF(op);
-            Py_RETURN_NONE;
-        }
-    }
-    {
-        int is = kind_is(kind, g_op_store);
-        if (is < 0)
-            goto fail_op;
-        if (is) {
-            long long addr =
-                PyLong_AsLongLong(PyTuple_GET_ITEM(op, 1));
-            long long block, index;
-            if (addr == -1 && PyErr_Occurred())
-                goto fail_op;
-            block = addr & k->block_mask;
-            index = (block >> k->shift) & k->imask;
-            {
-                long long tag = PyLong_AsLongLong(
-                    PyList_GET_ITEM(k->tags, (Py_ssize_t)index));
-                if (tag == -1 && PyErr_Occurred())
-                    goto fail_op;
-                if (tag == block &&
-                    PyByteArray_AS_STRING(k->states)[index] == 2) {
-                    long long *slab = (long long *)k->slab_buf.buf;
-                    long long value;
-                    slot_set_incref(ctx, g_ctx.state, g_ctx_blocked);
-                    if (dict_add_ll(k->proc_dict, s_busy_cycles,
-                                    k->latency) < 0)
-                        goto fail_op;
-                    if (list_add_ll(k->cache_slots, k->hit_store, 1) < 0)
-                        goto fail_op;
-                    value = PyLong_AsLongLong(PyTuple_GET_ITEM(op, 2));
-                    if (value == -1 && PyErr_Occurred())
-                        goto fail_op;
-                    slab[index * k->wpb + ((addr & k->low_mask) >> 2)] =
-                        value;
-                    PyByteArray_AS_STRING(k->written)[index] = 1;
-                    slot_set_incref(ctx, g_ctx.resume_value, Py_None);
-                    if (sk_ring_post(k, now + k->latency, ctx) < 0)
-                        goto fail_op;
-                    Py_DECREF(op);
-                    Py_RETURN_NONE;
-                }
-            }
-            {
-                PyObject *block_obj = PyLong_FromLongLong(block);
-                PyObject *r;
-                if (block_obj == NULL)
-                    goto fail_op;
-                r = PyObject_CallFunctionObjArgs(
-                    k->issue, ctx, g_str_store, PyTuple_GET_ITEM(op, 1),
-                    PyTuple_GET_ITEM(op, 2), block_obj, NULL);
-                Py_DECREF(block_obj);
-                if (r == NULL)
-                    goto fail_op;
-                Py_DECREF(r);
-            }
-            Py_DECREF(op);
-            Py_RETURN_NONE;
-        }
-    }
-    {
-        int is = kind_is(kind, g_op_rmw);
-        if (is < 0)
-            goto fail_op;
-        if (is) {
-            long long outstanding = PyLong_AsLongLong(
-                SLOT_GET(ctx, g_ctx.outstanding_stores));
-            long long addr, block, index;
-            if (outstanding == -1 && PyErr_Occurred())
-                goto fail_op;
-            if (outstanding) {
-                PyObject *r = PyObject_CallFunctionObjArgs(
-                    k->park, ctx, op, g_str_all, NULL);
-                if (r == NULL)
-                    goto fail_op;
-                Py_DECREF(r);
-                Py_DECREF(op);
-                Py_RETURN_NONE;
-            }
-            addr = PyLong_AsLongLong(PyTuple_GET_ITEM(op, 1));
-            if (addr == -1 && PyErr_Occurred())
-                goto fail_op;
-            block = addr & k->block_mask;
-            index = (block >> k->shift) & k->imask;
-            {
-                long long tag = PyLong_AsLongLong(
-                    PyList_GET_ITEM(k->tags, (Py_ssize_t)index));
-                if (tag == -1 && PyErr_Occurred())
-                    goto fail_op;
-                if (tag == block &&
-                    PyByteArray_AS_STRING(k->states)[index] == 2) {
-                    long long *slab = (long long *)k->slab_buf.buf;
-                    long long wi =
-                        index * k->wpb + ((addr & k->low_mask) >> 2);
-                    long long result = slab[wi], new_val;
-                    PyObject *result_obj, *new_obj;
-                    slot_set_incref(ctx, g_ctx.state, g_ctx_blocked);
-                    if (dict_add_ll(k->proc_dict, s_busy_cycles,
-                                    k->latency) < 0)
-                        goto fail_op;
-                    if (list_add_ll(k->cache_slots, k->hit_rmw, 1) < 0)
-                        goto fail_op;
-                    result_obj = PyLong_FromLongLong(result);
-                    if (result_obj == NULL)
-                        goto fail_op;
-                    new_obj = PyObject_CallOneArg(
-                        PyTuple_GET_ITEM(op, 2), result_obj);
-                    if (new_obj == NULL) {
-                        Py_DECREF(result_obj);
-                        goto fail_op;
-                    }
-                    new_val = PyLong_AsLongLong(new_obj);
-                    Py_DECREF(new_obj);
-                    if (new_val == -1 && PyErr_Occurred()) {
-                        Py_DECREF(result_obj);
-                        goto fail_op;
-                    }
-                    slab[wi] = new_val;
-                    PyByteArray_AS_STRING(k->written)[index] = 1;
-                    slot_set(ctx, g_ctx.resume_value, result_obj);
-                    if (sk_ring_post(k, now + k->latency, ctx) < 0)
-                        goto fail_op;
-                    Py_DECREF(op);
-                    Py_RETURN_NONE;
-                }
-            }
-            {
-                PyObject *block_obj = PyLong_FromLongLong(block);
-                PyObject *r;
-                if (block_obj == NULL)
-                    goto fail_op;
-                r = PyObject_CallFunctionObjArgs(
-                    k->issue, ctx, g_str_rmw, PyTuple_GET_ITEM(op, 1),
-                    PyTuple_GET_ITEM(op, 2), block_obj, NULL);
-                Py_DECREF(block_obj);
-                if (r == NULL)
-                    goto fail_op;
-                Py_DECREF(r);
-            }
-            Py_DECREF(op);
-            Py_RETURN_NONE;
-        }
-    }
-fallback:
-    if (call2_drop(k->execute_op, ctx, op) < 0)
+    switch (kind_code(PyTuple_GET_ITEM(op, 0))) {
+    case -1:
         goto fail_op;
-    if (decref_op)
-        Py_DECREF(op);
+    case K_THINK: {
+        long long cycles;
+        if (!op_shape_ok(op, 2))
+            goto fallback;
+        cycles = PyLong_AsLongLong(PyTuple_GET_ITEM(op, 1));
+        if (cycles == -1 && PyErr_Occurred())
+            goto fail_op;
+        if (dict_add_ll(k->proc_dict, s_busy_cycles, cycles) < 0)
+            goto fail_op;
+        if (list_add_ll(k->proc_slots, k->think_slot, cycles) < 0)
+            goto fail_op;
+        /* A negative think must reach the checked post and raise, not
+         * be masked into the ring. */
+        if (cycles >= 0 && cycles < RING) {
+            if (sk_ring_post(k, now + cycles, ctx) < 0)
+                goto fail_op;
+        }
+        else if (core_post_impl(core, now + cycles, NULL, kself, ctx) < 0)
+            goto fail_op;
+        break;
+    }
+    case K_LOAD:
+        if (!op_shape_ok(op, 2))
+            goto fallback;
+        addr = PyLong_AsLongLong(PyTuple_GET_ITEM(op, 1));
+        if (addr == -1 && PyErr_Occurred())
+            goto fail_op;
+        state = sk_probe(k, addr, &block, &index);
+        if (state < 0)
+            goto fail_op;
+        if (state) {
+            long long *slab = (long long *)k->slab_buf.buf;
+            long long word =
+                slab[index * k->wpb + ((addr & k->low_mask) >> 2)];
+            PyObject *word_obj;
+            if (sk_hit_begin(k, ctx, k->hit_load) < 0)
+                goto fail_op;
+            word_obj = PyLong_FromLongLong(word);
+            if (word_obj == NULL)
+                goto fail_op;
+            slot_set(ctx, g_ctx.resume_value, word_obj);
+            if (sk_ring_post(k, now + k->latency, ctx) < 0)
+                goto fail_op;
+        }
+        else if (sk_issue(k, ctx, g_str_load, PyTuple_GET_ITEM(op, 1),
+                          Py_None, block) < 0)
+            goto fail_op;
+        break;
+    case K_STORE:
+        if (!op_shape_ok(op, 3))
+            goto fallback;
+        addr = PyLong_AsLongLong(PyTuple_GET_ITEM(op, 1));
+        if (addr == -1 && PyErr_Occurred())
+            goto fail_op;
+        state = sk_probe(k, addr, &block, &index);
+        if (state < 0)
+            goto fail_op;
+        if (state == 2) {
+            /* Stores hit only on an exclusive copy. */
+            long long *slab = (long long *)k->slab_buf.buf;
+            long long value;
+            if (sk_hit_begin(k, ctx, k->hit_store) < 0)
+                goto fail_op;
+            value = PyLong_AsLongLong(PyTuple_GET_ITEM(op, 2));
+            if (value == -1 && PyErr_Occurred())
+                goto fail_op;
+            slab[index * k->wpb + ((addr & k->low_mask) >> 2)] = value;
+            PyByteArray_AS_STRING(k->written)[index] = 1;
+            slot_set_incref(ctx, g_ctx.resume_value, Py_None);
+            if (sk_ring_post(k, now + k->latency, ctx) < 0)
+                goto fail_op;
+        }
+        else if (sk_issue(k, ctx, g_str_store, PyTuple_GET_ITEM(op, 1),
+                          PyTuple_GET_ITEM(op, 2), block) < 0)
+            goto fail_op;
+        break;
+    case K_RMW: {
+        long long outstanding =
+            PyLong_AsLongLong(SLOT_GET(ctx, g_ctx.outstanding_stores));
+        if (outstanding == -1 && PyErr_Occurred())
+            goto fail_op;
+        if (outstanding) {
+            /* atomics fence implicitly */
+            PyObject *r = PyObject_CallFunctionObjArgs(
+                k->park, ctx, op, g_str_all, NULL);
+            if (r == NULL)
+                goto fail_op;
+            Py_DECREF(r);
+            break;
+        }
+        if (!op_shape_ok(op, 3))
+            goto fallback;
+        addr = PyLong_AsLongLong(PyTuple_GET_ITEM(op, 1));
+        if (addr == -1 && PyErr_Occurred())
+            goto fail_op;
+        state = sk_probe(k, addr, &block, &index);
+        if (state < 0)
+            goto fail_op;
+        if (state == 2) {
+            long long *slab = (long long *)k->slab_buf.buf;
+            long long wi = index * k->wpb + ((addr & k->low_mask) >> 2);
+            long long new_val;
+            PyObject *result_obj, *new_obj;
+            if (sk_hit_begin(k, ctx, k->hit_rmw) < 0)
+                goto fail_op;
+            result_obj = PyLong_FromLongLong(slab[wi]);
+            if (result_obj == NULL)
+                goto fail_op;
+            new_obj =
+                PyObject_CallOneArg(PyTuple_GET_ITEM(op, 2), result_obj);
+            if (new_obj == NULL) {
+                Py_DECREF(result_obj);
+                goto fail_op;
+            }
+            new_val = PyLong_AsLongLong(new_obj);
+            Py_DECREF(new_obj);
+            if (new_val == -1 && PyErr_Occurred()) {
+                Py_DECREF(result_obj);
+                goto fail_op;
+            }
+            slab[wi] = new_val;
+            PyByteArray_AS_STRING(k->written)[index] = 1;
+            slot_set(ctx, g_ctx.resume_value, result_obj);
+            if (sk_ring_post(k, now + k->latency, ctx) < 0)
+                goto fail_op;
+        }
+        else if (sk_issue(k, ctx, g_str_rmw, PyTuple_GET_ITEM(op, 1),
+                          PyTuple_GET_ITEM(op, 2), block) < 0)
+            goto fail_op;
+        break;
+    }
+    case K_SWITCH_HINT: {
+        /* With one hardware context there is nobody to yield to; the
+         * round-robin over several stays in Processor._switch_hint. */
+        PyObject *contexts =
+            PyDict_GetItemWithError(k->proc_dict, s_contexts);
+        if (contexts == NULL && PyErr_Occurred())
+            goto fail_op;
+        if (contexts == NULL || !PyList_Check(contexts) ||
+            PyList_GET_SIZE(contexts) > 1)
+            goto fallback;
+        if (sk_one_cycle(k, ctx) < 0)
+            goto fail_op;
+        break;
+    }
+    case K_FENCE: {
+        /* Buffered wo stores to drain: the park is Python's. */
+        long long outstanding =
+            PyLong_AsLongLong(SLOT_GET(ctx, g_ctx.outstanding_stores));
+        if (outstanding == -1 && PyErr_Occurred())
+            goto fail_op;
+        if (outstanding)
+            goto fallback;
+        if (sk_one_cycle(k, ctx) < 0)
+            goto fail_op;
+        break;
+    }
+    case K_BURST: {
+        /* Install the precompiled run and execute its first op through
+         * the branches above; later steps pull the rest mid-burst. */
+        PyObject *sub, *first;
+        if (PyTuple_GET_SIZE(op) < 2)
+            goto fallback;
+        sub = PyTuple_GET_ITEM(op, 1);
+        if (!PyTuple_Check(sub) || PyTuple_GET_SIZE(sub) == 0)
+            goto fallback;
+        if (PyTuple_GET_SIZE(sub) > 1) {
+            slot_set_incref(ctx, g_ctx.burst_ops, sub);
+            slot_set_incref(ctx, g_ctx.burst_pos, g_one);
+        }
+        first = PyTuple_GET_ITEM(sub, 0);
+        Py_INCREF(first);
+        slot_set_incref(ctx, g_ctx.last_op, first);
+        Py_SETREF(op, first);
+        goto redispatch;
+    }
+    default:
+        goto fallback;
+    }
+    Py_DECREF(op);
+    Py_RETURN_NONE;
+fallback:
+    k->fallthroughs += 1;
+    err = call2_drop(k->execute_op, ctx, op);
+    Py_DECREF(op);
+    if (err < 0)
+        return NULL;
     Py_RETURN_NONE;
 fail_op:
-    if (decref_op)
-        Py_XDECREF(op);
+    Py_XDECREF(op);
     return NULL;
 }
+
+static PyMemberDef StepKernel_members[] = {
+    {"fallthroughs", T_LONGLONG, offsetof(StepKernelObject, fallthroughs),
+     READONLY,
+     "ops this kernel handed to the Python Processor._execute_op"},
+    {NULL},
+};
 
 static PyTypeObject StepKernel_Type = {
     PyVarObject_HEAD_INIT(NULL, 0).tp_name = "repro._native.StepKernel",
@@ -1738,6 +1799,7 @@ static PyTypeObject StepKernel_Type = {
     .tp_dealloc = (destructor)StepKernel_dealloc,
     .tp_traverse = (traverseproc)StepKernel_traverse,
     .tp_clear = (inquiry)StepKernel_clear,
+    .tp_members = StepKernel_members,
     .tp_vectorcall_offset = offsetof(StepKernelObject, vectorcall),
     .tp_call = PyVectorcall_Call,
 };
@@ -2685,10 +2747,13 @@ mod_setup(PyObject *mod, PyObject *spec)
         take_ref(spec, "DONE", &g_ctx_done) < 0 ||
         take_ref(spec, "RUNNING", &g_ctx_running) < 0 ||
         take_ref(spec, "BLOCKED", &g_ctx_blocked) < 0 ||
-        take_ref(spec, "THINK", &g_op_think) < 0 ||
-        take_ref(spec, "LOAD", &g_op_load) < 0 ||
-        take_ref(spec, "STORE", &g_op_store) < 0 ||
-        take_ref(spec, "RMW", &g_op_rmw) < 0 ||
+        take_ref(spec, "THINK", &g_op_kinds[0]) < 0 ||
+        take_ref(spec, "LOAD", &g_op_kinds[1]) < 0 ||
+        take_ref(spec, "STORE", &g_op_kinds[2]) < 0 ||
+        take_ref(spec, "RMW", &g_op_kinds[3]) < 0 ||
+        take_ref(spec, "SWITCH_HINT", &g_op_kinds[4]) < 0 ||
+        take_ref(spec, "FENCE", &g_op_kinds[5]) < 0 ||
+        take_ref(spec, "BURST", &g_op_kinds[6]) < 0 ||
         take_ref(spec, "Op", &g_op_type) < 0 ||
         take_ref(spec, "OP_NAMES", &g_op_names) < 0 ||
         take_ref(spec, "OP_BY_NAME", &g_op_by_name) < 0 ||
@@ -2821,6 +2886,7 @@ PyInit__native(void)
     if (intern_into(&s_max_cycles, "max_cycles") < 0 ||
         intern_into(&s_busy_cycles, "busy_cycles") < 0 ||
         intern_into(&s_trap_free_at, "trap_free_at") < 0 ||
+        intern_into(&s_contexts, "contexts") < 0 ||
         intern_into(&s_crc_enabled, "crc_enabled") < 0 ||
         intern_into(&s_packets_received, "packets_received") < 0 ||
         intern_into(&s_fault_injector, "fault_injector") < 0 ||
@@ -2832,6 +2898,10 @@ PyInit__native(void)
         intern_into(&g_str_load, "load") < 0 ||
         intern_into(&g_str_store, "store") < 0 ||
         intern_into(&g_str_rmw, "rmw") < 0)
+        return NULL;
+    g_zero = PyLong_FromLong(0);
+    g_one = PyLong_FromLong(1);
+    if (g_zero == NULL || g_one == NULL)
         return NULL;
     {
         PyObject *retire = PyUnicode_InternFromString("__retire__");

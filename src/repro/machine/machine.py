@@ -292,6 +292,39 @@ class AlewifeMachine:
             self.config, entries_audited=entries_audited
         )
 
+    def dismantle(self) -> None:
+        """Take a finished machine apart so reference counting frees it.
+
+        A wired machine is one large reference cycle — fabric handlers
+        back to the NICs, the NIC's handlers back to the controllers,
+        each context's completion callback and program generator back to
+        its processor, ``on_done`` back to the machine, and on ``native``
+        the step kernels and the event core back to what they drive — so
+        a dropped machine otherwise waits for the cyclic collector, and
+        on the ``soa``/``native`` backends it holds a 128 KB word slab
+        per node while it waits.  Emptying the instance dict of each
+        wired part severs all of those edges at once.  The machine is
+        unusable afterwards; a :class:`MachineStats` already collected is
+        not affected (it shares only the config and the
+        :class:`NetworkStats` record, neither of which is touched).
+        """
+        parts: list = [self.sim, self.network]
+        for node in self.nodes:
+            for ctx in node.processor.contexts:
+                ctx.gen = ctx.mem_done = None  # slotted: no dict to empty
+            parts += (
+                node.nic,
+                node.directory_controller,
+                node.directory_controller.directory,
+                node.cache_array,
+                node.cache_controller,
+                node.processor,
+            )
+            if node.software is not None:
+                parts.append(node.software)
+        for part in parts:
+            vars(part).clear()
+
 
 @dataclass
 class Harvest:
@@ -368,9 +401,18 @@ def run_experiment(
     ``config.shards > 1`` dispatches to the windowed shard driver in
     :mod:`repro.sim.shard` (``shard_workers=1`` keeps every shard in this
     process); the classic serial machine runs otherwise.
+
+    Nobody can reach the machine of a one-shot run, so it is dismantled
+    before returning: a sweep's memory then tracks one live machine
+    instead of however many dead ones the cyclic collector has not got
+    to yet.  Build an :class:`AlewifeMachine` and call ``run`` yourself
+    to keep it inspectable.
     """
     if config.shards > 1:
         from ..sim.shard import run_sharded
 
         return run_sharded(config, workload, workers=shard_workers)
-    return AlewifeMachine(config).run(workload)
+    machine = AlewifeMachine(config)
+    stats = machine.run(workload)
+    machine.dismantle()
+    return stats

@@ -22,7 +22,7 @@ import tracemalloc
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from ..backend import get_backend
+from ..backend import get_backend, native as native_backend
 from ..machine import AlewifeConfig, AlewifeMachine
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -168,6 +168,10 @@ class ProfileReport:
     #: compiled/fallback state) — surfaced so a profile of the soa
     #: fallback can never be mistaken for a compiled measurement
     backend_notes: Optional[str] = None
+    #: ops the compiled processor steps handed back to the Python
+    #: ``_execute_op``, summed over processors (None: no compiled step
+    #: ran).  0 means the processor layer never left C for an op kind.
+    native_fallthroughs: Optional[int] = None
 
     @property
     def events_per_sec(self) -> float:
@@ -182,6 +186,7 @@ class ProfileReport:
             "events_executed": self.events_executed,
             "events_per_sec": round(self.events_per_sec),
             "backend_notes": self.backend_notes,
+            "native_fallthroughs": self.native_fallthroughs,
             "hot_functions": self.hot,
             "backend_native": self.native,
             "allocation_sites": self.allocations,
@@ -200,6 +205,11 @@ class ProfileReport:
         ]
         if self.backend_notes:
             lines.append(f"backend: {self.backend_notes}")
+        if self.native_fallthroughs is not None:
+            lines.append(
+                f"processor-step fall-throughs to Python: "
+                f"{self.native_fallthroughs:,}"
+            )
         if self.native is not None:
             lines.append(
                 f"compiled component backend.native: "
@@ -362,6 +372,7 @@ def profile_run(
         backend=config.backend,
         native=native_component(raw),
         backend_notes=get_backend(config.backend).notes,
+        native_fallthroughs=native_backend.fallthroughs(machine),
     )
     if memory_profiler is not None:
         report.worker_sets = report.worker_sets or {}

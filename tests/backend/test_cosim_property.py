@@ -17,6 +17,12 @@ Two layers of lockstep comparison, both driven by hypothesis:
   fused SoA hit path, the ring-inlined deliveries, and the
   view-object cache/directory storage under schedules the committed
   goldens do not enumerate.
+* **Op-stream level** — random straight-line programs over all seven op
+  kinds (bursts of one and of several ops whose first op hits or misses,
+  nested bursts, fences, switch hints with one to three contexts per
+  processor, ``sc`` and ``wo``) compared the same way.  Weather with one
+  context never reaches most of the processor step's branches; this
+  does, on the fused Python step and on the compiled one.
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ from repro.backend.batchsim import BatchSimulator
 from repro.machine import AlewifeConfig, AlewifeMachine
 from repro.sim.kernel import Simulator
 from repro.workloads import WeatherWorkload
+
+from .opstream import N_WORDS, trace_streams, windowed_driver
 
 # ----------------------------------------------------------------------
 # Kernel level
@@ -128,24 +136,11 @@ def _trace_machine(backend, params):
     if params["protocol"] != "fullmap":
         kwargs.update(pointers=4, ts=50)
     machine = AlewifeMachine(AlewifeConfig(**kwargs))
-    window = params["window"]
     trace = []
-
-    def driver(m):
-        sim = m.sim
-        guard = 0
-        while sim.pending_events:
-            guard += 1
-            assert guard < 100_000
-            sim.run_until(sim.now + window)
-            trace.append(
-                (sim.now, sim._seq, sim.events_executed, sim.pending_events)
-            )
-
     stats = machine.run(
         WeatherWorkload(iterations=params["iterations"]),
         audit=False,
-        driver=driver,
+        driver=windowed_driver(params["window"], trace),
     )
     return trace, equivalence_fingerprint(stats)
 
@@ -167,3 +162,62 @@ class TestMachineCoSimulation:
         assert _trace_machine("native", params) == _trace_machine(
             "reference", params
         )
+
+
+# ----------------------------------------------------------------------
+# Op-stream level
+# ----------------------------------------------------------------------
+
+_word = st.integers(min_value=0, max_value=N_WORDS - 1)
+_simple_op = st.one_of(
+    # think times straddle the 64-cycle ring horizon
+    st.tuples(st.just("think"), st.integers(min_value=0, max_value=90)),
+    st.tuples(st.just("load"), _word),
+    st.tuples(st.just("store"), _word, st.integers(min_value=0, max_value=99)),
+    st.tuples(st.just("add"), _word, st.integers(min_value=1, max_value=5)),
+    st.just(("fence",)),
+    st.just(("switch_hint",)),
+)
+_inner_burst = st.tuples(
+    st.just("burst"), st.lists(_simple_op, min_size=1, max_size=3)
+)
+_burst = st.tuples(
+    st.just("burst"),
+    st.lists(st.one_of(_simple_op, _inner_burst), min_size=1, max_size=5),
+)
+_stream = st.lists(st.one_of(_simple_op, _burst), min_size=1, max_size=12)
+_op_streams = st.fixed_dictionaries(
+    {
+        "streams": st.fixed_dictionaries(
+            {
+                proc: st.lists(_stream, min_size=1, max_size=3)
+                for proc in range(4)
+            }
+        ),
+        "memory_model": st.sampled_from(["sc", "wo"]),
+        "protocol": st.sampled_from(["fullmap", "limited", "limitless"]),
+        "window": st.sampled_from([1, 64, 193]),
+    }
+)
+
+
+def _trace_op_streams(backend, params):
+    trace, fingerprint, _machine = trace_streams(
+        backend,
+        params["streams"],
+        params["window"],
+        protocol=params["protocol"],
+        memory_model=params["memory_model"],
+    )
+    return trace, fingerprint
+
+
+class TestOpStreamCoSimulation:
+    @settings(max_examples=60, deadline=None)
+    @given(params=_op_streams)
+    def test_soa_and_native_match_reference_window_for_window(self, params):
+        # ``native`` is the compiled step when the extension is built and
+        # the soa fallback otherwise; either way it must co-simulate.
+        reference = _trace_op_streams("reference", params)
+        assert _trace_op_streams("soa", params) == reference
+        assert _trace_op_streams("native", params) == reference

@@ -174,6 +174,10 @@ def test_cli_profile_accepts_backend_native():
         # compiled time is attributed to one labeled component instead
         # of vanishing from the cProfile tree
         assert "backend.native" in result.stdout
+        # ... and a single-context run never hands an op back to Python
+        assert "processor-step fall-throughs to Python: 0" in result.stdout
+    else:
+        assert "fall-throughs" not in result.stdout
 
 
 def test_serve_metrics_reports_native_backend_block(tmp_path):

@@ -1,0 +1,290 @@
+"""The processor step at its edges, on every backend.
+
+``Processor._step``/``_execute_op`` is the definition; the fused soa step
+and the compiled ``StepKernel`` are checked against it here where the
+goldens and the property co-simulation do not reach: ops no constructor
+in :mod:`repro.proc.ops` would build, exceptions raised underneath the
+step (by the program, by an ``rmw`` callable, by the Python fallback),
+stale burst bookkeeping, and the kernel's own fall-through counter.
+
+"Same as reference" means the same exception type and message, the same
+checkpoint digest and per-context bookkeeping at the moment it
+propagated, and the same state again after the surviving events drain —
+a kernel whose ``pending_events`` or ``_seq`` went wrong on the error
+path shows up in one of the three.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.backend import backend_names, native
+from repro.proc import ops
+from repro.proc.processor import Processor
+from repro.recover.snapshot import state_digest
+from repro.sim.kernel import SimulationError
+from repro.workloads import SyntheticSharingWorkload, WeatherWorkload
+
+from .opstream import (
+    OpStreamWorkload,
+    context_state,
+    kernel_state,
+    make_machine,
+    trace_streams,
+)
+
+BACKENDS = backend_names()
+needs_extension = pytest.mark.skipif(
+    not native.available(), reason="extension not built"
+)
+
+
+def _run(machine, streams, poke=None):
+    """``machine.run`` with ``poke(machine)`` applied after the contexts
+    are loaded and started, before the first event executes."""
+
+    def driver(m):
+        if poke is not None:
+            poke(m)
+        m.sim.run()
+
+    return machine.run(OpStreamWorkload(streams), driver=driver)
+
+
+def _crash(backend, streams, *, poke=None, **overrides):
+    """Run ``streams`` until something raises; report what is left."""
+    machine = make_machine(backend, **overrides)
+    with pytest.raises(Exception) as caught:
+        _run(machine, streams, poke)
+    at_raise = (
+        kernel_state(machine),
+        state_digest([machine]),
+        context_state(machine),
+    )
+    # The failed context is gone for good, but everything else still
+    # queued must run to quiescence from a consistent kernel.
+    machine.sim.run()
+    assert machine.sim.pending_events == 0
+    drained = (kernel_state(machine), state_digest([machine]))
+    return {
+        "error": (caught.type, str(caught.value)),
+        "at_raise": at_raise,
+        "drained": drained,
+    }
+
+
+def _assert_crashes_like_reference(streams, **kwargs):
+    reference = _crash("reference", streams, **kwargs)
+    for backend in BACKENDS[1:]:
+        assert _crash(backend, streams, **kwargs) == reference, backend
+    return reference
+
+
+#: three ordinary neighbours, so a failure on processor 0 happens while
+#: other steps, hits and misses are in flight
+_NEIGHBOURS = {
+    proc: [
+        [
+            ("store", proc, proc),
+            ("burst", [("load", 0), ("think", 5), ("add", proc, 1)]),
+            ("think", 70),
+            ("load", 1),
+        ]
+    ]
+    for proc in (1, 2, 3)
+}
+
+
+# ----------------------------------------------------------------------
+# Negative think (was silently masked into the ring on soa/native)
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_negative_think_is_rejected_on_every_backend(backend):
+    stream = [("think", 3), ("raw", ("think", -5)), ("think", 3)]
+    machine = make_machine(backend)
+    with pytest.raises(
+        SimulationError, match=r"cannot schedule event at -2, now is 3"
+    ):
+        machine.run(OpStreamWorkload({p: [list(stream)] for p in range(4)}))
+
+
+def test_negative_think_leaves_the_same_state_on_every_backend():
+    streams = {0: [[("think", 3), ("raw", ("think", -5))]], **_NEIGHBOURS}
+    reference = _assert_crashes_like_reference(streams)
+    assert reference["error"][0] is SimulationError
+
+
+# ----------------------------------------------------------------------
+# Malformed and unusual ops: whatever the Python step does
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "raw, expected",
+    [
+        (("think",), IndexError),
+        (("load",), IndexError),
+        (("store", 64), IndexError),
+        (("rmw", 64), IndexError),
+        (("burst",), IndexError),
+        (("burst", ()), IndexError),
+        (("burst", (("think",),)), IndexError),
+        (("burst", (None,)), TypeError),
+        (("frobnicate", 1), SimulationError),
+        ((), IndexError),
+        (None, TypeError),
+        (("think", "soon"), TypeError),
+    ],
+)
+def test_malformed_op_raises_what_the_reference_step_raises(raw, expected):
+    streams = {0: [[("think", 2), ("raw", raw)]], **_NEIGHBOURS}
+    reference = _assert_crashes_like_reference(streams)
+    assert reference["error"][0] is expected
+
+
+def test_hand_built_bursts_run_like_reference():
+    """Un-flattened nesting and a list run: legal for ``_execute_op``."""
+    nested = (
+        ops.BURST,
+        (
+            (ops.BURST, ((ops.THINK, 2), (ops.THINK, 3))),
+            (ops.THINK, 100),  # dropped: the inner burst replaces the run
+        ),
+    )
+    as_list = (ops.BURST, [(ops.THINK, 4), (ops.FENCE,), (ops.THINK, 1)])
+    equal_not_identical = ("".join(["th", "ink"]), 7)
+    streams = {
+        0: [[("raw", nested), ("raw", as_list), ("raw", equal_not_identical)]],
+        **_NEIGHBOURS,
+    }
+    reference = trace_streams("reference", streams, 64)[:2]
+    for backend in BACKENDS[1:]:
+        assert trace_streams(backend, streams, 64)[:2] == reference, backend
+
+
+# ----------------------------------------------------------------------
+# Stale burst bookkeeping (restore, test poke)
+# ----------------------------------------------------------------------
+
+
+def _poke_burst(pos):
+    def poke(machine):
+        ctx = machine.node_map[0].processor.contexts[0]
+        ctx.burst_ops = (ops.think(1), ops.think(2))
+        ctx.burst_pos = pos
+
+    return poke
+
+
+def test_stale_burst_pos_raises_index_error_everywhere():
+    streams = {0: [[("think", 1)]], **_NEIGHBOURS}
+    reference = _assert_crashes_like_reference(streams, poke=_poke_burst(7))
+    assert reference["error"] == (IndexError, "tuple index out of range")
+
+
+def test_negative_burst_pos_wraps_like_python_indexing():
+    streams = {0: [[("think", 1)]], **_NEIGHBOURS}
+    results = {}
+    for backend in BACKENDS:
+        machine = make_machine(backend)
+        _run(machine, streams, _poke_burst(-1))
+        results[backend] = (kernel_state(machine), context_state(machine))
+    assert results["soa"] == results["reference"]
+    assert results["native"] == results["reference"]
+
+
+# ----------------------------------------------------------------------
+# Exceptions underneath the step
+# ----------------------------------------------------------------------
+
+
+class Boom(Exception):
+    pass
+
+
+def test_program_raising_between_bursts():
+    streams = {
+        0: [
+            [
+                ("burst", [("load", 0), ("think", 3), ("switch_hint",)]),
+                ("raise", Boom("program")),
+            ]
+        ],
+        **_NEIGHBOURS,
+    }
+    reference = _assert_crashes_like_reference(streams)
+    assert reference["error"] == (Boom, "program")
+
+
+@pytest.mark.parametrize("position", ["first", "later"])
+def test_rmw_callable_raising_inside_a_burst(position):
+    def explode(_old):
+        raise Boom("rmw")
+
+    # The store makes word 0 exclusive here, so the rmw is a hit and its
+    # callable runs inside the step itself.
+    atomic = ("rmw", 0, explode)
+    burst = [atomic, ("think", 2)]
+    if position == "later":
+        burst.reverse()
+    streams = {0: [[("store", 0, 9), ("burst", burst)]]}
+    reference = _assert_crashes_like_reference(streams, n_procs=1)
+    assert reference["error"] == (Boom, "rmw")
+
+
+def test_multi_context_switch_hint_fallback_raising(monkeypatch):
+    def explode(self, ctx):
+        raise Boom("switch")
+
+    monkeypatch.setattr(Processor, "_switch_hint", explode)
+    streams = {
+        0: [
+            [("think", 4), ("burst", [("think", 1), ("switch_hint",)])],
+            [("think", 9)],
+        ],
+        **_NEIGHBOURS,
+    }
+    reference = _assert_crashes_like_reference(streams)
+    assert reference["error"] == (Boom, "switch")
+
+
+# ----------------------------------------------------------------------
+# StepKernel.fallthroughs
+# ----------------------------------------------------------------------
+
+
+@needs_extension
+@pytest.mark.parametrize(
+    "workload",
+    [
+        WeatherWorkload(iterations=2),
+        SyntheticSharingWorkload(worker_sets=[(2, 8), (8, 2)], rounds=3),
+    ],
+    ids=["weather", "synthetic"],
+)
+def test_single_context_sc_run_never_leaves_the_compiled_step(workload):
+    machine = make_machine("native", n_procs=16, pointers=4)
+    machine.run(workload)
+    assert native.fallthroughs(machine) == 0
+
+
+@needs_extension
+def test_multi_context_switch_hint_falls_back_and_stays_bit_identical():
+    spin = [("load", 0), ("burst", [("think", 12), ("switch_hint",)])] * 4
+    streams = {p: [list(spin), list(spin)] for p in range(4)}
+    trace, fingerprint, machine = trace_streams("native", streams, 64)
+    assert native.fallthroughs(machine) == 4 * 2 * 4
+    assert (trace, fingerprint) == trace_streams("reference", streams, 64)[:2]
+
+
+@needs_extension
+def test_fallthroughs_is_read_only_and_absent_without_a_kernel():
+    machine = make_machine("native")
+    kernel = machine.nodes[0].processor._step
+    with pytest.raises(AttributeError):
+        kernel.fallthroughs = 5
+    unfused = make_machine("native", memory_model="wo")
+    assert native.fallthroughs(unfused) is None
+    assert native.fallthroughs(make_machine("reference")) is None

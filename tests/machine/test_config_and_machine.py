@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
-from repro.machine import AlewifeConfig, AlewifeMachine, run_experiment
+from repro.backend import backend_names, equivalence_fingerprint
+from repro.backend.soa import SoaCacheArray
+from repro.machine import AlewifeConfig, AlewifeMachine, Node, run_experiment
+from repro.proc.processor import Processor
 from repro.sim.kernel import SimulationError
 from repro.workloads import HotSpotWorkload
 from repro.workloads.base import Workload
@@ -164,3 +169,45 @@ class TestStatsCollection:
             HotSpotWorkload(rounds=1),
         )
         assert stats.mcycles() == pytest.approx(stats.cycles / 1e6)
+
+
+class TestOneShotRunFreesItsMachine:
+    """``run_experiment`` hands back stats, not a machine: the machine
+    must be gone by reference counting alone (on soa/native each dead
+    machine pins a 128 KB word slab per node until a cyclic collection
+    happens to reach it)."""
+
+    CONFIG = dict(
+        n_procs=4, protocol="limitless", pointers=2, cache_lines=256,
+        segment_bytes=1 << 16, max_cycles=2_000_000,
+    )
+
+    @pytest.mark.parametrize("backend", backend_names())
+    def test_nothing_of_the_machine_is_left_with_gc_disabled(self, backend):
+        config = AlewifeConfig(**self.CONFIG, backend=backend)
+        gc.collect()  # earlier tests' garbage must not be counted here
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            stats = run_experiment(config, HotSpotWorkload(rounds=2))
+            leftovers = [
+                type(obj).__name__
+                for obj in gc.get_objects()
+                if isinstance(
+                    obj, (AlewifeMachine, Node, Processor, SoaCacheArray)
+                )
+            ]
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert leftovers == []
+        # ... and what was returned is whole, and what a kept machine gives.
+        kept = AlewifeMachine(config).run(HotSpotWorkload(rounds=2))
+        assert stats.network.packets > 0
+        assert equivalence_fingerprint(stats) == equivalence_fingerprint(kept)
+
+    def test_a_machine_run_directly_stays_inspectable(self):
+        machine = AlewifeMachine(AlewifeConfig(**self.CONFIG))
+        machine.run(HotSpotWorkload(rounds=2))
+        assert all(node.processor.done for node in machine.nodes)
+        assert machine.sim.pending_events == 0
