@@ -70,6 +70,8 @@ def _ensure_setup() -> None:
     global _setup_done
     if _setup_done:
         return
+    from ...cache.controller import Mshr, _Waiter
+    from ...mem.memory import BlockData
     from ...network.fabric import NetworkStats
     from ...network.packet import (
         _DATA_BEARING,
@@ -93,6 +95,10 @@ def _ensure_setup() -> None:
             "DONE": ContextState.DONE,
             "RUNNING": ContextState.RUNNING,
             "BLOCKED": ContextState.BLOCKED,
+            "READY": ContextState.READY,
+            "Waiter": _Waiter,
+            "Mshr": Mshr,
+            "BlockData": BlockData,
             "THINK": ops.THINK,
             "LOAD": ops.LOAD,
             "STORE": ops.STORE,
@@ -196,7 +202,15 @@ class NativeSimulator(BatchSimulator):
 
 
 class NativeProcessor(SoaProcessor):
-    """SoaProcessor whose fused step runs as a compiled kernel."""
+    """SoaProcessor whose fused step runs as a compiled kernel.
+
+    The kernel also carries the cache side of a miss transaction — the
+    issue that follows a failed tag check, and (through the node's
+    ``RxChain``, see :func:`finalize`) the fill and the invalidate — in
+    its common case; the ``Processor``/``CacheController`` methods stay
+    the definition and take every other case, counted by reason in
+    ``StepKernel.handbacks``.
+    """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -206,10 +220,12 @@ class NativeProcessor(SoaProcessor):
             and isinstance(self.sim, NativeSimulator)
         ):
             return
-        from ...cache.controller import _HIT_SLOT
-        from ...proc.processor import _THINK_SLOT
+        from ...cache import controller as cc
+        from ...proc import processor as pp
 
-        backing = self.cache.array
+        cache = self.cache
+        backing = cache.array
+        kinds = ("load", "store", "rmw")
         kernel = _native.StepKernel(
             {
                 "core": self.sim._core,
@@ -223,17 +239,38 @@ class NativeProcessor(SoaProcessor):
                 "imask": backing._index_mask,
                 "block_mask": ~(self.space.block_bytes - 1),
                 "low_mask": self.space.block_bytes - 1,
-                "latency": self.cache.hit_latency,
-                "cache_slots": self.cache._slots,
-                "hit_load": _HIT_SLOT["load"],
-                "hit_store": _HIT_SLOT["store"],
-                "hit_rmw": _HIT_SLOT["rmw"],
+                "latency": cache.hit_latency,
+                "cache_slots": cache._slots,
+                # the order of _native.c's CS_* and PS_* enums
+                "cache_slot_ids": (
+                    *(cc._HIT_SLOT[kind] for kind in kinds),
+                    *(cc._MISS_SLOT[kind] for kind in kinds),
+                    cc._UPGRADES_SLOT,
+                    cc._FILLS_SLOT,
+                    cc._INV_RECEIVED_SLOT,
+                    cc._LOCAL_REQ_SLOT,
+                    cc._REMOTE_REQ_SLOT,
+                ),
                 "proc_slots": self._slots,
-                "think_slot": _THINK_SLOT,
+                "proc_slot_ids": (
+                    pp._THINK_SLOT,
+                    pp._REMOTE_STALL_SLOT,
+                    pp._LOCAL_STALL_SLOT,
+                ),
                 "issue": self._issue,
                 "park": self._park,
                 "retire": self._retire,
                 "execute_op": self._execute_op,
+                "find_work": self._find_work,
+                # the cache side of a miss
+                "cache": cache,
+                "cache_access": cache.access,
+                "nic": cache.nic,
+                "net": cache.nic.network,
+                "pool": cache.pool,
+                "node_id": self.node_id,
+                "seg_shift": self.space.segment_shift,
+                "n_nodes": self.space.n_nodes,
             }
         )
         # Instance attributes shadow the class methods for every caller
@@ -303,7 +340,8 @@ def finalize(machine) -> None:
 
     Called by the machine builder after all nodes are wired.  Each
     node's network handler becomes an :class:`_native.RxChain` (NIC
-    classify + cache dispatch + pool release in one C frame), and each
+    classify + cache dispatch + pool release in one C frame; with the
+    node's ``StepKernel`` it also runs RDATA/WDATA fills and INVs), and each
     base-table directory controller's ``dispatch`` becomes a
     :class:`_native.TableDispatch`.  Controllers that override
     ``dispatch`` in Python (the approx emulation) are left untouched.
@@ -330,27 +368,39 @@ def finalize(machine) -> None:
                     "cache_rx": node.cache_controller._rx,
                     "pool": nic.pool,
                     "divert": nic.divert_to_ipi,
+                    # None for an unfused (``wo``) processor
+                    "kernel": vars(node.processor).get("_step_fn"),
                 }
             )
 
 
-def fallthroughs(machine) -> Optional[int]:
-    """Ops the compiled processor steps handed back to Python, machine-wide.
+def fallthroughs(machine) -> Optional[dict]:
+    """What the compiled kernels handed back to Python, machine-wide.
 
-    Sums :attr:`_native.StepKernel.fallthroughs` — bumped each time the
-    kernel calls ``Processor._execute_op`` instead of executing an op
-    itself — over the machine's processors.  ``None`` when no processor
-    runs the compiled step (extension absent, or ``memory_model="wo"``
-    and other unfused pairings), so 0 always means "never left C".
+    A dict: under ``"op"`` the ops the processor steps gave to
+    ``Processor._execute_op`` (:attr:`_native.StepKernel.fallthroughs`,
+    summed over the processors), plus one entry per reason a step of the
+    compiled miss transaction (issue, fill, invalidate) went back to its
+    Python method (``StepKernel.handbacks``: ``mshr_merge``, ``victim``,
+    ``replay``, ``fault_tolerant``, ``fabric``, ``malformed``, ... —
+    docs/BACKENDS.md has the table).  ``None`` when no processor runs the
+    compiled step (extension absent, or ``memory_model="wo"`` and other
+    unfused pairings), so an all-zero dict always means "never left C".
     """
     if _native is None:
         return None
-    counts = [
-        node.processor._step.fallthroughs
+    kernels = [
+        node.processor._step
         for node in machine.nodes
         if isinstance(node.processor._step, _native.StepKernel)
     ]
-    return sum(counts) if counts else None
+    if not kernels:
+        return None
+    totals = {"op": sum(kernel.fallthroughs for kernel in kernels)}
+    for kernel in kernels:
+        for reason, count in kernel.handbacks.items():
+            totals[reason] = totals.get(reason, 0) + count
+    return totals
 
 
 __all__ = [

@@ -30,10 +30,12 @@
 /* Module-wide cached objects, filled in by setup().                  */
 /* ------------------------------------------------------------------ */
 
+/* Slot offsets of the slotted Python classes the kernels read and write
+ * in place, resolved by name in setup(). */
 typedef struct {
     Py_ssize_t state, gen, started, resume_value, ops_executed, last_op;
     Py_ssize_t outstanding_stores, pending_op, pending_needs;
-    Py_ssize_t burst_ops, burst_pos;
+    Py_ssize_t burst_ops, burst_pos, mem_done;
 } CtxOffsets;
 
 typedef struct {
@@ -48,10 +50,20 @@ typedef struct {
     Py_ssize_t packets, words, hops, total_latency, contention, per_opcode;
 } StatOffsets;
 
+/* cache.controller._Waiter and Mshr */
+typedef struct {
+    Py_ssize_t kind, addr, payload, callback, issued_at;
+} WaiterOffsets;
+
+typedef struct {
+    Py_ssize_t block, need_write, opened_at, waiters, retries, epoch;
+    Py_ssize_t timeouts, wb_blocked;
+} MshrOffsets;
+
 static PyObject *g_sim_error;       /* SimulationError */
 static PyObject *g_event_type;      /* kernel.Event */
 static PyObject *g_no_arg;          /* kernel._NO_ARG sentinel */
-static PyObject *g_ctx_done, *g_ctx_running, *g_ctx_blocked;
+static PyObject *g_ctx_done, *g_ctx_running, *g_ctx_blocked, *g_ctx_ready;
 #define N_OP_KINDS 7
 static PyObject *g_op_kinds[N_OP_KINDS]; /* repro.proc.ops kind constants,
                                             in the step kernel's K_* order */
@@ -59,15 +71,26 @@ static PyObject *g_op_type;         /* packet.Op (IntEnum class) */
 static PyObject *g_op_names;        /* packet.OP_NAMES tuple */
 static PyObject *g_protocol_packet; /* packet.protocol_packet */
 static PyObject *g_op_by_name;      /* packet.OP_BY_NAME dict */
+static PyObject *g_waiter_type, *g_mshr_type; /* cache.controller classes */
+static PyObject *g_block_data_type; /* mem.memory.BlockData */
+/* the opcodes the compiled miss transaction sends and receives */
+enum { O_RREQ, O_WREQ, O_UPDATE, O_ACKC, O_RDATA, O_WDATA, O_INV, N_MISS_OPS };
+static PyObject *g_miss_ops[N_MISS_OPS]; /* Op members */
+static long g_op_rdata;             /* int(Op.RDATA); WDATA, INV follow it */
 static PyObject *g_retire_op;       /* ("__retire__",) */
 static PyObject *g_str_all;         /* "all" */
-static PyObject *g_str_load, *g_str_store, *g_str_rmw;
+static PyObject *g_kinds[3];        /* "load", "store", "rmw": access kinds,
+                                       indexed by the A_* codes below */
+enum { A_LOAD, A_STORE, A_RMW };
 static char g_data_bearing[64];
 static long g_last_c2m = 4;
 static CtxOffsets g_ctx;
 static EvOffsets g_ev;
 static PktOffsets g_pkt;
 static StatOffsets g_stat;
+static WaiterOffsets g_waiter;
+static MshrOffsets g_mshr;
+static Py_ssize_t g_block_words;    /* BlockData.words */
 static int g_ready = 0;
 
 static PyObject *g_zero;            /* int 0, for resetting burst_pos */
@@ -76,9 +99,17 @@ static PyObject *g_one;             /* int 1, burst_pos after the first op */
 static PyObject *s_max_cycles, *s_busy_cycles, *s_trap_free_at, *s_contexts;
 static PyObject *s_crc_enabled, *s_packets_received, *s_fault_injector;
 static PyObject *s_admit, *s_words, *s_send;
+static PyObject *s_running, *s_fault_tolerant, *s_request_timeout;
+static PyObject *s_update_blocks, *s_wb_buffer, *s_mshrs, *s_packets_sent;
+static PyObject *s_miss_latency_total, *s_miss_latency_count;
+static PyObject *s_latency_hist, *s_counts, *s_txn;
+
+/* Set-up helpers are called from long explicit lists, once per import or
+ * per machine: out of line, or -O3 copies them into every call. */
+#define SETUP_ONLY __attribute__((noinline, cold))
 
 /* Resolve the offset of one __slots__ member descriptor. */
-static Py_ssize_t
+static SETUP_ONLY Py_ssize_t
 slot_offset(PyObject *cls, const char *name)
 {
     PyObject *descr = PyObject_GetAttrString(cls, name);
@@ -135,31 +166,35 @@ list_add_ll(PyObject *list, Py_ssize_t i, long long delta)
     return PyList_SetItem(list, i, obj); /* steals */
 }
 
-/* obj.__dict__[key] += delta for plain int attributes */
+/* dict[key] += delta for int values: obj.__dict__ attributes, which must
+ * exist, or with ``create`` a tally where a missing key counts as 0 */
 static int
-dict_add_ll(PyObject *dict, PyObject *key, long long delta)
+dict_add(PyObject *dict, PyObject *key, long long delta, int create)
 {
     PyObject *cur = PyDict_GetItemWithError(dict, key);
-    long long v;
+    long long v = 0;
     PyObject *obj;
-    if (cur == NULL) {
-        if (!PyErr_Occurred())
-            PyErr_SetObject(PyExc_AttributeError, key);
+    int r;
+    if (cur != NULL) {
+        v = PyLong_AsLongLong(cur);
+        if (v == -1 && PyErr_Occurred())
+            return -1;
+    }
+    else if (PyErr_Occurred())
+        return -1;
+    else if (!create) {
+        PyErr_SetObject(PyExc_AttributeError, key);
         return -1;
     }
-    v = PyLong_AsLongLong(cur);
-    if (v == -1 && PyErr_Occurred())
-        return -1;
     obj = PyLong_FromLongLong(v + delta);
     if (obj == NULL)
         return -1;
-    if (PyDict_SetItem(dict, key, obj) < 0) {
-        Py_DECREF(obj);
-        return -1;
-    }
+    r = PyDict_SetItem(dict, key, obj);
     Py_DECREF(obj);
-    return 0;
+    return r;
 }
+
+#define dict_add_ll(dict, key, delta) dict_add(dict, key, delta, 0)
 
 static long long
 dict_get_ll(PyObject *dict, PyObject *key, int *err)
@@ -1176,33 +1211,55 @@ static PyTypeObject Core_Type = {
 /* Mirrors repro.backend.fastpath.SoaProcessor._step exactly.         */
 /* ------------------------------------------------------------------ */
 
+/* Counter cells the kernel bumps, by position in the ``cache_slot_ids``
+ * and ``proc_slot_ids`` tuples of the spec. */
+enum { CS_HIT, CS_MISS = CS_HIT + 3, CS_UPGRADES = CS_MISS + 3, CS_FILLS,
+       CS_INV_RECEIVED, CS_LOCAL_REQ, CS_REMOTE_REQ, N_CS };
+enum { PS_THINK, PS_REMOTE_STALL, PS_LOCAL_STALL, N_PS };
+
+/* Why a step of the miss transaction went back to its Python method. */
+enum { HB_FAULT_TOLERANT, HB_REQUEST_TIMEOUT, HB_CRC, HB_UPDATE_BLOCK,
+       HB_WB_BUFFER, HB_MSHR_MERGE, HB_VICTIM, HB_REPLAY, HB_FABRIC, HB_POOL,
+       HB_MALFORMED, N_HANDBACKS };
+static const char *const handback_names[N_HANDBACKS] = {
+    "fault_tolerant", "request_timeout", "crc", "update_block", "wb_buffer",
+    "mshr_merge", "victim", "replay", "fabric", "pool", "malformed"};
+
 typedef struct {
     PyObject_HEAD
     vectorcallfunc vectorcall;
     CoreObject *core;       /* strong */
-    PyObject *proc;         /* strong */
-    PyObject *proc_dict;    /* strong ref to proc.__dict__ */
+    PyObject *proc;
     PyObject *tags;         /* list[int] */
     PyObject *states;       /* bytearray */
     PyObject *written;      /* bytearray */
     PyObject *slab;         /* array('q'); buffer held below */
-    Py_buffer slab_buf;
-    int slab_held;
-    long long wpb, shift, imask, block_mask, low_mask, latency;
     PyObject *cache_slots;  /* live counter slot list */
-    Py_ssize_t hit_load, hit_store, hit_rmw;
     PyObject *proc_slots;   /* live counter slot list */
-    Py_ssize_t think_slot;
     PyObject *issue, *park, *retire, *execute_op;  /* bound methods */
+    PyObject *find_work, *cache_access;            /* bound methods */
+    PyObject *cache, *nic, *net;
+    PyObject *pool;         /* the machine's packet pool */
+    PyObject *node_obj;     /* int node id */
+    /* net_dict["send"] is looked up per use rather than held: the
+     * fabric's NetSend holds every node's RxChain, which holds us. */
+    PyObject *proc_dict, *cache_dict, *nic_dict, *net_dict;
+    Py_buffer slab_buf;
+    int slab_held, pool_native;
+    long long wpb, shift, imask, block_mask, low_mask, latency;
+    long long node_id, seg_shift, n_nodes;
+    Py_ssize_t cs[N_CS], ps[N_PS];
     long long fallthroughs; /* ops handed to execute_op (see fallback:) */
+    long long handbacks[N_HANDBACKS];
 } StepKernelObject;
 
 static PyTypeObject StepKernel_Type;
+static PyTypeObject Pool_Type;
 
 static PyObject *step_kernel_vectorcall(PyObject *, PyObject *const *,
                                         size_t, PyObject *);
 
-static PyObject *
+static SETUP_ONLY PyObject *
 spec_get(PyObject *spec, const char *key)
 {
     PyObject *v = PyDict_GetItemString(spec, key);
@@ -1211,7 +1268,7 @@ spec_get(PyObject *spec, const char *key)
     return v;  /* borrowed */
 }
 
-static int
+static SETUP_ONLY int
 spec_get_ll(PyObject *spec, const char *key, long long *out)
 {
     PyObject *v = spec_get(spec, key);
@@ -1223,20 +1280,39 @@ spec_get_ll(PyObject *spec, const char *key, long long *out)
     return 0;
 }
 
+/* spec[key] is a tuple of exactly ``n`` list indices */
+static SETUP_ONLY int
+spec_get_ids(PyObject *spec, const char *key, Py_ssize_t *out, Py_ssize_t n)
+{
+    PyObject *ids = spec_get(spec, key);
+    Py_ssize_t i;
+    if (ids == NULL)
+        return -1;
+    if (!PyTuple_Check(ids) || PyTuple_GET_SIZE(ids) != n) {
+        PyErr_Format(PyExc_TypeError, "spec[%s] must be a %zd-tuple", key, n);
+        return -1;
+    }
+    for (i = 0; i < n; i++) {
+        out[i] = PyLong_AsSsize_t(PyTuple_GET_ITEM(ids, i));
+        if (out[i] == -1 && PyErr_Occurred())
+            return -1;
+    }
+    return 0;
+}
+
 #define SPEC_REF(field, key)                                             \
     do {                                                                 \
         PyObject *v_ = spec_get(spec, key);                              \
         if (v_ == NULL)                                                  \
             return -1;                                                   \
         Py_INCREF(v_);                                                   \
-        self->field = v_;                                                \
+        Py_XSETREF(self->field, v_);                                     \
     } while (0)
 
 static int
 StepKernel_init(StepKernelObject *self, PyObject *args, PyObject *kwds)
 {
     PyObject *spec, *core;
-    long long tmp;
     if (!g_ready) {
         PyErr_SetString(PyExc_RuntimeError, "_native.setup() not called");
         return -1;
@@ -1252,9 +1328,6 @@ StepKernel_init(StepKernelObject *self, PyObject *args, PyObject *kwds)
     Py_INCREF(core);
     Py_XSETREF(self->core, (CoreObject *)core);
     SPEC_REF(proc, "proc");
-    Py_XSETREF(self->proc_dict, PyObject_GenericGetDict(self->proc, NULL));
-    if (self->proc_dict == NULL)
-        return -1;
     SPEC_REF(tags, "tags");
     SPEC_REF(states, "states");
     SPEC_REF(written, "written");
@@ -1265,24 +1338,32 @@ StepKernel_init(StepKernelObject *self, PyObject *args, PyObject *kwds)
     SPEC_REF(park, "park");
     SPEC_REF(retire, "retire");
     SPEC_REF(execute_op, "execute_op");
+    SPEC_REF(find_work, "find_work");
+    SPEC_REF(cache_access, "cache_access");
+    SPEC_REF(cache, "cache");
+    SPEC_REF(nic, "nic");
+    SPEC_REF(net, "net");
+    SPEC_REF(pool, "pool");
+    SPEC_REF(node_obj, "node_id");
+    Py_XSETREF(self->proc_dict, PyObject_GenericGetDict(self->proc, NULL));
+    Py_XSETREF(self->cache_dict, PyObject_GenericGetDict(self->cache, NULL));
+    Py_XSETREF(self->nic_dict, PyObject_GenericGetDict(self->nic, NULL));
+    Py_XSETREF(self->net_dict, PyObject_GenericGetDict(self->net, NULL));
+    if (self->proc_dict == NULL || self->cache_dict == NULL ||
+        self->nic_dict == NULL || self->net_dict == NULL)
+        return -1;
     if (spec_get_ll(spec, "wpb", &self->wpb) < 0 ||
         spec_get_ll(spec, "shift", &self->shift) < 0 ||
         spec_get_ll(spec, "imask", &self->imask) < 0 ||
         spec_get_ll(spec, "block_mask", &self->block_mask) < 0 ||
         spec_get_ll(spec, "low_mask", &self->low_mask) < 0 ||
         spec_get_ll(spec, "latency", &self->latency) < 0 ||
-        spec_get_ll(spec, "hit_load", &tmp) < 0)
+        spec_get_ll(spec, "node_id", &self->node_id) < 0 ||
+        spec_get_ll(spec, "seg_shift", &self->seg_shift) < 0 ||
+        spec_get_ll(spec, "n_nodes", &self->n_nodes) < 0 ||
+        spec_get_ids(spec, "cache_slot_ids", self->cs, N_CS) < 0 ||
+        spec_get_ids(spec, "proc_slot_ids", self->ps, N_PS) < 0)
         return -1;
-    self->hit_load = (Py_ssize_t)tmp;
-    if (spec_get_ll(spec, "hit_store", &tmp) < 0)
-        return -1;
-    self->hit_store = (Py_ssize_t)tmp;
-    if (spec_get_ll(spec, "hit_rmw", &tmp) < 0)
-        return -1;
-    self->hit_rmw = (Py_ssize_t)tmp;
-    if (spec_get_ll(spec, "think_slot", &tmp) < 0)
-        return -1;
-    self->think_slot = (Py_ssize_t)tmp;
     if (self->slab_held) {
         PyBuffer_Release(&self->slab_buf);
         self->slab_held = 0;
@@ -1296,6 +1377,7 @@ StepKernel_init(StepKernelObject *self, PyObject *args, PyObject *kwds)
         PyErr_SetString(PyExc_TypeError, "bad SoA column types");
         return -1;
     }
+    self->pool_native = PyObject_TypeCheck(self->pool, &Pool_Type);
     self->vectorcall = step_kernel_vectorcall;
     return 0;
 }
@@ -1305,7 +1387,6 @@ StepKernel_traverse(StepKernelObject *self, visitproc visit, void *arg)
 {
     Py_VISIT(self->core);
     Py_VISIT(self->proc);
-    Py_VISIT(self->proc_dict);
     Py_VISIT(self->tags);
     Py_VISIT(self->states);
     Py_VISIT(self->written);
@@ -1316,6 +1397,17 @@ StepKernel_traverse(StepKernelObject *self, visitproc visit, void *arg)
     Py_VISIT(self->park);
     Py_VISIT(self->retire);
     Py_VISIT(self->execute_op);
+    Py_VISIT(self->find_work);
+    Py_VISIT(self->cache_access);
+    Py_VISIT(self->cache);
+    Py_VISIT(self->nic);
+    Py_VISIT(self->net);
+    Py_VISIT(self->pool);
+    Py_VISIT(self->node_obj);
+    Py_VISIT(self->proc_dict);
+    Py_VISIT(self->cache_dict);
+    Py_VISIT(self->nic_dict);
+    Py_VISIT(self->net_dict);
     return 0;
 }
 
@@ -1328,7 +1420,6 @@ StepKernel_clear(StepKernelObject *self)
     }
     Py_CLEAR(self->core);
     Py_CLEAR(self->proc);
-    Py_CLEAR(self->proc_dict);
     Py_CLEAR(self->tags);
     Py_CLEAR(self->states);
     Py_CLEAR(self->written);
@@ -1339,6 +1430,17 @@ StepKernel_clear(StepKernelObject *self)
     Py_CLEAR(self->park);
     Py_CLEAR(self->retire);
     Py_CLEAR(self->execute_op);
+    Py_CLEAR(self->find_work);
+    Py_CLEAR(self->cache_access);
+    Py_CLEAR(self->cache);
+    Py_CLEAR(self->nic);
+    Py_CLEAR(self->net);
+    Py_CLEAR(self->pool);
+    Py_CLEAR(self->node_obj);
+    Py_CLEAR(self->proc_dict);
+    Py_CLEAR(self->cache_dict);
+    Py_CLEAR(self->nic_dict);
+    Py_CLEAR(self->net_dict);
     return 0;
 }
 
@@ -1364,6 +1466,8 @@ call2_drop(PyObject *fn, PyObject *a, PyObject *b)
 /* Op kinds the compiled step executes itself; the order is g_op_kinds'. */
 enum { K_OTHER = 0, K_THINK, K_LOAD, K_STORE, K_RMW, K_SWITCH_HINT,
        K_FENCE, K_BURST };
+_Static_assert(K_STORE - K_LOAD == A_STORE && K_RMW - K_LOAD == A_RMW,
+               "the memory op kinds must follow the access kinds' order");
 
 /* Classify ``op[0]``.  Ops built through repro.proc.ops carry the
  * module's own constants, so the identity pass settles every ordinary
@@ -1431,27 +1535,80 @@ sk_probe(StepKernelObject *k, long long addr, long long *block,
     return (unsigned char)PyByteArray_AS_STRING(k->states)[*index];
 }
 
-/* what every fused hit does before it touches the word */
-static int
-sk_hit_begin(StepKernelObject *k, PyObject *ctx, Py_ssize_t hit_slot)
+/* CacheController._apply on the resident line at ``index``: perform the
+ * access and return its result (a new reference; NULL on error, with
+ * the word untouched). */
+static PyObject *
+sk_apply(StepKernelObject *k, int kind, long long index, long long addr,
+         PyObject *payload)
 {
-    slot_set_incref(ctx, g_ctx.state, g_ctx_blocked);
-    if (dict_add_ll(k->proc_dict, s_busy_cycles, k->latency) < 0)
-        return -1;
-    return list_add_ll(k->cache_slots, hit_slot, 1);
+    long long *word = (long long *)k->slab_buf.buf + index * k->wpb +
+                      ((addr & k->low_mask) >> 2);
+    PyObject *result;
+    long long value;
+    if (kind == A_LOAD)
+        return PyLong_FromLongLong(*word);
+    if (kind == A_STORE) {
+        result = Py_None;
+        Py_INCREF(result);
+        value = PyLong_AsLongLong(payload);
+    }
+    else {
+        PyObject *new_obj;
+        result = PyLong_FromLongLong(*word);
+        if (result == NULL)
+            return NULL;
+        new_obj = PyObject_CallOneArg(payload, result);
+        value = new_obj != NULL ? PyLong_AsLongLong(new_obj) : -1;
+        Py_XDECREF(new_obj);
+    }
+    if (value == -1 && PyErr_Occurred()) {
+        Py_DECREF(result);
+        return NULL;
+    }
+    *word = value;
+    PyByteArray_AS_STRING(k->written)[index] = 1;
+    return result;
 }
 
-/* Processor._issue(ctx, kind, addr, payload, block): hand a miss to the
- * cache controller */
+/* A fused hit, whole: account it, perform it, stage its result in
+ * ``resume_value`` and put the completion in the ring. */
 static int
-sk_issue(StepKernelObject *k, PyObject *ctx, PyObject *kind, PyObject *addr,
-         PyObject *payload, long long block)
+sk_hit(StepKernelObject *k, PyObject *ctx, int kind, long long index,
+       long long addr, PyObject *payload)
 {
-    PyObject *block_obj = PyLong_FromLongLong(block), *r;
+    PyObject *result;
+    slot_set_incref(ctx, g_ctx.state, g_ctx_blocked);
+    if (dict_add_ll(k->proc_dict, s_busy_cycles, k->latency) < 0 ||
+        list_add_ll(k->cache_slots, k->cs[CS_HIT + kind], 1) < 0)
+        return -1;
+    result = sk_apply(k, kind, index, addr, payload);
+    if (result == NULL)
+        return -1;
+    slot_set(ctx, g_ctx.resume_value, result);
+    return sk_ring_post(k, k->core->now + k->latency, ctx);
+}
+
+static int ck_issue(StepKernelObject *, PyObject *, int, PyObject *,
+                    PyObject *, long long, int);
+
+/* Processor._issue(ctx, kind, addr, payload, block) for an access the
+ * tag check found missing (``state`` 0) or shared and wanted exclusive
+ * (``state`` 1): compiled in its common case (ck_issue, below), else the
+ * Python method. */
+static int
+sk_issue(StepKernelObject *k, PyObject *ctx, int kind, PyObject *addr,
+         PyObject *payload, long long block, int state)
+{
+    PyObject *block_obj, *r;
+    int handed_back = ck_issue(k, ctx, kind, addr, payload, block, state);
+    if (handed_back <= 0)
+        return handed_back;
+    block_obj = PyLong_FromLongLong(block);
     if (block_obj == NULL)
         return -1;
-    r = PyObject_CallFunctionObjArgs(k->issue, ctx, kind, addr, payload,
-                                     block_obj, NULL);
+    r = PyObject_CallFunctionObjArgs(k->issue, ctx, g_kinds[kind], addr,
+                                     payload, block_obj, NULL);
     Py_DECREF(block_obj);
     if (r == NULL)
         return -1;
@@ -1478,7 +1635,7 @@ step_kernel_vectorcall(PyObject *kself, PyObject *const *args, size_t nargsf,
     CoreObject *core = k->core;
     PyObject *ctx, *op = NULL;
     long long now, tfa, addr, block, index;
-    int err = 0, state;
+    int err = 0, state, code;
     if (PyVectorcall_NARGS(nargsf) != 1 ||
         (kwnames && PyTuple_GET_SIZE(kwnames))) {
         PyErr_SetString(PyExc_TypeError, "step kernel takes exactly (ctx)");
@@ -1586,7 +1743,8 @@ redispatch:
      * models — goes to Processor._execute_op untouched. */
     if (!PyTuple_Check(op) || PyTuple_GET_SIZE(op) == 0)
         goto fallback;
-    switch (kind_code(PyTuple_GET_ITEM(op, 0))) {
+    code = kind_code(PyTuple_GET_ITEM(op, 0));
+    switch (code) {
     case -1:
         goto fail_op;
     case K_THINK: {
@@ -1598,7 +1756,7 @@ redispatch:
             goto fail_op;
         if (dict_add_ll(k->proc_dict, s_busy_cycles, cycles) < 0)
             goto fail_op;
-        if (list_add_ll(k->proc_slots, k->think_slot, cycles) < 0)
+        if (list_add_ll(k->proc_slots, k->ps[PS_THINK], cycles) < 0)
             goto fail_op;
         /* A negative think must reach the checked post and raise, not
          * be masked into the ring. */
@@ -1611,112 +1769,44 @@ redispatch:
         break;
     }
     case K_LOAD:
-        if (!op_shape_ok(op, 2))
-            goto fallback;
-        addr = PyLong_AsLongLong(PyTuple_GET_ITEM(op, 1));
-        if (addr == -1 && PyErr_Occurred())
-            goto fail_op;
-        state = sk_probe(k, addr, &block, &index);
-        if (state < 0)
-            goto fail_op;
-        if (state) {
-            long long *slab = (long long *)k->slab_buf.buf;
-            long long word =
-                slab[index * k->wpb + ((addr & k->low_mask) >> 2)];
-            PyObject *word_obj;
-            if (sk_hit_begin(k, ctx, k->hit_load) < 0)
-                goto fail_op;
-            word_obj = PyLong_FromLongLong(word);
-            if (word_obj == NULL)
-                goto fail_op;
-            slot_set(ctx, g_ctx.resume_value, word_obj);
-            if (sk_ring_post(k, now + k->latency, ctx) < 0)
-                goto fail_op;
-        }
-        else if (sk_issue(k, ctx, g_str_load, PyTuple_GET_ITEM(op, 1),
-                          Py_None, block) < 0)
-            goto fail_op;
-        break;
     case K_STORE:
-        if (!op_shape_ok(op, 3))
-            goto fallback;
-        addr = PyLong_AsLongLong(PyTuple_GET_ITEM(op, 1));
-        if (addr == -1 && PyErr_Occurred())
-            goto fail_op;
-        state = sk_probe(k, addr, &block, &index);
-        if (state < 0)
-            goto fail_op;
-        if (state == 2) {
-            /* Stores hit only on an exclusive copy. */
-            long long *slab = (long long *)k->slab_buf.buf;
-            long long value;
-            if (sk_hit_begin(k, ctx, k->hit_store) < 0)
-                goto fail_op;
-            value = PyLong_AsLongLong(PyTuple_GET_ITEM(op, 2));
-            if (value == -1 && PyErr_Occurred())
-                goto fail_op;
-            slab[index * k->wpb + ((addr & k->low_mask) >> 2)] = value;
-            PyByteArray_AS_STRING(k->written)[index] = 1;
-            slot_set_incref(ctx, g_ctx.resume_value, Py_None);
-            if (sk_ring_post(k, now + k->latency, ctx) < 0)
-                goto fail_op;
-        }
-        else if (sk_issue(k, ctx, g_str_store, PyTuple_GET_ITEM(op, 1),
-                          PyTuple_GET_ITEM(op, 2), block) < 0)
-            goto fail_op;
-        break;
     case K_RMW: {
-        long long outstanding =
-            PyLong_AsLongLong(SLOT_GET(ctx, g_ctx.outstanding_stores));
-        if (outstanding == -1 && PyErr_Occurred())
-            goto fail_op;
-        if (outstanding) {
-            /* atomics fence implicitly */
-            PyObject *r = PyObject_CallFunctionObjArgs(
-                k->park, ctx, op, g_str_all, NULL);
-            if (r == NULL)
+        /* K_LOAD..K_RMW are A_LOAD..A_RMW, offset; a load's operands stop
+         * at the address and it hits on any valid copy, the other two
+         * carry a payload and hit only on an exclusive one */
+        int kind = code - K_LOAD;
+        PyObject *payload = Py_None;
+        if (kind == A_RMW) {
+            long long outstanding =
+                PyLong_AsLongLong(SLOT_GET(ctx, g_ctx.outstanding_stores));
+            if (outstanding == -1 && PyErr_Occurred())
                 goto fail_op;
-            Py_DECREF(r);
-            break;
+            if (outstanding) {
+                /* atomics fence implicitly */
+                PyObject *r = PyObject_CallFunctionObjArgs(
+                    k->park, ctx, op, g_str_all, NULL);
+                if (r == NULL)
+                    goto fail_op;
+                Py_DECREF(r);
+                break;
+            }
         }
-        if (!op_shape_ok(op, 3))
+        if (!op_shape_ok(op, kind == A_LOAD ? 2 : 3))
             goto fallback;
+        if (kind != A_LOAD)
+            payload = PyTuple_GET_ITEM(op, 2);
         addr = PyLong_AsLongLong(PyTuple_GET_ITEM(op, 1));
         if (addr == -1 && PyErr_Occurred())
             goto fail_op;
         state = sk_probe(k, addr, &block, &index);
         if (state < 0)
             goto fail_op;
-        if (state == 2) {
-            long long *slab = (long long *)k->slab_buf.buf;
-            long long wi = index * k->wpb + ((addr & k->low_mask) >> 2);
-            long long new_val;
-            PyObject *result_obj, *new_obj;
-            if (sk_hit_begin(k, ctx, k->hit_rmw) < 0)
-                goto fail_op;
-            result_obj = PyLong_FromLongLong(slab[wi]);
-            if (result_obj == NULL)
-                goto fail_op;
-            new_obj =
-                PyObject_CallOneArg(PyTuple_GET_ITEM(op, 2), result_obj);
-            if (new_obj == NULL) {
-                Py_DECREF(result_obj);
-                goto fail_op;
-            }
-            new_val = PyLong_AsLongLong(new_obj);
-            Py_DECREF(new_obj);
-            if (new_val == -1 && PyErr_Occurred()) {
-                Py_DECREF(result_obj);
-                goto fail_op;
-            }
-            slab[wi] = new_val;
-            PyByteArray_AS_STRING(k->written)[index] = 1;
-            slot_set(ctx, g_ctx.resume_value, result_obj);
-            if (sk_ring_post(k, now + k->latency, ctx) < 0)
+        if (kind == A_LOAD ? state : state == 2) {
+            if (sk_hit(k, ctx, kind, index, addr, payload) < 0)
                 goto fail_op;
         }
-        else if (sk_issue(k, ctx, g_str_rmw, PyTuple_GET_ITEM(op, 1),
-                          PyTuple_GET_ITEM(op, 2), block) < 0)
+        else if (sk_issue(k, ctx, kind, PyTuple_GET_ITEM(op, 1), payload,
+                          block, state) < 0)
             goto fail_op;
         break;
     }
@@ -1789,6 +1879,26 @@ static PyMemberDef StepKernel_members[] = {
     {NULL},
 };
 
+/* {reason: times a step of the miss transaction went back to Python} */
+static PyObject *
+StepKernel_get_handbacks(StepKernelObject *self, void *c)
+{
+    PyObject *out = PyDict_New();
+    int i;
+    for (i = 0; out != NULL && i < N_HANDBACKS; i++) {
+        PyObject *n = PyLong_FromLongLong(self->handbacks[i]);
+        if (n == NULL || PyDict_SetItemString(out, handback_names[i], n) < 0)
+            Py_CLEAR(out);
+        Py_XDECREF(n);
+    }
+    return out;
+}
+
+static PyGetSetDef StepKernel_getsets[] = {
+    {"handbacks", (getter)StepKernel_get_handbacks, NULL, NULL, NULL},
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
 static PyTypeObject StepKernel_Type = {
     PyVarObject_HEAD_INIT(NULL, 0).tp_name = "repro._native.StepKernel",
     .tp_basicsize = sizeof(StepKernelObject),
@@ -1800,6 +1910,7 @@ static PyTypeObject StepKernel_Type = {
     .tp_traverse = (traverseproc)StepKernel_traverse,
     .tp_clear = (inquiry)StepKernel_clear,
     .tp_members = StepKernel_members,
+    .tp_getset = StepKernel_getsets,
     .tp_vectorcall_offset = offsetof(StepKernelObject, vectorcall),
     .tp_call = PyVectorcall_Call,
 };
@@ -2116,8 +2227,16 @@ typedef struct {
     vectorcallfunc vectorcall;
     PyObject *nic, *nic_dict, *nic_receive, *memory_handler;
     PyObject *cache_rx, *pool, *pool_release, *divert;
+    /* The node's StepKernel (or NULL), which carries the compiled fill
+     * and invalidate, and the three cache_rx handlers they stand in
+     * for: a slot somebody rebinds afterwards is called, not compiled. */
+    StepKernelObject *kernel;
+    PyObject *compiled[3];
     int pool_native;
 } RxChainObject;
+
+static int ck_fill(StepKernelObject *, PyObject *, int);
+static int ck_invalidate(StepKernelObject *, PyObject *);
 
 static PyObject *rx_chain_vectorcall(PyObject *, PyObject *const *, size_t,
                                      PyObject *);
@@ -2145,6 +2264,23 @@ RxChain_init(RxChainObject *self, PyObject *args, PyObject *kwds)
         PyErr_SetString(PyExc_TypeError, "cache_rx must be a list");
         return -1;
     }
+    {
+        PyObject *kernel = spec_get(spec, "kernel");
+        int i;
+        if (kernel == NULL)
+            return -1;
+        Py_CLEAR(self->kernel);
+        if (PyObject_TypeCheck(kernel, &StepKernel_Type) &&
+            PyList_GET_SIZE(self->cache_rx) > g_op_rdata + 2) {
+            Py_INCREF(kernel);
+            self->kernel = (StepKernelObject *)kernel;
+            for (i = 0; i < 3; i++) {
+                PyObject *h = PyList_GET_ITEM(self->cache_rx, g_op_rdata + i);
+                Py_INCREF(h);
+                Py_XSETREF(self->compiled[i], h);
+            }
+        }
+    }
     self->pool_native = PyObject_TypeCheck(self->pool, &Pool_Type);
     if (!self->pool_native) {
         PyObject *rel = PyObject_GetAttrString(self->pool, "release");
@@ -2167,6 +2303,10 @@ RxChain_traverse(RxChainObject *self, visitproc visit, void *arg)
     Py_VISIT(self->pool);
     Py_VISIT(self->pool_release);
     Py_VISIT(self->divert);
+    Py_VISIT(self->kernel);
+    Py_VISIT(self->compiled[0]);
+    Py_VISIT(self->compiled[1]);
+    Py_VISIT(self->compiled[2]);
     return 0;
 }
 
@@ -2181,6 +2321,10 @@ RxChain_clear(RxChainObject *self)
     Py_CLEAR(self->pool);
     Py_CLEAR(self->pool_release);
     Py_CLEAR(self->divert);
+    Py_CLEAR(self->kernel);
+    Py_CLEAR(self->compiled[0]);
+    Py_CLEAR(self->compiled[1]);
+    Py_CLEAR(self->compiled[2]);
     return 0;
 }
 
@@ -2198,12 +2342,20 @@ rx_chain_vectorcall(PyObject *cself, PyObject *const *args, size_t nargsf,
 {
     RxChainObject *c = (RxChainObject *)cself;
     PyObject *packet, *crc, *op, *r;
+    long v = -1, which = -1; /* Op value; its offset from Op.RDATA */
     if (PyVectorcall_NARGS(nargsf) != 1 ||
         (kwnames && PyTuple_GET_SIZE(kwnames))) {
         PyErr_SetString(PyExc_TypeError, "rx chain takes exactly (packet)");
         return NULL;
     }
     packet = args[0];
+    op = SLOT_GET(packet, g_pkt.opcode);
+    if (op != NULL && Py_TYPE(op) == (PyTypeObject *)g_op_type) {
+        v = PyLong_AsLong(op);
+        if (v == -1 && PyErr_Occurred())
+            return NULL;
+        which = c->kernel != NULL ? v - g_op_rdata : -1;
+    }
     crc = PyDict_GetItemWithError(c->nic_dict, s_crc_enabled);
     if (crc == NULL && PyErr_Occurred())
         return NULL;
@@ -2211,19 +2363,18 @@ rx_chain_vectorcall(PyObject *cself, PyObject *const *args, size_t nargsf,
         int t = PyObject_IsTrue(crc);
         if (t < 0)
             return NULL;
-        if (t)
+        if (t) {
             /* CRC checking is cold: let the Python NIC do the whole
                receive (it bumps packets_received itself). */
+            if (which >= 0 && which < 3)
+                c->kernel->handbacks[HB_CRC] += 1;
             return PyObject_CallOneArg(c->nic_receive, packet);
+        }
     }
     if (dict_add_ll(c->nic_dict, s_packets_received, 1) < 0)
         return NULL;
-    op = SLOT_GET(packet, g_pkt.opcode);
-    if (op != NULL && Py_TYPE(op) == (PyTypeObject *)g_op_type) {
-        long v = PyLong_AsLong(op);
+    if (v >= 0) {
         PyObject *handler;
-        if (v == -1 && PyErr_Occurred())
-            return NULL;
         if (v <= g_last_c2m)
             /* cache→memory: ownership passes to the directory pipeline,
                which releases after dispatch. */
@@ -2231,12 +2382,24 @@ rx_chain_vectorcall(PyObject *cself, PyObject *const *args, size_t nargsf,
         handler = PyList_GetItem(c->cache_rx, (Py_ssize_t)v);
         if (handler == NULL)
             return NULL;
-        Py_INCREF(handler);
-        r = PyObject_CallOneArg(handler, packet);
-        Py_DECREF(handler);
-        if (r == NULL)
-            return NULL;
-        Py_DECREF(r);
+        if (which >= 0 && which < 3 && handler == c->compiled[which]) {
+            /* RDATA, WDATA, INV: the compiled miss transaction, unless
+               it hands the packet back (1) to the handler below */
+            int back = which == 2 ? ck_invalidate(c->kernel, packet)
+                                  : ck_fill(c->kernel, packet, which + 1);
+            if (back < 0)
+                return NULL;
+            if (!back)
+                handler = NULL;
+        }
+        if (handler != NULL) {
+            Py_INCREF(handler);
+            r = PyObject_CallOneArg(handler, packet);
+            Py_DECREF(handler);
+            if (r == NULL)
+                return NULL;
+            Py_DECREF(r);
+        }
         if (c->pool_native) {
             if (pool_release_impl((PoolObject *)c->pool, packet) < 0)
                 return NULL;
@@ -2480,8 +2643,7 @@ NetSend_dealloc(NetSendObject *self)
 static int
 per_opcode_bump(NetSendObject *ns, PyObject *op)
 {
-    PyObject *key, *cur, *newv;
-    long long c = 0;
+    PyObject *key;
     if (Py_TYPE(op) == (PyTypeObject *)g_op_type) {
         long v = PyLong_AsLong(op);
         if (v == -1 && PyErr_Occurred())
@@ -2490,23 +2652,7 @@ per_opcode_bump(NetSendObject *ns, PyObject *op)
     }
     else
         key = op;
-    cur = PyDict_GetItemWithError(ns->per_opcode, key);
-    if (cur == NULL && PyErr_Occurred())
-        return -1;
-    if (cur != NULL) {
-        c = PyLong_AsLongLong(cur);
-        if (c == -1 && PyErr_Occurred())
-            return -1;
-    }
-    newv = PyLong_FromLongLong(c + 1);
-    if (newv == NULL)
-        return -1;
-    if (PyDict_SetItem(ns->per_opcode, key, newv) < 0) {
-        Py_DECREF(newv);
-        return -1;
-    }
-    Py_DECREF(newv);
-    return 0;
+    return dict_add(ns->per_opcode, key, 1, 1);
 }
 
 static int
@@ -2718,11 +2864,478 @@ static PyTypeObject NetSend_Type = {
 };
 
 /* ------------------------------------------------------------------ */
+/* The cache side of a miss transaction, compiled: issue (the step     */
+/* kernel's miss branch), fill and invalidate (RxChain's RDATA/WDATA   */
+/* and INV slots).  Processor._issue and CacheController._access/      */
+/* _enqueue_miss/_send_request, _fill and _invalidate stay the         */
+/* definition.  Each ck_* step below either performs exactly their     */
+/* common case and returns 0, or returns 1 having changed nothing, and */
+/* its caller runs the Python method instead; -1 is an exception.      */
+/* The state lives in the node's StepKernel (columns, counter cells,   */
+/* the cache's and NIC's __dict__), so a machine without one (``wo``)  */
+/* keeps the whole cache side in Python.                               */
+/* ------------------------------------------------------------------ */
+
+/* Once-per-miss code is kept out of line: inlined into the per-event
+ * kernels it only makes them (and the build) bigger. */
+#define PER_MISS __attribute__((noinline))
+
+static int
+ck_handback(StepKernelObject *k, int reason)
+{
+    k->handbacks[reason] += 1;
+    return 1;
+}
+
+/* Borrowed dict[key]; NULL when absent (a dismantled part's __dict__ is
+ * empty, and what Python raises about that is the right error). */
+static PyObject *
+dict_peek(PyObject *dict, PyObject *key)
+{
+    PyObject *v = PyDict_GetItemWithError(dict, key);
+    if (v == NULL)
+        PyErr_Clear();
+    return v;
+}
+
+/* network.send when it is the compiled one (borrowed), else NULL: the
+ * staged fabrics, a dismantled network */
+static PyObject *
+ck_net_send(StepKernelObject *k)
+{
+    PyObject *send = dict_peek(k->net_dict, s_send);
+    return send != NULL && Py_TYPE(send) == &NetSend_Type ? send : NULL;
+}
+
+/* ``dict[name]`` as a flag: 0 or 1 for a bool or a plain int, as Python's
+ * ``if`` reads it; -1 when it is absent or anything else. */
+static PER_MISS int
+ck_flag(PyObject *dict, PyObject *name)
+{
+    PyObject *v = dict_peek(dict, name);
+    if (v == NULL || !(PyBool_Check(v) || PyLong_CheckExact(v)))
+        return -1;
+    return PyObject_IsTrue(v);
+}
+
+/* The conditions all three steps share: -1 when the compiled step
+ * applies, else the reason it does not.  ``sends``: it launches a
+ * packet, which a CRC-stamping NIC must see. */
+static PER_MISS int
+ck_gate(StepKernelObject *k, int sends)
+{
+    PyObject *v;
+    int flag;
+    if (!k->pool_native)
+        return HB_POOL;
+    if (ck_net_send(k) == NULL) /* an emptied __dict__: dismantled */
+        return PyDict_GET_SIZE(k->net_dict) ? HB_FABRIC : HB_MALFORMED;
+    if ((flag = ck_flag(k->cache_dict, s_fault_tolerant)) != 0)
+        return flag < 0 ? HB_MALFORMED : HB_FAULT_TOLERANT;
+    if ((flag = ck_flag(k->cache_dict, s_request_timeout)) != 0)
+        return flag < 0 ? HB_MALFORMED : HB_REQUEST_TIMEOUT;
+    if (sends && (flag = ck_flag(k->nic_dict, s_crc_enabled)) != 0)
+        return flag < 0 ? HB_MALFORMED : HB_CRC;
+    v = dict_peek(k->cache_dict, s_update_blocks);
+    if (v == NULL || !PyAnySet_Check(v))
+        return HB_MALFORMED;
+    if (PySet_GET_SIZE(v))
+        return HB_UPDATE_BLOCK;
+    v = dict_peek(k->cache_dict, s_wb_buffer);
+    if (v == NULL || !PyDict_Check(v))
+        return HB_MALFORMED;
+    if (PyDict_GET_SIZE(v))
+        return HB_WB_BUFFER;
+    return -1;
+}
+
+/* A bare instance of a slotted class; the caller fills the slots the
+ * dataclass __init__ would, with slot_init (nothing to release yet). */
+static PER_MISS PyObject *
+new_record(PyObject *type)
+{
+    PyTypeObject *tp = (PyTypeObject *)type;
+    return tp->tp_alloc(tp, 0);
+}
+
+static inline void
+slot_init(PyObject *obj, Py_ssize_t off, PyObject *value)
+{
+    Py_INCREF(value);
+    SLOT_GET(obj, off) = value;
+}
+
+/* nic.send(pool.protocol(node_id, dst, op, address, data=data, **meta)) */
+static PER_MISS int
+ck_send(StepKernelObject *k, PyObject *dst, PyObject *op, PyObject *address,
+        PyObject *data, PyObject *meta)
+{
+    PyObject *packet = pool_protocol_impl((PoolObject *)k->pool, k->node_obj,
+                                          dst, op, address, data, meta);
+    PyObject *send = ck_net_send(k), *r = NULL;
+    if (packet == NULL)
+        return -1;
+    if (send == NULL)
+        PyErr_SetString(PyExc_RuntimeError, "network.send replaced mid-step");
+    else if (dict_add_ll(k->nic_dict, s_packets_sent, 1) == 0)
+        r = net_send_vectorcall(send, &packet, 1, NULL);
+    Py_DECREF(packet);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+/* Processor._find_work: choosing whom to switch to is Python's; with no
+ * context ready (always, with one) the pipeline just idles. */
+static PER_MISS int
+ck_find_work(StepKernelObject *k)
+{
+    PyObject *contexts = dict_peek(k->proc_dict, s_contexts), *r;
+    if (contexts != NULL && PyList_Check(contexts)) {
+        Py_ssize_t i, n = PyList_GET_SIZE(contexts);
+        for (i = 0; i < n; i++)
+            if (SLOT_GET(PyList_GET_ITEM(contexts, i), g_ctx.state) ==
+                g_ctx_ready)
+                break;
+        if (i == n)
+            return 0;
+    }
+    r = PyObject_CallNoArgs(k->find_work);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+/* Issue.  ``state`` is the tag check's: 0 no copy, 1 a shared copy the
+ * store/rmw must upgrade. */
+static PER_MISS int
+ck_issue(StepKernelObject *k, PyObject *ctx, int kind, PyObject *addr,
+         PyObject *payload, long long block, int state)
+{
+    long long home = block >> k->seg_shift;
+    int remote = home != k->node_id, reason = ck_gate(k, 1), rc = -1;
+    PyObject *callback = SLOT_GET(ctx, g_ctx.mem_done);
+    PyObject *mshrs = dict_peek(k->cache_dict, s_mshrs);
+    PyObject *block_obj, *now_obj = NULL, *home_obj = NULL, *waiter = NULL;
+    PyObject *waiters = NULL, *mshr = NULL;
+    if (reason >= 0)
+        return ck_handback(k, reason);
+    if (home < 0 || home >= k->n_nodes || callback == NULL ||
+        callback == Py_None || mshrs == NULL || !PyDict_Check(mshrs))
+        return ck_handback(k, HB_MALFORMED);
+    block_obj = PyLong_FromLongLong(block);
+    if (block_obj == NULL)
+        return -1;
+    switch (PyDict_Contains(mshrs, block_obj)) {
+    case 0:
+        break;
+    case 1:
+        Py_DECREF(block_obj);
+        return ck_handback(k, HB_MSHR_MERGE);
+    default:
+        Py_DECREF(block_obj);
+        return -1;
+    }
+    /* Processor._issue: a remote request releases the pipeline */
+    slot_set_incref(ctx, g_ctx.state, g_ctx_blocked);
+    if (list_add_ll(k->proc_slots,
+                    k->ps[remote ? PS_REMOTE_STALL : PS_LOCAL_STALL], 1) < 0
+        || (remote && PyDict_SetItem(k->proc_dict, s_running, Py_None) < 0)
+        /* CacheController._access */
+        || list_add_ll(k->cache_slots, k->cs[CS_MISS + kind], 1) < 0 ||
+        (state && list_add_ll(k->cache_slots, k->cs[CS_UPGRADES], 1) < 0))
+        goto done;
+    /* _enqueue_miss: Mshr(block, need_write, now, [_Waiter(...)]) */
+    now_obj = PyLong_FromLongLong(k->core->now);
+    home_obj = PyLong_FromLongLong(home);
+    waiters = PyList_New(1);
+    if (now_obj == NULL || home_obj == NULL || waiters == NULL)
+        goto done;
+    waiter = new_record(g_waiter_type);
+    if (waiter == NULL)
+        goto done;
+    PyList_SET_ITEM(waiters, 0, waiter); /* steals */
+    slot_init(waiter, g_waiter.kind, g_kinds[kind]);
+    slot_init(waiter, g_waiter.addr, addr);
+    slot_init(waiter, g_waiter.payload, payload);
+    slot_init(waiter, g_waiter.callback, callback);
+    slot_init(waiter, g_waiter.issued_at, now_obj);
+    mshr = new_record(g_mshr_type);
+    if (mshr == NULL)
+        goto done;
+    slot_init(mshr, g_mshr.block, block_obj);
+    slot_init(mshr, g_mshr.need_write,
+                    kind == A_LOAD ? Py_False : Py_True);
+    slot_init(mshr, g_mshr.opened_at, now_obj);
+    slot_init(mshr, g_mshr.waiters, waiters);
+    slot_init(mshr, g_mshr.retries, g_zero);
+    slot_init(mshr, g_mshr.epoch, g_zero);
+    slot_init(mshr, g_mshr.timeouts, g_zero);
+    slot_init(mshr, g_mshr.wb_blocked, Py_False);
+    if (PyDict_SetItem(mshrs, block_obj, mshr) < 0)
+        goto done;
+    /* _send_request */
+    if (list_add_ll(k->cache_slots,
+                    k->cs[remote ? CS_REMOTE_REQ : CS_LOCAL_REQ], 1) < 0 ||
+        ck_send(k, home_obj, g_miss_ops[kind == A_LOAD ? O_RREQ : O_WREQ],
+                block_obj, NULL, NULL) < 0)
+        goto done;
+    /* back in _issue */
+    rc = dict_peek(k->proc_dict, s_running) == Py_None ? ck_find_work(k) : 0;
+done:
+    Py_DECREF(block_obj);
+    Py_XDECREF(now_obj);
+    Py_XDECREF(home_obj);
+    Py_XDECREF(waiters);
+    Py_XDECREF(mshr);
+    return rc;
+}
+
+/* One parked access replayed after its fill: CacheController.access.
+ * A hit is applied here and its completion posted; anything else (the
+ * read fill of a write miss re-opens an upgrade) is the Python method's. */
+static PER_MISS int
+ck_replay(StepKernelObject *k, PyObject *waiter)
+{
+    PyObject *kind_obj = SLOT_GET(waiter, g_waiter.kind);
+    PyObject *addr_obj = SLOT_GET(waiter, g_waiter.addr);
+    PyObject *payload = SLOT_GET(waiter, g_waiter.payload);
+    PyObject *callback = SLOT_GET(waiter, g_waiter.callback);
+    PyObject *result;
+    long long addr = 0, block, index;
+    int kind = 0, state, rc;
+    if (kind_obj == NULL || addr_obj == NULL || payload == NULL ||
+        callback == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "incomplete MSHR waiter");
+        return -1;
+    }
+    while (kind < 3 && kind_obj != g_kinds[kind])
+        kind++;
+    if (kind < 3 && PyLong_CheckExact(addr_obj)) {
+        addr = PyLong_AsLongLong(addr_obj);
+        if (addr == -1 && PyErr_Occurred())
+            kind = 3;
+    }
+    else
+        kind = 3;
+    if (kind == A_STORE &&
+        (!PyLong_CheckExact(payload) ||
+         (PyLong_AsLongLong(payload) == -1 && PyErr_Occurred())))
+        kind = 3; /* the slab's own complaint about the value is Python's */
+    PyErr_Clear();
+    if (kind < 3) {
+        state = sk_probe(k, addr, &block, &index);
+        if (state < 0)
+            return -1;
+        if (kind == A_LOAD ? !state : state != 2)
+            kind = 3;
+    }
+    if (kind == 3) {
+        k->handbacks[HB_REPLAY] += 1;
+        result = PyObject_CallFunctionObjArgs(k->cache_access, kind_obj,
+                                              addr_obj, payload, callback,
+                                              NULL);
+        Py_XDECREF(result);
+        return result == NULL ? -1 : 0;
+    }
+    if (list_add_ll(k->cache_slots, k->cs[CS_HIT + kind], 1) < 0)
+        return -1;
+    result = sk_apply(k, kind, index, addr, payload);
+    if (result == NULL)
+        return -1;
+    rc = core_post_impl(k->core, k->core->now + k->latency, NULL, callback,
+                        result);
+    Py_DECREF(result);
+    return rc;
+}
+
+/* miss_latency_total/count and latency_hist.add((latency // 8) * 8) */
+static PER_MISS int
+ck_record_latency(StepKernelObject *k, long long latency)
+{
+    PyObject *hist, *counts, *bucket;
+    int rc = -1;
+    if (dict_add_ll(k->cache_dict, s_miss_latency_total, latency) < 0 ||
+        dict_add_ll(k->cache_dict, s_miss_latency_count, 1) < 0)
+        return -1;
+    hist = PyDict_GetItemWithError(k->cache_dict, s_latency_hist);
+    if (hist == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetObject(PyExc_AttributeError, s_latency_hist);
+        return -1;
+    }
+    counts = PyObject_GetAttr(hist, s_counts); /* a Counter */
+    bucket = PyLong_FromLongLong((latency >> 3) << 3);
+    if (counts != NULL && bucket != NULL) {
+        if (PyDict_Check(counts))
+            rc = dict_add(counts, bucket, 1, 1);
+        else
+            PyErr_SetString(PyExc_TypeError, "latency_hist.counts: no dict");
+    }
+    Py_XDECREF(counts);
+    Py_XDECREF(bucket);
+    return rc;
+}
+
+/* Fill: an RDATA (``state`` 1) or WDATA (2) reply. */
+static PER_MISS int
+ck_fill(StepKernelObject *k, PyObject *packet, int state)
+{
+    PyObject *address = SLOT_GET(packet, g_pkt.address);
+    PyObject *data = SLOT_GET(packet, g_pkt.data);
+    PyObject *mshrs = dict_peek(k->cache_dict, s_mshrs);
+    PyObject *mshr, *waiters, *words, *opened;
+    long long block, index, tag, latency, *line;
+    Py_ssize_t i;
+    int reason = ck_gate(k, 0), rc = -1;
+    if (reason >= 0)
+        return ck_handback(k, reason);
+    /* Anything but a whole reply to a whole open MSHR is the Python
+     * method's to reject (a fill without one raises there). */
+    if (mshrs == NULL || !PyDict_Check(mshrs) || address == NULL ||
+        !PyLong_CheckExact(address) || data == NULL ||
+        (PyObject *)Py_TYPE(data) != g_block_data_type)
+        return ck_handback(k, HB_MALFORMED);
+    mshr = PyDict_GetItemWithError(mshrs, address);
+    if (mshr == NULL && PyErr_Occurred())
+        return -1;
+    if (mshr == NULL || (PyObject *)Py_TYPE(mshr) != g_mshr_type)
+        return ck_handback(k, HB_MALFORMED);
+    waiters = SLOT_GET(mshr, g_mshr.waiters);
+    opened = SLOT_GET(mshr, g_mshr.opened_at);
+    words = SLOT_GET(data, g_block_words);
+    block = PyLong_AsLongLong(address);
+    if (waiters == NULL || !PyList_CheckExact(waiters) || opened == NULL ||
+        !PyLong_CheckExact(opened) || words == NULL ||
+        !PyList_CheckExact(words) || PyList_GET_SIZE(words) != k->wpb ||
+        (block == -1 && PyErr_Occurred()) || (block & k->low_mask))
+        goto malformed;
+    for (i = 0; i < k->wpb; i++) {
+        PyObject *word = PyList_GET_ITEM(words, i);
+        /* a word outside int64 is the slab's to refuse, in Python */
+        if (!PyLong_CheckExact(word) ||
+            (PyLong_AsLongLong(word) == -1 && PyErr_Occurred()))
+            goto malformed;
+    }
+    for (i = 0; i < PyList_GET_SIZE(waiters); i++)
+        if ((PyObject *)Py_TYPE(PyList_GET_ITEM(waiters, i)) != g_waiter_type)
+            goto malformed;
+    latency = k->core->now - PyLong_AsLongLong(opened);
+    if (PyErr_Occurred())
+        goto malformed;
+    index = (block >> k->shift) & k->imask;
+    tag = PyLong_AsLongLong(PyList_GET_ITEM(k->tags, (Py_ssize_t)index));
+    if (tag == -1 && PyErr_Occurred())
+        return -1;
+    if (PyByteArray_AS_STRING(k->states)[index] && tag != block)
+        return ck_handback(k, HB_VICTIM); /* _evict may write it back */
+    /* The replay below can run program code (an rmw's callable): walk a
+     * snapshot of the waiters and keep the MSHR alive across it. */
+    waiters = PyList_AsTuple(waiters);
+    if (waiters == NULL)
+        return -1;
+    Py_INCREF(mshr);
+    if (PyDict_DelItem(mshrs, address) < 0)
+        goto done;
+    /* array.install(block, state, data): no victim, so nobody sees the
+     * copy the Python method makes of the payload; write it through */
+    Py_INCREF(address);
+    if (PyList_SetItem(k->tags, (Py_ssize_t)index, address) < 0)
+        goto done;
+    PyByteArray_AS_STRING(k->states)[index] = (char)state;
+    PyByteArray_AS_STRING(k->written)[index] = 0;
+    line = (long long *)k->slab_buf.buf + index * k->wpb;
+    for (i = 0; i < k->wpb; i++)
+        line[i] = PyLong_AsLongLong(PyList_GET_ITEM(words, i));
+    if (ck_record_latency(k, latency) < 0 ||
+        list_add_ll(k->cache_slots, k->cs[CS_FILLS], 1) < 0)
+        goto done;
+    for (i = 0; i < PyTuple_GET_SIZE(waiters); i++)
+        if (ck_replay(k, PyTuple_GET_ITEM(waiters, i)) < 0)
+            goto done;
+    rc = 0;
+done:
+    Py_DECREF(mshr);
+    Py_DECREF(waiters);
+    return rc;
+malformed:
+    PyErr_Clear();
+    return ck_handback(k, HB_MALFORMED);
+}
+
+/* Invalidate: drop the line, answer ACKC, or UPDATE with the data when
+ * the copy was dirty-exclusive; either echoes the INV's ``txn``. */
+static PER_MISS int
+ck_invalidate(StepKernelObject *k, PyObject *packet)
+{
+    PyObject *address = SLOT_GET(packet, g_pkt.address);
+    PyObject *src = SLOT_GET(packet, g_pkt.src);
+    PyObject *meta = SLOT_GET(packet, g_pkt.meta);
+    PyObject *txn, *reply_meta, *data = NULL;
+    long long block, index;
+    int reason = ck_gate(k, 1), state, rc = -1;
+    if (reason >= 0)
+        return ck_handback(k, reason);
+    if (address == NULL || !PyLong_CheckExact(address) || src == NULL ||
+        !PyLong_CheckExact(src) || meta == NULL || !PyDict_CheckExact(meta))
+        return ck_handback(k, HB_MALFORMED);
+    block = PyLong_AsLongLong(address);
+    if ((block == -1 && PyErr_Occurred()) || (block & k->low_mask)) {
+        PyErr_Clear();
+        return ck_handback(k, HB_MALFORMED);
+    }
+    state = sk_probe(k, block, &block, &index);
+    if (state < 0)
+        return -1;
+    txn = PyDict_GetItemWithError(meta, s_txn);
+    if (txn == NULL) {
+        if (PyErr_Occurred())
+            return -1;
+        txn = Py_None;
+    }
+    reply_meta = PyDict_New();
+    if (reply_meta == NULL || PyDict_SetItem(reply_meta, s_txn, txn) < 0 ||
+        list_add_ll(k->cache_slots, k->cs[CS_INV_RECEIVED], 1) < 0)
+        goto done;
+    if (state)
+        PyByteArray_AS_STRING(k->states)[index] = 0;
+    if (state == 2) {
+        /* BlockData(list(line words)), as line.data.copy() builds it */
+        long long *line = (long long *)k->slab_buf.buf + index * k->wpb;
+        PyObject *words = PyList_New((Py_ssize_t)k->wpb);
+        Py_ssize_t i;
+        for (i = 0; words != NULL && i < k->wpb; i++) {
+            PyObject *word = PyLong_FromLongLong(line[i]);
+            if (word == NULL)
+                Py_CLEAR(words);
+            else
+                PyList_SET_ITEM(words, i, word);
+        }
+        if (words == NULL)
+            goto done;
+        data = new_record(g_block_data_type);
+        if (data != NULL)
+            slot_init(data, g_block_words, words);
+        Py_DECREF(words);
+        if (data == NULL)
+            goto done;
+    }
+    rc = ck_send(k, src, g_miss_ops[data != NULL ? O_UPDATE : O_ACKC],
+                 address, data, reply_meta);
+done:
+    Py_XDECREF(reply_meta);
+    Py_XDECREF(data);
+    return rc;
+}
+
+/* ------------------------------------------------------------------ */
 /* Module setup: the Python side injects every class/constant the     */
 /* kernels need; the extension never imports repro modules itself.    */
 /* ------------------------------------------------------------------ */
 
-static int
+static SETUP_ONLY int
 take_ref(PyObject *spec, const char *key, PyObject **slot)
 {
     PyObject *v = spec_get(spec, key);
@@ -2747,6 +3360,10 @@ mod_setup(PyObject *mod, PyObject *spec)
         take_ref(spec, "DONE", &g_ctx_done) < 0 ||
         take_ref(spec, "RUNNING", &g_ctx_running) < 0 ||
         take_ref(spec, "BLOCKED", &g_ctx_blocked) < 0 ||
+        take_ref(spec, "READY", &g_ctx_ready) < 0 ||
+        take_ref(spec, "Waiter", &g_waiter_type) < 0 ||
+        take_ref(spec, "Mshr", &g_mshr_type) < 0 ||
+        take_ref(spec, "BlockData", &g_block_data_type) < 0 ||
         take_ref(spec, "THINK", &g_op_kinds[0]) < 0 ||
         take_ref(spec, "LOAD", &g_op_kinds[1]) < 0 ||
         take_ref(spec, "STORE", &g_op_kinds[2]) < 0 ||
@@ -2814,7 +3431,8 @@ mod_setup(PyObject *mod, PyObject *spec)
         (g_ctx.pending_op = slot_offset(cls, "pending_op")) < 0 ||
         (g_ctx.pending_needs = slot_offset(cls, "pending_needs")) < 0 ||
         (g_ctx.burst_ops = slot_offset(cls, "burst_ops")) < 0 ||
-        (g_ctx.burst_pos = slot_offset(cls, "burst_pos")) < 0)
+        (g_ctx.burst_pos = slot_offset(cls, "burst_pos")) < 0 ||
+        (g_ctx.mem_done = slot_offset(cls, "mem_done")) < 0)
         return NULL;
     cls = spec_get(spec, "Packet");
     if (cls == NULL)
@@ -2839,6 +3457,46 @@ mod_setup(PyObject *mod, PyObject *spec)
         (g_stat.contention = slot_offset(cls, "contention_cycles")) < 0 ||
         (g_stat.per_opcode = slot_offset(cls, "per_opcode")) < 0)
         return NULL;
+    cls = g_waiter_type;
+    if ((g_waiter.kind = slot_offset(cls, "kind")) < 0 ||
+        (g_waiter.addr = slot_offset(cls, "addr")) < 0 ||
+        (g_waiter.payload = slot_offset(cls, "payload")) < 0 ||
+        (g_waiter.callback = slot_offset(cls, "callback")) < 0 ||
+        (g_waiter.issued_at = slot_offset(cls, "issued_at")) < 0)
+        return NULL;
+    cls = g_mshr_type;
+    if ((g_mshr.block = slot_offset(cls, "block")) < 0 ||
+        (g_mshr.need_write = slot_offset(cls, "need_write")) < 0 ||
+        (g_mshr.opened_at = slot_offset(cls, "opened_at")) < 0 ||
+        (g_mshr.waiters = slot_offset(cls, "waiters")) < 0 ||
+        (g_mshr.retries = slot_offset(cls, "retries")) < 0 ||
+        (g_mshr.epoch = slot_offset(cls, "epoch")) < 0 ||
+        (g_mshr.timeouts = slot_offset(cls, "timeouts")) < 0 ||
+        (g_mshr.wb_blocked = slot_offset(cls, "wb_blocked")) < 0 ||
+        (g_block_words = slot_offset(g_block_data_type, "words")) < 0)
+        return NULL;
+    {
+        static const char *const names[N_MISS_OPS] = {
+            "RREQ", "WREQ", "UPDATE", "ACKC", "RDATA", "WDATA", "INV"};
+        int i;
+        for (i = 0; i < N_MISS_OPS; i++) {
+            PyObject *op = PyDict_GetItemString(g_op_by_name, names[i]);
+            if (op == NULL) {
+                PyErr_Format(PyExc_KeyError, "OP_BY_NAME lacks %s", names[i]);
+                return NULL;
+            }
+            Py_INCREF(op);
+            Py_XSETREF(g_miss_ops[i], op);
+        }
+        /* RxChain tells the three compiled receives apart by offset */
+        g_op_rdata = PyLong_AsLong(g_miss_ops[O_RDATA]);
+        if (PyLong_AsLong(g_miss_ops[O_WDATA]) != g_op_rdata + 1 ||
+            PyLong_AsLong(g_miss_ops[O_INV]) != g_op_rdata + 2) {
+            PyErr_SetString(PyExc_ValueError,
+                            "Op.RDATA, WDATA, INV must be consecutive");
+            return NULL;
+        }
+    }
     g_ready = 1;
     Py_RETURN_NONE;
 }
@@ -2863,7 +3521,7 @@ static struct PyModuleDef native_module = {
     module_methods,
 };
 
-static int
+static SETUP_ONLY int
 intern_into(PyObject **slot, const char *text)
 {
     PyObject *s = PyUnicode_InternFromString(text);
@@ -2895,9 +3553,21 @@ PyInit__native(void)
         intern_into(&s_send, "send") < 0 ||
         intern_into(&s_state_attr, "state") < 0 ||
         intern_into(&g_str_all, "all") < 0 ||
-        intern_into(&g_str_load, "load") < 0 ||
-        intern_into(&g_str_store, "store") < 0 ||
-        intern_into(&g_str_rmw, "rmw") < 0)
+        intern_into(&g_kinds[A_LOAD], "load") < 0 ||
+        intern_into(&g_kinds[A_STORE], "store") < 0 ||
+        intern_into(&g_kinds[A_RMW], "rmw") < 0 ||
+        intern_into(&s_running, "_running") < 0 ||
+        intern_into(&s_fault_tolerant, "fault_tolerant") < 0 ||
+        intern_into(&s_request_timeout, "request_timeout") < 0 ||
+        intern_into(&s_update_blocks, "update_blocks") < 0 ||
+        intern_into(&s_wb_buffer, "_wb_buffer") < 0 ||
+        intern_into(&s_mshrs, "_mshrs") < 0 ||
+        intern_into(&s_packets_sent, "packets_sent") < 0 ||
+        intern_into(&s_miss_latency_total, "miss_latency_total") < 0 ||
+        intern_into(&s_miss_latency_count, "miss_latency_count") < 0 ||
+        intern_into(&s_latency_hist, "latency_hist") < 0 ||
+        intern_into(&s_counts, "counts") < 0 ||
+        intern_into(&s_txn, "txn") < 0)
         return NULL;
     g_zero = PyLong_FromLong(0);
     g_one = PyLong_FromLong(1);

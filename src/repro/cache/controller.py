@@ -50,10 +50,24 @@ _HIT_SLOT = {kind: counter_slot(f"cache.hits.{kind}") for kind in KINDS}
 _MISS_SLOT = {kind: counter_slot(f"cache.misses.{kind}") for kind in KINDS}
 _LOCAL_REQ_SLOT = counter_slot("cache.local_requests")
 _REMOTE_REQ_SLOT = counter_slot("cache.remote_requests")
+# The rest of the miss transaction's counters, one list cell each: the
+# compiled miss path (repro.backend.native) bumps the same cells by index.
+_UPGRADES_SLOT = counter_slot("cache.upgrades")
+_FILLS_SLOT = counter_slot("cache.fills")
+_INV_RECEIVED_SLOT = counter_slot("cache.inv_received")
+_EVICT_RO_SLOT = counter_slot("cache.evict_ro")
+_EVICT_RW_SLOT = counter_slot("cache.evict_rw")
+_BUSY_RETRIES_SLOT = counter_slot("cache.busy_retries")
 
 
-@dataclass
+@dataclass(slots=True)
 class _Waiter:
+    """One access parked on an MSHR.
+
+    Slotted (as :class:`Mshr` is) so the compiled miss path can build and
+    read both by slot offset, the way it does ``Context``.
+    """
+
     kind: str
     addr: int
     payload: object  # store value or rmw function
@@ -61,7 +75,7 @@ class _Waiter:
     issued_at: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Mshr:
     """An open miss transaction for one block."""
 
@@ -241,7 +255,7 @@ class CacheController(Component):
             return
         self._slots[_MISS_SLOT[kind]] += 1
         if line is not None and kind in ("store", "rmw"):
-            self.counters.bump("cache.upgrades")
+            self._slots[_UPGRADES_SLOT] += 1
         self._enqueue_miss(kind, addr, payload, callback, block)
 
     @staticmethod
@@ -404,7 +418,7 @@ class CacheController(Component):
         self.miss_latency_total += latency
         self.miss_latency_count += 1
         self.latency_hist.add((latency // 8) * 8)
-        self.counters.bump("cache.fills")
+        self._slots[_FILLS_SLOT] += 1
         for waiter in mshr.waiters:
             # Replay through the front door: hits complete, and a write
             # that only got read permission re-opens an upgrade miss.
@@ -414,7 +428,7 @@ class CacheController(Component):
         home = self.space.home_of(victim.block)
         if victim.state is CacheState.READ_WRITE:
             # Replace-modified: the only copy travels home with the data.
-            self.counters.bump("cache.evict_rw")
+            self._slots[_EVICT_RW_SLOT] += 1
             if self.fault_tolerant:
                 self._wb_buffer[victim.block] = _WbEntry(
                     victim.data.copy(), Op.REPM, None
@@ -431,14 +445,14 @@ class CacheController(Component):
         else:
             # Clean read-only copies are dropped silently; the directory
             # pointer goes stale and is resolved by a benign ACKC later.
-            self.counters.bump("cache.evict_ro")
+            self._slots[_EVICT_RO_SLOT] += 1
         victim.state = CacheState.INVALID
 
     def _invalidate(self, packet: Packet) -> None:
         block = packet.address
         txn = packet.meta.get("txn")
         line = self.array.lookup(block)
-        self.counters.bump("cache.inv_received")
+        self._slots[_INV_RECEIVED_SLOT] += 1
         if line is not None and line.state is CacheState.READ_WRITE:
             # Dirty-exclusive copy: answer with the data (UPDATE).
             line.state = CacheState.INVALID
@@ -485,7 +499,7 @@ class CacheController(Component):
         # pending retransmission timer (the backoff retry below resends
         # and re-arms) by advancing the epoch.
         mshr.epoch += 1
-        self.counters.bump("cache.busy_retries")
+        self._slots[_BUSY_RETRIES_SLOT] += 1
         delay = min(self.retry_cap, self.retry_base * (2 ** min(mshr.retries - 1, 5)))
         if self._rng is not None:
             delay += self._rng.randint("cache.retry", 0, self.retry_base)

@@ -168,10 +168,13 @@ class ProfileReport:
     #: compiled/fallback state) — surfaced so a profile of the soa
     #: fallback can never be mistaken for a compiled measurement
     backend_notes: Optional[str] = None
-    #: ops the compiled processor steps handed back to the Python
-    #: ``_execute_op``, summed over processors (None: no compiled step
-    #: ran).  0 means the processor layer never left C for an op kind.
-    native_fallthroughs: Optional[int] = None
+    #: what the compiled kernels handed back to Python, summed over
+    #: processors (None: no compiled step ran): ``"op"`` counts ops given
+    #: to ``_execute_op``, every other key is a reason a step of the miss
+    #: transaction (issue, fill, invalidate) ran its Python method —
+    #: ``repro.backend.native.fallthroughs(machine)``.
+    #: All zero means neither layer left C.
+    native_fallthroughs: Optional[dict] = None
 
     @property
     def events_per_sec(self) -> float:
@@ -206,9 +209,25 @@ class ProfileReport:
         if self.backend_notes:
             lines.append(f"backend: {self.backend_notes}")
         if self.native_fallthroughs is not None:
+            reasons = dict(self.native_fallthroughs)
             lines.append(
-                f"processor-step fall-throughs to Python: "
-                f"{self.native_fallthroughs:,}"
+                f"processor-step fall-throughs to Python: {reasons.pop('op'):,}"
+            )
+            counters = self.stats.counters
+            steps = sum(
+                counters.get(f"cache.{name}")
+                for name in (
+                    "misses.load", "misses.store", "misses.rmw",
+                    "fills", "inv_received",
+                )
+            )
+            named = ", ".join(
+                f"{reason} {count:,}" for reason, count in reasons.items() if count
+            )
+            lines.append(
+                f"miss-transaction hand-backs to Python: "
+                f"{sum(reasons.values()):,} of {steps:,} issues, fills and "
+                f"invalidations" + (f" ({named})" if named else "")
             )
         if self.native is not None:
             lines.append(

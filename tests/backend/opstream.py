@@ -25,10 +25,15 @@ on every protocol.
 
 from __future__ import annotations
 
-from repro.backend import equivalence_fingerprint
+import pytest
+
+from repro.backend import backend_names, equivalence_fingerprint
 from repro.machine import AlewifeConfig, AlewifeMachine
 from repro.proc import ops
+from repro.recover.snapshot import state_digest
 from repro.workloads.base import Workload
+
+BACKENDS = backend_names()
 
 N_WORDS = 6
 
@@ -90,10 +95,10 @@ def make_machine(backend: str, **overrides) -> AlewifeMachine:
     return AlewifeMachine(AlewifeConfig(**kwargs))
 
 
-def _show(op):
+def show(op):
     """``repr`` of an op (or run of ops) without callable addresses."""
     if isinstance(op, (tuple, list)):
-        return [_show(item) for item in op]
+        return [show(item) for item in op]
     return "<fn>" if callable(op) else repr(op)
 
 
@@ -110,10 +115,10 @@ def context_state(machine: AlewifeMachine) -> list:
             ctx.state.name,
             ctx.started,
             ctx.ops_executed,
-            _show(ctx.last_op),
-            _show(ctx.burst_ops),
+            show(ctx.last_op),
+            show(ctx.burst_ops),
             ctx.burst_pos,
-            _show(ctx.pending_op),
+            show(ctx.pending_op),
             ctx.outstanding_stores,
         )
         for node in machine.nodes
@@ -127,11 +132,67 @@ def kernel_state(machine: AlewifeMachine) -> tuple:
     return (sim.now, sim._seq, sim.events_executed, sim.pending_events)
 
 
-def windowed_driver(window: int, trace: list):
+def run_streams(machine, streams, poke=None):
+    """``machine.run`` with ``poke(machine)`` applied after the contexts
+    are loaded and started, before the first event executes."""
+
+    def driver(m):
+        if poke is not None:
+            poke(m)
+        m.sim.run()
+
+    return machine.run(OpStreamWorkload(streams), driver=driver)
+
+
+def crash(backend, streams, *, poke=None, **overrides):
+    """Run ``streams`` until something raises; report what is left."""
+    machine = make_machine(backend, **overrides)
+    with pytest.raises(Exception) as caught:
+        run_streams(machine, streams, poke)
+    at_raise = (
+        kernel_state(machine),
+        state_digest([machine]),
+        context_state(machine),
+    )
+    # The failed context is gone for good, but everything else still
+    # queued must run to quiescence from a consistent kernel.
+    machine.sim.run()
+    assert machine.sim.pending_events == 0
+    drained = (kernel_state(machine), state_digest([machine]))
+    return {
+        "error": (caught.type, str(caught.value)),
+        "at_raise": at_raise,
+        "drained": drained,
+    }
+
+
+def assert_crashes_like(baseline, streams, backends=BACKENDS, **kwargs):
+    """Every one of ``backends`` must fail exactly as ``baseline`` does:
+    same exception, same state at the raise, same state once drained."""
+    expected = crash(baseline, streams, **kwargs)
+    for backend in backends:
+        if backend != baseline:
+            assert crash(backend, streams, **kwargs) == expected, backend
+    return expected
+
+
+def word_address(machine: AlewifeMachine, index: int) -> int:
+    """Byte address of shared word ``index`` (once the workload is built)."""
+    return next(
+        a.base
+        for a in machine.allocator.allocations
+        if a.name == f"ops.w{index}"
+    )
+
+
+def windowed_driver(window: int, trace: list, prepare=None):
     """A ``run(driver=...)`` that advances in ``run_until`` windows and
-    appends :func:`kernel_state` to ``trace`` after each one."""
+    appends :func:`kernel_state` to ``trace`` after each one;
+    ``prepare(machine)`` runs before the first window."""
 
     def driver(machine):
+        if prepare is not None:
+            prepare(machine)
         sim = machine.sim
         guard = 0
         while sim.pending_events:
@@ -143,7 +204,9 @@ def windowed_driver(window: int, trace: list):
     return driver
 
 
-def trace_streams(backend: str, streams, window: int, **overrides):
+def trace_streams(
+    backend: str, streams, window: int, *, prepare=None, audit=True, **overrides
+):
     """Run ``streams`` under a windowed driver.
 
     Returns the per-window kernel observables, the final fingerprint and
@@ -152,6 +215,8 @@ def trace_streams(backend: str, streams, window: int, **overrides):
     machine = make_machine(backend, **overrides)
     trace: list = []
     stats = machine.run(
-        OpStreamWorkload(streams), driver=windowed_driver(window, trace)
+        OpStreamWorkload(streams),
+        audit=audit,
+        driver=windowed_driver(window, trace, prepare),
     )
     return trace, equivalence_fingerprint(stats), machine

@@ -22,7 +22,12 @@ Two layers of lockstep comparison, both driven by hypothesis:
   nested bursts, fences, switch hints with one to three contexts per
   processor, ``sc`` and ``wo``) compared the same way.  Weather with one
   context never reaches most of the processor step's branches; this
-  does, on the fused Python step and on the compiled one.
+  does, on the fused Python step and on the compiled one.  The same
+  streams also drive the compiled miss transaction off its common case:
+  caches of 4 to 16 lines (conflict victims, clean and dirty), several
+  contexts opening on one word (MSHR merges, read fills that re-open
+  upgrades), and fault-tolerant and update-mode machines, which must
+  fall back to the Python cache controller whole.
 """
 
 from __future__ import annotations
@@ -32,11 +37,12 @@ from hypothesis import strategies as st
 
 from repro.backend import equivalence_fingerprint
 from repro.backend.batchsim import BatchSimulator
+from repro.extensions.update import make_update_block
 from repro.machine import AlewifeConfig, AlewifeMachine
 from repro.sim.kernel import Simulator
 from repro.workloads import WeatherWorkload
 
-from .opstream import N_WORDS, trace_streams, windowed_driver
+from .opstream import N_WORDS, trace_streams, windowed_driver, word_address
 
 # ----------------------------------------------------------------------
 # Kernel level
@@ -186,6 +192,24 @@ _burst = st.tuples(
     st.lists(st.one_of(_simple_op, _inner_burst), min_size=1, max_size=5),
 )
 _stream = st.lists(st.one_of(_simple_op, _burst), min_size=1, max_size=12)
+#: how the contexts of one processor begin: independently, or all with
+#: an access to one word, so the later ones join the first one's MSHR
+_opening = st.one_of(
+    st.none(),
+    st.tuples(st.just("load"), _word),
+    st.tuples(st.just("add"), _word, st.just(1)),
+    st.tuples(st.just("store"), _word, st.just(7)),
+)
+#: machines on which the compiled miss transaction must stand down whole
+_off_common_case = st.sampled_from(
+    [
+        {},
+        {},
+        {"fault_delay_rate": 0.05},
+        {"fault_drop_rate": 0.02, "fault_dup_rate": 0.02},
+        {"update_word": 5},
+    ]
+)
 _op_streams = st.fixed_dictionaries(
     {
         "streams": st.fixed_dictionaries(
@@ -194,20 +218,61 @@ _op_streams = st.fixed_dictionaries(
                 for proc in range(4)
             }
         ),
-        "memory_model": st.sampled_from(["sc", "wo"]),
+        "openings": st.fixed_dictionaries(
+            {proc: _opening for proc in range(4)}
+        ),
+        # the compiled step and miss transaction exist under ``sc`` only
+        "memory_model": st.sampled_from(["sc", "sc", "wo"]),
         "protocol": st.sampled_from(["fullmap", "limited", "limitless"]),
         "window": st.sampled_from([1, 64, 193]),
+        # 4..16 lines: words 1/4 and 2/5 share a slot and evict each other
+        "cache_lines": st.sampled_from([4, 8, 16, 4096]),
+        "machine": _off_common_case,
     }
 )
 
 
+def _without_atomics_on(word, item):
+    """Update-mode blocks never become exclusive: atomics are refused."""
+    if item[0] == "add" and item[1] == word:
+        return ("store", word, item[2])
+    if item[0] == "burst":
+        return ("burst", [_without_atomics_on(word, sub) for sub in item[1]])
+    return item
+
+
 def _trace_op_streams(backend, params):
+    machine = dict(params["machine"])
+    update_word = machine.pop("update_word", None)
+    protocol = "limitless" if update_word is not None else params["protocol"]
+    streams = {}
+    for proc, contexts in params["streams"].items():
+        opening = params["openings"][proc]
+        streams[proc] = [
+            [
+                item if update_word is None
+                else _without_atomics_on(update_word, item)
+                for item in ([opening] if opening else []) + stream
+            ]
+            for stream in contexts
+        ]
+
+    def prepare(m):
+        if update_word is not None:
+            make_update_block(m, word_address(m, update_word))
+
     trace, fingerprint, _machine = trace_streams(
         backend,
-        params["streams"],
+        streams,
         params["window"],
-        protocol=params["protocol"],
+        prepare=prepare,
+        # update-mode words are weakly ordered: two writers may leave a
+        # sharer and memory apart, identically on every backend
+        audit=update_word is None,
+        protocol=protocol,
         memory_model=params["memory_model"],
+        cache_lines=params["cache_lines"],
+        **machine,
     )
     return trace, fingerprint
 

@@ -64,6 +64,24 @@ class TestCacheSlotReuse:
         array.lookup(0).data.words[1] = -1
         assert payload.words == [7, 8, 9, 10]
 
+    @pytest.mark.parametrize("n_words", [3, 5])
+    def test_a_payload_that_is_not_one_line_is_refused(self, n_words):
+        space = _space()
+        array = SoaCacheArray(space, 4)
+        neighbour = space.block_bytes  # the next slot along the slab
+        array.install(0, CacheState.READ_ONLY, _block_data(space, 1))
+        array.install(neighbour, CacheState.READ_ONLY, _block_data(space, 50))
+        wrong = BlockData(0)
+        wrong.words = [9] * n_words
+        with pytest.raises(ValueError):
+            array.install(0, CacheState.READ_WRITE, wrong)
+        with pytest.raises(ValueError):
+            array.lookup(0).data = wrong
+        # Refused before anything changed, in this slot and the next.
+        assert array.lookup(0).state is CacheState.READ_ONLY
+        assert list(array.lookup(0).data.words) == [1, 2, 3, 4]
+        assert list(array.lookup(neighbour).data.words) == [50, 51, 52, 53]
+
     def test_slot_views_are_recycled_but_track_the_live_line(self):
         space = _space()
         array = SoaCacheArray(space, 4)

@@ -18,66 +18,30 @@ from __future__ import annotations
 
 import pytest
 
-from repro.backend import backend_names, native
+from repro.backend import native
 from repro.proc import ops
 from repro.proc.processor import Processor
-from repro.recover.snapshot import state_digest
 from repro.sim.kernel import SimulationError
 from repro.workloads import SyntheticSharingWorkload, WeatherWorkload
 
 from .opstream import (
+    BACKENDS,
     OpStreamWorkload,
+    assert_crashes_like,
     context_state,
     kernel_state,
     make_machine,
+    run_streams,
     trace_streams,
 )
 
-BACKENDS = backend_names()
 needs_extension = pytest.mark.skipif(
     not native.available(), reason="extension not built"
 )
 
 
-def _run(machine, streams, poke=None):
-    """``machine.run`` with ``poke(machine)`` applied after the contexts
-    are loaded and started, before the first event executes."""
-
-    def driver(m):
-        if poke is not None:
-            poke(m)
-        m.sim.run()
-
-    return machine.run(OpStreamWorkload(streams), driver=driver)
-
-
-def _crash(backend, streams, *, poke=None, **overrides):
-    """Run ``streams`` until something raises; report what is left."""
-    machine = make_machine(backend, **overrides)
-    with pytest.raises(Exception) as caught:
-        _run(machine, streams, poke)
-    at_raise = (
-        kernel_state(machine),
-        state_digest([machine]),
-        context_state(machine),
-    )
-    # The failed context is gone for good, but everything else still
-    # queued must run to quiescence from a consistent kernel.
-    machine.sim.run()
-    assert machine.sim.pending_events == 0
-    drained = (kernel_state(machine), state_digest([machine]))
-    return {
-        "error": (caught.type, str(caught.value)),
-        "at_raise": at_raise,
-        "drained": drained,
-    }
-
-
 def _assert_crashes_like_reference(streams, **kwargs):
-    reference = _crash("reference", streams, **kwargs)
-    for backend in BACKENDS[1:]:
-        assert _crash(backend, streams, **kwargs) == reference, backend
-    return reference
+    return assert_crashes_like("reference", streams, **kwargs)
 
 
 #: three ordinary neighbours, so a failure on processor 0 happens while
@@ -189,7 +153,7 @@ def test_negative_burst_pos_wraps_like_python_indexing():
     results = {}
     for backend in BACKENDS:
         machine = make_machine(backend)
-        _run(machine, streams, _poke_burst(-1))
+        run_streams(machine, streams, _poke_burst(-1))
         results[backend] = (kernel_state(machine), context_state(machine))
     assert results["soa"] == results["reference"]
     assert results["native"] == results["reference"]
@@ -267,7 +231,7 @@ def test_multi_context_switch_hint_fallback_raising(monkeypatch):
 def test_single_context_sc_run_never_leaves_the_compiled_step(workload):
     machine = make_machine("native", n_procs=16, pointers=4)
     machine.run(workload)
-    assert native.fallthroughs(machine) == 0
+    assert native.fallthroughs(machine)["op"] == 0
 
 
 @needs_extension
@@ -275,7 +239,7 @@ def test_multi_context_switch_hint_falls_back_and_stays_bit_identical():
     spin = [("load", 0), ("burst", [("think", 12), ("switch_hint",)])] * 4
     streams = {p: [list(spin), list(spin)] for p in range(4)}
     trace, fingerprint, machine = trace_streams("native", streams, 64)
-    assert native.fallthroughs(machine) == 4 * 2 * 4
+    assert native.fallthroughs(machine)["op"] == 4 * 2 * 4
     assert (trace, fingerprint) == trace_streams("reference", streams, 64)[:2]
 
 
