@@ -3,12 +3,12 @@
 
 Compares a freshly measured benchmark report against the committed
 baseline (same JSON shape: ``{"scenarios": {name: {metric: value}}}``,
-as written by ``microbench_kernel.py``, ``bench_hotpath.py``, and
-``bench_scaling.py``) and exits nonzero when any scenario's gated metric
-— ``events_per_sec`` throughput or the shard driver's deterministic
-``cycles_per_window`` — falls more than ``--tolerance`` below the
-baseline.  CI runs this after each microbench so a hot-path regression
-fails the perf-smoke job instead of merely shipping a slower artifact.
+as written by ``bench_scaling.py`` and ``bench_serve.py``) and exits
+nonzero when any scenario's gated metric — ``events_per_sec`` throughput
+or the shard driver's deterministic ``cycles_per_window`` — falls more
+than ``--tolerance`` below the baseline.  The simulator's own speed is
+not gated here: that is ``benchmarks/ladder/run.py compare`` between two
+runs on one host.
 
 The tolerance band absorbs runner-to-runner jitter; it can be widened for
 noisy environments via ``--tolerance`` or ``REPRO_PERF_TOLERANCE``.
@@ -21,20 +21,8 @@ band never lowers them — so the committed numbers track the best honest
 measurement instead of decaying with runner noise.  Scenarios new in the
 fresh report are adopted wholesale.
 
-``--allow-missing`` exempts baseline scenarios absent from the fresh
-run (they are reported as skipped instead of failing).  The extension-
-free perf-smoke job uses it for the hot-path gate: its fresh run never
-measures the ``:native`` rows, which are gated strictly by the
-``native-smoke`` job that builds the extension.
-
-The committed baselines are duplicated at the repo root and under
-``benchmarks/`` (the root copies are the PR-facing artifacts, the
-``benchmarks/`` copies are what CI gates against).  The gate verifies
-the two copies are byte-identical before checking anything, and
-``--update`` rewrites both, so the pair can never drift silently.
-
 Run:  python benchmarks/check_perf_regression.py \
-          --fresh BENCH_kernel.json --baseline benchmarks/BENCH_kernel.json
+          --fresh BENCH_serve.json --baseline benchmarks/BENCH_serve.json
 """
 
 from __future__ import annotations
@@ -51,39 +39,6 @@ def load_scenarios(path: str) -> dict[str, dict]:
     return report.get("scenarios", report)
 
 
-def mirror_path(baseline: str) -> str | None:
-    """The other committed copy of ``baseline``, if the repo keeps one.
-
-    BENCH_*.json baselines live both at the repo root and under
-    ``benchmarks/``; given either copy this returns its counterpart, or
-    ``None`` when the counterpart does not exist (uncommitted root
-    artifacts from local runs are not mirrors).
-    """
-    directory, name = os.path.split(os.path.abspath(baseline))
-    if os.path.basename(directory) == "benchmarks":
-        candidate = os.path.join(os.path.dirname(directory), name)
-    else:
-        candidate = os.path.join(directory, "benchmarks", name)
-    return candidate if os.path.exists(candidate) else None
-
-
-def check_mirror(baseline: str) -> str | None:
-    """Error message when the root/benchmarks copies of ``baseline`` differ."""
-    mirror = mirror_path(baseline)
-    if mirror is None:
-        return None
-    with open(baseline, "rb") as fh:
-        ours = fh.read()
-    with open(mirror, "rb") as fh:
-        theirs = fh.read()
-    if ours == theirs:
-        return None
-    return (
-        f"baseline copies differ: {baseline} vs {mirror}; "
-        f"sync with: cp {baseline} {mirror}"
-    )
-
-
 #: gated higher-is-better metrics and their display units.  events/s is
 #: wall-clock throughput; cycles/window is the (deterministic) width of
 #: the shard driver's synchronization windows — a lookahead regression
@@ -92,10 +47,7 @@ _METRICS = (("events_per_sec", "ev/s"), ("cycles_per_window", "cyc/win"))
 
 
 def check(
-    fresh: dict[str, dict],
-    baseline: dict[str, dict],
-    tolerance: float,
-    allow_missing: bool = False,
+    fresh: dict[str, dict], baseline: dict[str, dict], tolerance: float
 ) -> list[str]:
     """Regression messages (empty when the fresh run passes the gate)."""
     problems = []
@@ -104,10 +56,7 @@ def check(
         if not gated:
             continue
         if name not in fresh:
-            if allow_missing:
-                print(f"{name:18s} skipped (not measured in this run)")
-            else:
-                problems.append(f"{name}: scenario missing from fresh run")
+            problems.append(f"{name}: scenario missing from fresh run")
             continue
         for metric, unit in gated:
             base_rate = base[metric]
@@ -182,39 +131,24 @@ def main() -> int:
         help="after the gate, ratchet the baseline file up to any better "
         "fresh numbers (baselines never move down)",
     )
-    parser.add_argument(
-        "--allow-missing",
-        action="store_true",
-        help="skip baseline scenarios absent from the fresh run instead of "
-        "failing (for jobs that measure a backend subset)",
-    )
     args = parser.parse_args()
 
     fresh = load_scenarios(args.fresh)
     baseline = load_scenarios(args.baseline)
-    problems = check(fresh, baseline, args.tolerance, args.allow_missing)
-    mirror_problem = check_mirror(args.baseline)
-    if mirror_problem and not args.update:
-        problems.append(mirror_problem)
+    problems = check(fresh, baseline, args.tolerance)
 
     if args.update:
         updated, changes = ratchet(fresh, baseline)
-        if changes or mirror_problem:
+        if changes:
             with open(args.baseline) as fh:
                 report = json.load(fh)
             if "scenarios" in report:
                 report["scenarios"] = updated
             else:
                 report = updated
-            blob = json.dumps(report, indent=2) + "\n"
-            targets = [args.baseline]
-            mirror = mirror_path(args.baseline)
-            if mirror is not None:
-                targets.append(mirror)
-            for path in targets:
-                with open(path, "w") as fh:
-                    fh.write(blob)
-            print(f"\nratcheted {' and '.join(targets)}:")
+            with open(args.baseline, "w") as fh:
+                fh.write(json.dumps(report, indent=2) + "\n")
+            print(f"\nratcheted {args.baseline}:")
             for change in changes:
                 print(f"  {change}")
         else:

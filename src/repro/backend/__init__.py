@@ -6,9 +6,11 @@ this repo is defined by what that code does.  A *backend* swaps the data
 layout and inner loops underneath that semantics without changing a
 single observable number: ``soa`` stores cache-line tags/state/data and
 directory entries in flat structure-of-arrays storage (stdlib
-:mod:`array` slabs viewed through :class:`memoryview`), executes events
-through a 64-cycle batching ring extending the PR 4 same-cycle lane,
-and fuses the processor's hit path onto the arrays.
+:mod:`array` slabs viewed through :class:`memoryview`) and executes
+events through a 64-cycle batching ring extending the PR 4 same-cycle
+lane, under the unmodified reference processor, controllers and fabric.
+``native`` is that same machine with compiled kernels installed on it;
+without the extension it *is* ``soa``.
 
 Equivalence is *bit-identical*: the SoA components present the exact
 reference object protocol (``CacheLine``-shaped views, ``set``-shaped
@@ -30,6 +32,7 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Optional
 
+from ..network.fabric import WormholeNetwork
 from ..sim.kernel import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -55,24 +58,24 @@ HAS_NUMPY = _detect_numpy()
 class Backend:
     """Factory bundle for the swappable machine components.
 
-    ``processor_class`` and ``wormhole_class`` are drop-in subclasses of
-    the reference classes (the cache/directory controllers themselves are
-    shared — they operate through the view protocol the factories
-    return).  ``make_directory`` returning ``None`` keeps the
-    controller's own reference :class:`~repro.coherence.entry.Directory`.
+    The processor and the cache/directory controllers are shared by
+    every backend — they operate through the view protocol the factories
+    return.  ``wormhole_class`` builds the atomic mesh (called like
+    :class:`~repro.network.fabric.WormholeNetwork`).  ``make_directory``
+    returning ``None`` keeps the controller's own reference
+    :class:`~repro.coherence.entry.Directory`.
     """
 
     name: str
     make_simulator: Callable[..., Simulator]
     make_cache_array: Callable[["AddressSpace", int], "CacheArray"]
     make_directory: Callable[[int], object | None]
-    processor_class: type
-    wormhole_class: type
+    wormhole_class: Callable[..., WormholeNetwork]
     #: packet-pool factory (``PacketPool``-shaped); ``None`` keeps the
     #: reference pool.
     make_pool: Optional[Callable[..., object]] = None
     #: post-build hook: called with the fully wired machine so a backend
-    #: can splice in per-node fast paths (the native receive chains).
+    #: can install per-node kernels (native: step, receive, dispatch).
     finalize: Optional[Callable[[object], None]] = None
     #: human-readable status — fallbacks record *why* here, and run/
     #: profile/bench surfaces report it as ``backend_notes``.
@@ -81,22 +84,18 @@ class Backend:
 
 def _reference_backend() -> Backend:
     from ..cache.cache import CacheArray
-    from ..network.fabric import WormholeNetwork
-    from ..proc.processor import Processor
 
     return Backend(
         name="reference",
         make_simulator=lambda *, max_cycles=None: Simulator(max_cycles=max_cycles),
         make_cache_array=CacheArray,
         make_directory=lambda node_id: None,
-        processor_class=Processor,
         wormhole_class=WormholeNetwork,
     )
 
 
 def _soa_backend() -> Backend:
     from .batchsim import BatchSimulator
-    from .fastpath import SoaProcessor, SoaWormholeNetwork
     from .soa import SoaCacheArray, SoaDirectory
 
     return Backend(
@@ -106,8 +105,7 @@ def _soa_backend() -> Backend:
         ),
         make_cache_array=SoaCacheArray,
         make_directory=SoaDirectory,
-        processor_class=SoaProcessor,
-        wormhole_class=SoaWormholeNetwork,
+        wormhole_class=WormholeNetwork,
     )
 
 
@@ -133,8 +131,7 @@ def _native_backend() -> Backend:
         ),
         make_cache_array=SoaCacheArray,
         make_directory=SoaDirectory,
-        processor_class=native.NativeProcessor,
-        wormhole_class=native.NativeWormholeNetwork,
+        wormhole_class=native.wormhole_network,
         make_pool=native.NativePacketPool,
         finalize=native.finalize,
         notes="compiled kernels active",

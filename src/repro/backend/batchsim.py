@@ -156,7 +156,32 @@ class BatchSimulator(Simulator):
             self._ring_mask &= ~(1 << slot_idx)
 
     def run(self, until: int | None = None) -> int:
-        limit = self.max_cycles if until is None else until
+        self._run_loop(self.max_cycles if until is None else until, strict=False)
+        return self.now
+
+    def run_until(self, limit: int) -> int:
+        limit = int(limit)
+        if limit < self.now:
+            raise SimulationError(
+                f"cannot run window to {limit}, now is {self.now}"
+            )
+        # The ring is empty between runs (flushed on every return), so
+        # the reference fast exit applies unchanged.
+        queue = self._queue
+        if queue and queue[0][0] < limit:
+            self._run_loop(limit, strict=True)
+        self.now = limit
+        return limit
+
+    def _run_loop(self, limit: int | None, strict: bool) -> None:
+        """The one event loop behind :meth:`run` and :meth:`run_until`.
+
+        ``strict`` is the window form: events *at* ``limit`` stay queued
+        and the caller moves ``now`` to the limit.  Otherwise events at
+        ``limit`` execute and ``now`` stops there only if something
+        later is still pending.  (``_native.c``'s ``core_run_loop`` is
+        this function with ``until_mode`` for ``strict``.)
+        """
         queue = self._queue
         ring = self._ring
         pop = heapq.heappop
@@ -225,7 +250,10 @@ class BatchSimulator(Simulator):
                 else:
                     t_ring = self._next_ring_time()
                     if queue and (t_ring is None or queue[0][0] <= t_ring):
-                        if limit is not None and queue[0][0] > limit:
+                        if strict:
+                            if queue[0][0] >= limit:
+                                break
+                        elif limit is not None and queue[0][0] > limit:
                             self.now = limit
                             break
                         time, _s, callback, arg, event = pop(queue)
@@ -235,7 +263,10 @@ class BatchSimulator(Simulator):
                             event._done = True
                         self.now = time
                     elif t_ring is not None:
-                        if limit is not None and t_ring > limit:
+                        if strict:
+                            if t_ring >= limit:
+                                break
+                        elif limit is not None and t_ring > limit:
                             self.now = limit
                             break
                         self.now = t_ring
@@ -252,106 +283,6 @@ class BatchSimulator(Simulator):
             self._running = False
             if self._ring_mask:
                 self._flush_ring()
-        return self.now
-
-    def run_until(self, limit: int) -> int:
-        limit = int(limit)
-        if limit < self.now:
-            raise SimulationError(
-                f"cannot run window to {limit}, now is {self.now}"
-            )
-        queue = self._queue
-        ring = self._ring
-        # The ring is empty between runs (flushed on every return), so
-        # the reference fast exit applies unchanged.
-        if not queue or queue[0][0] >= limit:
-            self.now = limit
-            return limit
-        pop = heapq.heappop
-        no_arg = _NO_ARG
-        self._running = True
-        try:
-            while True:
-                slot = ring[self.now & _MASK]
-                if slot:
-                    if queue and queue[0][0] == self.now:
-                        if queue[0][1] < slot[0][0]:
-                            _t, _s, callback, arg, event = pop(queue)
-                        else:
-                            _s, callback, arg, event = slot.popleft()
-                            if not slot:
-                                self._ring_mask &= ~(1 << (self.now & _MASK))
-                        if event is not None:
-                            if event.cancelled:
-                                continue
-                            event._done = True
-                    else:
-                        ran = 0
-                        while slot:
-                            # Bulk-copy the slot and dispatch with a for
-                            # loop: one C-level copy replaces a popleft
-                            # call per event.  Same-cycle appends land in
-                            # the (now empty) deque and drain next pass;
-                            # cancellation is still read at dispatch
-                            # time, exactly like the popleft form.
-                            it = iter(list(slot))
-                            slot.clear()
-                            try:
-                                for _s, callback, arg, event in it:
-                                    if event is not None:
-                                        if event.cancelled:
-                                            continue
-                                        event._done = True
-                                    ran += 1
-                                    if arg is no_arg:
-                                        callback()
-                                    else:
-                                        callback(arg)
-                            except BaseException:
-                                # Put the undispatched tail back so the
-                                # finally-flush preserves it, matching
-                                # what the popleft form leaves behind,
-                                # and count what did dispatch (the
-                                # reference kernel counts an event
-                                # before calling it).
-                                slot.extendleft(reversed(list(it)))
-                                self.events_executed += ran
-                                self._live -= ran
-                                raise
-                        self.events_executed += ran
-                        self._live -= ran
-                        self._ring_mask &= ~(1 << (self.now & _MASK))
-                        continue
-                else:
-                    t_ring = self._next_ring_time()
-                    if queue and (t_ring is None or queue[0][0] <= t_ring):
-                        if queue[0][0] >= limit:
-                            break
-                        time, _s, callback, arg, event = pop(queue)
-                        if event is not None:
-                            if event.cancelled:
-                                continue
-                            event._done = True
-                        self.now = time
-                    elif t_ring is not None:
-                        if t_ring >= limit:
-                            break
-                        self.now = t_ring
-                        continue
-                    else:
-                        break
-                self.events_executed += 1
-                self._live -= 1
-                if arg is no_arg:
-                    callback()
-                else:
-                    callback(arg)
-        finally:
-            self._running = False
-            if self._ring_mask:
-                self._flush_ring()
-        self.now = limit
-        return self.now
 
     def next_event_time(self) -> int | None:
         # Outside a run the ring is always empty (flushed on return);

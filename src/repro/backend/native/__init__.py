@@ -15,10 +15,11 @@ components and records the reason in :func:`load_status` /
 ``Backend.notes`` so runs proceed and report the fallback honestly.
 
 Exactness is non-negotiable: the compiled kernels replicate
-``BatchSimulator``/``fastpath`` observable-for-observable (sequence
-numbers, counter settle order, exception partial effects), and the
-equivalence golden tier in ``tests/backend`` pins them against the
-committed SHA-256 fingerprints with the extension present *and* absent.
+``BatchSimulator`` and the reference ``Processor``/``CacheController``/
+``WormholeNetwork`` methods observable-for-observable (sequence numbers,
+counter settle order, exception partial effects), and the equivalence
+golden tier in ``tests/backend`` pins them against the committed SHA-256
+fingerprints with the extension present *and* absent.
 """
 
 from __future__ import annotations
@@ -27,8 +28,11 @@ import operator
 import os
 from typing import Optional
 
-from ..batchsim import BatchSimulator
-from ..fastpath import SoaProcessor, SoaWormholeNetwork
+from ...cache import controller as cc
+from ...network.fabric import WormholeNetwork
+from ...proc import processor as pp
+from ..batchsim import _RING, BatchSimulator
+from ..soa import SoaCacheArray
 
 _native = None
 _IMPORT_ERROR: Optional[str] = None
@@ -48,12 +52,13 @@ else:  # pragma: no branch - trivial import guard
 
 
 def available() -> bool:
-    """True when the compiled extension imported successfully."""
-    return _native is not None
+    """True when the compiled extension imported and accepted setup()."""
+    return load_status()[0]
 
 
 def load_status() -> tuple[bool, Optional[str]]:
     """``(available, reason_if_not)`` for fallback reporting."""
+    _ensure_setup()
     return (_native is not None, _IMPORT_ERROR)
 
 
@@ -65,10 +70,13 @@ def _ensure_setup() -> None:
 
     The extension never imports repro modules itself — the Python layer
     hands over every class, sentinel, and constant the kernels compare
-    against, so there is exactly one definition of each.
+    against, so there is exactly one definition of each.  A shared
+    object built from another ``_native.c`` than the one checked out
+    asks for names this spec lacks (or rejects their shape); that is
+    reported like an extension that did not import, not raised.
     """
-    global _setup_done
-    if _setup_done:
+    global _setup_done, _native, _IMPORT_ERROR
+    if _setup_done or _native is None:
         return
     from ...cache.controller import Mshr, _Waiter
     from ...mem.memory import BlockData
@@ -86,36 +94,40 @@ def _ensure_setup() -> None:
     from ...proc.processor import Context, ContextState
     from ...sim.kernel import _NO_ARG, Event, SimulationError
 
-    _native.setup(
-        {
-            "SimulationError": SimulationError,
-            "Event": Event,
-            "NO_ARG": _NO_ARG,
-            "Context": Context,
-            "DONE": ContextState.DONE,
-            "RUNNING": ContextState.RUNNING,
-            "BLOCKED": ContextState.BLOCKED,
-            "READY": ContextState.READY,
-            "Waiter": _Waiter,
-            "Mshr": Mshr,
-            "BlockData": BlockData,
-            "THINK": ops.THINK,
-            "LOAD": ops.LOAD,
-            "STORE": ops.STORE,
-            "RMW": ops.RMW,
-            "FENCE": ops.FENCE,
-            "SWITCH_HINT": ops.SWITCH_HINT,
-            "BURST": ops.BURST,
-            "Op": Op,
-            "OP_NAMES": OP_NAMES,
-            "OP_BY_NAME": OP_BY_NAME,
-            "DATA_BEARING": _DATA_BEARING,
-            "LAST_CACHE_TO_MEMORY": int(_LAST_CACHE_TO_MEMORY),
-            "Packet": Packet,
-            "NetworkStats": NetworkStats,
-            "protocol_packet": protocol_packet,
-        }
-    )
+    spec = {
+        "SimulationError": SimulationError,
+        "Event": Event,
+        "NO_ARG": _NO_ARG,
+        "Context": Context,
+        **{state.name: state for state in ContextState},
+        "Waiter": _Waiter,
+        "Mshr": Mshr,
+        "BlockData": BlockData,
+        "THINK": ops.THINK,
+        "LOAD": ops.LOAD,
+        "STORE": ops.STORE,
+        "RMW": ops.RMW,
+        "FENCE": ops.FENCE,
+        "SWITCH_HINT": ops.SWITCH_HINT,
+        "BURST": ops.BURST,
+        "Op": Op,
+        "OP_NAMES": OP_NAMES,
+        "OP_BY_NAME": OP_BY_NAME,
+        "DATA_BEARING": _DATA_BEARING,
+        "LAST_CACHE_TO_MEMORY": int(_LAST_CACHE_TO_MEMORY),
+        "Packet": Packet,
+        "NetworkStats": NetworkStats,
+        "protocol_packet": protocol_packet,
+    }
+    try:
+        _native.setup(spec)
+    except (KeyError, TypeError, AttributeError) as exc:
+        _native = None
+        _IMPORT_ERROR = (
+            f"extension stale ({exc}); rebuild with "
+            "python setup.py build_ext --inplace"
+        )
+        return
     _setup_done = True
 
 
@@ -138,15 +150,14 @@ class NativeSimulator(BatchSimulator):
     The scalar state (``now``, sequence counters, live count, ring mask)
     is stored in the :class:`_native.Core` and exposed through settable
     properties, so every external poke that works on ``BatchSimulator``
-    (fastpath ring inlines, ``Event.cancel``, checkpoint digests,
-    modelcheck queue clears) works unchanged here.  The ring slots are
-    real Python lists shared with the core; the heap is the real
-    ``_queue`` list.  ``run``/``run_until``/``post``/``call_at``/...
-    are shadowed per-instance by the core's compiled methods.
+    (``Event.cancel``, checkpoint digests, modelcheck queue clears)
+    works unchanged here.  The ring slots are real Python lists shared
+    with the core; the heap is the real ``_queue`` list.  ``run``/
+    ``run_until``/``post``/``call_at``/... are shadowed per-instance by
+    the core's compiled methods.
     """
 
     def __init__(self, *, max_cycles: int | None = None) -> None:
-        _ensure_setup()
         core = _native.Core()
         self._core = core
         core.bind(self)
@@ -160,6 +171,10 @@ class NativeSimulator(BatchSimulator):
         self.post_front = core.post_front
         self.run = core.run
         self.run_until = core.run_until
+        # ... and the cold ring helpers, re-expressed over the core's
+        # list-backed ring (BatchSimulator's versions use ``popleft``).
+        self._flush_ring = core.flush_ring
+        self._next_ring_time = core.next_ring_time
 
     now = _core_property("now")
     _seq = _core_property("seq")
@@ -192,116 +207,100 @@ class NativeSimulator(BatchSimulator):
         if any(value):
             raise ValueError("cannot replace the compiled scheduling ring")
 
-    # The deque-based cold helpers are re-expressed over the core's
-    # list-backed ring (BatchSimulator's versions use ``popleft``).
-    def _flush_ring(self) -> None:
-        self._core.flush_ring()
 
-    def _next_ring_time(self):
-        return self._core.next_ring_time()
+def _step_kernel(processor, core):
+    """The compiled ``_step`` for ``processor``, or ``None``.
 
-
-class NativeProcessor(SoaProcessor):
-    """SoaProcessor whose fused step runs as a compiled kernel.
-
-    The kernel also carries the cache side of a miss transaction — the
-    issue that follows a failed tag check, and (through the node's
-    ``RxChain``, see :func:`finalize`) the fill and the invalidate — in
-    its common case; the ``Processor``/``CacheController`` methods stay
-    the definition and take every other case, counted by reason in
-    ``StepKernel.handbacks``.
+    The kernel reads the SoA columns and posts hit completions straight
+    into the ring, so it exists only for ``memory_model="sc"`` over a
+    :class:`SoaCacheArray` with a hit latency the ring can hold; any
+    other processor (``wo``, a rig) keeps the reference step whole.  The
+    same object carries the cache side of a miss transaction — the issue
+    that follows a failed tag check, and (through the node's ``RxChain``)
+    the fill and the invalidate — in its common case; the
+    ``Processor``/``CacheController`` methods stay the definition and
+    take every other case, counted by reason in ``StepKernel.handbacks``.
     """
+    cache = processor.cache
+    backing = cache.array
+    if not (
+        processor.memory_model == "sc"
+        and isinstance(backing, SoaCacheArray)
+        and cache.hit_latency < _RING
+    ):
+        return None
+    space = processor.space
+    kinds = ("load", "store", "rmw")
+    return _native.StepKernel(
+        {
+            "core": core,
+            "proc": processor,
+            "tags": backing._tags,
+            "states": backing._states,
+            "written": backing._written,
+            "slab": backing._slab,
+            "wpb": backing._words_per_block,
+            "shift": backing._block_shift,
+            "imask": backing._index_mask,
+            "block_mask": ~(space.block_bytes - 1),
+            "low_mask": space.block_bytes - 1,
+            "latency": cache.hit_latency,
+            "cache_slots": cache._slots,
+            # the order of _native.c's CS_* and PS_* enums
+            "cache_slot_ids": (
+                *(cc._HIT_SLOT[kind] for kind in kinds),
+                *(cc._MISS_SLOT[kind] for kind in kinds),
+                cc._UPGRADES_SLOT,
+                cc._FILLS_SLOT,
+                cc._INV_RECEIVED_SLOT,
+                cc._LOCAL_REQ_SLOT,
+                cc._REMOTE_REQ_SLOT,
+            ),
+            "proc_slots": processor._slots,
+            "proc_slot_ids": (
+                pp._THINK_SLOT,
+                pp._REMOTE_STALL_SLOT,
+                pp._LOCAL_STALL_SLOT,
+            ),
+            "issue": processor._issue,
+            "park": processor._park,
+            "retire": processor._retire,
+            "execute_op": processor._execute_op,
+            "find_work": processor._find_work,
+            # the cache side of a miss
+            "cache": cache,
+            "cache_access": cache.access,
+            "nic": cache.nic,
+            "net": cache.nic.network,
+            "pool": cache.pool,
+            "node_id": processor.node_id,
+            "seg_shift": space.segment_shift,
+            "n_nodes": space.n_nodes,
+        }
+    )
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        if not (
-            self._fused
-            and _native is not None
-            and isinstance(self.sim, NativeSimulator)
-        ):
-            return
-        from ...cache import controller as cc
-        from ...proc import processor as pp
 
-        cache = self.cache
-        backing = cache.array
-        kinds = ("load", "store", "rmw")
-        kernel = _native.StepKernel(
+def wormhole_network(sim, topology, **latencies) -> WormholeNetwork:
+    """A :class:`WormholeNetwork` whose ``send`` is the compiled kernel."""
+    net = WormholeNetwork(sim, topology, **latencies)
+    if _native is not None and isinstance(sim, NativeSimulator):
+        net.send = _native.NetSend(
             {
-                "core": self.sim._core,
-                "proc": self,
-                "tags": backing._tags,
-                "states": backing._states,
-                "written": backing._written,
-                "slab": backing._slab,
-                "wpb": backing._words_per_block,
-                "shift": backing._block_shift,
-                "imask": backing._index_mask,
-                "block_mask": ~(self.space.block_bytes - 1),
-                "low_mask": self.space.block_bytes - 1,
-                "latency": cache.hit_latency,
-                "cache_slots": cache._slots,
-                # the order of _native.c's CS_* and PS_* enums
-                "cache_slot_ids": (
-                    *(cc._HIT_SLOT[kind] for kind in kinds),
-                    *(cc._MISS_SLOT[kind] for kind in kinds),
-                    cc._UPGRADES_SLOT,
-                    cc._FILLS_SLOT,
-                    cc._INV_RECEIVED_SLOT,
-                    cc._LOCAL_REQ_SLOT,
-                    cc._REMOTE_REQ_SLOT,
-                ),
-                "proc_slots": self._slots,
-                "proc_slot_ids": (
-                    pp._THINK_SLOT,
-                    pp._REMOTE_STALL_SLOT,
-                    pp._LOCAL_STALL_SLOT,
-                ),
-                "issue": self._issue,
-                "park": self._park,
-                "retire": self._retire,
-                "execute_op": self._execute_op,
-                "find_work": self._find_work,
-                # the cache side of a miss
-                "cache": cache,
-                "cache_access": cache.access,
-                "nic": cache.nic,
-                "net": cache.nic.network,
-                "pool": cache.pool,
-                "node_id": self.node_id,
-                "seg_shift": self.space.segment_shift,
-                "n_nodes": self.space.n_nodes,
+                "core": sim._core,
+                "net": net,
+                "stats": net.stats,
+                "per_opcode": net.stats.per_opcode,
+                "handlers": net._handlers,
+                "route_cache": net._route_cache,
+                "intern_route": net._intern_route,
+                "link_free_at": net._link_free_at,
+                "link_busy": net._link_busy,
+                "hop_latency": net.hop_latency,
+                "cycles_per_word": net.cycles_per_word,
+                "injection_latency": net.injection_latency,
             }
         )
-        # Instance attributes shadow the class methods for every caller
-        # (_dispatch's schedule, _mem_done's direct call, ring events).
-        self._step = kernel
-        self._step_fn = kernel
-
-
-class NativeWormholeNetwork(SoaWormholeNetwork):
-    """Wormhole mesh whose send path runs as a compiled kernel."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        if _native is None or not isinstance(self.sim, NativeSimulator):
-            return
-        self.send = _native.NetSend(
-            {
-                "core": self.sim._core,
-                "net": self,
-                "stats": self.stats,
-                "per_opcode": self.stats.per_opcode,
-                "handlers": self._handlers,
-                "route_cache": self._route_cache,
-                "intern_route": self._intern_route,
-                "link_free_at": self._link_free_at,
-                "link_busy": self._link_busy,
-                "hop_latency": self.hop_latency,
-                "cycles_per_word": self.cycles_per_word,
-                "injection_latency": self.injection_latency,
-            }
-        )
+    return net
 
 
 if _native is not None:
@@ -312,10 +311,6 @@ if _native is not None:
         ``protocol``/``release`` (the per-packet hot pair) are C; the
         cold ``clone`` path (fault-injector dup) stays Python.
         """
-
-        def __init__(self, enabled: bool = True) -> None:
-            _ensure_setup()
-            super().__init__(enabled=enabled)
 
         def clone(self, packet):
             dup = self.protocol(
@@ -330,18 +325,17 @@ if _native is not None:
             dup.crc = packet.crc
             return dup
 
-else:  # pragma: no cover - extension absent
-
-    from ...network.packet import PacketPool as NativePacketPool  # noqa: F401
-
 
 def finalize(machine) -> None:
-    """Install the per-node compiled receive/dispatch chains.
+    """Install the per-node compiled kernels on the reference objects.
 
     Called by the machine builder after all nodes are wired.  Each
-    node's network handler becomes an :class:`_native.RxChain` (NIC
-    classify + cache dispatch + pool release in one C frame; with the
-    node's ``StepKernel`` it also runs RDATA/WDATA fills and INVs), and each
+    processor's ``_step`` becomes a :class:`_native.StepKernel` (an
+    instance attribute, so ``_dispatch``'s schedule, ``_mem_done``'s
+    direct call and every ring event reach it); each node's network
+    handler becomes an :class:`_native.RxChain` (NIC classify + cache
+    dispatch + pool release in one C frame; with the node's
+    ``StepKernel`` it also runs RDATA/WDATA fills and INVs); and each
     base-table directory controller's ``dispatch`` becomes a
     :class:`_native.TableDispatch`.  Controllers that override
     ``dispatch`` in Python (the approx emulation) are left untouched.
@@ -350,28 +344,30 @@ def finalize(machine) -> None:
         return
     from ...coherence.controller import MemoryController
 
-    handlers = getattr(machine.network, "_handlers", None)
+    core = machine.sim._core
+    handlers = machine.network._handlers
     for node in machine.nodes:
+        kernel = _step_kernel(node.processor, core)
+        if kernel is not None:
+            node.processor._step = kernel
         ctrl = node.directory_controller
         if (
             type(ctrl).dispatch is MemoryController.dispatch
             and isinstance(getattr(ctrl, "_table", None), list)
         ):
             ctrl.dispatch = _native.TableDispatch({"table": ctrl._table})
-        if handlers is not None and node.node_id < len(handlers):
-            nic = node.nic
-            handlers[node.node_id] = _native.RxChain(
-                {
-                    "nic": nic,
-                    "receive": nic._receive,
-                    "memory_handler": nic._memory_handler,
-                    "cache_rx": node.cache_controller._rx,
-                    "pool": nic.pool,
-                    "divert": nic.divert_to_ipi,
-                    # None for an unfused (``wo``) processor
-                    "kernel": vars(node.processor).get("_step_fn"),
-                }
-            )
+        nic = node.nic
+        handlers[node.node_id] = _native.RxChain(
+            {
+                "nic": nic,
+                "receive": nic._receive,
+                "memory_handler": nic._memory_handler,
+                "cache_rx": node.cache_controller._rx,
+                "pool": nic.pool,
+                "divert": nic.divert_to_ipi,
+                "kernel": kernel,
+            }
+        )
 
 
 def fallthroughs(machine) -> Optional[dict]:
@@ -385,7 +381,8 @@ def fallthroughs(machine) -> Optional[dict]:
     ``replay``, ``fault_tolerant``, ``fabric``, ``malformed``, ... —
     docs/BACKENDS.md has the table).  ``None`` when no processor runs the
     compiled step (extension absent, or ``memory_model="wo"`` and other
-    unfused pairings), so an all-zero dict always means "never left C".
+    pairings :func:`finalize` leaves on the reference step), so an
+    all-zero dict always means "never left C".
     """
     if _native is None:
         return None
@@ -405,11 +402,10 @@ def fallthroughs(machine) -> Optional[dict]:
 
 __all__ = [
     "NativePacketPool",
-    "NativeProcessor",
     "NativeSimulator",
-    "NativeWormholeNetwork",
     "available",
     "fallthroughs",
     "finalize",
     "load_status",
+    "wormhole_network",
 ]

@@ -1,23 +1,21 @@
 /* Compiled hot-path kernels for the ``native`` backend.
  *
- * This module is the "generated-C kernel" rung named in ROADMAP.md: the
- * measured hot paths of the ``soa`` backend — the 64-cycle batched
- * scheduling ring, the fused SoA cache-hit issue path, packet-pool
- * acquire/release, NIC direction dispatch, the directory's
- * per-(state, opcode) table lookup, and wormhole route stepping — are
- * re-expressed as CPython C-API code operating on the *same Python data
- * structures* the pure-Python backends use.  That choice is what makes
- * bit-identity tractable: the heap is the same list of
- * ``(time, seq, callback, arg, event)`` tuples, the ring slots are
- * Python lists the pure-Python code can still append to, counters are
+ * The measured hot paths of the machine — the 64-cycle batched scheduling
+ * ring, the processor step with its cache-hit and miss issue, packet-pool
+ * acquire/release, NIC direction dispatch, the directory's per-(state,
+ * opcode) table lookup, and wormhole route stepping — re-expressed as
+ * CPython C-API code over the *same Python data structures* the Python
+ * engines use.  That is what makes bit-identity tractable: the heap is
+ * the same list of ``(time, seq, callback, arg, event)`` tuples, the ring
+ * slots are Python lists Python code can still append to, counters are
  * the same live slot lists, and every settle point (per-batch counter
  * updates, exception tail restoration, ring flush on return) mirrors
  * ``repro/backend/batchsim.py`` statement for statement.
  *
  * Nothing here is imported directly by repro code; ``repro.backend.native``
- * wraps it behind ``setup()`` (which hands over the Python-side classes
- * and constants and resolves slot offsets) and falls back to the ``soa``
- * backend when the extension is missing.
+ * calls ``setup()`` (classes, constants, slot offsets), installs the
+ * kernels on the reference objects, and degrades to ``soa`` — the same
+ * machine without them — when the extension is missing or stale.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -814,14 +812,10 @@ invoke(PyObject *cb, PyObject *arg)
     return 0;
 }
 
-/* The run loop shared by run() and run_until().
- *
- * until_mode=1 replicates BatchSimulator.run_until (strict limit,
- * break at >= limit); until_mode=0 replicates run() (has_limit
- * optional, events AT the limit still execute, now clamps to limit).
- * Counter settle points, exception tail restoration, and the
- * finally-flush mirror the Python code exactly.
- */
+/* BatchSimulator._run_loop: until_mode is its ``strict`` (run_until:
+ * break at >= limit); 0 is run() (has_limit optional, events AT the
+ * limit still execute, now clamps to limit).  Counter settle points,
+ * exception tail restoration and the finally-flush mirror it exactly. */
 static int
 core_run_loop(CoreObject *core, int until_mode, int has_limit,
               long long limit)
@@ -1207,8 +1201,11 @@ static PyTypeObject Core_Type = {
 };
 
 /* ------------------------------------------------------------------ */
-/* StepKernel: the fused SoA cache-hit issue path, compiled.          */
-/* Mirrors repro.backend.fastpath.SoaProcessor._step exactly.         */
+/* StepKernel: the processor step over the SoA columns, compiled.     */
+/* Mirrors Processor._step + _issue + CacheController.hit + _mem_done */
+/* exactly, but a hit completes by posting _step itself, its result   */
+/* pre-staged in resume_value, not the mem_done partial: unobservable */
+/* because a blocked context's only wake-up is that event.            */
 /* ------------------------------------------------------------------ */
 
 /* Counter cells the kernel bumps, by position in the ``cache_slot_ids``
@@ -1571,7 +1568,7 @@ sk_apply(StepKernelObject *k, int kind, long long index, long long addr,
     return result;
 }
 
-/* A fused hit, whole: account it, perform it, stage its result in
+/* A cache hit, whole: account it, perform it, stage its result in
  * ``resume_value`` and put the completion in the ring. */
 static int
 sk_hit(StepKernelObject *k, PyObject *ctx, int kind, long long index,
@@ -2539,7 +2536,10 @@ static PyTypeObject TableDispatch_Type = {
 
 /* ------------------------------------------------------------------ */
 /* NetSend: wormhole route stepping + delivery scheduling, compiled.  */
-/* Mirrors fastpath.SoaWormholeNetwork.send exactly.                  */
+/* Mirrors WormholeNetwork.send exactly, but posts the destination    */
+/* handler as the delivery event, skipping the _deliver trampoline:   */
+/* network.in_flight is never counted (it stays 0, which the audit of */
+/* a drained machine accepts; a mid-run verify.diagnose sees none).   */
 /* ------------------------------------------------------------------ */
 
 typedef struct {

@@ -3,7 +3,7 @@
 
 from .fifolock import fifo_grants, make_fifo_block
 from .messaging import Mailbox, ReceivedMessage, open_mailboxes, send_message
-# canonical home is repro.profiling now; .profiling here is a warning shim
+# canonical home is repro.profiling; re-exported here for the §6 grouping
 from ..profiling.memory import MemoryProfiler, overflow_worker_sets, profile_blocks
 from .update import make_update_block, updates_propagated
 

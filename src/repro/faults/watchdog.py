@@ -27,8 +27,10 @@ class LivenessWatchdog:
         self.stalled_samples = 0
         self.checks = 0
         self._last_signature: tuple[int, int] | None = None
-        self._on_tick = self._tick
-        machine.sim.post_after(interval, self._on_tick, None)
+        # No cached bound method (a tick every ``interval`` cycles does
+        # not need one): the pending event is the only thing holding the
+        # watchdog, so a dismantled machine drops it with its queue.
+        machine.sim.post_after(interval, self._tick, None)
 
     def _signature(self) -> tuple[int, int]:
         retired = 0
@@ -58,4 +60,4 @@ class LivenessWatchdog:
         else:
             self.stalled_samples = 0
             self._last_signature = signature
-        machine.sim.post_after(self.interval, self._on_tick, None)
+        machine.sim.post_after(self.interval, self._tick, None)

@@ -202,10 +202,10 @@ class AlewifeMachine:
                 shard_of=shard_of,
                 lookahead=cfg.shard_lookahead,
             )
-        # The atomic mesh is the backend's to provide (the soa backend
-        # posts deliveries straight to the destination handler); staged
-        # fabrics above stay shared — sharded runs swap storage and the
-        # kernel per shard, not the cross-shard arbitration model.
+        # The atomic mesh is the backend's to provide (native compiles
+        # its send); staged fabrics above stay shared — sharded runs swap
+        # storage and the kernel per shard, not the cross-shard
+        # arbitration model.
         return self.backend.wormhole_class(
             self.sim,
             topology,
@@ -298,8 +298,9 @@ class AlewifeMachine:
         A wired machine is one large reference cycle — fabric handlers
         back to the NICs, the NIC's handlers back to the controllers,
         each context's completion callback and program generator back to
-        its processor, ``on_done`` back to the machine, and on ``native``
-        the step kernels and the event core back to what they drive — so
+        its processor, ``on_done`` back to the machine, a fault injector's
+        delivery callback back to itself, and on ``native`` the step
+        kernels and the event core back to what they drive — so
         a dropped machine otherwise waits for the cyclic collector, and
         on the ``soa``/``native`` backends it holds a 128 KB word slab
         per node while it waits.  Emptying the instance dict of each
@@ -309,6 +310,8 @@ class AlewifeMachine:
         :class:`NetworkStats` record, neither of which is touched).
         """
         parts: list = [self.sim, self.network]
+        if self.network.fault_injector is not None:
+            parts.append(self.network.fault_injector)
         for node in self.nodes:
             for ctx in node.processor.contexts:
                 ctx.gen = ctx.mem_done = None  # slotted: no dict to empty

@@ -17,6 +17,7 @@ from ..mem.address import AddressSpace
 from ..mem.memory import MainMemory
 from ..network.fabric import Network
 from ..network.interface import NetworkInterface
+from ..proc.processor import Processor
 from ..sim.kernel import Simulator
 from ..sim.rng import DeterministicRng, ScopedRng
 from ..stats.counters import Counters
@@ -86,7 +87,7 @@ class Node:
             ),
             pool=self.pool,
         )
-        self.processor = self._backend.processor_class(
+        self.processor = Processor(
             sim,
             node_id,
             space,

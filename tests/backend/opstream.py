@@ -38,6 +38,26 @@ BACKENDS = backend_names()
 N_WORDS = 6
 
 
+def _compile(words: list[int], item: tuple) -> tuple:
+    """One stream item as the op a program yields.  (Module level, not a
+    closure of ``build``: a function that recurses through its own cell
+    is a reference cycle, and the leak soak counts every block.)"""
+    kind = item[0]
+    if kind == "load":
+        return ops.load(words[item[1]])
+    if kind == "store":
+        return ops.store(words[item[1]], item[2])
+    if kind == "add":
+        return ops.fetch_add(words[item[1]], item[2])
+    if kind == "rmw":
+        return ops.rmw(words[item[1]], item[2])
+    if kind == "burst":
+        return ops.burst(*(_compile(words, sub) for sub in item[1]))
+    if kind == "raw":
+        return item[1]
+    return item  # think / fence / switch_hint are already ops
+
+
 class OpStreamWorkload(Workload):
     """``streams[proc]`` is a list of contexts, each a stream (see above)."""
 
@@ -53,27 +73,11 @@ class OpStreamWorkload(Workload):
             for i in range(N_WORDS)
         ]
 
-        def compile_item(item):
-            kind = item[0]
-            if kind == "load":
-                return ops.load(words[item[1]])
-            if kind == "store":
-                return ops.store(words[item[1]], item[2])
-            if kind == "add":
-                return ops.fetch_add(words[item[1]], item[2])
-            if kind == "rmw":
-                return ops.rmw(words[item[1]], item[2])
-            if kind == "burst":
-                return ops.burst(*(compile_item(sub) for sub in item[1]))
-            if kind == "raw":
-                return item[1]
-            return item  # think / fence / switch_hint are already ops
-
         def program(stream):
             for item in stream:
                 if item[0] == "raise":
                     raise item[1]
-                yield compile_item(item)
+                yield _compile(words, item)
 
         return {
             proc: [program(stream) for stream in contexts]
@@ -105,8 +109,8 @@ def show(op):
 def context_state(machine: AlewifeMachine) -> list:
     """Per-context bookkeeping every backend must agree on.
 
-    ``resume_value`` is left out on purpose: the fused hit stages the
-    loaded word at issue, the reference step at completion.
+    ``resume_value`` is left out on purpose: the compiled hit stages the
+    loaded word at issue, the Python step at completion.
     """
     return [
         (

@@ -14,16 +14,17 @@ Two layers of lockstep comparison, both driven by hypothesis:
 * **Machine level** — random small weather configurations run end to end
   on both backends under a windowed driver; the per-window observables
   and the final equivalence fingerprint must match.  This sweeps the
-  fused SoA hit path, the ring-inlined deliveries, and the
-  view-object cache/directory storage under schedules the committed
-  goldens do not enumerate.
+  ring kernel, the view-object cache/directory storage and the compiled
+  step, send and receive kernels under schedules the committed goldens
+  do not enumerate.
 * **Op-stream level** — random straight-line programs over all seven op
   kinds (bursts of one and of several ops whose first op hits or misses,
   nested bursts, fences, switch hints with one to three contexts per
   processor, ``sc`` and ``wo``) compared the same way.  Weather with one
   context never reaches most of the processor step's branches; this
-  does, on the fused Python step and on the compiled one.  The same
-  streams also drive the compiled miss transaction off its common case:
+  does, on the Python step over the columns and on the compiled one.
+  The same streams also drive the compiled miss transaction off its
+  common case:
   caches of 4 to 16 lines (conflict victims, clean and dirty), several
   contexts opening on one word (MSHR merges, read fills that re-open
   upgrades), and fault-tolerant and update-mode machines, which must

@@ -1,0 +1,103 @@
+"""Build, run, dismantle — many times, with the cyclic collector off.
+
+The compiled kernels sit on instances of the reference classes, so every
+``native`` machine carries ``processor -> StepKernel -> processor`` (and
+``network -> NetSend -> network``, ``sim <-> Core``) cycles that only
+``AlewifeMachine.dismantle()`` breaks, and ``_native.c`` counts its own
+references by hand.  Two things must therefore hold on every backend
+after each batch of machines built, run and dismantled with ``gc``
+disabled:
+
+* a collection then finds **nothing** unreachable — ``dismantle()`` left
+  no cycle behind, so reference counting alone freed the machines;
+* ``sys.getallocatedblocks()``, read right after that collection (which
+  also empties the interpreter's free lists, the one thing that
+  otherwise drifts), is **flat** from batch to batch once the first
+  batches have warmed the caches — nothing is pinned by a live
+  reference or a missed ``Py_DECREF`` either.
+
+The machines are the miss-transaction rows of ``test_cache_kernel.py``
+(every hand-back path of the compiled cache side, the fault-tolerant
+row with its injector and watchdog included); the bare fabric is the
+ladder's ``packetstorm`` in small: one send per delivery through the
+backend's packet pool.
+"""
+
+from __future__ import annotations
+
+import gc
+import random
+import sys
+from array import array
+
+import pytest
+
+from repro.backend import get_backend
+from repro.network.packet import Op, Packet, PacketPool
+from repro.network.topology import Mesh2D
+
+from .opstream import BACKENDS
+from .test_cache_kernel import CASES, run_case
+
+WARM_UP = 2
+BATCHES = 5
+
+
+def miss_rows(backend: str) -> None:
+    for case in CASES:
+        _trace, _final, machine = run_case(case, backend)
+        machine.dismantle()
+
+
+def packet_storm(backend: str, side: int = 4, events: int = 10_000) -> None:
+    bundle = get_backend(backend)
+    sim = bundle.make_simulator()
+    net = bundle.wormhole_class(sim, Mesh2D(side, side))
+    pool = (bundle.make_pool or PacketPool)(enabled=True)
+    n = side * side
+    remaining = [events]
+
+    def make_handler(node: int):
+        def handler(packet: Packet) -> None:
+            address = packet.address
+            pool.release(packet)
+            if remaining[0] > 0:
+                remaining[0] -= 1
+                dst = (node * 7 + sim.now) % n if node % 3 else 0
+                net.send(pool.protocol(node, dst, Op.RREQ, address))
+
+        return handler
+
+    for node in range(n):
+        net.attach(node, make_handler(node))
+    rng = random.Random(11)
+    for node in range(n):
+        address = rng.randrange(4096) * 16
+        net.send(Packet(node, rng.randrange(n), Op.RREQ, address=address))
+    sim.run()
+    assert remaining[0] == 0 and pool.recycled > events // 2
+    # what ``dismantle()`` does to a machine's kernel and fabric
+    for part in (sim, net):
+        vars(part).clear()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("build_run_dismantle", [miss_rows, packet_storm])
+def test_nothing_accumulates_with_gc_disabled(build_run_dismantle, backend):
+    # Preallocated: the bookkeeping itself must not allocate per batch.
+    unreachable = array("q", [0]) * BATCHES
+    blocks = array("q", [0]) * BATCHES
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for batch in range(BATCHES):
+            build_run_dismantle(backend)
+            build_run_dismantle(backend)
+            unreachable[batch] = gc.collect()
+            blocks[batch] = sys.getallocatedblocks()
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert list(unreachable) == [0] * BATCHES
+    assert len(set(blocks[WARM_UP:])) == 1, list(blocks)

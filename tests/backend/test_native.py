@@ -20,6 +20,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -33,10 +34,10 @@ _SRC = os.path.abspath(
 )
 
 #: one tiny scenario reused by every cross-backend identity check here
-_TINY = (
-    "dict(n_procs=4, protocol='limitless', pointers=2, ts=50, "
-    "max_cycles=2_000_000)"
+_TINY_CONFIG = dict(
+    n_procs=4, protocol="limitless", pointers=2, ts=50, max_cycles=2_000_000
 )
+_TINY = repr(_TINY_CONFIG)
 
 
 def _subprocess(code: str, **env_overrides: str) -> subprocess.CompletedProcess:
@@ -125,19 +126,54 @@ def test_in_process_fallback_uses_soa_components(monkeypatch):
         backend_mod._INSTANCES.pop("native", None)
 
 
+@pytest.mark.parametrize(
+    "refusal",
+    [KeyError("spec missing deque"), TypeError("bad spec"), AttributeError("slot")],
+    ids=lambda exc: type(exc).__name__,
+)
+def test_stale_extension_degrades_like_a_missing_one(monkeypatch, refusal):
+    """A shared object built from another ``_native.c`` refuses this
+    source's ``setup()`` spec.  That used to escape at machine build
+    (``KeyError: 'spec missing deque'``); it must read as an extension
+    that did not load: soa components, the reason in the notes."""
+    import repro.backend as backend_mod
+
+    def setup(spec):
+        raise refusal
+
+    monkeypatch.setattr(native, "_native", types.SimpleNamespace(setup=setup))
+    monkeypatch.setattr(native, "_IMPORT_ERROR", None)
+    monkeypatch.setattr(native, "_setup_done", False)
+    monkeypatch.delitem(backend_mod._INSTANCES, "native", raising=False)
+    try:
+        ok, reason = native.load_status()
+        assert not ok and not native.available()
+        assert reason.startswith("extension stale (")
+        assert str(refusal) in reason
+        assert reason.endswith("rebuild with python setup.py build_ext --inplace")
+        backend = get_backend("native")
+        assert reason in backend.notes and "soa fallback" in backend.notes
+        prints = {
+            name: equivalence_fingerprint(
+                run_experiment(
+                    AlewifeConfig(**_TINY_CONFIG, backend=name),
+                    WeatherWorkload(iterations=2),
+                )
+            )
+            for name in ("soa", "native")
+        }
+        assert prints["native"] == prints["soa"]
+    finally:
+        backend_mod._INSTANCES.pop("native", None)
+
+
 @pytest.mark.skipif(not native.available(), reason="extension not built")
 def test_pool_off_is_bit_identical_across_backends():
     """packet_pool=False must not disturb the compiled pool/rx paths."""
     prints = {}
     for backend in ("reference", "native"):
         config = AlewifeConfig(
-            n_procs=4,
-            protocol="limitless",
-            pointers=2,
-            ts=50,
-            max_cycles=2_000_000,
-            packet_pool=False,
-            backend=backend,
+            **_TINY_CONFIG, packet_pool=False, backend=backend
         )
         stats = run_experiment(config, WeatherWorkload(iterations=2))
         prints[backend] = equivalence_fingerprint(stats)

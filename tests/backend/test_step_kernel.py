@@ -1,11 +1,12 @@
 """The processor step at its edges, on every backend.
 
-``Processor._step``/``_execute_op`` is the definition; the fused soa step
-and the compiled ``StepKernel`` are checked against it here where the
-goldens and the property co-simulation do not reach: ops no constructor
-in :mod:`repro.proc.ops` would build, exceptions raised underneath the
-step (by the program, by an ``rmw`` callable, by the Python fallback),
-stale burst bookkeeping, and the kernel's own fall-through counter.
+``Processor._step``/``_execute_op`` is the definition; the same step over
+the SoA columns and the compiled ``StepKernel`` are checked against it
+here where the goldens and the property co-simulation do not reach: ops
+no constructor in :mod:`repro.proc.ops` would build, exceptions raised
+underneath the step (by the program, by an ``rmw`` callable, by the
+Python fallback), stale burst bookkeeping, and the kernel's own
+fall-through counter.
 
 "Same as reference" means the same exception type and message, the same
 checkpoint digest and per-context bookkeeping at the moment it

@@ -64,8 +64,11 @@ class TestEndToEnd:
 
     def test_committed_baselines_parse(self):
         root = pathlib.Path(__file__).resolve().parents[2]
-        for name in ("BENCH_kernel.json", "BENCH_hotpath.json"):
+        for name in ("BENCH_scaling.json", "BENCH_serve.json"):
             scenarios = gate.load_scenarios(str(root / "benchmarks" / name))
             assert scenarios, name
             for record in scenarios.values():
-                assert record["events_per_sec"] > 0
+                gated = [record.get(metric) for metric, _unit in gate._METRICS]
+                assert any(value and value > 0 for value in gated), record
+            # a baseline passes its own gate
+            assert gate.check(scenarios, scenarios, 0.0) == []

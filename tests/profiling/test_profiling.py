@@ -117,16 +117,3 @@ class TestProfileCli:
             cli_main(["--help"])
         assert "profile" in capsys.readouterr().out
 
-
-class TestDeprecatedShim:
-    def test_extensions_profiling_warns_and_reexports(self):
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.extensions.profiling", None)
-        with pytest.warns(DeprecationWarning, match="repro.profiling"):
-            shim = importlib.import_module("repro.extensions.profiling")
-        from repro.profiling import MemoryProfiler, profile_blocks
-
-        assert shim.MemoryProfiler is MemoryProfiler
-        assert shim.profile_blocks is profile_blocks
