@@ -12,8 +12,18 @@ passing native run).
 Build in place for development:
 
     python setup.py build_ext --inplace
+
+The build stamps the extension with the SHA-256 of ``_native.c``
+(``_native.SOURCE_SHA256``); at import ``repro.backend.native`` compares
+it with the source it finds checked out and refuses a shared object
+built from another one, so rerun the command after editing the file.
+
+The default build drops the debug information the interpreter's own
+``-g`` asks for (a fifth of the compile time, and nothing reads it); a
+build that brings its own ``CFLAGS`` — the sanitizer job — keeps it.
 """
 
+import hashlib
 import os
 import sys
 
@@ -22,6 +32,12 @@ from setuptools.command.build_ext import build_ext
 
 
 _REQUIRED = os.environ.get("REPRO_NATIVE_REQUIRE", "") == "1"
+_SOURCE = "src/repro/backend/native/_native.c"
+
+
+def _source_sha256() -> str:
+    with open(os.path.join(os.path.dirname(__file__) or ".", _SOURCE), "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 class OptionalBuildExt(build_ext):
@@ -54,7 +70,11 @@ setup(
     ext_modules=[
         Extension(
             "repro.backend.native._native",
-            sources=["src/repro/backend/native/_native.c"],
+            sources=[_SOURCE],
+            define_macros=[
+                ("REPRO_NATIVE_SOURCE_SHA256", f'"{_source_sha256()}"')
+            ],
+            extra_compile_args=[] if "CFLAGS" in os.environ else ["-g0"],
             optional=not _REQUIRED,
         )
     ],

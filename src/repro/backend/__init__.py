@@ -18,18 +18,16 @@ pointer views), allocate the same event sequence numbers, and produce
 byte-equal :class:`~repro.machine.machine.MachineStats` and checkpoint
 state digests.  ``tests/backend`` pins this as a golden tier.
 
-``numpy`` is optional and auto-detected (never required, never
-installed): when present it accelerates only cold bulk scans of the SoA
-state arrays; the event-driven scalar hot path uses stdlib ``array``
-either way because per-element access is what it does.  Set
-``REPRO_NO_NUMPY=1`` to force the pure-stdlib path; benchmark and
-profile reports record which was active.
+Nothing here imports ``numpy``: the storage and its one bulk scan are
+stdlib, so no process pays for the import.  ``HAS_NUMPY`` only records
+whether the host has it, because benchmark reports key host identity on
+that.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
+from importlib.util import find_spec
 from typing import TYPE_CHECKING, Callable, Optional
 
 from ..network.fabric import WormholeNetwork
@@ -40,18 +38,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mem.address import AddressSpace
 
 
-def _detect_numpy() -> bool:
-    if os.environ.get("REPRO_NO_NUMPY"):
-        return False
-    try:  # pragma: no cover - depends on environment
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - depends on environment
-        return False
-    return True
-
-
-#: True when numpy is importable and not disabled via REPRO_NO_NUMPY.
-HAS_NUMPY = _detect_numpy()
+#: True when numpy is installed on this host (it is never imported).
+HAS_NUMPY = find_spec("numpy") is not None
 
 
 @dataclass(frozen=True)
@@ -75,7 +63,7 @@ class Backend:
     #: reference pool.
     make_pool: Optional[Callable[..., object]] = None
     #: post-build hook: called with the fully wired machine so a backend
-    #: can install per-node kernels (native: step, receive, dispatch).
+    #: can install per-node kernels (native: step, receive, directory).
     finalize: Optional[Callable[[object], None]] = None
     #: human-readable status — fallbacks record *why* here, and run/
     #: profile/bench surfaces report it as ``backend_notes``.

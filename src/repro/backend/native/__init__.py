@@ -9,7 +9,8 @@ pure-Python code that defines the golden semantics.
 
 The extension (``_native.c``) is a hand-written CPython C module built
 by ``setup.py build_ext --inplace``.  It is strictly optional: when it
-does not import (not built, wrong interpreter, ``REPRO_NATIVE=0``), the
+does not import (not built, wrong interpreter, ``REPRO_NATIVE=0``) or
+was built from another ``_native.c`` than the one checked out, the
 backend registry silently degrades ``backend="native"`` to the ``soa``
 components and records the reason in :func:`load_status` /
 ``Backend.notes`` so runs proceed and report the fallback honestly.
@@ -24,15 +25,24 @@ fingerprints with the extension present *and* absent.
 
 from __future__ import annotations
 
+import hashlib
 import operator
 import os
+from pathlib import Path
 from typing import Optional
 
 from ...cache import controller as cc
+from ...coherence import controller as dc
+from ...coherence.limited import LimitedController
+from ...coherence.states import DirState, MetaState
+from ...mem.memory import MainMemory
 from ...network.fabric import WormholeNetwork
+from ...network.packet import N_OPS, OP_NAMES
 from ...proc import processor as pp
+from ...sim.kernel import StallableResource
+from ...stats.counters import Counters
 from ..batchsim import _RING, BatchSimulator
-from ..soa import SoaCacheArray
+from ..soa import SoaCacheArray, SoaDirectory
 
 _native = None
 _IMPORT_ERROR: Optional[str] = None
@@ -65,17 +75,29 @@ def load_status() -> tuple[bool, Optional[str]]:
 _setup_done = False
 
 
+def _stale(why) -> None:
+    global _native, _IMPORT_ERROR
+    _native = None
+    _IMPORT_ERROR = (
+        f"extension stale ({why}); rebuild with "
+        "python setup.py build_ext --inplace"
+    )
+
+
 def _ensure_setup() -> None:
     """Inject the Python-side classes into the extension, once.
 
     The extension never imports repro modules itself — the Python layer
     hands over every class, sentinel, and constant the kernels compare
     against, so there is exactly one definition of each.  A shared
-    object built from another ``_native.c`` than the one checked out
-    asks for names this spec lacks (or rejects their shape); that is
-    reported like an extension that did not import, not raised.
+    object built from another ``_native.c`` than the one checked out is
+    reported like an extension that did not import, not raised: it
+    asks for names this spec lacks, or rejects their shape, or its
+    ``Core`` is not the one ``NativeSimulator`` drives, or — the check
+    that catches every other difference — its build stamp is not the
+    hash of the source next to it (skipped when no source is shipped).
     """
-    global _setup_done, _native, _IMPORT_ERROR
+    global _setup_done
     if _setup_done or _native is None:
         return
     from ...cache.controller import Mshr, _Waiter
@@ -85,7 +107,6 @@ def _ensure_setup() -> None:
         _DATA_BEARING,
         _LAST_CACHE_TO_MEMORY,
         OP_BY_NAME,
-        OP_NAMES,
         Op,
         Packet,
         protocol_packet,
@@ -118,16 +139,32 @@ def _ensure_setup() -> None:
         "Packet": Packet,
         "NetworkStats": NetworkStats,
         "protocol_packet": protocol_packet,
+        # the order of _native.c's D_* enum
+        "DIR_STATES": (
+            int(DirState.READ_ONLY),
+            int(DirState.READ_WRITE),
+            int(DirState.READ_TRANSACTION),
+            int(DirState.WRITE_TRANSACTION),
+        ),
+        "TRAP_ON_WRITE": int(MetaState.TRAP_ON_WRITE),
+        "WRITE_CLASS": tuple(int(op) for op in dc._WRITE_CLASS),
     }
     try:
         _native.setup(spec)
+        NativeSimulator()  # every Core attribute the wrapper drives exists
     except (KeyError, TypeError, AttributeError) as exc:
-        _native = None
-        _IMPORT_ERROR = (
-            f"extension stale ({exc}); rebuild with "
-            "python setup.py build_ext --inplace"
-        )
+        _stale(exc)
         return
+    try:
+        source = Path(__file__).with_name("_native.c").read_bytes()
+    except OSError:
+        pass
+    else:
+        digest = hashlib.sha256(source).hexdigest()
+        built = getattr(_native, "SOURCE_SHA256", None) or "unstamped"
+        if built != digest:
+            _stale(f"source hash {digest[:12]}, built from {built[:12]}")
+            return
     _setup_done = True
 
 
@@ -326,36 +363,177 @@ if _native is not None:
             return dup
 
 
+def _cell(owner, method, *inlined):
+    return owner, getattr(owner, method), inlined
+
+
+_BASE = dc.MemoryController
+_WRITE_DONE = ("_maybe_complete_write", "_send_wdata", "_stray")
+_READ_DONE = ("_complete_read", "_send_rdata", "_stray")
+
+#: What each compiled Table-2 cell (keyed like ``_native.DIR_CELLS``)
+#: mirrors: the class, its method, and the other controller methods the
+#: mirror folds in.  A cell runs in C only on a controller for which the
+#: method and all of these are exactly what that class itself would run;
+#: a variant that overrides any of them keeps the cell in Python.
+_CELLS = {
+    "_ro_rreq": _cell(_BASE, "_ro_rreq", "_pointer_available", "_send_rdata"),
+    "_ro_wreq": _cell(
+        _BASE, "_ro_wreq",
+        "_begin_write_transaction", "_send_wdata", "_send_inv", "_arm_inv_timer",
+    ),
+    "_rw_rreq": _cell(_BASE, "_rw_rreq", "_rw_owner", "_send_inv", "_arm_inv_timer"),
+    "_rw_wreq": _cell(
+        _BASE, "_rw_wreq", "_rw_owner", "_send_wdata", "_send_inv", "_arm_inv_timer"
+    ),
+    "_rw_repm": _cell(_BASE, "_rw_repm", "_rw_owner", "_stray"),
+    "_rw_stray": _cell(_BASE, "_rw_stray", "_rw_owner", "_stray"),
+    "_stray": _cell(_BASE, "_stray"),
+    "_txn_busy": _cell(_BASE, "_txn_busy", "_send_busy"),
+    "_wt_ackc": _cell(_BASE, "_wt_ackc", *_WRITE_DONE),
+    "_wt_update": _cell(_BASE, "_wt_update", *_WRITE_DONE),
+    "_wt_repm": _cell(_BASE, "_wt_repm", *_WRITE_DONE),
+    "_rt_update": _cell(_BASE, "_rt_update", *_READ_DONE),
+    "_rt_repm": _cell(_BASE, "_rt_repm", *_READ_DONE),
+    "_rt_ackc": _cell(_BASE, "_rt_ackc", "_stray"),
+    # Dir_iNB's read: the base cell inside the fifo bookkeeping, and on
+    # overflow its eviction (the fifo victim only: "random" draws from
+    # the machine's seeded stream, which stays Python's)
+    "limited._ro_rreq": _cell(
+        LimitedController, "_ro_rreq",
+        "_pointer_available", "_send_rdata", "_read_overflow", "_choose_victim",
+        "_send_inv",
+    ),
+}
+
+
+def _cell_codes(ctrl) -> tuple:
+    """``_native.c``'s cell code for each ``_table[state][op]``, row-major;
+    0 where the handler is not a method the C mirrors."""
+    cls = type(ctrl)
+    fifo = getattr(ctrl, "victim_policy", None) == "fifo"
+    code_of = {}
+    for code, name in enumerate(_native.DIR_CELLS.split(), 1):
+        owner, function, inlined = _CELLS[name]
+        if (owner is _BASE or fifo) and all(
+            getattr(cls, helper) is getattr(owner, helper)
+            and helper not in vars(ctrl)
+            for helper in inlined
+        ):
+            code_of[function] = code
+    return tuple(
+        code_of.get(getattr(handler, "__func__", None), 0)
+        if getattr(handler, "__self__", None) is ctrl
+        else 0
+        for row in ctrl._table
+        for handler in row
+    )
+
+
+def install_dir_kernel(ctrl):
+    """Shadow ``ctrl.receive``/``ctrl.process`` with a compiled
+    :class:`_native.DirKernel`; returns it, or ``None`` when none applies.
+
+    The kernel mirrors ``MemoryController.receive`` and ``process`` and
+    the cells of ``_CELLS`` over the ``SoaDirectory`` columns, so it exists
+    only for a controller that runs exactly those: the pipeline methods
+    not overridden (approx, trap_always), the reference memory, counters
+    and occupancy objects, no invalidation timers (``inv_timeout``, the
+    fault-tolerant machines), and at most 64 nodes — pointer masks are
+    read as ``uint64``; a wider machine keeps the Python pipeline.  The
+    bound reference methods are kept for per-packet hand-backs (counted
+    by reason in ``DirKernel.handbacks``), and because ``process`` is
+    shadowed on the instance, ``replay_pending`` and the FIFO-lock drain
+    post the compiled one too.
+    """
+    cls = type(ctrl)
+    directory, memory, counters = ctrl.directory, ctrl.memory, ctrl.counters
+    table = getattr(ctrl, "_table", None)
+    if not (
+        _native is not None
+        and all(
+            getattr(cls, name) is getattr(_BASE, name)
+            for name in ("receive", "process", "dispatch", "_meta_intercept")
+        )
+        and isinstance(ctrl.sim, NativeSimulator)
+        and type(directory) is SoaDirectory
+        and directory.home == ctrl.node_id
+        and type(memory) is MainMemory
+        and type(counters) is Counters
+        and type(ctrl.occupancy) is StallableResource
+        and not ctrl.inv_timeout
+        and ctrl.space.n_nodes <= 64
+        and isinstance(table, list)
+        and len(table) == len(DirState)
+        and all(isinstance(row, list) and len(row) == N_OPS for row in table)
+    ):
+        return None
+    space = ctrl.space
+    kernel = _native.DirKernel(
+        {
+            "core": ctrl.sim._core,
+            "ctrl": ctrl,
+            "process": ctrl.process,
+            "receive": ctrl.receive,
+            "directory": directory,
+            "rows": directory._rows,
+            "state": directory._state,
+            "meta": directory._meta,
+            "local": directory._local,
+            "requester": directory._requester,
+            "txn": directory._txn,
+            "peak": directory._peak,
+            "sharers": directory._sharers,
+            "acks": directory._acks,
+            "table": table,
+            "cells": tuple(handler for row in table for handler in row),
+            "codes": _cell_codes(ctrl),
+            "n_ops": N_OPS,
+            "slots": ctrl._slots,
+            "packets_slot": dc._DIR_PACKETS_SLOT,
+            "values": counters._values,
+            "memory": memory,
+            "blocks": memory._blocks,
+            "occupancy": ctrl.occupancy,
+            "nic": ctrl.nic,
+            "net": ctrl.nic.network,
+            "pool": ctrl.pool,
+            "node_id": ctrl.node_id,
+            "stray_names": tuple(f"dir.stray.{name}" for name in OP_NAMES),
+            "seg_shift": space.segment_shift,
+            "n_nodes": space.n_nodes,
+            "low_mask": space.block_bytes - 1,
+        }
+    )
+    ctrl.process = kernel
+    ctrl.receive = kernel.receive
+    ctrl.nic.set_memory_handler(ctrl.receive)
+    return kernel
+
+
 def finalize(machine) -> None:
     """Install the per-node compiled kernels on the reference objects.
 
     Called by the machine builder after all nodes are wired.  Each
     processor's ``_step`` becomes a :class:`_native.StepKernel` (an
     instance attribute, so ``_dispatch``'s schedule, ``_mem_done``'s
-    direct call and every ring event reach it); each node's network
-    handler becomes an :class:`_native.RxChain` (NIC classify + cache
-    dispatch + pool release in one C frame; with the node's
-    ``StepKernel`` it also runs RDATA/WDATA fills and INVs); and each
-    base-table directory controller's ``dispatch`` becomes a
-    :class:`_native.TableDispatch`.  Controllers that override
-    ``dispatch`` in Python (the approx emulation) are left untouched.
+    direct call and every ring event reach it); each directory
+    controller's ``receive`` and ``process`` become a
+    :class:`_native.DirKernel` (:func:`install_dir_kernel`); and each
+    node's network handler becomes an :class:`_native.RxChain` (NIC
+    classify + cache dispatch + pool release in one C frame; with the
+    node's ``StepKernel`` it also runs RDATA/WDATA fills and INVs, and
+    its memory handler is the ``DirKernel``'s receive).
     """
     if _native is None or not isinstance(machine.sim, NativeSimulator):
         return
-    from ...coherence.controller import MemoryController
-
     core = machine.sim._core
     handlers = machine.network._handlers
     for node in machine.nodes:
         kernel = _step_kernel(node.processor, core)
         if kernel is not None:
             node.processor._step = kernel
-        ctrl = node.directory_controller
-        if (
-            type(ctrl).dispatch is MemoryController.dispatch
-            and isinstance(getattr(ctrl, "_table", None), list)
-        ):
-            ctrl.dispatch = _native.TableDispatch({"table": ctrl._table})
+        install_dir_kernel(node.directory_controller)
         nic = node.nic
         handlers[node.node_id] = _native.RxChain(
             {
@@ -376,25 +554,33 @@ def fallthroughs(machine) -> Optional[dict]:
     A dict: under ``"op"`` the ops the processor steps gave to
     ``Processor._execute_op`` (:attr:`_native.StepKernel.fallthroughs`,
     summed over the processors), plus one entry per reason a step of the
-    compiled miss transaction (issue, fill, invalidate) went back to its
-    Python method (``StepKernel.handbacks``: ``mshr_merge``, ``victim``,
-    ``replay``, ``fault_tolerant``, ``fabric``, ``malformed``, ... —
-    docs/BACKENDS.md has the table).  ``None`` when no processor runs the
+    compiled miss transaction went back to its Python method — the cache
+    side's issue, fill and invalidate (``StepKernel.handbacks``:
+    ``mshr_merge``, ``victim``, ``replay``, ...) and the directory's
+    receive and process (``DirKernel.handbacks``: ``dir_meta``,
+    ``dir_overflow``, ``dir_override``, ``dir_error``); ``fault_tolerant``,
+    ``crc``, ``pool`` and ``malformed`` count steps of both sides.
+    docs/BACKENDS.md has the tables.  ``None`` when no processor runs the
     compiled step (extension absent, or ``memory_model="wo"`` and other
     pairings :func:`finalize` leaves on the reference step), so an
     all-zero dict always means "never left C".
     """
     if _native is None:
         return None
-    kernels = [
+    steps = [
         node.processor._step
         for node in machine.nodes
         if isinstance(node.processor._step, _native.StepKernel)
     ]
-    if not kernels:
+    if not steps:
         return None
-    totals = {"op": sum(kernel.fallthroughs for kernel in kernels)}
-    for kernel in kernels:
+    totals = {"op": sum(kernel.fallthroughs for kernel in steps)}
+    directories = [
+        vars(node.directory_controller).get("process") for node in machine.nodes
+    ]
+    for kernel in steps + [
+        d for d in directories if isinstance(d, _native.DirKernel)
+    ]:
         for reason, count in kernel.handbacks.items():
             totals[reason] = totals.get(reason, 0) + count
     return totals
@@ -406,6 +592,7 @@ __all__ = [
     "available",
     "fallthroughs",
     "finalize",
+    "install_dir_kernel",
     "load_status",
     "wormhole_network",
 ]

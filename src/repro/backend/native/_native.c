@@ -2,8 +2,8 @@
  *
  * The measured hot paths of the machine — the 64-cycle batched scheduling
  * ring, the processor step with its cache-hit and miss issue, packet-pool
- * acquire/release, NIC direction dispatch, the directory's per-(state,
- * opcode) table lookup, and wormhole route stepping — re-expressed as
+ * acquire/release, NIC direction dispatch, the directory controller's
+ * pipeline and Table-2 cells, and wormhole route stepping — re-expressed as
  * CPython C-API code over the *same Python data structures* the Python
  * engines use.  That is what makes bit-identity tractable: the heap is
  * the same list of ``(time, seq, callback, arg, event)`` tuples, the ring
@@ -23,6 +23,12 @@
 
 #define RING 64
 #define RING_MASK 63
+
+/* setup.py passes the SHA-256 of this file; the Python side compares it
+ * with the source it finds next to the built module. */
+#ifndef REPRO_NATIVE_SOURCE_SHA256
+#define REPRO_NATIVE_SOURCE_SHA256 ""
+#endif
 
 /* ------------------------------------------------------------------ */
 /* Module-wide cached objects, filled in by setup().                  */
@@ -71,10 +77,19 @@ static PyObject *g_protocol_packet; /* packet.protocol_packet */
 static PyObject *g_op_by_name;      /* packet.OP_BY_NAME dict */
 static PyObject *g_waiter_type, *g_mshr_type; /* cache.controller classes */
 static PyObject *g_block_data_type; /* mem.memory.BlockData */
-/* the opcodes the compiled miss transaction sends and receives */
-enum { O_RREQ, O_WREQ, O_UPDATE, O_ACKC, O_RDATA, O_WDATA, O_INV, N_MISS_OPS };
+static PyObject *g_packet_type;     /* packet.Packet */
+/* the opcodes the compiled miss transaction and directory send and receive */
+enum { O_RREQ, O_WREQ, O_UPDATE, O_ACKC, O_RDATA, O_WDATA, O_INV, O_REPM,
+       O_BUSY, N_MISS_OPS };
 static PyObject *g_miss_ops[N_MISS_OPS]; /* Op members */
 static long g_op_rdata;             /* int(Op.RDATA); WDATA, INV follow it */
+/* coherence.states, as ints: DirState members in the D_* order, the
+ * TRAP_ON_WRITE meta state, and controller._WRITE_CLASS as an opcode mask */
+enum { D_READ_ONLY, D_READ_WRITE, D_READ_TRANSACTION, D_WRITE_TRANSACTION,
+       N_DIR_STATES };
+static long g_dir_states[N_DIR_STATES];
+static long g_trap_on_write;
+static unsigned long long g_write_class;
 static PyObject *g_retire_op;       /* ("__retire__",) */
 static PyObject *g_str_all;         /* "all" */
 static PyObject *g_kinds[3];        /* "load", "store", "rmw": access kinds,
@@ -1214,13 +1229,17 @@ enum { CS_HIT, CS_MISS = CS_HIT + 3, CS_UPGRADES = CS_MISS + 3, CS_FILLS,
        CS_INV_RECEIVED, CS_LOCAL_REQ, CS_REMOTE_REQ, N_CS };
 enum { PS_THINK, PS_REMOTE_STALL, PS_LOCAL_STALL, N_PS };
 
-/* Why a step of the miss transaction went back to its Python method. */
+/* Why a step of the miss transaction — the cache side's issue, fill and
+ * invalidate, the directory's receive and process — went back to its
+ * Python method. */
 enum { HB_FAULT_TOLERANT, HB_REQUEST_TIMEOUT, HB_CRC, HB_UPDATE_BLOCK,
        HB_WB_BUFFER, HB_MSHR_MERGE, HB_VICTIM, HB_REPLAY, HB_FABRIC, HB_POOL,
-       HB_MALFORMED, N_HANDBACKS };
+       HB_MALFORMED, HB_DIR_META, HB_DIR_OVERFLOW, HB_DIR_OVERRIDE,
+       HB_DIR_ERROR, N_HANDBACKS };
 static const char *const handback_names[N_HANDBACKS] = {
     "fault_tolerant", "request_timeout", "crc", "update_block", "wb_buffer",
-    "mshr_merge", "victim", "replay", "fabric", "pool", "malformed"};
+    "mshr_merge", "victim", "replay", "fabric", "pool", "malformed",
+    "dir_meta", "dir_overflow", "dir_override", "dir_error"};
 
 typedef struct {
     PyObject_HEAD
@@ -1294,6 +1313,18 @@ spec_get_ids(PyObject *spec, const char *key, Py_ssize_t *out, Py_ssize_t n)
         if (out[i] == -1 && PyErr_Occurred())
             return -1;
     }
+    return 0;
+}
+
+/* *slot = spec[key], a new reference */
+static SETUP_ONLY int
+take_ref(PyObject *spec, const char *key, PyObject **slot)
+{
+    PyObject *v = spec_get(spec, key);
+    if (v == NULL)
+        return -1;
+    Py_INCREF(v);
+    Py_XSETREF(*slot, v);
     return 0;
 }
 
@@ -1876,14 +1907,16 @@ static PyMemberDef StepKernel_members[] = {
     {NULL},
 };
 
-/* {reason: times a step of the miss transaction went back to Python} */
+/* {reason: times a step of the miss transaction went back to Python};
+ * the closure is the offset of the kernel's ``handbacks`` array */
 static PyObject *
-StepKernel_get_handbacks(StepKernelObject *self, void *c)
+handbacks_get(PyObject *self, void *offset)
 {
+    const long long *counts = (long long *)((char *)self + (size_t)offset);
     PyObject *out = PyDict_New();
     int i;
     for (i = 0; out != NULL && i < N_HANDBACKS; i++) {
-        PyObject *n = PyLong_FromLongLong(self->handbacks[i]);
+        PyObject *n = PyLong_FromLongLong(counts[i]);
         if (n == NULL || PyDict_SetItemString(out, handback_names[i], n) < 0)
             Py_CLEAR(out);
         Py_XDECREF(n);
@@ -1892,7 +1925,8 @@ StepKernel_get_handbacks(StepKernelObject *self, void *c)
 }
 
 static PyGetSetDef StepKernel_getsets[] = {
-    {"handbacks", (getter)StepKernel_get_handbacks, NULL, NULL, NULL},
+    {"handbacks", handbacks_get, NULL, NULL,
+     (void *)offsetof(StepKernelObject, handbacks)},
     {NULL, NULL, NULL, NULL, NULL},
 };
 
@@ -2217,8 +2251,6 @@ static PyTypeObject Pool_Type = {
 /* CacheController.receive for the memory→cache direction.            */
 /* ------------------------------------------------------------------ */
 
-static PyObject *s_state_attr;
-
 typedef struct {
     PyObject_HEAD
     vectorcallfunc vectorcall;
@@ -2423,114 +2455,6 @@ static PyTypeObject RxChain_Type = {
     .tp_traverse = (traverseproc)RxChain_traverse,
     .tp_clear = (inquiry)RxChain_clear,
     .tp_vectorcall_offset = offsetof(RxChainObject, vectorcall),
-    .tp_call = PyVectorcall_Call,
-};
-
-/* ------------------------------------------------------------------ */
-/* TableDispatch: the directory's per-(state, opcode) handler lookup. */
-/* ------------------------------------------------------------------ */
-
-typedef struct {
-    PyObject_HEAD
-    vectorcallfunc vectorcall;
-    PyObject *table;
-} TableDispatchObject;
-
-static PyObject *table_dispatch_vectorcall(PyObject *, PyObject *const *,
-                                           size_t, PyObject *);
-
-static int
-TableDispatch_init(TableDispatchObject *self, PyObject *args,
-                   PyObject *kwds)
-{
-    PyObject *spec;
-    if (!g_ready) {
-        PyErr_SetString(PyExc_RuntimeError, "_native.setup() not called");
-        return -1;
-    }
-    if (!PyArg_ParseTuple(args, "O!:TableDispatch", &PyDict_Type, &spec))
-        return -1;
-    SPEC_REF(table, "table");
-    if (!PyList_Check(self->table)) {
-        PyErr_SetString(PyExc_TypeError, "table must be a list of lists");
-        return -1;
-    }
-    self->vectorcall = table_dispatch_vectorcall;
-    return 0;
-}
-
-static int
-TableDispatch_traverse(TableDispatchObject *self, visitproc visit,
-                       void *arg)
-{
-    Py_VISIT(self->table);
-    return 0;
-}
-
-static int
-TableDispatch_clear(TableDispatchObject *self)
-{
-    Py_CLEAR(self->table);
-    return 0;
-}
-
-static void
-TableDispatch_dealloc(TableDispatchObject *self)
-{
-    PyObject_GC_UnTrack(self);
-    TableDispatch_clear(self);
-    Py_TYPE(self)->tp_free((PyObject *)self);
-}
-
-static PyObject *
-table_dispatch_vectorcall(PyObject *dself, PyObject *const *args,
-                          size_t nargsf, PyObject *kwnames)
-{
-    TableDispatchObject *d = (TableDispatchObject *)dself;
-    PyObject *entry, *packet, *state_obj, *row, *handler, *op, *r;
-    long s, v;
-    if (PyVectorcall_NARGS(nargsf) != 2 ||
-        (kwnames && PyTuple_GET_SIZE(kwnames))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "dispatch takes exactly (entry, packet)");
-        return NULL;
-    }
-    entry = args[0];
-    packet = args[1];
-    state_obj = PyObject_GetAttr(entry, s_state_attr);
-    if (state_obj == NULL)
-        return NULL;
-    s = PyLong_AsLong(state_obj);
-    Py_DECREF(state_obj);
-    if (s == -1 && PyErr_Occurred())
-        return NULL;
-    op = SLOT_GET(packet, g_pkt.opcode);
-    v = PyLong_AsLong(op);
-    if (v == -1 && PyErr_Occurred())
-        return NULL;
-    row = PyList_GetItem(d->table, (Py_ssize_t)s);
-    if (row == NULL)
-        return NULL;
-    handler = PyList_GetItem(row, (Py_ssize_t)v);
-    if (handler == NULL)
-        return NULL;
-    Py_INCREF(handler);
-    r = PyObject_CallFunctionObjArgs(handler, entry, packet, NULL);
-    Py_DECREF(handler);
-    return r;
-}
-
-static PyTypeObject TableDispatch_Type = {
-    PyVarObject_HEAD_INIT(NULL, 0).tp_name = "repro._native.TableDispatch",
-    .tp_basicsize = sizeof(TableDispatchObject),
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC |
-                Py_TPFLAGS_HAVE_VECTORCALL,
-    .tp_new = PyType_GenericNew,
-    .tp_init = (initproc)TableDispatch_init,
-    .tp_dealloc = (destructor)TableDispatch_dealloc,
-    .tp_traverse = (traverseproc)TableDispatch_traverse,
-    .tp_clear = (inquiry)TableDispatch_clear,
-    .tp_vectorcall_offset = offsetof(TableDispatchObject, vectorcall),
     .tp_call = PyVectorcall_Call,
 };
 
@@ -3151,32 +3075,40 @@ ck_replay(StepKernelObject *k, PyObject *waiter)
     return rc;
 }
 
+/* ``owner.<name>.add(value)`` for a stats.counters.Histogram kept in the
+ * owner's __dict__: its ``counts`` is a Counter, bumped in place */
+static PER_MISS int
+hist_add(PyObject *owner_dict, PyObject *name, long long value)
+{
+    PyObject *hist = PyDict_GetItemWithError(owner_dict, name);
+    PyObject *counts, *key;
+    int rc = -1;
+    if (hist == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetObject(PyExc_AttributeError, name);
+        return -1;
+    }
+    counts = PyObject_GetAttr(hist, s_counts);
+    key = PyLong_FromLongLong(value);
+    if (counts != NULL && key != NULL) {
+        if (PyDict_Check(counts))
+            rc = dict_add(counts, key, 1, 1);
+        else
+            PyErr_Format(PyExc_TypeError, "%U.counts: no dict", name);
+    }
+    Py_XDECREF(counts);
+    Py_XDECREF(key);
+    return rc;
+}
+
 /* miss_latency_total/count and latency_hist.add((latency // 8) * 8) */
 static PER_MISS int
 ck_record_latency(StepKernelObject *k, long long latency)
 {
-    PyObject *hist, *counts, *bucket;
-    int rc = -1;
     if (dict_add_ll(k->cache_dict, s_miss_latency_total, latency) < 0 ||
         dict_add_ll(k->cache_dict, s_miss_latency_count, 1) < 0)
         return -1;
-    hist = PyDict_GetItemWithError(k->cache_dict, s_latency_hist);
-    if (hist == NULL) {
-        if (!PyErr_Occurred())
-            PyErr_SetObject(PyExc_AttributeError, s_latency_hist);
-        return -1;
-    }
-    counts = PyObject_GetAttr(hist, s_counts); /* a Counter */
-    bucket = PyLong_FromLongLong((latency >> 3) << 3);
-    if (counts != NULL && bucket != NULL) {
-        if (PyDict_Check(counts))
-            rc = dict_add(counts, bucket, 1, 1);
-        else
-            PyErr_SetString(PyExc_TypeError, "latency_hist.counts: no dict");
-    }
-    Py_XDECREF(counts);
-    Py_XDECREF(bucket);
-    return rc;
+    return hist_add(k->cache_dict, s_latency_hist, (latency >> 3) << 3);
 }
 
 /* Fill: an RDATA (``state`` 1) or WDATA (2) reply. */
@@ -3331,20 +3263,932 @@ done:
 }
 
 /* ------------------------------------------------------------------ */
+/* DirKernel: the home node's common case, compiled.  One per node,    */
+/* installed on the reference MemoryController: ``kernel.receive`` is  */
+/* its ``receive`` (home and alignment checks, the occupancy           */
+/* reservation, the process event) and the kernel itself, called, is   */
+/* its ``process`` (row lookup, dir.packets, the meta check, the       */
+/* Table-2 cell, pool release) over the SoaDirectory columns.          */
+/* MemoryController stays the definition: a cell runs here only while  */
+/* ``_table[state][op]`` is the method this file mirrors (the base     */
+/* class's, and LimitedController's fifo ``_ro_rreq``), and a step     */
+/* that is off the common case is decided before anything              */
+/* changes (dk_decide) and handed, whole, to the Python method —       */
+/* counted by reason like the cache side's ck_* steps.                 */
+/* ------------------------------------------------------------------ */
+
+/* The cells mirrored below (MemoryController's, and the Dir_iNB read).
+ * The module exports their names as DIR_CELLS, in this order, and the
+ * install hands back a code per (state, opcode): position there, plus 1. */
+enum { DC_NONE, DC_RO_RREQ, DC_RO_WREQ, DC_RW_RREQ, DC_RW_WREQ, DC_RW_REPM,
+       DC_RW_STRAY, DC_STRAY, DC_TXN_BUSY, DC_WT_ACKC, DC_WT_UPDATE,
+       DC_WT_REPM, DC_RT_UPDATE, DC_RT_REPM, DC_RT_ACKC, DC_LIMITED_RO_RREQ,
+       N_DIR_CELLS };
+#define DIR_CELL_NAMES                                                       \
+    "_ro_rreq _ro_wreq _rw_rreq _rw_wreq _rw_repm _rw_stray _stray "         \
+    "_txn_busy _wt_ackc _wt_update _wt_repm _rt_update _rt_repm _rt_ackc "   \
+    "limited._ro_rreq"
+#define MAX_DIR_CELLS 64  /* states x opcodes a table may have */
+
+/* What the kernel holds, by spec key.  One array rather than a field
+ * each: init, traverse and clear are loops over it. */
+enum { DK_CTRL, DK_PROCESS, DK_RECEIVE, DK_DIRECTORY, DK_ROWS, DK_STATE,
+       DK_META, DK_LOCAL, DK_REQUESTER, DK_TXN, DK_PEAK, DK_SHARERS, DK_ACKS,
+       DK_TABLE, DK_CELLS, DK_SLOTS, DK_VALUES, DK_MEMORY, DK_BLOCKS,
+       DK_OCCUPANCY, DK_NIC, DK_NET, DK_POOL, DK_NODE, DK_STRAY_NAMES,
+       /* derived: the __dict__ of ctrl, occupancy, nic and net */
+       DK_CTRL_DICT, DK_OCC_DICT, DK_NIC_DICT, DK_NET_DICT, N_DK_REFS };
+static const char *const dk_ref_names[DK_CTRL_DICT] = {
+    "ctrl", "process", "receive", "directory", "rows", "state", "meta",
+    "local", "requester", "txn", "peak", "sharers", "acks", "table", "cells",
+    "slots", "values", "memory", "blocks", "occupancy", "nic", "net", "pool",
+    "node_id", "stray_names"};
+
+typedef struct {
+    PyObject_HEAD
+    vectorcallfunc vectorcall;  /* kernel(packet) is ``process`` */
+    CoreObject *core;
+    PyObject *r[N_DK_REFS];
+    unsigned char codes[MAX_DIR_CELLS]; /* DC_* by state * n_ops + op */
+    long long n_ops, packets_slot, node_id, seg_shift, n_nodes, low_mask;
+    int pool_native;
+    long long handbacks[N_HANDBACKS];
+} DirKernelObject;
+
+static PyObject *s_retained, *s_pointer_capacity, *s_software_pass;
+static PyObject *s_dir_occupancy, *s_free_at, *s_requests, *s_worker_sets;
+static PyObject *s_inv_rounds, *s_entry, *s_block;
+static PyObject *s_n_invalidations, *s_n_regrant, *s_n_busy_sent;
+static PyObject *s_n_stray_dropped, *s_n_write_done, *s_n_read_done;
+static PyObject *s_fifo_order, *s_n_read_overflow, *s_n_pointer_evictions;
+
+static PyObject *dir_kernel_vectorcall(PyObject *, PyObject *const *, size_t,
+                                       PyObject *);
+
+static int
+DirKernel_init(DirKernelObject *self, PyObject *args, PyObject *kwds)
+{
+    static const int dict_of[] = {DK_CTRL, DK_OCCUPANCY, DK_NIC, DK_NET};
+    PyObject *spec, *core, *codes;
+    PyObject **r = self->r;
+    Py_ssize_t i, n_cells;
+    if (!g_ready) {
+        PyErr_SetString(PyExc_RuntimeError, "_native.setup() not called");
+        return -1;
+    }
+    if (!PyArg_ParseTuple(args, "O!:DirKernel", &PyDict_Type, &spec))
+        return -1;
+    core = spec_get(spec, "core");
+    if (core == NULL || !PyObject_TypeCheck(core, &Core_Type)) {
+        if (core != NULL)
+            PyErr_SetString(PyExc_TypeError, "spec['core'] must be a Core");
+        return -1;
+    }
+    Py_INCREF(core);
+    Py_XSETREF(self->core, (CoreObject *)core);
+    for (i = 0; i < DK_CTRL_DICT; i++)
+        if (take_ref(spec, dk_ref_names[i], &r[i]) < 0)
+            return -1;
+    for (i = 0; i < 4; i++) {
+        Py_XSETREF(r[DK_CTRL_DICT + i],
+                   PyObject_GenericGetDict(r[dict_of[i]], NULL));
+        if (r[DK_CTRL_DICT + i] == NULL)
+            return -1;
+    }
+    if (spec_get_ll(spec, "n_ops", &self->n_ops) < 0 ||
+        spec_get_ll(spec, "packets_slot", &self->packets_slot) < 0 ||
+        spec_get_ll(spec, "node_id", &self->node_id) < 0 ||
+        spec_get_ll(spec, "seg_shift", &self->seg_shift) < 0 ||
+        spec_get_ll(spec, "n_nodes", &self->n_nodes) < 0 ||
+        spec_get_ll(spec, "low_mask", &self->low_mask) < 0 ||
+        (codes = spec_get(spec, "codes")) == NULL)
+        return -1;
+    n_cells = N_DIR_STATES * self->n_ops;
+    if (!PyDict_Check(r[DK_ROWS]) || !PyByteArray_Check(r[DK_STATE]) ||
+        !PyByteArray_Check(r[DK_META]) || !PyByteArray_Check(r[DK_LOCAL]) ||
+        !PyList_Check(r[DK_REQUESTER]) || !PyList_Check(r[DK_TXN]) ||
+        !PyList_Check(r[DK_PEAK]) || !PyList_Check(r[DK_SHARERS]) ||
+        !PyList_Check(r[DK_ACKS]) || !PyList_Check(r[DK_TABLE]) ||
+        !PyList_CheckExact(r[DK_SLOTS]) || !PyDict_Check(r[DK_VALUES]) ||
+        !PyDict_Check(r[DK_BLOCKS]) || !PyTuple_Check(r[DK_STRAY_NAMES]) ||
+        !PyTuple_Check(r[DK_CELLS]) || !PyTuple_Check(codes) ||
+        self->n_ops < 1 || n_cells > MAX_DIR_CELLS ||
+        PyTuple_GET_SIZE(r[DK_CELLS]) != n_cells ||
+        PyTuple_GET_SIZE(codes) != n_cells ||
+        PyTuple_GET_SIZE(r[DK_STRAY_NAMES]) != self->n_ops ||
+        self->packets_slot < 0 ||
+        self->packets_slot >= PyList_GET_SIZE(r[DK_SLOTS]) ||
+        self->n_nodes < 1 || self->n_nodes > 64 || self->node_id < 0 ||
+        self->node_id >= self->n_nodes) {
+        PyErr_SetString(PyExc_TypeError, "bad DirKernel spec shapes");
+        return -1;
+    }
+    for (i = 0; i < n_cells; i++) {
+        long code = PyLong_AsLong(PyTuple_GET_ITEM(codes, i));
+        if (code < 0 || code >= N_DIR_CELLS) {
+            if (!PyErr_Occurred())
+                PyErr_SetString(PyExc_ValueError, "unknown directory cell");
+            return -1;
+        }
+        self->codes[i] = (unsigned char)code;
+    }
+    self->pool_native = PyObject_TypeCheck(r[DK_POOL], &Pool_Type);
+    self->vectorcall = dir_kernel_vectorcall;
+    return 0;
+}
+
+static int
+DirKernel_traverse(DirKernelObject *self, visitproc visit, void *arg)
+{
+    int i;
+    Py_VISIT(self->core);
+    for (i = 0; i < N_DK_REFS; i++)
+        Py_VISIT(self->r[i]);
+    return 0;
+}
+
+static int
+DirKernel_clear(DirKernelObject *self)
+{
+    int i;
+    Py_CLEAR(self->core);
+    for (i = 0; i < N_DK_REFS; i++)
+        Py_CLEAR(self->r[i]);
+    return 0;
+}
+
+static void
+DirKernel_dealloc(DirKernelObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    DirKernel_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+/* One packet's step through ``process``: the packet's fields, the
+ * entry's row as read (then as the cell leaves it), the cell. */
+typedef struct {
+    PyObject *address, *opcode, *data, *src_obj; /* the packet's, borrowed */
+    long op;
+    long long src;
+    Py_ssize_t row;             /* -1: first touch, no row yet */
+    int cell, acked;            /* DC_*; the awaited answer came */
+    int victim;                 /* Dir_iNB: the pointer to evict, or -1 */
+    int state, local;
+    unsigned long long sharers, acks;
+    long long requester, txn, peak;
+} DirStep;
+
+#define BIT(node) (1ULL << (node))
+
+/* ``packet.data`` is something write_block can land without raising */
+static inline int
+dk_data_ok(PyObject *data)
+{
+    PyObject *words;
+    if (data == NULL || (PyObject *)Py_TYPE(data) != g_block_data_type)
+        return 0;
+    words = SLOT_GET(data, g_block_words);
+    return words != NULL && PyList_Check(words);
+}
+
+/* The packet's fields and the occupancy-free half of the gate, shared by
+ * receive and process: -1 to go on, else the hand-back reason. */
+static int
+dk_packet(DirKernelObject *k, PyObject *packet, DirStep *s, long long *addr)
+{
+    int flag;
+    if (!k->pool_native)
+        return HB_POOL;
+    if ((flag = ck_flag(k->r[DK_CTRL_DICT], s_fault_tolerant)) != 0)
+        return flag < 0 ? HB_MALFORMED : HB_FAULT_TOLERANT;
+    if ((PyObject *)Py_TYPE(packet) != g_packet_type)
+        return HB_MALFORMED;
+    s->address = SLOT_GET(packet, g_pkt.address);
+    s->opcode = SLOT_GET(packet, g_pkt.opcode);
+    s->data = SLOT_GET(packet, g_pkt.data);
+    s->src_obj = SLOT_GET(packet, g_pkt.src);
+    if (s->address == NULL || !PyLong_CheckExact(s->address) ||
+        s->opcode == NULL || Py_TYPE(s->opcode) != (PyTypeObject *)g_op_type
+        || s->src_obj == NULL || !PyLong_CheckExact(s->src_obj))
+        return HB_MALFORMED;
+    *addr = PyLong_AsLongLong(s->address);
+    s->src = PyLong_AsLongLong(s->src_obj);
+    s->op = PyLong_AsLong(s->opcode);
+    if (PyErr_Occurred()) {
+        PyErr_Clear();
+        return HB_MALFORMED;
+    }
+    if (*addr < 0 || s->src < 0 || s->src >= k->n_nodes || s->op < 0 ||
+        s->op >= k->n_ops)
+        return HB_MALFORMED;
+    return -1;
+}
+
+/* LimitedController._fifo_order[block], checked: 0, or -1 when it is not
+ * a list of node ids.  ``victim`` (optional) becomes the first of them
+ * that holds a pointer other than the requester's, when there is one. */
+static PER_MISS int
+dk_fifo_order(DirKernelObject *k, const DirStep *s, int *victim)
+{
+    PyObject *orders = dict_peek(k->r[DK_CTRL_DICT], s_fifo_order), *order;
+    Py_ssize_t i;
+    if (orders == NULL || !PyDict_Check(orders))
+        return -1;
+    order = dict_peek(orders, s->address);
+    if (order == NULL)
+        return 0;
+    if (!PyList_CheckExact(order))
+        return -1;
+    for (i = 0; i < PyList_GET_SIZE(order); i++) {
+        PyObject *item = PyList_GET_ITEM(order, i);
+        long long node = PyLong_CheckExact(item) ? PyLong_AsLongLong(item) : -1;
+        if (node < 0 || node >= k->n_nodes) {
+            PyErr_Clear();
+            return -1;
+        }
+        if (victim != NULL && (s->sharers & ~BIT(s->src) & BIT(node))) {
+            *victim = (int)node;
+            victim = NULL;
+        }
+    }
+    return 0;
+}
+
+/* Everything ``process`` would branch or raise on, read without changing
+ * anything: -1 when the compiled step applies (``s`` filled in), -2 on
+ * an exception, else the reason it does not. */
+static PER_MISS int
+dk_decide(DirKernelObject *k, PyObject *packet, DirStep *s)
+{
+    PyObject **r = k->r;
+    PyObject *row_obj, *meta_obj, *trow;
+    unsigned long long home_bit = BIT(k->node_id), src_bit, holders;
+    long long addr;
+    Py_ssize_t idx;
+    int meta = 0, reason = dk_packet(k, packet, s, &addr);
+    if (reason >= 0)
+        return reason;
+    meta_obj = SLOT_GET(packet, g_pkt.meta);
+    if (meta_obj == NULL || !PyDict_CheckExact(meta_obj) ||
+        (addr >> k->seg_shift) != k->node_id || (addr & k->low_mask))
+        return HB_MALFORMED;
+    row_obj = PyDict_GetItemWithError(r[DK_ROWS], s->address);
+    if (row_obj == NULL) {
+        if (PyErr_Occurred())
+            return -2;
+        /* first touch: the row SoaDirectory.entry() will append */
+        s->row = -1;
+        s->state = (int)g_dir_states[D_READ_ONLY];
+        s->local = 0;
+        s->sharers = s->acks = 0;
+        s->requester = -1;
+        s->txn = s->peak = 0;
+    }
+    else {
+        Py_ssize_t row = PyLong_AsSsize_t(row_obj);
+        if (row < 0 || row >= PyByteArray_GET_SIZE(r[DK_STATE]) ||
+            row >= PyByteArray_GET_SIZE(r[DK_META]) ||
+            row >= PyByteArray_GET_SIZE(r[DK_LOCAL]) ||
+            row >= PyList_GET_SIZE(r[DK_REQUESTER]) ||
+            row >= PyList_GET_SIZE(r[DK_TXN]) ||
+            row >= PyList_GET_SIZE(r[DK_PEAK]) ||
+            row >= PyList_GET_SIZE(r[DK_SHARERS]) ||
+            row >= PyList_GET_SIZE(r[DK_ACKS])) {
+            PyErr_Clear();
+            return HB_MALFORMED;
+        }
+        s->row = row;
+        s->state = (unsigned char)PyByteArray_AS_STRING(r[DK_STATE])[row];
+        meta = (unsigned char)PyByteArray_AS_STRING(r[DK_META])[row];
+        s->local = PyByteArray_AS_STRING(r[DK_LOCAL])[row] != 0;
+        s->sharers = PyLong_AsUnsignedLongLong(
+            PyList_GET_ITEM(r[DK_SHARERS], row));
+        s->acks = PyLong_AsUnsignedLongLong(PyList_GET_ITEM(r[DK_ACKS], row));
+        s->requester = PyLong_AsLongLong(PyList_GET_ITEM(r[DK_REQUESTER], row));
+        s->txn = PyLong_AsLongLong(PyList_GET_ITEM(r[DK_TXN], row));
+        s->peak = PyLong_AsLongLong(PyList_GET_ITEM(r[DK_PEAK], row));
+        if (PyErr_Occurred()) { /* a mask with a node past 63, a non-int */
+            PyErr_Clear();
+            return HB_MALFORMED;
+        }
+        if (s->requester >= k->n_nodes)
+            return HB_MALFORMED;
+    }
+    /* _meta_intercept: NORMAL, and TRAP_ON_WRITE for anything outside
+     * the write class, go on to the table; the rest is software's */
+    if (meta && !(meta == g_trap_on_write && !(g_write_class >> s->op & 1)))
+        return HB_DIR_META;
+    /* dispatch: the cell must still be the one mirrored at install */
+    if (s->state >= N_DIR_STATES || s->state >= PyList_GET_SIZE(r[DK_TABLE]))
+        return HB_MALFORMED;
+    trow = PyList_GET_ITEM(r[DK_TABLE], s->state);
+    if (!PyList_Check(trow) || s->op >= PyList_GET_SIZE(trow))
+        return HB_MALFORMED;
+    idx = s->state * (Py_ssize_t)k->n_ops + s->op;
+    s->cell = k->codes[idx];
+    if (s->cell == DC_NONE ||
+        PyList_GET_ITEM(trow, s->op) != PyTuple_GET_ITEM(r[DK_CELLS], idx))
+        return HB_DIR_OVERRIDE;
+    src_bit = BIT(s->src);
+    holders = s->sharers | (s->local ? home_bit : 0);
+    s->acked = 0;
+    s->victim = -1;
+    switch (s->cell) {
+    case DC_RO_RREQ:
+    case DC_LIMITED_RO_RREQ: {
+        /* holds(src) or _pointer_available(entry, src) */
+        PyObject *cap;
+        long long limit;
+        int pass;
+        if (s->cell == DC_LIMITED_RO_RREQ && dk_fifo_order(k, s, NULL) < 0)
+            return HB_MALFORMED;
+        if (s->src == k->node_id || (s->sharers & src_bit))
+            break;
+        cap = dict_peek(r[DK_CTRL_DICT], s_pointer_capacity);
+        pass = ck_flag(r[DK_CTRL_DICT], s_software_pass);
+        if (cap == NULL || pass < 0)
+            return HB_MALFORMED;
+        if (cap == Py_None || pass)
+            break;
+        if (!PyLong_CheckExact(cap))
+            return HB_MALFORMED;
+        limit = PyLong_AsLongLong(cap);
+        if (limit == -1 && PyErr_Occurred()) {
+            PyErr_Clear();
+            return HB_MALFORMED;
+        }
+        if (__builtin_popcountll(s->sharers & ~home_bit) < limit)
+            break;
+        if (s->cell == DC_RO_RREQ)
+            return HB_DIR_OVERFLOW; /* _read_overflow: the variant's policy */
+        /* Dir_iNB's: _choose_victim, fifo — the oldest recorded reader
+         * still holding a pointer, else the lowest-numbered one */
+        if (!(s->sharers & ~src_bit))
+            return HB_DIR_ERROR; /* overflow with no evictable pointer */
+        s->victim = __builtin_ctzll(s->sharers & ~src_bit);
+        dk_fifo_order(k, s, &s->victim);
+        break;
+    }
+    case DC_RW_RREQ:
+    case DC_RW_WREQ:
+    case DC_RW_REPM:
+    case DC_RW_STRAY:
+        if (__builtin_popcountll(holders) != 1)
+            return HB_DIR_ERROR; /* _rw_owner raises */
+        if (s->cell == DC_RW_REPM && holders == src_bit &&
+            !dk_data_ok(s->data))
+            return HB_MALFORMED;
+        break;
+    case DC_WT_ACKC:
+    case DC_WT_UPDATE:
+    case DC_WT_REPM:
+    case DC_RT_UPDATE:
+    case DC_RT_REPM:
+    case DC_RT_ACKC: {
+        /* entry.ack_from(src, txn): a REPM matches any round, an UPDATE
+         * the round it echoes (or any, echoing none), an ACKC only the
+         * round it echoes */
+        int is_ackc = s->cell == DC_WT_ACKC || s->cell == DC_RT_ACKC;
+        int is_repm = s->cell == DC_WT_REPM || s->cell == DC_RT_REPM;
+        PyObject *txn = Py_None;
+        if (!(s->acks & src_bit))
+            break;
+        if (!is_repm) {
+            txn = PyDict_GetItemWithError(meta_obj, s_txn);
+            if (txn == NULL) {
+                if (PyErr_Occurred())
+                    return -2;
+                txn = Py_None;
+            }
+        }
+        if (txn == Py_None)
+            s->acked = !is_ackc;
+        else {
+            long long echoed;
+            if (!PyLong_CheckExact(txn))
+                return HB_MALFORMED;
+            echoed = PyLong_AsLongLong(txn);
+            if (echoed == -1 && PyErr_Occurred())
+                PyErr_Clear(); /* no round has an id that large */
+            else
+                s->acked = echoed == s->txn;
+        }
+        if (!s->acked)
+            break;
+        if (s->cell == DC_RT_ACKC)
+            return HB_DIR_ERROR; /* dataless ACKC from the awaited owner */
+        if (!is_ackc && !dk_data_ok(s->data))
+            return HB_MALFORMED;
+        if (s->requester < 0 && (s->state == g_dir_states[D_READ_TRANSACTION]
+                                 || !(s->acks & ~src_bit)))
+            return HB_DIR_ERROR; /* the transaction lost its requester */
+        break;
+    }
+    default:
+        break;
+    }
+    return -1;
+}
+
+/* counters.bump(name, amount) */
+static inline int
+dk_bump(DirKernelObject *k, PyObject *name, long long amount)
+{
+    return dict_add(k->r[DK_VALUES], name, amount, 1);
+}
+
+/* memory.block(address): the live BlockData, a new reference.  First
+ * touch (and the home check that goes with it) is MainMemory's. */
+static PER_MISS PyObject *
+dk_block(DirKernelObject *k, PyObject *address)
+{
+    PyObject *stored = PyDict_GetItemWithError(k->r[DK_BLOCKS], address);
+    if (stored != NULL) {
+        Py_INCREF(stored);
+        return stored;
+    }
+    if (PyErr_Occurred())
+        return NULL;
+    return PyObject_CallMethodOneArg(k->r[DK_MEMORY], s_block, address);
+}
+
+/* a fresh list of ``holder.words`` */
+static PyObject *
+dk_words_of(PyObject *holder)
+{
+    PyObject *words, *copy;
+    if ((PyObject *)Py_TYPE(holder) == g_block_data_type &&
+        SLOT_GET(holder, g_block_words) != NULL)
+        return PySequence_List(SLOT_GET(holder, g_block_words));
+    words = PyObject_GetAttr(holder, s_words);
+    if (words == NULL)
+        return NULL;
+    copy = PySequence_List(words);
+    Py_DECREF(words);
+    return copy;
+}
+
+/* memory.read_block(address): a BlockData snapshot, a new reference */
+static PER_MISS PyObject *
+dk_read_block(DirKernelObject *k, PyObject *address)
+{
+    PyObject *stored = dk_block(k, address), *words, *copy = NULL;
+    if (stored == NULL)
+        return NULL;
+    words = dk_words_of(stored);
+    Py_DECREF(stored);
+    if (words == NULL)
+        return NULL;
+    copy = new_record(g_block_data_type);
+    if (copy != NULL)
+        slot_init(copy, g_block_words, words);
+    Py_DECREF(words);
+    return copy;
+}
+
+/* memory.write_block(address, data): ``data`` passed dk_data_ok */
+static PER_MISS int
+dk_write_block(DirKernelObject *k, PyObject *address, PyObject *data)
+{
+    PyObject *stored = dk_block(k, address), *words;
+    int rc;
+    if (stored == NULL)
+        return -1;
+    words = dk_words_of(data);
+    if (words == NULL) {
+        Py_DECREF(stored);
+        return -1;
+    }
+    if ((PyObject *)Py_TYPE(stored) == g_block_data_type) {
+        slot_set(stored, g_block_words, words);
+        rc = 0;
+    }
+    else {
+        rc = PyObject_SetAttr(stored, s_words, words);
+        Py_DECREF(words);
+    }
+    Py_DECREF(stored);
+    return rc;
+}
+
+/* nic.send(pool.protocol(node_id, dst, op, address, data=data, **meta)).
+ * The send primitive, not the cell, depends on the fabric: the compiled
+ * NetSend directly when that is what nic.send would reach, else the
+ * Python nic.send (a staged or capture fabric, CRC stamping, a send
+ * somebody rebound on the instance). */
+static PER_MISS int
+dk_send(DirKernelObject *k, long long dst, int op, PyObject *address,
+        PyObject *data, PyObject *meta)
+{
+    PyObject *dst_obj = PyLong_FromLongLong(dst);
+    PyObject *packet, *send, *result = NULL;
+    if (dst_obj == NULL)
+        return -1;
+    packet = pool_protocol_impl((PoolObject *)k->r[DK_POOL], k->r[DK_NODE],
+                                dst_obj, g_miss_ops[op], address, data, meta);
+    Py_DECREF(dst_obj);
+    if (packet == NULL)
+        return -1;
+    send = dict_peek(k->r[DK_NET_DICT], s_send);
+    if (send != NULL && Py_TYPE(send) == &NetSend_Type &&
+        ck_flag(k->r[DK_NIC_DICT], s_crc_enabled) == 0 &&
+        dict_peek(k->r[DK_NIC_DICT], s_send) == NULL) {
+        if (dict_add_ll(k->r[DK_NIC_DICT], s_packets_sent, 1) == 0)
+            result = net_send_vectorcall(send, &packet, 1, NULL);
+    }
+    else
+        result = PyObject_CallMethodOneArg(k->r[DK_NIC], s_send, packet);
+    Py_DECREF(packet);
+    if (result == NULL)
+        return -1;
+    Py_DECREF(result);
+    return 0;
+}
+
+/* _send_rdata / _send_wdata */
+static PER_MISS int
+dk_send_data(DirKernelObject *k, long long dst, int op, PyObject *address)
+{
+    PyObject *data = dk_read_block(k, address);
+    int rc;
+    if (data == NULL)
+        return -1;
+    rc = dk_send(k, dst, op, address, data, NULL);
+    Py_DECREF(data);
+    return rc;
+}
+
+/* _send_inv to every node of ``targets``, in node order, echoing ``txn``
+ * (an eviction INV, ``txn`` 0, carries None) */
+static PER_MISS int
+dk_send_invs(DirKernelObject *k, unsigned long long targets, long long txn,
+             PyObject *address)
+{
+    PyObject *meta = PyDict_New();
+    PyObject *txn_obj = txn ? PyLong_FromLongLong(txn) : Py_NewRef(Py_None);
+    int rc = meta != NULL && txn_obj != NULL
+                 ? PyDict_SetItem(meta, s_txn, txn_obj) : -1;
+    while (rc == 0 && targets) {
+        rc = dk_send(k, __builtin_ctzll(targets), O_INV, address, NULL, meta);
+        targets &= targets - 1;
+    }
+    Py_XDECREF(meta);
+    Py_XDECREF(txn_obj);
+    return rc;
+}
+
+/* _stray */
+static PER_MISS int
+dk_stray(DirKernelObject *k, long op)
+{
+    if (dk_bump(k, s_n_stray_dropped, 1) < 0)
+        return -1;
+    return dk_bump(k, PyTuple_GET_ITEM(k->r[DK_STRAY_NAMES], op), 1);
+}
+
+/* entry.add_sharer(node) */
+static void
+dk_add_sharer(DirKernelObject *k, DirStep *s, long long node)
+{
+    int count;
+    if (node == k->node_id)
+        s->local = 1;
+    else
+        s->sharers |= BIT(node);
+    count = __builtin_popcountll(s->sharers |
+                                 (s->local ? BIT(k->node_id) : 0));
+    if (count > s->peak)
+        s->peak = count;
+}
+
+/* entry.begin_transaction(requester, targets) then clear_sharers() */
+static void
+dk_begin(DirStep *s, unsigned long long targets, int state)
+{
+    s->txn += 1;
+    s->requester = s->src;
+    s->acks = targets;
+    s->sharers = 0;
+    s->local = 0;
+    s->state = (int)g_dir_states[state];
+}
+
+/* ``if node in order: order.remove(node)`` on a checked fifo order */
+static int
+dk_order_remove(PyObject *order, long long node)
+{
+    Py_ssize_t i;
+    for (i = 0; i < PyList_GET_SIZE(order); i++)
+        if (PyLong_AsLongLong(PyList_GET_ITEM(order, i)) == node)
+            return PySequence_DelItem(order, i);
+    return 0;
+}
+
+static int
+dk_store(PyObject *column, Py_ssize_t row, PyObject *value)
+{
+    if (value == NULL)
+        return -1;
+    return PyList_SetItem(column, row, value); /* steals */
+}
+
+/* Write the fields the cell changed back to the entry's row. */
+static PER_MISS int
+dk_commit(DirKernelObject *k, const DirStep *was, const DirStep *s)
+{
+    PyObject **r = k->r;
+    Py_ssize_t row = s->row;
+    PyByteArray_AS_STRING(r[DK_STATE])[row] = (char)s->state;
+    PyByteArray_AS_STRING(r[DK_LOCAL])[row] = (char)s->local;
+    if ((s->sharers != was->sharers &&
+         dk_store(r[DK_SHARERS], row,
+                  PyLong_FromUnsignedLongLong(s->sharers)) < 0) ||
+        (s->acks != was->acks &&
+         dk_store(r[DK_ACKS], row,
+                  PyLong_FromUnsignedLongLong(s->acks)) < 0) ||
+        (s->requester != was->requester &&
+         dk_store(r[DK_REQUESTER], row,
+                  PyLong_FromLongLong(s->requester)) < 0) ||
+        (s->txn != was->txn &&
+         dk_store(r[DK_TXN], row, PyLong_FromLongLong(s->txn)) < 0) ||
+        (s->peak != was->peak &&
+         dk_store(r[DK_PEAK], row, PyLong_FromLongLong(s->peak)) < 0))
+        return -1;
+    return 0;
+}
+
+/* The cell dk_decide chose, statement for statement as MemoryController
+ * has it: entry writes, then counters and sends in its order. */
+static PER_MISS int
+dk_cell(DirKernelObject *k, DirStep *s)
+{
+    const DirStep was = *s;
+    const unsigned long long src_bit = BIT(s->src);
+    const unsigned long long holders =
+        s->sharers | (s->local ? BIT(k->node_id) : 0);
+    PyObject *address = s->address;
+    switch (s->cell) {
+    case DC_RO_RREQ: /* transition 1 */
+        dk_add_sharer(k, s, s->src);
+        if (dk_commit(k, &was, s) < 0)
+            return -1;
+        return dk_send_data(k, s->src, O_RDATA, address);
+    case DC_LIMITED_RO_RREQ: {
+        /* LimitedController._ro_rreq: the base cell, with the reader
+         * moved to the young end of the block's fifo order; on overflow
+         * its _read_overflow evicts s->victim (an INV outside any round)
+         * and serves the read from the pointer that frees */
+        PyObject *orders = dict_peek(k->r[DK_CTRL_DICT], s_fifo_order);
+        PyObject *order = dict_peek(orders, address);
+        int evict = s->victim >= 0, recorded;
+        if (order == NULL) { /* setdefault(entry.block, []) */
+            order = PyList_New(0);
+            if (order == NULL || PyDict_SetItem(orders, address, order) < 0) {
+                Py_XDECREF(order);
+                return -1;
+            }
+            Py_DECREF(order);
+        }
+        if (dk_order_remove(order, s->src) < 0)
+            return -1;
+        if (evict) {
+            if (dk_bump(k, s_n_read_overflow, 1) < 0 ||
+                dk_bump(k, s_n_pointer_evictions, 1) < 0 ||
+                dk_send_invs(k, BIT(s->victim), 0, address) < 0 ||
+                dk_order_remove(order, s->victim) < 0)
+                return -1;
+            if (s->victim == k->node_id)
+                s->local = 0;
+            else
+                s->sharers &= ~BIT(s->victim);
+        }
+        dk_add_sharer(k, s, s->src);
+        if (dk_commit(k, &was, s) < 0 ||
+            (!evict && dk_send_data(k, s->src, O_RDATA, address) < 0))
+            return -1;
+        recorded = s->src == k->node_id ? 1
+                                        : PySequence_Contains(order, s->src_obj);
+        if (recorded < 0 ||
+            (!recorded && PyList_Append(order, s->src_obj) < 0))
+            return -1;
+        return evict ? dk_send_data(k, s->src, O_RDATA, address) : 0;
+    }
+    case DC_RO_WREQ: {
+        unsigned long long others = holders & ~src_bit;
+        if (!others) { /* transition 2 */
+            s->sharers = 0;
+            s->local = 0;
+            dk_add_sharer(k, s, s->src);
+            s->state = (int)g_dir_states[D_READ_WRITE];
+            if (dk_commit(k, &was, s) < 0)
+                return -1;
+            return dk_send_data(k, s->src, O_WDATA, address);
+        }
+        /* transition 3: _begin_write_transaction */
+        dk_begin(s, others, D_WRITE_TRANSACTION);
+        if (dk_commit(k, &was, s) < 0 ||
+            hist_add(k->r[DK_CTRL_DICT], s_worker_sets,
+                     __builtin_popcountll(others) + 1) < 0 ||
+            dk_send_invs(k, others, s->txn, address) < 0)
+            return -1;
+        return dk_bump(k, s_n_invalidations, __builtin_popcountll(others));
+    }
+    case DC_RW_RREQ: /* transition 5 */
+        dk_begin(s, holders, D_READ_TRANSACTION);
+        if (dk_commit(k, &was, s) < 0)
+            return -1;
+        return dk_send_invs(k, holders, s->txn, address);
+    case DC_RW_WREQ:
+        if (holders == src_bit) { /* the owner asks again: re-grant */
+            if (dk_send_data(k, s->src, O_WDATA, address) < 0)
+                return -1;
+            return dk_bump(k, s_n_regrant, 1);
+        }
+        dk_begin(s, holders, D_WRITE_TRANSACTION); /* transition 4 */
+        if (dk_commit(k, &was, s) < 0)
+            return -1;
+        return dk_send_invs(k, holders, s->txn, address);
+    case DC_RW_REPM:
+        if (holders != src_bit)
+            return dk_stray(k, s->op);
+        if (dk_write_block(k, address, s->data) < 0) /* transition 6 */
+            return -1;
+        s->sharers = 0;
+        s->local = 0;
+        s->state = (int)g_dir_states[D_READ_ONLY];
+        return dk_commit(k, &was, s);
+    case DC_RW_STRAY:
+    case DC_STRAY:
+        return dk_stray(k, s->op);
+    case DC_TXN_BUSY: /* transitions 7/9 */
+        if (dk_bump(k, s_n_busy_sent, 1) < 0)
+            return -1;
+        return dk_send(k, s->src, O_BUSY, address, NULL, NULL);
+    default: { /* the ack-collecting cells of the two transactions */
+        int reading = s->state == g_dir_states[D_READ_TRANSACTION];
+        long long requester = s->requester;
+        PyObject *rounds;
+        if (!s->acked)
+            return dk_stray(k, s->op);
+        s->acks &= ~src_bit;
+        if (s->cell != DC_WT_ACKC &&
+            dk_write_block(k, address, s->data) < 0)
+            return -1;
+        if (!reading && s->acks) /* _maybe_complete_write: not yet */
+            return dk_commit(k, &was, s);
+        /* _complete_read (transition 10) / the last ack (transition 8) */
+        s->sharers = 0;
+        s->local = 0;
+        dk_add_sharer(k, s, requester);
+        s->state = (int)g_dir_states[reading ? D_READ_ONLY : D_READ_WRITE];
+        s->requester = -1;
+        if (dk_commit(k, &was, s) < 0)
+            return -1;
+        rounds = dict_peek(k->r[DK_CTRL_DICT], s_inv_rounds);
+        if (rounds != NULL && PyDict_Check(rounds) && PyDict_GET_SIZE(rounds)
+            && PyDict_DelItem(rounds, address) < 0)
+            PyErr_Clear(); /* pop(block, None) */
+        if (dk_send_data(k, requester, reading ? O_RDATA : O_WDATA,
+                         address) < 0)
+            return -1;
+        return dk_bump(k, reading ? s_n_read_done : s_n_write_done, 1);
+    }
+    }
+}
+
+static PyObject *
+dir_kernel_vectorcall(PyObject *kself, PyObject *const *args, size_t nargsf,
+                      PyObject *kwnames)
+{
+    DirKernelObject *k = (DirKernelObject *)kself;
+    PyObject *packet;
+    DirStep s;
+    int reason;
+    if (PyVectorcall_NARGS(nargsf) != 1 ||
+        (kwnames && PyTuple_GET_SIZE(kwnames))) {
+        PyErr_SetString(PyExc_TypeError, "process takes exactly (packet)");
+        return NULL;
+    }
+    packet = args[0];
+    reason = dk_decide(k, packet, &s);
+    if (reason == -2)
+        return NULL;
+    if (reason >= 0) {
+        k->handbacks[reason] += 1;
+        return PyObject_CallOneArg(k->r[DK_PROCESS], packet);
+    }
+    if (s.row < 0) {
+        /* first touch: SoaDirectory.entry() appends the row read above */
+        PyObject *view = PyObject_CallMethodOneArg(k->r[DK_DIRECTORY],
+                                                   s_entry, s.address);
+        PyObject *row_obj;
+        if (view == NULL)
+            return NULL;
+        Py_DECREF(view);
+        row_obj = PyDict_GetItemWithError(k->r[DK_ROWS], s.address);
+        s.row = row_obj != NULL ? PyLong_AsSsize_t(row_obj) : -1;
+        if (s.row < 0 || s.row >= PyList_GET_SIZE(k->r[DK_ACKS]) ||
+            s.row >= PyByteArray_GET_SIZE(k->r[DK_STATE])) {
+            if (!PyErr_Occurred())
+                PyErr_SetString(PyExc_RuntimeError,
+                                "directory.entry() allocated no row");
+            return NULL;
+        }
+    }
+    if (list_add_ll(k->r[DK_SLOTS], (Py_ssize_t)k->packets_slot, 1) < 0 ||
+        PyDict_SetItem(k->r[DK_CTRL_DICT], s_retained, Py_False) < 0 ||
+        dk_cell(k, &s) < 0 ||
+        /* no compiled cell retains its packet */
+        pool_release_impl((PoolObject *)k->r[DK_POOL], packet) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* MemoryController.receive */
+static PyObject *
+DirKernel_receive(DirKernelObject *k, PyObject *packet)
+{
+    PyObject *occ = k->r[DK_OCC_DICT];
+    PyObject *cycles_obj, *free_obj, *busy_obj, *req_obj, *done_obj;
+    long long addr, cycles = 0, free_at = 0, start;
+    DirStep s;
+    int reason = dk_packet(k, packet, &s, &addr);
+    if (reason < 0 &&
+        ((addr >> k->seg_shift) != k->node_id || (addr & k->low_mask)))
+        reason = HB_DIR_ERROR; /* not homed here, not block aligned */
+    if (reason < 0) {
+        cycles_obj = dict_peek(k->r[DK_CTRL_DICT], s_dir_occupancy);
+        free_obj = dict_peek(occ, s_free_at);
+        busy_obj = dict_peek(occ, s_busy_cycles);
+        req_obj = dict_peek(occ, s_requests);
+        if (cycles_obj == NULL || !PyLong_CheckExact(cycles_obj) ||
+            free_obj == NULL || !PyLong_CheckExact(free_obj) ||
+            busy_obj == NULL || !PyLong_CheckExact(busy_obj) ||
+            req_obj == NULL || !PyLong_CheckExact(req_obj))
+            reason = HB_MALFORMED;
+        else {
+            cycles = PyLong_AsLongLong(cycles_obj);
+            free_at = PyLong_AsLongLong(free_obj);
+            if (PyErr_Occurred()) {
+                PyErr_Clear();
+                reason = HB_MALFORMED;
+            }
+        }
+    }
+    if (reason >= 0) {
+        k->handbacks[reason] += 1;
+        return PyObject_CallOneArg(k->r[DK_RECEIVE], packet);
+    }
+    /* occupancy.acquire(dir_occupancy) */
+    start = k->core->now > free_at ? k->core->now : free_at;
+    done_obj = PyLong_FromLongLong(start + cycles);
+    if (done_obj == NULL)
+        return NULL;
+    if (PyDict_SetItem(occ, s_free_at, done_obj) < 0 ||
+        dict_add_ll(occ, s_busy_cycles, cycles) < 0 ||
+        dict_add_ll(occ, s_requests, 1) < 0 ||
+        /* sim.post(done_at, self.process, packet) */
+        core_post_impl(k->core, start + cycles, done_obj, (PyObject *)k,
+                       packet) < 0) {
+        Py_DECREF(done_obj);
+        return NULL;
+    }
+    Py_DECREF(done_obj);
+    Py_RETURN_NONE;
+}
+
+static PyMethodDef DirKernel_methods[] = {
+    {"receive", (PyCFunction)DirKernel_receive, METH_O, NULL},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyGetSetDef DirKernel_getsets[] = {
+    {"handbacks", handbacks_get, NULL, NULL,
+     (void *)offsetof(DirKernelObject, handbacks)},
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+static PyTypeObject DirKernel_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0).tp_name = "repro._native.DirKernel",
+    .tp_basicsize = sizeof(DirKernelObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC |
+                Py_TPFLAGS_HAVE_VECTORCALL,
+    .tp_new = PyType_GenericNew,
+    .tp_init = (initproc)DirKernel_init,
+    .tp_dealloc = (destructor)DirKernel_dealloc,
+    .tp_traverse = (traverseproc)DirKernel_traverse,
+    .tp_clear = (inquiry)DirKernel_clear,
+    .tp_methods = DirKernel_methods,
+    .tp_getset = DirKernel_getsets,
+    .tp_vectorcall_offset = offsetof(DirKernelObject, vectorcall),
+    .tp_call = PyVectorcall_Call,
+};
+
+/* ------------------------------------------------------------------ */
 /* Module setup: the Python side injects every class/constant the     */
 /* kernels need; the extension never imports repro modules itself.    */
 /* ------------------------------------------------------------------ */
-
-static SETUP_ONLY int
-take_ref(PyObject *spec, const char *key, PyObject **slot)
-{
-    PyObject *v = spec_get(spec, key);
-    if (v == NULL)
-        return -1;
-    Py_INCREF(v);
-    Py_XSETREF(*slot, v);
-    return 0;
-}
 
 static PyObject *
 mod_setup(PyObject *mod, PyObject *spec)
@@ -3374,7 +4218,8 @@ mod_setup(PyObject *mod, PyObject *spec)
         take_ref(spec, "Op", &g_op_type) < 0 ||
         take_ref(spec, "OP_NAMES", &g_op_names) < 0 ||
         take_ref(spec, "OP_BY_NAME", &g_op_by_name) < 0 ||
-        take_ref(spec, "protocol_packet", &g_protocol_packet) < 0)
+        take_ref(spec, "protocol_packet", &g_protocol_packet) < 0 ||
+        take_ref(spec, "Packet", &g_packet_type) < 0)
         return NULL;
     if (!PyTuple_Check(g_op_names)) {
         PyErr_SetString(PyExc_TypeError, "OP_NAMES must be a tuple");
@@ -3477,7 +4322,8 @@ mod_setup(PyObject *mod, PyObject *spec)
         return NULL;
     {
         static const char *const names[N_MISS_OPS] = {
-            "RREQ", "WREQ", "UPDATE", "ACKC", "RDATA", "WDATA", "INV"};
+            "RREQ", "WREQ", "UPDATE", "ACKC", "RDATA", "WDATA", "INV", "REPM",
+            "BUSY"};
         int i;
         for (i = 0; i < N_MISS_OPS; i++) {
             PyObject *op = PyDict_GetItemString(g_op_by_name, names[i]);
@@ -3496,6 +4342,32 @@ mod_setup(PyObject *mod, PyObject *spec)
                             "Op.RDATA, WDATA, INV must be consecutive");
             return NULL;
         }
+    }
+    {
+        /* coherence.states and the controller's write class, as ints */
+        PyObject *states = spec_get(spec, "DIR_STATES");
+        PyObject *mode = spec_get(spec, "TRAP_ON_WRITE");
+        PyObject *wc = spec_get(spec, "WRITE_CLASS");
+        Py_ssize_t i;
+        if (states == NULL || mode == NULL || wc == NULL)
+            return NULL;
+        if (!PyTuple_Check(states) || !PyTuple_Check(wc) ||
+            PyTuple_GET_SIZE(states) != N_DIR_STATES) {
+            PyErr_SetString(PyExc_TypeError,
+                            "DIR_STATES and WRITE_CLASS must be tuples");
+            return NULL;
+        }
+        g_write_class = 0;
+        g_trap_on_write = PyLong_AsLong(mode);
+        for (i = 0; i < N_DIR_STATES; i++)
+            g_dir_states[i] = PyLong_AsLong(PyTuple_GET_ITEM(states, i));
+        for (i = 0; i < PyTuple_GET_SIZE(wc); i++) {
+            long op = PyLong_AsLong(PyTuple_GET_ITEM(wc, i));
+            if (op >= 0 && op < 64)
+                g_write_class |= 1ULL << op;
+        }
+        if (PyErr_Occurred())
+            return NULL;
     }
     g_ready = 1;
     Py_RETURN_NONE;
@@ -3521,54 +4393,55 @@ static struct PyModuleDef native_module = {
     module_methods,
 };
 
-static SETUP_ONLY int
-intern_into(PyObject **slot, const char *text)
-{
-    PyObject *s = PyUnicode_InternFromString(text);
-    if (s == NULL)
-        return -1;
-    *slot = s;
-    return 0;
-}
+/* every attribute, key and counter name the kernels look up, interned */
+static const struct {
+    PyObject **slot;
+    const char *text;
+} interned[] = {
+    {&s_max_cycles, "max_cycles"}, {&s_busy_cycles, "busy_cycles"},
+    {&s_trap_free_at, "trap_free_at"}, {&s_contexts, "contexts"},
+    {&s_crc_enabled, "crc_enabled"},
+    {&s_packets_received, "packets_received"},
+    {&s_fault_injector, "fault_injector"}, {&s_admit, "admit"},
+    {&s_words, "words"}, {&s_send, "send"}, {&g_str_all, "all"},
+    {&g_kinds[A_LOAD], "load"}, {&g_kinds[A_STORE], "store"},
+    {&g_kinds[A_RMW], "rmw"}, {&s_running, "_running"},
+    {&s_fault_tolerant, "fault_tolerant"},
+    {&s_request_timeout, "request_timeout"},
+    {&s_update_blocks, "update_blocks"}, {&s_wb_buffer, "_wb_buffer"},
+    {&s_mshrs, "_mshrs"}, {&s_packets_sent, "packets_sent"},
+    {&s_miss_latency_total, "miss_latency_total"},
+    {&s_miss_latency_count, "miss_latency_count"},
+    {&s_latency_hist, "latency_hist"}, {&s_counts, "counts"}, {&s_txn, "txn"},
+    {&s_retained, "_retained"}, {&s_pointer_capacity, "pointer_capacity"},
+    {&s_software_pass, "_software_pass"}, {&s_dir_occupancy, "dir_occupancy"},
+    {&s_free_at, "free_at"}, {&s_requests, "requests"},
+    {&s_worker_sets, "worker_sets"}, {&s_inv_rounds, "_inv_rounds"},
+    {&s_entry, "entry"}, {&s_block, "block"},
+    {&s_n_invalidations, "dir.invalidations"}, {&s_n_regrant, "dir.regrant"},
+    {&s_n_busy_sent, "dir.busy_sent"},
+    {&s_n_stray_dropped, "dir.stray_dropped"},
+    {&s_n_write_done, "dir.write_transactions_done"},
+    {&s_n_read_done, "dir.read_transactions_done"},
+    {&s_fifo_order, "_fifo_order"}, {&s_n_read_overflow, "dir.read_overflow"},
+    {&s_n_pointer_evictions, "dir.pointer_evictions"},
+};
 
 PyMODINIT_FUNC
 PyInit__native(void)
 {
     PyObject *mod;
+    size_t i;
     if (PyType_Ready(&Core_Type) < 0 ||
         PyType_Ready(&StepKernel_Type) < 0 ||
         PyType_Ready(&Pool_Type) < 0 || PyType_Ready(&RxChain_Type) < 0 ||
-        PyType_Ready(&TableDispatch_Type) < 0 ||
-        PyType_Ready(&NetSend_Type) < 0)
+        PyType_Ready(&NetSend_Type) < 0 || PyType_Ready(&DirKernel_Type) < 0)
         return NULL;
-    if (intern_into(&s_max_cycles, "max_cycles") < 0 ||
-        intern_into(&s_busy_cycles, "busy_cycles") < 0 ||
-        intern_into(&s_trap_free_at, "trap_free_at") < 0 ||
-        intern_into(&s_contexts, "contexts") < 0 ||
-        intern_into(&s_crc_enabled, "crc_enabled") < 0 ||
-        intern_into(&s_packets_received, "packets_received") < 0 ||
-        intern_into(&s_fault_injector, "fault_injector") < 0 ||
-        intern_into(&s_admit, "admit") < 0 ||
-        intern_into(&s_words, "words") < 0 ||
-        intern_into(&s_send, "send") < 0 ||
-        intern_into(&s_state_attr, "state") < 0 ||
-        intern_into(&g_str_all, "all") < 0 ||
-        intern_into(&g_kinds[A_LOAD], "load") < 0 ||
-        intern_into(&g_kinds[A_STORE], "store") < 0 ||
-        intern_into(&g_kinds[A_RMW], "rmw") < 0 ||
-        intern_into(&s_running, "_running") < 0 ||
-        intern_into(&s_fault_tolerant, "fault_tolerant") < 0 ||
-        intern_into(&s_request_timeout, "request_timeout") < 0 ||
-        intern_into(&s_update_blocks, "update_blocks") < 0 ||
-        intern_into(&s_wb_buffer, "_wb_buffer") < 0 ||
-        intern_into(&s_mshrs, "_mshrs") < 0 ||
-        intern_into(&s_packets_sent, "packets_sent") < 0 ||
-        intern_into(&s_miss_latency_total, "miss_latency_total") < 0 ||
-        intern_into(&s_miss_latency_count, "miss_latency_count") < 0 ||
-        intern_into(&s_latency_hist, "latency_hist") < 0 ||
-        intern_into(&s_counts, "counts") < 0 ||
-        intern_into(&s_txn, "txn") < 0)
-        return NULL;
+    for (i = 0; i < sizeof(interned) / sizeof(interned[0]); i++) {
+        *interned[i].slot = PyUnicode_InternFromString(interned[i].text);
+        if (*interned[i].slot == NULL)
+            return NULL;
+    }
     g_zero = PyLong_FromLong(0);
     g_one = PyLong_FromLong(1);
     if (g_zero == NULL || g_one == NULL)
@@ -3591,10 +4464,14 @@ PyInit__native(void)
         PyModule_AddObjectRef(mod, "Pool", (PyObject *)&Pool_Type) < 0 ||
         PyModule_AddObjectRef(mod, "RxChain",
                               (PyObject *)&RxChain_Type) < 0 ||
-        PyModule_AddObjectRef(mod, "TableDispatch",
-                              (PyObject *)&TableDispatch_Type) < 0 ||
         PyModule_AddObjectRef(mod, "NetSend",
-                              (PyObject *)&NetSend_Type) < 0) {
+                              (PyObject *)&NetSend_Type) < 0 ||
+        PyModule_AddObjectRef(mod, "DirKernel",
+                              (PyObject *)&DirKernel_Type) < 0 ||
+        /* the SHA-256 of this file, as setup.py read it at build time */
+        PyModule_AddStringConstant(mod, "SOURCE_SHA256",
+                                   REPRO_NATIVE_SOURCE_SHA256) < 0 ||
+        PyModule_AddStringConstant(mod, "DIR_CELLS", DIR_CELL_NAMES) < 0) {
         Py_DECREF(mod);
         return NULL;
     }

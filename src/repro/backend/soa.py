@@ -33,9 +33,10 @@ Bit-identicality notes (the equivalence goldens pin these):
   signed 64-bit range (the workloads use small ints; out-of-range raises
   ``OverflowError`` loudly rather than wrapping).
 
-``numpy``, when available, accelerates only the cold bulk scan in
-``valid_lines`` (audit/checkpoint time); the event-driven hot path is
-per-element either way and uses the stdlib ``array`` module.
+Everything here is stdlib: the hot path is per-element (``array`` slab,
+``bytearray`` and ``list`` columns), and the one bulk scan —
+``valid_lines`` at audit/checkpoint time — is ``bytearray.find`` over
+the state column.
 """
 
 from __future__ import annotations
@@ -48,12 +49,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 from ..cache.cache import CacheLine
 from ..coherence.states import CacheState, DirState, MetaState
 from ..mem.memory import BlockData
-from . import HAS_NUMPY
-
-if HAS_NUMPY:  # pragma: no cover - depends on environment
-    import numpy as _np
-else:  # pragma: no cover - depends on environment
-    _np = None
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mem.address import AddressSpace
@@ -63,6 +58,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _CACHE_STATES = tuple(CacheState)
 _DIR_STATES = tuple(DirState)
 _META_STATES = tuple(MetaState)
+
+#: what each valid state leaves in a cache's state column
+_VALID_BYTES = tuple(bytes((state,)) for state in CacheState if state)
+#: ``trap_mode is None`` in the directory's byte column
+_NO_TRAP = 0xFF
 
 
 # ----------------------------------------------------------------------
@@ -258,17 +258,19 @@ class SoaCacheArray:
         """Detached plain lines (plain ``list`` words) for every valid slot.
 
         Materialized so audit holdings and checkpoint digests serialize
-        exactly like the reference objects.  The occupancy scan is the
-        one place numpy helps this layout: a bulk nonzero over the state
-        column instead of a Python loop over every slot.
+        exactly like the reference objects.  The occupancy scan is one
+        ``find`` chain per valid state (a ``memchr`` each), not a Python
+        loop over every slot.
         """
-        if _np is not None:
-            indices = _np.frombuffer(self._states, dtype=_np.int8).nonzero()[0]
-            return [self._materialize(int(i)) for i in indices]
-        states = self._states
-        return [
-            self._materialize(i) for i in range(self.n_lines) if states[i]
-        ]
+        find = self._states.find
+        indices = []
+        for value in _VALID_BYTES:
+            at = find(value)
+            while at >= 0:
+                indices.append(at)
+                at = find(value, at + 1)
+        indices.sort()
+        return [self._materialize(index) for index in indices]
 
 
 # ----------------------------------------------------------------------
@@ -377,11 +379,11 @@ class SoaDirectoryEntry:
     @property
     def trap_mode(self) -> MetaState | None:
         raw = self._dir._trap[self._index]
-        return None if raw < 0 else _META_STATES[raw]
+        return None if raw == _NO_TRAP else _META_STATES[raw]
 
     @trap_mode.setter
     def trap_mode(self, value: MetaState | None) -> None:
-        self._dir._trap[self._index] = -1 if value is None else value
+        self._dir._trap[self._index] = _NO_TRAP if value is None else value
 
     @property
     def local_bit(self) -> bool:
@@ -537,20 +539,23 @@ class SoaDirectory:
 
     Drop-in for :class:`~repro.coherence.entry.Directory`: first-touch
     allocation, insertion-ordered ``entries()``, the same row defaults as
-    the reference dataclass.
+    the reference dataclass.  The columns are byte arrays (states and
+    flags) and lists of ints (everything wider, the pointer masks
+    included): both grow in place and both are walked directly by the
+    compiled directory kernel (``DirKernel`` in ``_native.c``).
     """
 
     def __init__(self, home: int) -> None:
         self.home = home
         self._rows: dict[int, int] = {}
         self._blocks: list[int] = []
-        self._state = array("b")
-        self._meta = array("b")
-        self._trap = array("b")
-        self._local = array("b")
-        self._requester = array("q")
-        self._txn = array("q")
-        self._peak = array("q")
+        self._state = bytearray()
+        self._meta = bytearray()
+        self._trap = bytearray()
+        self._local = bytearray()
+        self._requester: list[int] = []
+        self._txn: list[int] = []
+        self._peak: list[int] = []
         self._sharers: list[int] = []
         self._acks: list[int] = []
         self._pending: list[deque | None] = []
@@ -564,7 +569,7 @@ class SoaDirectory:
             self._blocks.append(block)
             self._state.append(DirState.READ_ONLY)
             self._meta.append(MetaState.NORMAL)
-            self._trap.append(-1)
+            self._trap.append(_NO_TRAP)
             self._local.append(0)
             self._requester.append(-1)
             self._txn.append(0)

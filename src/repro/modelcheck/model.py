@@ -264,7 +264,19 @@ _IDLE_DIR_STATES = ("READ_ONLY", "READ_WRITE")
 class ProtocolModel:
     """One protocol's single-block world plus the snapshot/restore logic."""
 
-    def __init__(self, protocol: str, n_caches: int = 3, *, pointers: int = 1):
+    def __init__(
+        self,
+        protocol: str,
+        n_caches: int = 3,
+        *,
+        pointers: int = 1,
+        compiled: bool = False,
+    ):
+        """``compiled`` builds the home side the way ``backend="native"``
+        does — compiled event core, ``SoaDirectory`` columns, a
+        ``DirKernel`` installed on the controller — so that the test tier
+        can hold the compiled Table-2 cells to the reference ones, home
+        step by home step (tests/modelcheck/test_compiled.py)."""
         if n_caches < 2:
             raise ValueError("need at least two caches to share a block")
         self.protocol = protocol
@@ -280,7 +292,9 @@ class ProtocolModel:
             # among several candidates by id, so the spec default stands.
             self.symmetric = True
 
-        self.sim = Simulator()
+        #: the native backend's home-side parts, when compiled
+        native_home = self._native_home() if compiled else {}
+        self.sim = native_home.pop("sim", None) or Simulator()
         self.space = AddressSpace(
             n_nodes=n_caches, block_bytes=16, segment_bytes=1 << 16
         )
@@ -298,8 +312,12 @@ class ProtocolModel:
             self.memory,
             self.nics[0],
             dir_occupancy=1,
-            counters=null_counters,
-            **{**self.spec.kwargs(pointers), **self._controller_extra_kwargs()},
+            **{
+                "counters": null_counters,
+                **self.spec.kwargs(pointers),
+                **self._controller_extra_kwargs(),
+                **native_home,
+            },
         )
         self.engine: ManualTrapEngine | None = None
         self.software: LimitLessSoftware | None = None
@@ -308,6 +326,15 @@ class ProtocolModel:
             self.software = LimitLessSoftware(
                 self.controller, self.nics[0], self.engine, ts=1
             )
+        if compiled:
+            from ..backend.native import install_dir_kernel
+
+            self.dir_kernel = install_dir_kernel(self.controller)
+            if self.dir_kernel is None:
+                raise ValueError(
+                    f"{protocol!r} runs its own pipeline: no compiled "
+                    "directory kernel applies to it"
+                )
         self.caches = [
             CacheController(
                 self.sim,
@@ -339,6 +366,29 @@ class ProtocolModel:
         # (and mutated) by every apply(), so this cannot be recomputed.
         self._initial = self._snapshot({})
         self._world = self._initial
+
+    @staticmethod
+    def _native_home() -> dict:
+        """What ``backend="native"`` builds a home node from: the compiled
+        event core (``sim``) and the controller's storage arguments — the
+        kernel walks ``SoaDirectory`` columns, bumps real counter cells
+        and allocates from the compiled pool (disabled, as the model's
+        reference pool is: packets are shared, never recycled)."""
+        from ..backend import native
+        from ..backend.soa import SoaDirectory
+        from ..stats.counters import Counters
+
+        if not native.available():
+            raise RuntimeError(
+                "a compiled model needs the native extension: "
+                f"{native.load_status()[1]}"
+            )
+        return {
+            "sim": native.NativeSimulator(),
+            "directory": SoaDirectory(0),
+            "counters": Counters(),
+            "pool": native.NativePacketPool(enabled=False),
+        }
 
     def _controller_extra_kwargs(self) -> dict:
         """Extra directory-controller kwargs (hook for fault models)."""

@@ -70,7 +70,7 @@ def native_component(raw: dict) -> Optional[dict]:
     cProfile records the extension's exported builtins (``Core.run``,
     ``Pool.protocol``, ...) as location-less C entries, and it cannot see
     the vectorcall kernel objects (StepKernel, NetSend, RxChain,
-    TableDispatch) at all — their time is charged to the nearest profiled
+    DirKernel) at all — their time is charged to the nearest profiled
     frame, which for a native run is ``Core.run``'s own time.  Summing
     the builtins' tottime therefore *is* the time spent inside the
     extension, and reporting it as one ``backend.native`` component keeps
@@ -171,8 +171,9 @@ class ProfileReport:
     #: what the compiled kernels handed back to Python, summed over
     #: processors (None: no compiled step ran): ``"op"`` counts ops given
     #: to ``_execute_op``, every other key is a reason a step of the miss
-    #: transaction (issue, fill, invalidate) ran its Python method —
-    #: ``repro.backend.native.fallthroughs(machine)``.
+    #: transaction (the cache side's issue, fill, invalidate; the
+    #: directory's receive and process, whose own reasons start ``dir_``)
+    #: ran its Python method — ``repro.backend.native.fallthroughs(machine)``.
     #: All zero means neither layer left C.
     native_fallthroughs: Optional[dict] = None
 
@@ -214,6 +215,11 @@ class ProfileReport:
                 f"processor-step fall-throughs to Python: {reasons.pop('op'):,}"
             )
             counters = self.stats.counters
+            directory = {
+                reason: reasons.pop(reason)
+                for reason in list(reasons)
+                if reason.startswith("dir_")
+            }
             steps = sum(
                 counters.get(f"cache.{name}")
                 for name in (
@@ -221,14 +227,19 @@ class ProfileReport:
                     "fills", "inv_received",
                 )
             )
-            named = ", ".join(
-                f"{reason} {count:,}" for reason, count in reasons.items() if count
-            )
-            lines.append(
-                f"miss-transaction hand-backs to Python: "
-                f"{sum(reasons.values()):,} of {steps:,} issues, fills and "
-                f"invalidations" + (f" ({named})" if named else "")
-            )
+            for label, handed, total, of in (
+                ("miss-transaction", reasons, steps,
+                 "issues, fills and invalidations"),
+                ("directory", directory, counters.get("dir.packets"),
+                 "directory packets"),
+            ):
+                named = ", ".join(
+                    f"{reason} {count:,}" for reason, count in handed.items() if count
+                )
+                lines.append(
+                    f"{label} hand-backs to Python: {sum(handed.values()):,} "
+                    f"of {total:,} {of}" + (f" ({named})" if named else "")
+                )
         if self.native is not None:
             lines.append(
                 f"compiled component backend.native: "

@@ -28,7 +28,11 @@ Two layers of lockstep comparison, both driven by hypothesis:
   caches of 4 to 16 lines (conflict victims, clean and dirty), several
   contexts opening on one word (MSHR merges, read fills that re-open
   upgrades), and fault-tolerant and update-mode machines, which must
-  fall back to the Python cache controller whole.
+  fall back to the Python cache controller whole.  Both machine-level
+  tiers draw the protocol from every registered one and the pointer
+  count from 0, 1, 2 and 4, so the compiled directory meets each
+  variant's overrides (hand-backs by cell) and each overflow regime,
+  from every read trapping to none.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from hypothesis import strategies as st
 
 from repro.backend import equivalence_fingerprint
 from repro.backend.batchsim import BatchSimulator
+from repro.coherence.registry import protocol_names
 from repro.extensions.update import make_update_block
 from repro.machine import AlewifeConfig, AlewifeMachine
 from repro.sim.kernel import Simulator
@@ -122,10 +127,20 @@ class TestKernelCoSimulation:
 # Machine level
 # ----------------------------------------------------------------------
 
+_protocols = st.sampled_from(protocol_names())
+_pointers = st.sampled_from([0, 1, 2, 4])
+
+
+def _pointer_budget(protocol: str, pointers: int) -> int:
+    """Dir_iNB and Dir_iB need a pointer to evict or to arm broadcast on."""
+    return max(pointers, 1) if protocol.startswith("limited") else pointers
+
+
 _configs = st.fixed_dictionaries(
     {
         "n_procs": st.sampled_from([4, 16]),
-        "protocol": st.sampled_from(["fullmap", "limited", "limitless"]),
+        "protocol": _protocols,
+        "pointers": _pointers,
         "seed": st.integers(min_value=0, max_value=7),
         "iterations": st.integers(min_value=1, max_value=2),
         "window": st.sampled_from([64, 193, 1024]),
@@ -137,11 +152,11 @@ def _trace_machine(backend, params):
     kwargs = dict(
         n_procs=params["n_procs"],
         protocol=params["protocol"],
+        pointers=_pointer_budget(params["protocol"], params["pointers"]),
+        ts=50,
         seed=params["seed"],
         backend=backend,
     )
-    if params["protocol"] != "fullmap":
-        kwargs.update(pointers=4, ts=50)
     machine = AlewifeMachine(AlewifeConfig(**kwargs))
     trace = []
     stats = machine.run(
@@ -201,6 +216,8 @@ _opening = st.one_of(
     st.tuples(st.just("add"), _word, st.just(1)),
     st.tuples(st.just("store"), _word, st.just(7)),
 )
+#: the protocols whose controllers recover from lost and duplicated packets
+_HARDENED = ("fullmap", "limited", "limitless")
 #: machines on which the compiled miss transaction must stand down whole
 _off_common_case = st.sampled_from(
     [
@@ -224,7 +241,8 @@ _op_streams = st.fixed_dictionaries(
         ),
         # the compiled step and miss transaction exist under ``sc`` only
         "memory_model": st.sampled_from(["sc", "sc", "wo"]),
-        "protocol": st.sampled_from(["fullmap", "limited", "limitless"]),
+        "protocol": _protocols,
+        "pointers": _pointers,
         "window": st.sampled_from([1, 64, 193]),
         # 4..16 lines: words 1/4 and 2/5 share a slot and evict each other
         "cache_lines": st.sampled_from([4, 8, 16, 4096]),
@@ -245,7 +263,9 @@ def _without_atomics_on(word, item):
 def _trace_op_streams(backend, params):
     machine = dict(params["machine"])
     update_word = machine.pop("update_word", None)
-    protocol = "limitless" if update_word is not None else params["protocol"]
+    protocol = params["protocol"]
+    if update_word is not None or (machine and protocol not in _HARDENED):
+        protocol = "limitless"
     streams = {}
     for proc, contexts in params["streams"].items():
         opening = params["openings"][proc]
@@ -271,6 +291,7 @@ def _trace_op_streams(backend, params):
         # sharer and memory apart, identically on every backend
         audit=update_word is None,
         protocol=protocol,
+        pointers=_pointer_budget(protocol, params["pointers"]),
         memory_model=params["memory_model"],
         cache_lines=params["cache_lines"],
         **machine,

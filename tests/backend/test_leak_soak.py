@@ -2,6 +2,7 @@
 
 The compiled kernels sit on instances of the reference classes, so every
 ``native`` machine carries ``processor -> StepKernel -> processor`` (and
+``controller -> DirKernel -> controller``, ``nic -> DirKernel.receive``,
 ``network -> NetSend -> network``, ``sim <-> Core``) cycles that only
 ``AlewifeMachine.dismantle()`` breaks, and ``_native.c`` counts its own
 references by hand.  Two things must therefore hold on every backend
@@ -18,7 +19,9 @@ disabled:
 
 The machines are the miss-transaction rows of ``test_cache_kernel.py``
 (every hand-back path of the compiled cache side, the fault-tolerant
-row with its injector and watchdog included); the bare fabric is the
+row with its injector and watchdog included) and the directory rows of
+``test_dir_kernel.py`` (every compiled cell and hand-back of the
+directory kernel, the scripted caches' packets included); the bare fabric is the
 ladder's ``packetstorm`` in small: one send per delivery through the
 backend's packet pool.
 """
@@ -36,6 +39,7 @@ from repro.backend import get_backend
 from repro.network.packet import Op, Packet, PacketPool
 from repro.network.topology import Mesh2D
 
+from . import test_dir_kernel
 from .opstream import BACKENDS
 from .test_cache_kernel import CASES, run_case
 
@@ -46,6 +50,12 @@ BATCHES = 5
 def miss_rows(backend: str) -> None:
     for case in CASES:
         _trace, _final, machine = run_case(case, backend)
+        machine.dismantle()
+
+
+def directory_rows(backend: str) -> None:
+    for case in test_dir_kernel.CASES:
+        _trace, _final, machine = test_dir_kernel.run_case(case, backend)
         machine.dismantle()
 
 
@@ -82,7 +92,9 @@ def packet_storm(backend: str, side: int = 4, events: int = 10_000) -> None:
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("build_run_dismantle", [miss_rows, packet_storm])
+@pytest.mark.parametrize(
+    "build_run_dismantle", [miss_rows, directory_rows, packet_storm]
+)
 def test_nothing_accumulates_with_gc_disabled(build_run_dismantle, backend):
     # Preallocated: the bookkeeping itself must not allocate per batch.
     unreachable = array("q", [0]) * BATCHES

@@ -4,8 +4,9 @@ The golden tier in ``test_equivalence.py`` already pins the native
 backend's *results* (it parametrizes over ``backend_names()``, so the
 committed SHA-256 fingerprints cover it with the extension present or
 absent).  This file covers the plumbing around it: requesting ``native``
-without the extension must degrade to the soa components with a recorded
-reason and identical numbers, ``REPRO_NO_NUMPY`` must not interact, the
+without the extension — or with one built from another ``_native.c`` —
+must degrade to the soa components with a recorded reason and identical
+numbers, nothing may import ``numpy``, the
 ``repro run``/``repro profile`` CLIs must accept ``--backend native``,
 and the serve ``/metrics`` per-backend block must report native work.
 
@@ -16,6 +17,7 @@ the in-process fallback case patches the module attributes directly.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -100,12 +102,22 @@ def test_requested_but_missing_falls_back_and_records_reason():
 
 
 def test_no_numpy_does_not_perturb_native_results():
-    """REPRO_NO_NUMPY only drops the soa cold-scan acceleration; the
-    native backend neither needs numpy nor changes results without it."""
-    result = _subprocess(_FINGERPRINT_CODE, REPRO_NO_NUMPY="1")
+    """Nothing imports numpy — not the package, not a native run with its
+    end-of-run audit (the one bulk scan numpy used to serve) — so no
+    process pays its 12 MB, and the results cannot depend on it."""
+    code = _FINGERPRINT_CODE + """
+import sys
+import repro.machine
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+    result = _subprocess(code)
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout)
     assert report["fingerprints"]["native"] == report["fingerprints"]["soa"]
+    import repro.backend
+
+    assert not hasattr(repro.backend, "_detect_numpy")
+    assert "REPRO_NO_NUMPY" not in open(repro.backend.__file__).read()
 
 
 def test_in_process_fallback_uses_soa_components(monkeypatch):
@@ -126,22 +138,13 @@ def test_in_process_fallback_uses_soa_components(monkeypatch):
         backend_mod._INSTANCES.pop("native", None)
 
 
-@pytest.mark.parametrize(
-    "refusal",
-    [KeyError("spec missing deque"), TypeError("bad spec"), AttributeError("slot")],
-    ids=lambda exc: type(exc).__name__,
-)
-def test_stale_extension_degrades_like_a_missing_one(monkeypatch, refusal):
-    """A shared object built from another ``_native.c`` refuses this
-    source's ``setup()`` spec.  That used to escape at machine build
-    (``KeyError: 'spec missing deque'``); it must read as an extension
-    that did not load: soa components, the reason in the notes."""
+def _assert_degrades_to_soa(monkeypatch, stand_in, *fragments) -> str:
+    """``stand_in`` in place of the extension module must read as an
+    extension that did not load: soa components, the reason in the
+    notes, identical numbers.  Returns the reason."""
     import repro.backend as backend_mod
 
-    def setup(spec):
-        raise refusal
-
-    monkeypatch.setattr(native, "_native", types.SimpleNamespace(setup=setup))
+    monkeypatch.setattr(native, "_native", stand_in)
     monkeypatch.setattr(native, "_IMPORT_ERROR", None)
     monkeypatch.setattr(native, "_setup_done", False)
     monkeypatch.delitem(backend_mod._INSTANCES, "native", raising=False)
@@ -149,7 +152,8 @@ def test_stale_extension_degrades_like_a_missing_one(monkeypatch, refusal):
         ok, reason = native.load_status()
         assert not ok and not native.available()
         assert reason.startswith("extension stale (")
-        assert str(refusal) in reason
+        for fragment in fragments:
+            assert fragment in reason, reason
         assert reason.endswith("rebuild with python setup.py build_ext --inplace")
         backend = get_backend("native")
         assert reason in backend.notes and "soa fallback" in backend.notes
@@ -165,6 +169,95 @@ def test_stale_extension_degrades_like_a_missing_one(monkeypatch, refusal):
         assert prints["native"] == prints["soa"]
     finally:
         backend_mod._INSTANCES.pop("native", None)
+    return reason
+
+
+@pytest.mark.parametrize(
+    "refusal",
+    [KeyError("spec missing deque"), TypeError("bad spec"), AttributeError("slot")],
+    ids=lambda exc: type(exc).__name__,
+)
+def test_stale_extension_degrades_like_a_missing_one(monkeypatch, refusal):
+    """A shared object built from another ``_native.c`` refuses this
+    source's ``setup()`` spec.  That used to escape at machine build
+    (``KeyError: 'spec missing deque'``); it must read as an extension
+    that did not load: soa components, the reason in the notes."""
+
+    def setup(spec):
+        raise refusal
+
+    _assert_degrades_to_soa(
+        monkeypatch, types.SimpleNamespace(setup=setup), str(refusal)
+    )
+
+
+class _Core:
+    """Everything ``NativeSimulator`` drives on a ``Core``, doing nothing."""
+
+    def __init__(self):
+        self.queue = []
+        self.ring = [[] for _ in range(64)]
+
+    def bind(self, sim):
+        pass
+
+    post = post_after = call_at = call_after = post_front = bind
+    run = run_until = flush_ring = next_ring_time = bind
+
+
+class _CoreWithoutFrontSeq(_Core):
+    """The ``Core`` of the build the re-anchor tripped over."""
+
+    def __setattr__(self, name, value):
+        if name == "front_seq":
+            raise AttributeError(
+                "'repro._native.Core' object has no attribute 'front_seq'"
+            )
+        super().__setattr__(name, value)
+
+
+def _checked_out_hash() -> str:
+    source = os.path.join(os.path.dirname(native.__file__), "_native.c")
+    with open(source, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_an_extension_built_from_other_source_degrades(monkeypatch):
+    """Its ``setup()`` accepts this spec and its ``Core`` is complete — the
+    staleness nothing trips over until a kernel misbehaves.  The build
+    stamp says so: it is not the hash of the checked-out ``_native.c``."""
+    stand_in = types.SimpleNamespace(
+        setup=lambda spec: None, Core=_Core, SOURCE_SHA256="0" * 64
+    )
+    _assert_degrades_to_soa(
+        monkeypatch,
+        stand_in,
+        f"source hash {_checked_out_hash()[:12]}",
+        "built from 000000000000",
+    )
+
+
+def test_an_unstamped_extension_degrades(monkeypatch):
+    """A build that predates the stamp cannot vouch for its source."""
+    stand_in = types.SimpleNamespace(setup=lambda spec: None, Core=_Core)
+    _assert_degrades_to_soa(monkeypatch, stand_in, "built from unstamped")
+
+
+def test_an_extension_whose_core_lacks_an_attribute_degrades(monkeypatch):
+    """``setup()`` passes, the stamp (a forged one, here) matches, and the
+    first ``NativeSimulator()`` would have died with ``AttributeError:
+    'repro._native.Core' object has no attribute 'front_seq'``."""
+    stand_in = types.SimpleNamespace(
+        setup=lambda spec: None,
+        Core=_CoreWithoutFrontSeq,
+        SOURCE_SHA256=_checked_out_hash(),
+    )
+    _assert_degrades_to_soa(monkeypatch, stand_in, "no attribute 'front_seq'")
+
+
+@pytest.mark.skipif(not native.available(), reason="extension not built")
+def test_the_built_extension_carries_the_checked_out_hash():
+    assert native._native.SOURCE_SHA256 == _checked_out_hash()
 
 
 @pytest.mark.skipif(not native.available(), reason="extension not built")

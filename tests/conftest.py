@@ -4,9 +4,27 @@ from __future__ import annotations
 
 import pytest
 
+from repro.backend import backend_names, get_backend
 from repro.machine import AlewifeConfig
 from repro.mem.address import AddressSpace
 from repro.sim.kernel import Simulator
+
+
+def pytest_report_header(config) -> list[str]:
+    """Which engine each backend name resolved to in this process: a
+    ``native`` that silently fell back to ``soa`` (extension not built,
+    disabled, or stale) must not pass for a run of the compiled kernels."""
+    return [
+        f"repro backend {name!r}: {get_backend(name).notes or 'pure Python'}"
+        for name in backend_names()
+    ]
+
+
+def pytest_terminal_summary(terminalreporter, config) -> None:
+    # ``-q`` (this repo's default) drops the header: say it at the end.
+    if config.getoption("verbose") < 0:
+        for line in pytest_report_header(config):
+            terminalreporter.write_line(line)
 
 
 @pytest.fixture
