@@ -6,8 +6,7 @@ Real kills against real subprocesses, with bit-identical oracles:
 1. **Run kill/resume** — boot the CLI with ``--checkpoint-every``, SIGKILL
    it after the first snapshot lands, resume from the latest snapshot, and
    require the final statistics to be *bit-identical* to an uninterrupted
-   run of the same experiment.  Both the serial and the sharded (K=2)
-   snapshot paths are exercised.
+   run of the same experiment.
 2. **Sweep kill/resume** — boot ``repro sweep``, SIGKILL it after the
    write-ahead manifest records its first completed point, rerun with
    ``--resume``, and require a clean exit with zero failed points and the
@@ -52,8 +51,8 @@ def wait_for(predicate, timeout: float, what: str) -> None:
     raise AssertionError(f"timed out after {timeout}s waiting for {what}")
 
 
-def kill_resume_run(shards: int) -> None:
-    label = f"run kill/resume (shards={shards})"
+def kill_resume_run() -> None:
+    label = "run kill/resume"
     with tempfile.TemporaryDirectory(prefix="repro-recover-") as tmp:
         ckpt = os.path.join(tmp, "checkpoints")
         proc = subprocess.Popen(
@@ -61,7 +60,6 @@ def kill_resume_run(shards: int) -> None:
                 PYTHON, "-m", "repro",
                 "--workload", "weather", "--iterations", "8",
                 "--procs", "64", "--protocol", "limitless",
-                "--shards", str(shards),
                 "--checkpoint-every", "1000", "--checkpoint-dir", ckpt,
             ],
             env=ENV,
@@ -93,12 +91,8 @@ def kill_resume_run(shards: int) -> None:
         snap_path = latest_snapshot(ckpt)
         check(snap_path is not None, f"{label}: no snapshot survived the kill")
         marker = read_snapshot(snap_path)
-        config = AlewifeConfig(
-            n_procs=64, protocol="limitless", pointers=4, ts=50, shards=shards
-        )
-        golden = run_experiment(
-            config, WeatherWorkload(iterations=8), shard_workers=1
-        )
+        config = AlewifeConfig(n_procs=64, protocol="limitless", pointers=4, ts=50)
+        golden = run_experiment(config, WeatherWorkload(iterations=8))
         check(
             marker.cycle < golden.cycles,
             f"{label}: snapshot at cycle {marker.cycle} is not mid-run",
@@ -190,8 +184,7 @@ def kill_resume_sweep() -> None:
 
 def main() -> int:
     started = time.monotonic()
-    kill_resume_run(shards=1)
-    kill_resume_run(shards=2)
+    kill_resume_run()
     kill_resume_sweep()
     print(f"recovery smoke passed in {time.monotonic() - started:.1f}s")
     return 0

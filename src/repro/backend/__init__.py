@@ -157,11 +157,9 @@ def get_backend(name: str) -> Backend:
 def equivalence_fingerprint(stats) -> str:
     """Backend-comparable digest of one run's :class:`MachineStats`.
 
-    Hashes the canonical JSON of ``stats.to_dict()`` minus the two keys
-    that legitimately differ between otherwise bit-identical runs:
-    ``config`` (it records which backend was *asked for*) and
-    ``shard_meta`` (driver bookkeeping — window/handoff counts are
-    execution artifacts, not simulation results).  Two runs of the same
+    Hashes the canonical JSON of ``stats.to_dict()`` minus ``config``,
+    which legitimately differs between otherwise bit-identical runs (it
+    records which backend was *asked for*).  Two runs of the same
     (config-sans-backend, workload) agree on this digest iff every cycle
     count, counter, histogram, and network statistic matches.
     """
@@ -170,7 +168,6 @@ def equivalence_fingerprint(stats) -> str:
 
     record = stats.to_dict()
     record.pop("config", None)
-    record.pop("shard_meta", None)
     blob = json.dumps(record, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()
 

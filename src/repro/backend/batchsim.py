@@ -18,17 +18,16 @@ Exactness argument (the goldens pin it, this explains why it holds):
   every ring entry at ``t``: a ring entry exists only if it was appended
   while running with ``t < now + 64``; any later schedule targeting ``t``
   also satisfies that bound (``now`` is monotone), hence also lands in
-  the ring, behind it.  Front events have negative seqs and stay in the
-  heap.  So merging "heap first iff its head is at ``now`` with a
-  smaller seq" — the lane's own rule — preserves exact order.
+  the ring, behind it.  So merging "heap first iff its head is at
+  ``now`` with a smaller seq" — the lane's own rule — preserves exact
+  order.
 * While a slot drains, the heap cannot gain events at ``now``
-  (same-cycle schedules land in the ring; ``post_front`` at ``now``
-  raises while running), so the batch loop needs no per-event heap
-  check.
+  (same-cycle schedules land in the ring), so the batch loop needs no
+  per-event heap check.
 * The ring is spilled back into the heap (original seqs) whenever a run
   returns, so between runs — where checkpoints digest kernel state and
-  the shard driver inspects ``next_event_time`` — the simulator is
-  indistinguishable from the reference kernel.
+  window-stepping callers inspect ``next_event_time`` — the simulator
+  is indistinguishable from the reference kernel.
 """
 
 from __future__ import annotations
@@ -97,9 +96,7 @@ class BatchSimulator(Simulator):
             _heappush(self._queue, (time, seq, callback, arg, None))
         self._live += 1
 
-    # post_front stays heap-resident (negative seqs order ahead of any
-    # ring entry at the same time through the merge rule) and call_after/
-    # post_after delegate to the overrides above.
+    # call_after/post_after delegate to the overrides above.
 
     # ------------------------------------------------------------------
     # Execution
@@ -192,7 +189,7 @@ class BatchSimulator(Simulator):
                 slot = ring[self.now & _MASK]
                 if slot:
                     if queue and queue[0][0] == self.now:
-                        # Rare: pre-run or front events share this cycle;
+                        # Rare: pre-run events share this cycle;
                         # interleave by seq exactly like the lane does.
                         if queue[0][1] < slot[0][0]:
                             _t, _s, callback, arg, event = pop(queue)
@@ -208,9 +205,9 @@ class BatchSimulator(Simulator):
                         # Batch drain: nothing in the heap is at ``now``
                         # and nothing can arrive there while we run.  The
                         # executed/live counters are settled once per
-                        # batch: nothing reads them mid-cycle (the shard
-                        # bound, checkpoints, and reports all run between
-                        # windows), and cancel()'s own decrement commutes.
+                        # batch: nothing reads them mid-cycle (checkpoints
+                        # and reports run between windows), and cancel()'s
+                        # own decrement commutes.
                         ran = 0
                         while slot:
                             # Bulk-copy the slot and dispatch with a for

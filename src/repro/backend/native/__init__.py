@@ -205,7 +205,6 @@ class NativeSimulator(BatchSimulator):
         self.post_after = core.post_after
         self.call_at = core.call_at
         self.call_after = core.call_after
-        self.post_front = core.post_front
         self.run = core.run
         self.run_until = core.run_until
         # ... and the cold ring helpers, re-expressed over the core's
@@ -215,7 +214,6 @@ class NativeSimulator(BatchSimulator):
 
     now = _core_property("now")
     _seq = _core_property("seq")
-    _front_seq = _core_property("front_seq")
     _live = _core_property("live")
     events_executed = _core_property("executed")
     _ring_mask = _core_property("ring_mask")

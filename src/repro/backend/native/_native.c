@@ -334,7 +334,7 @@ heap_pop(PyObject *queue)
 
 typedef struct {
     PyObject_HEAD
-    long long now, seq, front_seq, live, executed;
+    long long now, seq, live, executed;
     unsigned long long ring_mask;
     int running;
     PyObject *queue;        /* list of heap tuples */
@@ -354,7 +354,6 @@ Core_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         return NULL;
     self->now = 0;
     self->seq = 0;
-    self->front_seq = -1;
     self->live = 0;
     self->executed = 0;
     self->ring_mask = 0;
@@ -677,55 +676,6 @@ Core_call_after(CoreObject *self, PyObject *const *args, Py_ssize_t nargs,
     return core_call_at_impl(self, self->now + delay, cb, arg);
 }
 
-static PyObject *
-Core_post_front(CoreObject *self, PyObject *const *args, Py_ssize_t nargs,
-                PyObject *kwnames)
-{
-    PyObject *time_obj, *cb, *arg, *entry, *seq_obj, *t_obj;
-    long long time, seq;
-    if (parse_time_cb_arg(args, nargs, kwnames, &time_obj, &cb, &arg) < 0)
-        return NULL;
-    time = PyLong_AsLongLong(time_obj);
-    if (time == -1 && PyErr_Occurred())
-        return NULL;
-    if (time < self->now || (time == self->now && self->running)) {
-        PyErr_Format(g_sim_error,
-                     "cannot front-schedule event at %lld, now is %lld",
-                     time, self->now);
-        return NULL;
-    }
-    seq = self->front_seq;
-    self->front_seq = seq - 1;
-    seq_obj = PyLong_FromLongLong(seq);
-    t_obj = PyLong_FromLongLong(time);
-    if (seq_obj == NULL || t_obj == NULL) {
-        Py_XDECREF(seq_obj);
-        Py_XDECREF(t_obj);
-        return NULL;
-    }
-    entry = PyTuple_New(5);
-    if (entry == NULL) {
-        Py_DECREF(seq_obj);
-        Py_DECREF(t_obj);
-        return NULL;
-    }
-    PyTuple_SET_ITEM(entry, 0, t_obj);
-    PyTuple_SET_ITEM(entry, 1, seq_obj);
-    Py_INCREF(cb);
-    PyTuple_SET_ITEM(entry, 2, cb);
-    Py_INCREF(arg);
-    PyTuple_SET_ITEM(entry, 3, arg);
-    Py_INCREF(Py_None);
-    PyTuple_SET_ITEM(entry, 4, Py_None);
-    if (heap_push(self->queue, entry) < 0) {
-        Py_DECREF(entry);
-        return NULL;
-    }
-    Py_DECREF(entry);
-    self->live += 1;
-    Py_RETURN_NONE;
-}
-
 /* -- execution ------------------------------------------------------ */
 
 static inline int
@@ -843,7 +793,7 @@ core_run_loop(CoreObject *core, int until_mode, int has_limit,
         if (PyList_GET_SIZE(slot)) {
             Py_ssize_t qn = PyList_GET_SIZE(queue);
             if (qn && tuple_ll(PyList_GET_ITEM(queue, 0), 0) == core->now) {
-                /* Rare: pre-run or front events share this cycle. */
+                /* Rare: pre-run events share this cycle. */
                 if (tuple_ll(PyList_GET_ITEM(queue, 0), 1) <
                     tuple_ll(PyList_GET_ITEM(slot, 0), 0)) {
                     entry = heap_pop(queue);
@@ -1108,8 +1058,6 @@ static PyMethodDef Core_methods[] = {
      METH_FASTCALL | METH_KEYWORDS, NULL},
     {"call_after", (PyCFunction)(void (*)(void))Core_call_after,
      METH_FASTCALL | METH_KEYWORDS, NULL},
-    {"post_front", (PyCFunction)(void (*)(void))Core_post_front,
-     METH_FASTCALL | METH_KEYWORDS, NULL},
     {"run", (PyCFunction)(void (*)(void))Core_run,
      METH_FASTCALL | METH_KEYWORDS, NULL},
     {"run_until", (PyCFunction)Core_run_until, METH_O, NULL},
@@ -1136,7 +1084,6 @@ static PyMethodDef Core_methods[] = {
 
 CORE_LL_GETSET(now)
 CORE_LL_GETSET(seq)
-CORE_LL_GETSET(front_seq)
 CORE_LL_GETSET(live)
 CORE_LL_GETSET(executed)
 
@@ -1189,8 +1136,6 @@ Core_get_ring(CoreObject *s, void *c)
 static PyGetSetDef Core_getsets[] = {
     {"now", (getter)Core_get_now, (setter)Core_set_now, NULL, NULL},
     {"seq", (getter)Core_get_seq, (setter)Core_set_seq, NULL, NULL},
-    {"front_seq", (getter)Core_get_front_seq, (setter)Core_set_front_seq,
-     NULL, NULL},
     {"live", (getter)Core_get_live, (setter)Core_set_live, NULL, NULL},
     {"executed", (getter)Core_get_executed, (setter)Core_set_executed, NULL,
      NULL},
@@ -2822,8 +2767,8 @@ dict_peek(PyObject *dict, PyObject *key)
     return v;
 }
 
-/* network.send when it is the compiled one (borrowed), else NULL: the
- * staged fabrics, a dismantled network */
+/* network.send when it is the compiled one (borrowed), else NULL: a
+ * non-wormhole topology, a capture fabric, a dismantled network */
 static PyObject *
 ck_net_send(StepKernelObject *k)
 {
@@ -3775,8 +3720,8 @@ dk_write_block(DirKernelObject *k, PyObject *address, PyObject *data)
 /* nic.send(pool.protocol(node_id, dst, op, address, data=data, **meta)).
  * The send primitive, not the cell, depends on the fabric: the compiled
  * NetSend directly when that is what nic.send would reach, else the
- * Python nic.send (a staged or capture fabric, CRC stamping, a send
- * somebody rebound on the instance). */
+ * Python nic.send (a non-wormhole or capture fabric, CRC stamping, a
+ * send somebody rebound on the instance). */
 static PER_MISS int
 dk_send(DirKernelObject *k, long long dst, int op, PyObject *address,
         PyObject *data, PyObject *meta)

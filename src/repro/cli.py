@@ -81,27 +81,6 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--memory-model", default="sc", choices=["sc", "wo"])
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="partition the machine into N lock-step shards (1 = serial)",
-    )
-    parser.add_argument(
-        "--shard-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for a sharded run (1 = step all shards "
-        "in-process; default: one process per shard)",
-    )
-    parser.add_argument(
-        "--fabric",
-        default="auto",
-        choices=["auto", "atomic", "staged"],
-        help="network arbitration model (auto: atomic when serial, "
-        "staged when sharded)",
-    )
-    parser.add_argument(
         "--backend",
         default="reference",
         choices=list(backend_names()),
@@ -116,9 +95,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="CYCLES",
-        help="write a resume snapshot every N simulated cycles "
-        "(sharded runs snapshot at the first window boundary past each "
-        "deadline and step in-process)",
+        help="write a resume snapshot every N simulated cycles",
     )
     parser.add_argument(
         "--checkpoint-dir",
@@ -249,8 +226,6 @@ def _config(args: argparse.Namespace, protocol: str) -> AlewifeConfig:
         topology=args.topology,
         memory_model=args.memory_model,
         seed=args.seed,
-        shards=args.shards,
-        fabric=args.fabric,
         backend=args.backend,
     )
 
@@ -278,6 +253,12 @@ def _run_from_args(args: argparse.Namespace) -> int:
             print(f"unknown protocol {name!r}", file=sys.stderr)
             return 2
 
+    try:
+        configs = [_config(args, name) for name in protocols]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
     checkpointing = args.resume or args.checkpoint_every
     if checkpointing and args.compare:
         print(
@@ -288,7 +269,7 @@ def _run_from_args(args: argparse.Namespace) -> int:
         return 2
 
     runs = []
-    for name in protocols:
+    for config in configs:
         if checkpointing:
             from .recover import CheckpointError, resume_run, run_with_checkpoints
 
@@ -301,7 +282,7 @@ def _run_from_args(args: argparse.Namespace) -> int:
                     )
                 else:
                     stats = run_with_checkpoints(
-                        _config(args, name),
+                        config,
                         _workload_spec(args),
                         every=args.checkpoint_every,
                         out_dir=args.checkpoint_dir or "checkpoints",
@@ -312,26 +293,12 @@ def _run_from_args(args: argparse.Namespace) -> int:
                 print(f"checkpoint error: {exc}", file=sys.stderr)
                 return 3
         else:
-            stats = run_experiment(
-                _config(args, name), workload, shard_workers=args.shard_workers
-            )
+            stats = run_experiment(config, workload)
         runs.append(stats)
         print(stats.summary())
         backend_notes = get_backend(stats.config.backend).notes
         if backend_notes:
             print(f"  backend: {backend_notes}")
-        if stats.shard_meta:
-            m = stats.shard_meta
-            batching = (
-                f", {m['bytes']:,} bytes in {m['flushes']:,} flushes"
-                if m.get("flushes")
-                else ""
-            )
-            print(
-                f"  shards: {m['shards']} x {m['workers']} worker(s), "
-                f"{m['windows']:,} windows, {m['handoffs']:,} handoffs"
-                f"{batching}"
-            )
         if args.verbose:
             print()
             print(machine_report(stats))

@@ -8,7 +8,7 @@ The LimitLESS trap handler asks the same injector for stall cycles, and a
 liveness watchdog turns silent wedges into structured diagnoses.
 """
 
-from .injector import FaultInjector, StagedFaultGate, packet_crc
+from .injector import FaultInjector, packet_crc
 from .watchdog import LivenessWatchdog
 
-__all__ = ["FaultInjector", "LivenessWatchdog", "StagedFaultGate", "packet_crc"]
+__all__ = ["FaultInjector", "LivenessWatchdog", "packet_crc"]

@@ -89,9 +89,9 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     )
     chaos = parser.add_argument_group(
         "process-level chaos (repro.recover)",
-        "SIGKILL simulation processes or forked shard workers at seeded "
-        "times and require recovery to converge bit-identically to a "
-        "zero-chaos baseline",
+        "SIGKILL simulation processes at seeded times and require "
+        "checkpoint resume to converge bit-identically to a zero-chaos "
+        "baseline",
     )
     chaos.add_argument(
         "--process-chaos",
@@ -100,14 +100,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     )
     chaos.add_argument(
         "--kills", type=int, default=2, help="kills per chaos point (default 2)"
-    )
-    chaos.add_argument(
-        "--kill-target",
-        choices=["process", "worker"],
-        default="process",
-        help="kill the whole run (recovery = checkpoint resume) or one "
-        "forked shard worker (recovery = parent supervision + restart); "
-        "serial points always use 'process'",
     )
     chaos.add_argument(
         "--kill-window",
@@ -123,14 +115,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         default=400,
         metavar="CYCLES",
         help="checkpoint interval for process-kill recovery (default 400)",
-    )
-    chaos.add_argument(
-        "--chaos-shards",
-        nargs="+",
-        type=int,
-        default=[1, 2],
-        metavar="K",
-        help="shard counts in the chaos grid (default 1 2)",
     )
     chaos.add_argument(
         "--chaos-dir",
@@ -156,7 +140,6 @@ def run_from_args(args: argparse.Namespace) -> int:
             procs=args.procs,
             protocols=args.protocols,
             workloads=args.workloads,
-            shards=args.chaos_shards,
             iters=args.iters,
             pointers=args.pointers,
             ts=args.ts,
@@ -170,7 +153,6 @@ def run_from_args(args: argparse.Namespace) -> int:
             kills=args.kills,
             seed=args.seeds[0],
             every=args.chaos_every,
-            kill_target=args.kill_target,
             kill_window=tuple(args.kill_window),
             workdir=workdir,
             out=out or None,

@@ -28,7 +28,6 @@ Two disciplines keep campaigns reproducible and the protocol analyzable:
 
 from __future__ import annotations
 
-import random
 from typing import Optional
 
 from ..network.fabric import Network
@@ -36,7 +35,7 @@ from ..network.packet import Packet, packet_crc
 from ..sim.rng import DeterministicRng
 from ..stats.counters import Counters
 
-__all__ = ["FaultInjector", "StagedFaultGate", "packet_crc"]
+__all__ = ["FaultInjector", "packet_crc"]
 
 
 class FaultInjector:
@@ -141,13 +140,8 @@ class FaultInjector:
     # Controller-side injection
     # ------------------------------------------------------------------
 
-    def trap_stall(self, node_id: int | None = None) -> int:
-        """Extra cycles to add to one LimitLESS trap-handler invocation.
-
-        ``node_id`` is accepted for interface parity with
-        :class:`StagedFaultGate`; the atomic injector draws from one
-        global substream regardless of which node is trapping.
-        """
+    def trap_stall(self) -> int:
+        """Extra cycles to add to one LimitLESS trap-handler invocation."""
         if (
             self.stall_rate
             and self.rng.stream("faults.stall").random() < self.stall_rate
@@ -173,122 +167,3 @@ class FaultInjector:
             f"addr={packet.address:#x} sent_at={packet.sent_at} "
             f"arrives_at={time}"
         )
-
-
-class StagedFaultGate:
-    """Order-independent fault decisions for the staged (sharded) fabrics.
-
-    The atomic :class:`FaultInjector` draws each decision from a global
-    substream *in admission order*, which is exactly the kind of
-    whole-machine sequencing a sharded run cannot reproduce.  The gate
-    instead keys every decision on the packet's identity — the
-    ``(src, per-source send seq)`` tag the staged fabric stamps at send —
-    so a packet's fate is the same no matter which shard delivers it or
-    when.  Per-class child seeds keep one fault class's schedule
-    independent of another's, mirroring the injector's
-    one-substream-per-class discipline.
-
-    Point-to-point FIFO is preserved the same way the injector preserves
-    it: a per-(src, dst) delivery floor, which lives on the destination
-    node's shard (all of a pair's deliveries drain there, in send order,
-    so the floor's update sequence is shard-invariant).
-
-    Installed as ``network.fault_gate`` (delivery filtering) *and*
-    ``network.fault_injector`` (so the LimitLESS trap-stall hook and the
-    stats-collection path find it where they find the atomic injector).
-    """
-
-    def __init__(self, network, config) -> None:
-        self.network = network
-        self.seed = config.seed
-        self.drop_rate = config.fault_drop_rate
-        self.dup_rate = config.fault_dup_rate
-        self.delay_rate = config.fault_delay_rate
-        self.delay_max = config.fault_delay_max
-        self.corrupt_rate = config.fault_corrupt_rate
-        self.stall_rate = config.fault_stall_rate
-        self.stall_cycles = config.fault_stall_cycles
-        self.counters = Counters()
-        self._pair_floor: dict[tuple[int, int], int] = {}
-        #: per-node trap-stall substreams: a node's trap sequence is part
-        #: of its own deterministic history, so sequential draws are safe
-        self._stall_streams: dict[int, random.Random] = {}
-        network.fault_gate = self
-        network.fault_injector = self
-
-    def _class_stream(self, kind: str, key: tuple) -> random.Random:
-        return random.Random(f"{self.seed}:staged-fault:{kind}:{key[0]}:{key[1]}")
-
-    def _floor(self, packet: Packet, time: int) -> int:
-        pair = (packet.src, packet.dst)
-        floor = self._pair_floor.get(pair, 0)
-        if time < floor:
-            time = floor
-        self._pair_floor[pair] = time
-        return time
-
-    def filter(
-        self, time: int, key: tuple, packet: Packet
-    ) -> list[tuple[int, tuple, Packet]]:
-        """Fault decisions for one delivery.
-
-        Returns the (time, key, packet) deliveries to enqueue — empty for
-        a drop, two entries for a duplication.  Interrupt-class packets
-        pass through unfaulted (but still FIFO-floored), as in the
-        injector.
-        """
-        if not packet.is_protocol:
-            return [(self._floor(packet, time), key, packet)]
-        if (
-            self.drop_rate
-            and self._class_stream("drop", key).random() < self.drop_rate
-        ):
-            self.counters.bump("faults.dropped")
-            self.counters.bump(f"faults.dropped.{packet.opcode}")
-            self.network.pool.release(packet)
-            return []
-        if self.corrupt_rate and packet.data is not None:
-            stream = self._class_stream("corrupt", key)
-            if stream.random() < self.corrupt_rate:
-                data = packet.data.copy()
-                word = stream.randrange(len(data.words))
-                data.words[word] ^= 1 << stream.randrange(32)
-                packet.data = data
-                self.counters.bump("faults.corrupted")
-                self.counters.bump(f"faults.corrupted.{packet.opcode}")
-        if self.delay_rate:
-            stream = self._class_stream("delay", key)
-            if stream.random() < self.delay_rate:
-                extra = stream.randint(1, self.delay_max)
-                self.counters.bump("faults.delayed")
-                self.counters.bump("faults.delay_cycles", extra)
-                time += extra
-        time = self._floor(packet, time)
-        out = [(time, key, packet)]
-        if self.dup_rate and self._class_stream("dup", key).random() < self.dup_rate:
-            self.counters.bump("faults.duplicated")
-            self.counters.bump(f"faults.duplicated.{packet.opcode}")
-            # Back-to-back behind the original; the floor keeps FIFO.  The
-            # copy is an independent clone so pooling cannot alias the two.
-            dup = self.network.pool.clone(packet)
-            out.append((self._floor(packet, time + 1), key + (1,), dup))
-        return out
-
-    def trap_stall(self, node_id: int | None = None) -> int:
-        """Extra cycles for one LimitLESS trap invocation on ``node_id``."""
-        if not self.stall_rate:
-            return 0
-        stream = self._stall_streams.get(node_id)
-        if stream is None:
-            stream = random.Random(f"{self.seed}:staged-fault:stall:{node_id}")
-            self._stall_streams[node_id] = stream
-        if stream.random() < self.stall_rate:
-            self.counters.bump("faults.trap_stalls")
-            self.counters.bump("faults.trap_stall_cycles", self.stall_cycles)
-            return self.stall_cycles
-        return 0
-
-    def oldest_pending(self) -> Optional[str]:
-        """Diagnosis parity with the injector; the staged fabrics track
-        in-flight packets in their inbox buckets instead."""
-        return None

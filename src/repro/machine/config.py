@@ -99,43 +99,6 @@ class AlewifeConfig:
     #: off switch exists for debugging packet-lifetime bugs.
     packet_pool: bool = True
 
-    # Sharded (parallel single-run) simulation
-    #: number of machine shards simulated in lock-step windows; 1 = the
-    #: classic serial path
-    shards: int = 1
-    #: network arbitration model: "atomic" reserves a packet's whole path
-    #: at send time (the historical serial fabric, golden-compatible);
-    #: "staged" arbitrates each link at head arrival, which is the
-    #: shard-invariant model sharded runs require; "auto" picks atomic
-    #: for shards=1 and staged otherwise
-    fabric: str = "auto"
-    #: window-bound policy: "adaptive" widens windows from exact floors on
-    #: every in-flight walk and inbox bucket (plus per-node distance
-    #: tables), "conservative" keeps the fixed minimum-latency increment.
-    #: Results are bit-identical either way; conservative exists as the
-    #: A/B baseline and a debugging fallback.
-    shard_lookahead: str = "adaptive"
-    #: how eagerly the forked driver flushes an accumulated handoff batch
-    #: to its ring: a batch is flushed once its earliest target lands
-    #: within (local bound + horizon).  0 defers maximally — flush only
-    #: what peers may need this window, i.e. the fewest, biggest batches;
-    #: larger values flush earlier and more often, trading batching
-    #: efficiency for lower handoff latency.
-    shard_flush_horizon: int = 0
-    #: seconds a forked shard worker waits on its peers without progress
-    #: before declaring the sync dead and unwinding (the heartbeat only
-    #: arms once every peer has published its first bound; the parent
-    #: supervises the build phase).  Small values make wedge detection —
-    #: and tests for it — fast; large values tolerate slow machines.
-    shard_heartbeat_s: float = 120.0
-
-    @property
-    def resolved_fabric(self) -> str:
-        """The fabric actually built: "atomic" or "staged"."""
-        if self.fabric == "auto":
-            return "staged" if self.shards > 1 else "atomic"
-        return self.fabric
-
     @property
     def faults_enabled(self) -> bool:
         """True when any fault-injection rate is non-zero."""
@@ -167,6 +130,20 @@ class AlewifeConfig:
                 f"unknown backend {self.backend!r}; "
                 f"choose from {backend_names()}"
             )
+        for latency_field in (
+            "ts",
+            "ts_per_invalidation",
+            "hop_latency",
+            "cycles_per_word",
+            "injection_latency",
+            "ideal_latency",
+            "cache_hit_latency",
+            "dir_occupancy",
+            "switch_cycles",
+        ):
+            latency = getattr(self, latency_field)
+            if latency < 0:
+                raise ValueError(f"{latency_field} must be >= 0, got {latency}")
         for rate_field in (
             "fault_drop_rate",
             "fault_dup_rate",
@@ -181,34 +158,6 @@ class AlewifeConfig:
             raise ValueError("fault_delay_max must be >= 1")
         if self.inv_retx_broadcast < 1:
             raise ValueError("inv_retx_broadcast must be >= 1")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
-        if self.fabric not in ("auto", "atomic", "staged"):
-            raise ValueError("fabric must be 'auto', 'atomic' or 'staged'")
-        if self.shard_lookahead not in ("adaptive", "conservative"):
-            raise ValueError("shard_lookahead must be 'adaptive' or 'conservative'")
-        if self.shard_flush_horizon < 0:
-            raise ValueError("shard_flush_horizon must be >= 0")
-        if self.shard_heartbeat_s <= 0:
-            raise ValueError("shard_heartbeat_s must be > 0")
-        if self.shards > 1:
-            if self.fabric == "atomic":
-                raise ValueError(
-                    "the atomic fabric reserves whole paths at send time and "
-                    "cannot be sharded; use fabric='auto' or 'staged'"
-                )
-            if self.topology == "omega":
-                raise ValueError(
-                    "omega stage links are shared by many sources and cannot "
-                    "be partitioned into shards"
-                )
-        if self.resolved_fabric == "staged" and (
-            self.hop_latency < 1 or self.injection_latency < 1
-        ):
-            raise ValueError(
-                "the staged fabric requires hop_latency and "
-                "injection_latency >= 1"
-            )
 
     def with_(self, **changes: Any) -> "AlewifeConfig":
         """A copy with the given fields replaced."""

@@ -13,15 +13,9 @@ from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from ..backend import get_backend
-from ..faults import FaultInjector, LivenessWatchdog, StagedFaultGate
+from ..faults import FaultInjector, LivenessWatchdog
 from ..mem.address import AddressSpace, Allocator
-from ..network.fabric import (
-    IdealNetwork,
-    Network,
-    NetworkStats,
-    StagedIdealNetwork,
-    StagedWormholeNetwork,
-)
+from ..network.fabric import IdealNetwork, Network, NetworkStats
 from ..network.packet import PacketPool
 from ..network.topology import make_topology
 from ..sim.kernel import SimulationError
@@ -51,8 +45,6 @@ class MachineStats:
     trap_cycles: int
     per_proc_finish: list[int] = field(default_factory=list)
     entries_audited: int = 0
-    #: populated by sharded runs: shards, workers, windows, handoff counts
-    shard_meta: dict | None = None
 
     @property
     def label(self) -> str:
@@ -86,7 +78,6 @@ class MachineStats:
             "trap_cycles": self.trap_cycles,
             "per_proc_finish": list(self.per_proc_finish),
             "entries_audited": self.entries_audited,
-            "shard_meta": self.shard_meta,
         }
 
     @classmethod
@@ -104,30 +95,14 @@ class MachineStats:
             trap_cycles=data["trap_cycles"],
             per_proc_finish=list(data["per_proc_finish"]),
             entries_audited=data.get("entries_audited", 0),
-            shard_meta=data.get("shard_meta"),
         )
 
 
 class AlewifeMachine:
-    """A configured machine instance, ready to run one workload.
+    """A configured machine instance, ready to run one workload."""
 
-    A shard worker builds a *partitioned* machine — ``owned`` restricts
-    which node ids get Node objects, while ``shard_id``/``shard_of`` teach
-    the (necessarily staged) fabric which traffic leaves the shard.  The
-    default builds every node and a self-contained fabric, exactly as
-    before.
-    """
-
-    def __init__(
-        self,
-        config: AlewifeConfig,
-        *,
-        shard_id: int = 0,
-        shard_of=None,
-        owned=None,
-    ) -> None:
+    def __init__(self, config: AlewifeConfig) -> None:
         self.config = config
-        self.shard_id = shard_id
         self.backend = get_backend(config.backend)
         self.sim = self.backend.make_simulator(max_cycles=config.max_cycles)
         self.rng = DeterministicRng(config.seed)
@@ -137,9 +112,9 @@ class AlewifeMachine:
             segment_bytes=config.segment_bytes,
         )
         self.allocator = Allocator(self.space)
-        self.network = self._build_network(shard_id, shard_of)
-        # One free list per machine instance (per shard when sharded);
-        # every component reaches it through the network.
+        self.network = self._build_network()
+        # One free list per machine instance; every component reaches it
+        # through the network.
         pool_factory = self.backend.make_pool or PacketPool
         self.pool = pool_factory(enabled=config.packet_pool)
         self.network.pool = self.pool
@@ -147,13 +122,8 @@ class AlewifeMachine:
             # The injector installs itself as network.fault_injector and
             # takes over delivery scheduling; zero-rate configs skip it
             # entirely so the fast path (and the goldens) are untouched.
-            if config.resolved_fabric == "staged":
-                StagedFaultGate(self.network, config)
-            else:
-                FaultInjector(self.network, self.rng, config)
+            FaultInjector(self.network, self.rng, config)
         self._finished = 0
-        self.owned = list(range(config.n_procs)) if owned is None else list(owned)
-        self.partitioned = len(self.owned) != config.n_procs
         self.nodes = [
             Node(
                 self.sim,
@@ -164,51 +134,24 @@ class AlewifeMachine:
                 self.rng,
                 on_proc_done=self._proc_done,
             )
-            for node_id in self.owned
+            for node_id in range(config.n_procs)
         ]
-        #: node id -> Node for the nodes this instance actually built
-        self.node_map = {node.node_id: node for node in self.nodes}
         if self.backend.finalize is not None:
             self.backend.finalize(self)
 
-    def _build_network(self, shard_id: int, shard_of) -> Network:
+    def _build_network(self) -> Network:
         cfg = self.config
-        staged = cfg.resolved_fabric == "staged"
         if cfg.topology == "ideal":
-            if staged:
-                return StagedIdealNetwork(
-                    self.sim,
-                    cfg.n_procs,
-                    latency=cfg.ideal_latency,
-                    cycles_per_word=cfg.cycles_per_word,
-                    shard_id=shard_id,
-                    shard_of=shard_of,
-                )
             return IdealNetwork(
                 self.sim,
                 cfg.n_procs,
                 latency=cfg.ideal_latency,
                 cycles_per_word=cfg.cycles_per_word,
             )
-        topology = make_topology(cfg.topology, cfg.n_procs)
-        if staged:
-            return StagedWormholeNetwork(
-                self.sim,
-                topology,
-                hop_latency=cfg.hop_latency,
-                cycles_per_word=cfg.cycles_per_word,
-                injection_latency=cfg.injection_latency,
-                shard_id=shard_id,
-                shard_of=shard_of,
-                lookahead=cfg.shard_lookahead,
-            )
-        # The atomic mesh is the backend's to provide (native compiles
-        # its send); staged fabrics above stay shared — sharded runs swap
-        # storage and the kernel per shard, not the cross-shard
-        # arbitration model.
+        # The mesh is the backend's to provide (native compiles its send).
         return self.backend.wormhole_class(
             self.sim,
-            topology,
+            make_topology(cfg.topology, cfg.n_procs),
             hop_latency=cfg.hop_latency,
             cycles_per_word=cfg.cycles_per_word,
             injection_latency=cfg.injection_latency,
@@ -237,16 +180,11 @@ class AlewifeMachine:
         drained (or ``max_cycles`` is exhausted); setup, the laggard
         check, the audit, and stats collection are identical either way.
         """
-        if self.partitioned:
-            raise SimulationError(
-                "a partitioned shard machine is driven by repro.sim.shard, "
-                "not run() — it cannot complete a workload alone"
-            )
         programs = workload.build(self)
         threads = 0
         for proc_id, generators in programs.items():
             for gen in generators:
-                self.node_map[proc_id].processor.add_thread(gen)
+                self.nodes[proc_id].processor.add_thread(gen)
                 threads += 1
         if not threads:
             raise SimulationError("workload produced no programs")
@@ -269,7 +207,7 @@ class AlewifeMachine:
         return self._collect(entries)
 
     def harvest(self) -> "Harvest":
-        """Aggregate this instance's nodes + network into a mergeable blob."""
+        """Aggregate this machine's nodes + network."""
         h = Harvest()
         for node in self.nodes:
             h.counters.merge(node.counters)
@@ -331,12 +269,8 @@ class AlewifeMachine:
 
 @dataclass
 class Harvest:
-    """Per-shard aggregation of run results, mergeable across shards.
-
-    The serial path harvests one machine and finalizes; the sharded driver
-    merges one harvest per worker first.  Either way the same arithmetic
-    produces the :class:`MachineStats`, so the two paths cannot diverge.
-    """
+    """Whole-machine aggregation of run results, one step before the
+    derived figures of :class:`MachineStats`."""
 
     counters: Counters = field(default_factory=Counters)
     worker_sets: Histogram = field(default_factory=Histogram)
@@ -347,30 +281,12 @@ class Harvest:
     busy: int = 0
     finishes: dict[int, int] = field(default_factory=dict)
     network: NetworkStats = field(default_factory=NetworkStats)
-    #: per-shard driver metrics (windows, handoffs, bytes, flushes,
-    #: events), keyed by shard id.  Kept out of ``counters`` on purpose:
-    #: counters participate in the shard-equivalence fingerprint and these
-    #: are driver artifacts, not simulation results.
-    shard_rounds: dict[int, dict] = field(default_factory=dict)
-
-    def merge(self, other: "Harvest") -> None:
-        self.counters.merge(other.counters)
-        self.worker_sets.counts.update(other.worker_sets.counts)
-        self.miss_total += other.miss_total
-        self.miss_count += other.miss_count
-        self.traps += other.traps
-        self.trap_cycles += other.trap_cycles
-        self.busy += other.busy
-        self.finishes.update(other.finishes)
-        self.network.merge(other.network)
-        self.shard_rounds.update(other.shard_rounds)
 
     def finalize(
         self,
         config: AlewifeConfig,
         *,
         entries_audited: int = 0,
-        shard_meta: dict | None = None,
     ) -> MachineStats:
         finishes = [self.finishes[n] for n in sorted(self.finishes)]
         cycles = max(finishes) if finishes else 0
@@ -389,21 +305,11 @@ class Harvest:
             trap_cycles=self.trap_cycles,
             per_proc_finish=finishes,
             entries_audited=entries_audited,
-            shard_meta=shard_meta,
         )
 
 
-def run_experiment(
-    config: AlewifeConfig,
-    workload: "Workload",
-    *,
-    shard_workers: int | None = None,
-) -> MachineStats:
+def run_experiment(config: AlewifeConfig, workload: "Workload") -> MachineStats:
     """Convenience one-shot: build a machine, run, return stats.
-
-    ``config.shards > 1`` dispatches to the windowed shard driver in
-    :mod:`repro.sim.shard` (``shard_workers=1`` keeps every shard in this
-    process); the classic serial machine runs otherwise.
 
     Nobody can reach the machine of a one-shot run, so it is dismantled
     before returning: a sweep's memory then tracks one live machine
@@ -411,10 +317,6 @@ def run_experiment(
     to yet.  Build an :class:`AlewifeMachine` and call ``run`` yourself
     to keep it inspectable.
     """
-    if config.shards > 1:
-        from ..sim.shard import run_sharded
-
-        return run_sharded(config, workload, workers=shard_workers)
     machine = AlewifeMachine(config)
     stats = machine.run(workload)
     machine.dismantle()

@@ -19,7 +19,7 @@ from ..network.fabric import Network
 from ..network.interface import NetworkInterface
 from ..proc.processor import Processor
 from ..sim.kernel import Simulator
-from ..sim.rng import DeterministicRng, ScopedRng
+from ..sim.rng import DeterministicRng
 from ..stats.counters import Counters
 from .config import AlewifeConfig
 
@@ -42,16 +42,11 @@ class Node:
         self.config = config
         self._backend = get_backend(config.backend)
         self.counters = Counters()
-        if config.resolved_fabric == "staged":
-            # Runtime draws (retry jitter, victim choice) must come from
-            # per-node streams: a shared stream's draw order depends on how
-            # nodes interleave globally, which a sharded run cannot replay.
-            rng = ScopedRng(rng, f"n{node_id}")
 
         fault_tolerant = config.faults_enabled
         self.memory = MainMemory(space, node_id)
-        # One machine-wide (per-shard, when sharded) free list, installed
-        # on the network by the machine before nodes are built.
+        # One machine-wide free list, installed on the network by the
+        # machine before nodes are built.
         self.pool = network.pool
         self.nic = NetworkInterface(
             sim,

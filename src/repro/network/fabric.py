@@ -14,9 +14,7 @@ they were sent, matching a deterministic dimension-ordered wormhole mesh.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable
 
 from ..sim.kernel import Simulator
@@ -61,21 +59,6 @@ class NetworkStats:
     @property
     def mean_latency(self) -> float:
         return self.total_latency / self.packets if self.packets else 0.0
-
-    def merge(self, other: "NetworkStats") -> None:
-        """Fold another shard's traffic accounting into this one.
-
-        Every contribution (a packet's send-side counts, its delivery-side
-        hop/latency/contention counts) happens on exactly one shard, so
-        summing the per-shard structures reproduces the serial totals.
-        """
-        self.packets += other.packets
-        self.words += other.words
-        self.hops += other.hops
-        self.total_latency += other.total_latency
-        self.contention_cycles += other.contention_cycles
-        for opcode, count in other.per_opcode.items():
-            self.per_opcode[opcode] = self.per_opcode.get(opcode, 0) + count
 
 
 class Network:
@@ -295,478 +278,3 @@ class IdealNetwork(Network):
         key = OP_NAMES[opcode] if opcode.__class__ is Op else opcode
         per_opcode[key] = per_opcode.get(key, 0) + 1
         self._deliver_at(arrival, packet)
-
-
-# ----------------------------------------------------------------------
-# Staged (shardable) fabrics
-# ----------------------------------------------------------------------
-#
-# The atomic fabrics above reserve a packet's whole path at send time, so
-# link arbitration order equals global send order — a zero-lookahead
-# coupling that cannot be partitioned without changing results.  The
-# staged fabrics arbitrate each link *when the packet's head reaches it*:
-# requests land in a per-(link, cycle) bucket and the bucket drains at
-# that cycle in canonical (src, per-source send seq) order.  All state a
-# cycle's events touch is then either per-node, per-link, or canonically
-# sorted, so the simulated outcome is identical no matter how the mesh is
-# partitioned into shards — including the K=1 "shards disabled" case,
-# which is the serial baseline the equivalence goldens pin.
-#
-# Per-packet arithmetic is unchanged (start = max(link_free, head);
-# head' = start + hop; arrival = last start + hop + serialization); only
-# *tie-breaking between contending packets* differs from the atomic
-# fabric, so staged cycle counts are close to — but not bit-identical
-# with — atomic ones.  ``--shards 1`` therefore keeps the atomic fabric
-# and the historical goldens; sharded runs compare staged-vs-staged.
-
-#: wire formats for cross-shard handoffs: a walk continuing on a foreign
-#: link, and a finished packet delivered to a foreign node's inbox
-_HANDOFF_WALK = "w"
-_HANDOFF_DELIVERY = "d"
-
-#: no packet is shorter than header + address operand
-_MIN_WORDS = 2
-
-_walk_sort_key = itemgetter(4)
-_inbox_sort_key = itemgetter(0)
-
-
-class _ShardedDeliveryMixin:
-    """Per-node delivery inboxes + handoff plumbing shared by staged nets."""
-
-    def _init_sharding(self, shard_id: int, shard_of) -> None:
-        self.shard_id = shard_id
-        self._shard_of = shard_of if shard_of is not None else (lambda node: 0)
-        #: staged-mode fault filter (repro.faults.StagedFaultGate) or None
-        self.fault_gate = None
-        #: (dest_shard, handoff) tuples accumulated during the window
-        self.outbox: list[tuple[int, tuple]] = []
-        self.handoffs_out = 0
-        self.handoffs_in = 0
-        self._send_seq = [0] * self.n_nodes
-        self._node_buckets: dict[tuple[int, int], list[tuple]] = {}
-        self._drain_node_cb = self._drain_node
-        #: influence tracking (the adaptive lookahead's exact floors) is
-        #: only paid for by genuinely sharded fabrics; the wormhole fabric
-        #: turns it on after computing its distance tables
-        self._track = False
-        self._infl: list[int] = []
-        self._delta: list[int] = []
-
-    def _inbox(self, node: int, time: int, key: tuple, packet: Packet) -> None:
-        gate = self.fault_gate
-        if gate is None:
-            self._inbox_raw(node, time, key, packet)
-            return
-        for when, subkey, copy in gate.filter(time, key, packet):
-            self._inbox_raw(node, when, subkey, copy)
-
-    def _inbox_raw(self, node: int, time: int, key: tuple, packet: Packet) -> None:
-        self.in_flight += 1
-        bucket_key = (node, time)
-        bucket = self._node_buckets.get(bucket_key)
-        if bucket is None:
-            self._node_buckets[bucket_key] = [(key, packet)]
-            self.sim.post_front(time, self._drain_node_cb, bucket_key)
-            if self._track:
-                # One floor per inbox bucket: whatever the handler does at
-                # ``time``, its earliest cross-shard consequence is the
-                # node's static distance-to-foreign floor away.
-                heapq.heappush(self._infl, time + self._delta[node])
-        else:
-            bucket.append((key, packet))
-
-    def _drain_node(self, bucket_key: tuple[int, int]) -> None:
-        entries = self._node_buckets.pop(bucket_key)
-        if len(entries) > 1:
-            entries.sort(key=_inbox_sort_key)
-        handler = self._handlers[bucket_key[0]]
-        if handler is None:
-            raise KeyError(f"no handler attached for node {bucket_key[0]}")
-        for _key, packet in entries:
-            self.in_flight -= 1
-            handler(packet)
-
-    def take_outbox(self) -> list[tuple[int, tuple]]:
-        """Drain and return this window's cross-shard handoffs."""
-        out = self.outbox
-        self.outbox = []
-        return out
-
-
-class StagedWormholeNetwork(_ShardedDeliveryMixin, Network):
-    """Dimension-ordered wormhole fabric with head-arrival arbitration."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        topology: Topology,
-        *,
-        hop_latency: int = 1,
-        cycles_per_word: int = 1,
-        injection_latency: int = 1,
-        shard_id: int = 0,
-        shard_of=None,
-        lookahead: str = "adaptive",
-    ) -> None:
-        if hop_latency < 1 or injection_latency < 1:
-            # Strictly-future link arbitration is what guarantees every
-            # same-cycle request is bucketed before its drain runs.
-            raise ValueError("staged fabric requires hop/injection latency >= 1")
-        super().__init__(sim, topology.n_nodes)
-        self.topology = topology
-        self.hop_latency = hop_latency
-        self.cycles_per_word = cycles_per_word
-        self.injection_latency = injection_latency
-        self._init_sharding(shard_id, shard_of)
-        self._link_free: dict[LinkId, int] = {}
-        self.link_busy_cycles: dict[LinkId, int] = {}
-        self._route_cache: dict[tuple[int, int], list[LinkId]] = {}
-        #: pending requests per (link, head-arrival cycle); drained at that
-        #: cycle in canonical (src, send seq) order
-        self._link_buckets: dict[tuple[LinkId, int], list[list]] = {}
-        #: earliest a fresh local event can emit a cross-shard handoff:
-        #: a send reaches its first drain after injection_latency, an
-        #: in-flight walk after hop_latency; either way the handoff's
-        #: target time is a further hop_latency out
-        self.min_cross_gen = min(injection_latency, hop_latency) + hop_latency
-        self._drain_link_cb = self._drain_link
-        #: per-(src, dst) arrays giving, for a walk enqueued at route
-        #: position p, the minimum cycles until that walk can produce a
-        #: cross-shard effect (next foreign link, foreign delivery, or a
-        #: local delivery's own downstream cascade)
-        self._floor_cache: dict[tuple[int, int], list[int]] = {}
-        self._track = shard_of is not None
-        self._adaptive = self._track and lookahead == "adaptive"
-        if self._track:
-            self._delta = self._compute_deltas()
-            owned = [
-                d
-                for node, d in enumerate(self._delta)
-                if shard_of(node) == shard_id
-            ]
-            # Floor under any *future* local event's first cross-shard
-            # consequence; never smaller than the PR-4 constant.
-            self._event_floor = max(self.min_cross_gen, min(owned, default=0))
-        else:
-            self._event_floor = self.min_cross_gen
-
-    def _compute_deltas(self) -> list[int]:
-        """Per-node static floors: cycles from "node does something" to the
-        earliest possible cross-shard effect of that something.
-
-        For the row-band mesh/torus partitions the floor is computed per
-        row from representative same-column routes: crossing a foreign
-        link after q hops costs ``injection + q*hop`` and delivering to a
-        foreign node after the full route costs the route plus minimum
-        serialization.  Dimension-ordered X-then-Y routing keeps the X
-        phase inside the sender's own row, so a same-column target
-        minimizes over all destinations in its row.  The result is also a
-        sound bound for *cascades*: the floor is 1-Lipschitz in row
-        distance, so hopping one row closer to the boundary costs at
-        least as much as the floor shrinks.
-        """
-        inj = self.injection_latency
-        hop = self.hop_latency
-        min_ser = _MIN_WORDS * self.cycles_per_word
-        mine = self.shard_id
-        shard_of = self._shard_of
-        n = self.n_nodes
-        generic = inj + hop  # sound for any partition of any topology
-
-        def crossing(v: int, u: int) -> int:
-            path = self.topology.route(v, u)
-            for q in range(1, len(path)):
-                if self._link_owner(path[q]) != mine:
-                    return inj + q * hop
-            return inj + len(path) * hop + min_ser
-
-        geometry = getattr(self.topology, "geometry", None)
-        if geometry is None:
-            # Crossbar: one locally-sourced link per route, so the first
-            # possible crossing is always the delivery itself.
-            return [inj + hop + min_ser] * n
-        width = geometry.width
-        height = geometry.height
-        rows_uniform = all(
-            len({shard_of(geometry.node_at(x, r)) for x in range(width)}) == 1
-            for r in range(height)
-        )
-        if not rows_uniform:
-            return [generic] * n
-        reps = [geometry.node_at(0, r) for r in range(height)]
-        foreign = [r for r in range(height) if shard_of(reps[r]) != mine]
-        row_floor = []
-        for r in range(height):
-            if not foreign or shard_of(reps[r]) != mine:
-                row_floor.append(generic)  # never consulted for real traffic
-            else:
-                row_floor.append(min(crossing(reps[r], reps[f]) for f in foreign))
-        return [row_floor[node // width] for node in range(n)]
-
-    def _route_floors(self, src: int, dst: int, path: list[LinkId]) -> list[int]:
-        """floor[p]: min cycles from an enqueue at route position p to the
-        walk's earliest cross-shard effect (only queried for local links)."""
-        mine = self.shard_id
-        hop = self.hop_latency
-        n = len(path)
-        extra = _MIN_WORDS * self.cycles_per_word
-        if self._shard_of(dst) == mine:
-            extra += self._delta[dst]  # local delivery → downstream cascade
-        floors = [0] * n
-        ahead = None  # links from p to the nearest foreign link at/after p
-        for p in range(n - 1, -1, -1):
-            if self._link_owner(path[p]) != mine:
-                ahead = 0
-            elif ahead is not None:
-                ahead += 1
-            via_delivery = (n - p) * hop + extra
-            if ahead is not None and ahead * hop < via_delivery:
-                floors[p] = ahead * hop
-            else:
-                floors[p] = via_delivery
-        return floors
-
-    def _route(self, src: int, dst: int) -> list[LinkId]:
-        path = self._route_cache.get((src, dst))
-        if path is None:
-            path = self.topology.route(src, dst)
-            self._route_cache[(src, dst)] = path
-        return path
-
-    def _link_owner(self, link: LinkId) -> int:
-        # Mesh/torus links are (node, direction); crossbar links are
-        # ("xbar", src, dst).  Either way the sourcing node owns the link.
-        return self._shard_of(link[1] if link[0] == "xbar" else link[0])
-
-    def send(self, packet: Packet) -> None:
-        now = self.sim.now
-        packet.sent_at = now
-        src = packet.src
-        dst = packet.dst
-        sseq = self._send_seq[src]
-        self._send_seq[src] = sseq + 1
-        words = packet.length_words
-        stats = self.stats
-        stats.packets += 1
-        stats.words += words
-        per_opcode = stats.per_opcode
-        opcode = packet.opcode
-        key = OP_NAMES[opcode] if opcode.__class__ is Op else opcode
-        per_opcode[key] = per_opcode.get(key, 0) + 1
-        if src == dst:
-            stats.total_latency += 2
-            self._inbox(src, now + 2, (src, sseq), packet)
-            return
-        path = self._route(src, dst)
-        walk = [packet, 0, 0, words * self.cycles_per_word, (src, sseq)]
-        # Dimension-ordered routes start on a link the sender's own node
-        # sources, so the first enqueue is always shard-local.
-        self._enqueue_link(path[0], now + self.injection_latency, walk)
-
-    def _enqueue_link(self, link: LinkId, time: int, walk: list) -> None:
-        owner = self._link_owner(link)
-        if owner != self.shard_id:
-            self.outbox.append(
-                (owner, (_HANDOFF_WALK, link, time, walk[0], walk[1], walk[2], walk[4]))
-            )
-            self.handoffs_out += 1
-            return
-        bucket_key = (link, time)
-        bucket = self._link_buckets.get(bucket_key)
-        if bucket is None:
-            self._link_buckets[bucket_key] = [walk]
-            self.sim.post_front(time, self._drain_link_cb, bucket_key)
-        else:
-            bucket.append(walk)
-        if self._track:
-            packet = walk[0]
-            pair = (packet.src, packet.dst)
-            floors = self._floor_cache.get(pair)
-            if floors is None:
-                floors = self._route_floors(*pair, self._route(*pair))
-                self._floor_cache[pair] = floors
-            heapq.heappush(self._infl, time + floors[walk[1]])
-
-    def _drain_link(self, bucket_key: tuple[LinkId, int]) -> None:
-        link, time = bucket_key
-        entries = self._link_buckets.pop(bucket_key)
-        if len(entries) > 1:
-            entries.sort(key=_walk_sort_key)
-        free = self._link_free.get(link, 0)
-        busy = 0
-        hop = self.hop_latency
-        for walk in entries:
-            packet = walk[0]
-            serialization = walk[3]
-            start = free if free > time else time
-            waited = walk[2] + (start - time)
-            free = start + serialization
-            busy += serialization
-            head = start + hop
-            path = self._route(packet.src, packet.dst)
-            following = walk[1] + 1
-            if following < len(path):
-                walk[1] = following
-                walk[2] = waited
-                self._enqueue_link(path[following], head, walk)
-                continue
-            arrival = head + serialization  # tail drains into the node
-            stats = self.stats
-            stats.hops += len(path)
-            stats.total_latency += arrival - packet.sent_at
-            stats.contention_cycles += waited
-            dst = packet.dst
-            dst_shard = self._shard_of(dst)
-            if dst_shard != self.shard_id:
-                self.outbox.append(
-                    (dst_shard, (_HANDOFF_DELIVERY, dst, arrival, packet, walk[4]))
-                )
-                self.handoffs_out += 1
-            else:
-                self._inbox(dst, arrival, walk[4], packet)
-        self._link_free[link] = free
-        self.link_busy_cycles[link] = self.link_busy_cycles.get(link, 0) + busy
-
-    def receive_handoff(self, handoff: tuple) -> None:
-        """Insert one inbound cross-shard handoff (between windows)."""
-        self.handoffs_in += 1
-        if handoff[0] == _HANDOFF_WALK:
-            _kind, link, time, packet, index, waited, key = handoff
-            serialization = packet.length_words * self.cycles_per_word
-            self._enqueue_link(link, time, [packet, index, waited, serialization, key])
-        else:
-            _kind, dst, time, packet, key = handoff
-            self._inbox(dst, time, key, packet)
-
-    def cross_bound(self) -> int | None:
-        """Earliest future time this shard can affect another shard.
-
-        None means "never" (this shard is drained).  Valid only between
-        windows, after inbound handoffs have been inserted.
-
-        Two components, each a floor on a different source of handoffs:
-
-        * the influence heap — every pending fabric bucket (link drain or
-          node inbox) holds at least one live heap entry whose value
-          floors that bucket's earliest cross-shard consequence, cascades
-          included;
-        * the next simulator event — anything *else* pending (processor
-          steps, controller timers) can start a fresh send, whose first
-          crossing is at least ``_event_floor`` away.  When every pending
-          event IS a fabric bucket drain, the adaptive policy skips this
-          term entirely; that is what opens windows of hundreds of cycles
-          once the local compute phase has gone quiet.
-        """
-        heap = self._infl
-        if heap:
-            if not self._link_buckets and not self._node_buckets:
-                # In-fabric influence requires in-fabric state; with both
-                # bucket maps empty every heap entry is stale.
-                heap.clear()
-            else:
-                now = self.sim.now
-                # Entries at <= now are stale: bound() runs between
-                # windows, so every remaining effect is strictly future.
-                # (Popping them is also what guarantees windows advance.)
-                while heap and heap[0] <= now:
-                    heapq.heappop(heap)
-        bound = heap[0] if heap else None
-        t_next = self.sim.next_event_time()
-        if t_next is not None:
-            if self._adaptive:
-                fabric_pending = len(self._link_buckets) + len(self._node_buckets)
-                if self.sim.pending_events == fabric_pending:
-                    return bound
-                generated = t_next + self._event_floor
-            else:
-                generated = t_next + self.min_cross_gen
-            if bound is None or generated < bound:
-                bound = generated
-        return bound
-
-    def hottest_links(self, top: int = 5) -> list[tuple[LinkId, int]]:
-        """Links ranked by cumulative busy cycles (hot-spot diagnosis)."""
-        ranked = sorted(
-            self.link_busy_cycles.items(), key=lambda kv: kv[1], reverse=True
-        )
-        return ranked[:top]
-
-
-class StagedIdealNetwork(_ShardedDeliveryMixin, Network):
-    """Shardable twin of :class:`IdealNetwork` (fixed latency, no links).
-
-    Arrival times are computed at send (they depend only on the sender's
-    own FIFO history), so the only staging needed is the canonical
-    delivery inbox; lookahead is the full ideal latency plus the minimum
-    packet serialization, which makes ideal-network shards very cheap to
-    synchronize.
-    """
-
-    #: no packet is shorter than header + address operand
-    _MIN_WORDS = 2
-
-    def __init__(
-        self,
-        sim: Simulator,
-        n_nodes: int,
-        *,
-        latency: int = 8,
-        cycles_per_word: int = 1,
-        shard_id: int = 0,
-        shard_of=None,
-    ) -> None:
-        super().__init__(sim, n_nodes)
-        self.latency = latency
-        self.cycles_per_word = cycles_per_word
-        self._init_sharding(shard_id, shard_of)
-        self._pair_last: dict[tuple[int, int], int] = {}
-        self.min_cross_gen = latency + self._MIN_WORDS * cycles_per_word
-
-    def send(self, packet: Packet) -> None:
-        now = self.sim.now
-        packet.sent_at = now
-        words = packet.length_words
-        src = packet.src
-        dst = packet.dst
-        sseq = self._send_seq[src]
-        self._send_seq[src] = sseq + 1
-        if src == dst:
-            arrival = now + 1
-            hops = 0
-        else:
-            arrival = now + self.latency + words * self.cycles_per_word
-            hops = 1
-        pair = (src, dst)
-        arrival = max(arrival, self._pair_last.get(pair, 0))
-        self._pair_last[pair] = arrival
-        stats = self.stats
-        stats.packets += 1
-        stats.words += words
-        stats.hops += hops
-        stats.total_latency += arrival - now
-        per_opcode = stats.per_opcode
-        opcode = packet.opcode
-        key = OP_NAMES[opcode] if opcode.__class__ is Op else opcode
-        per_opcode[key] = per_opcode.get(key, 0) + 1
-        dst_shard = self._shard_of(dst)
-        if dst_shard != self.shard_id:
-            self.outbox.append(
-                (dst_shard, (_HANDOFF_DELIVERY, dst, arrival, packet, (src, sseq)))
-            )
-            self.handoffs_out += 1
-        else:
-            self._inbox(dst, arrival, (src, sseq), packet)
-
-    def receive_handoff(self, handoff: tuple) -> None:
-        """Insert one inbound cross-shard delivery (between windows)."""
-        self.handoffs_in += 1
-        _kind, dst, time, packet, key = handoff
-        self._inbox(dst, time, key, packet)
-
-    def cross_bound(self) -> int | None:
-        """Earliest future time this shard can affect another shard."""
-        t_next = self.sim.next_event_time()
-        if t_next is None:
-            return None
-        return t_next + self.min_cross_gen

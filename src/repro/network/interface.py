@@ -99,17 +99,11 @@ class NetworkInterface(Component):
         self.network.send(packet)
 
     def trap_stall(self) -> int:
-        """Injected stall cycles for one trap invocation on this node.
-
-        Routes through the interface so the fault source sees *which*
-        node is trapping: the atomic injector draws one global stream,
-        but the staged (sharded) gate must scope the stream per node to
-        stay shard-invariant.
-        """
+        """Injected stall cycles for one trap invocation on this node."""
         injector = self.network.fault_injector
         if injector is None:
             return 0
-        return injector.trap_stall(self.node_id)
+        return injector.trap_stall()
 
     # ------------------------------------------------------------------
     # Reception and the IPI input queue

@@ -41,19 +41,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--memory-model", default="sc", choices=["sc", "wo"])
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="profile the in-process windowed shard driver at K shards "
-        "(default 1 = serial machine)",
-    )
-    parser.add_argument(
-        "--fabric",
-        default="auto",
-        choices=["auto", "atomic", "staged"],
-        help="network arbitration model (default auto: staged iff sharded)",
-    )
-    parser.add_argument(
         "--backend",
         default="reference",
         help="simulation backend to profile ('reference', 'soa', or "
@@ -129,8 +116,6 @@ def run_from_args(args: argparse.Namespace) -> int:
         memory_model=args.memory_model,
         seed=args.seed,
         packet_pool=not args.no_pool,
-        shards=args.shards,
-        fabric=args.fabric,
         backend=args.backend,
     )
     workload = WORKLOADS[args.workload](args)

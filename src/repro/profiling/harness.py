@@ -197,7 +197,6 @@ class ProfileReport:
             "cycle_attribution": self.attribution,
             "packet_pool": self.pool,
             "worker_sets": self.worker_sets,
-            "shard_meta": self.stats.shard_meta,
         }
 
     def render(self) -> str:
@@ -276,20 +275,6 @@ class ProfileReport:
                 lines.append(
                     f"{row['size_kib']:>10,.1f}  {row['count']:>10,}  {row['site']}"
                 )
-        if self.stats.shard_meta:
-            m = self.stats.shard_meta
-            lines.append("")
-            lines.append(
-                f"sharding: {m['shards']} shards x {m['workers']} worker(s), "
-                f"{m['windows']:,} windows, {m['handoffs']:,} handoffs, "
-                f"{m['bytes']:,} bytes, {m['flushes']:,} flushes"
-            )
-            for i, s in enumerate(m.get("per_shard", [])):
-                lines.append(
-                    f"  shard {i}: {s['windows']:,} windows, "
-                    f"{s['handoffs_out']:,} out / {s['handoffs_in']:,} in, "
-                    f"{s['events']:,} events"
-                )
         if self.worker_sets is not None:
             lines.append("")
             if self.worker_sets:
@@ -320,23 +305,7 @@ def profile_run(
     mode and attaches the §6 :class:`~repro.profiling.memory.MemoryProfiler`
     (software-extended protocols only).  Audit is skipped: the audit walk
     is post-run host code that would pollute the profile.
-
-    ``config.shards > 1`` profiles the in-process windowed shard driver
-    instead of the serial machine — same frames, plus the window loop and
-    fabric bound computation, so `repro profile --shards K` answers where
-    the sharded hot path spends its time.
     """
-    if config.shards > 1:
-        return _profile_sharded(
-            config,
-            workload,
-            top=top,
-            sort=sort,
-            alloc_top=alloc_top,
-            folded=folded,
-            worker_sets=worker_sets,
-            trap_addresses=trap_addresses,
-        )
     machine = AlewifeMachine(config)
     memory_profiler = None
     if trap_addresses:
@@ -411,82 +380,6 @@ def profile_run(
                 report.worker_sets.get(block, 0), len(readers)
             )
     return report
-
-
-def _profile_sharded(
-    config: AlewifeConfig,
-    workload: "Workload",
-    *,
-    top: int,
-    sort: str,
-    alloc_top: int,
-    folded: bool,
-    worker_sets: bool,
-    trap_addresses: Optional[list[int]],
-) -> ProfileReport:
-    """Profile the in-process shard driver (``--shards K``).
-
-    Shard machines live inside the driver, so the host-side hooks that
-    need the machine object (worker-set walks, Trap-Always profiling,
-    per-link busy cycles, pool introspection) are unavailable; cycle
-    attribution keeps every row derivable from the run's own stats.
-    """
-    if worker_sets or trap_addresses:
-        raise ValueError(
-            "--worker-sets/--trap-address need the serial machine; "
-            "profile them with --shards 1"
-        )
-    from ..machine import run_experiment
-
-    if alloc_top > 0:
-        tracemalloc.start()
-    profiler = cProfile.Profile()
-    start = time.perf_counter()
-    profiler.enable()
-    stats = run_experiment(config, workload, shard_workers=1)
-    profiler.disable()
-    wall = time.perf_counter() - start
-    if alloc_top > 0:
-        snapshot = tracemalloc.take_snapshot()
-        tracemalloc.stop()
-        allocations = _allocation_sites(snapshot, top=alloc_top)
-    else:
-        allocations = []
-    profiler.create_stats()
-    raw = profiler.stats
-
-    counters = stats.counters
-    meta = stats.shard_meta or {}
-    attribution = {
-        "simulated_cycles": stats.cycles,
-        "cycle_budget": stats.cycles * config.n_procs,
-        "cpu_busy_cycles": round(
-            stats.utilization * stats.cycles * config.n_procs
-        ),
-        "cpu_think_cycles": counters.get("cpu.think_cycles"),
-        "trap_cycles": stats.trap_cycles,
-        "remote_stalls": counters.get("cpu.remote_stalls"),
-        "local_stalls": counters.get("cpu.local_stalls"),
-        "network_contention_cycles": stats.network.contention_cycles,
-        "protocol_packets": stats.network.packets,
-        "traps_taken": stats.traps_taken,
-        "shard_windows": meta.get("windows", 0),
-        "shard_handoffs": meta.get("handoffs", 0),
-    }
-    events = sum(m.get("events", 0) for m in meta.get("per_shard", []))
-    return ProfileReport(
-        stats=stats,
-        wall_seconds=wall,
-        events_executed=events,
-        hot=hot_functions(raw, top=top, sort=sort),
-        allocations=allocations,
-        attribution=attribution,
-        pool={"enabled": int(config.packet_pool)},
-        folded=folded_stacks(raw) if folded else [],
-        backend=config.backend,
-        native=native_component(raw),
-        backend_notes=get_backend(config.backend).notes,
-    )
 
 
 def overflow_report(machine) -> dict[int, int]:

@@ -1,20 +1,11 @@
 """Process-level chaos: SIGKILL the simulation at seeded times, recover.
 
-Two kill targets, matching the two crash stories:
+The whole simulation process is killed mid-run.  Recovery is the
+checkpoint layer: every attempt resumes from the latest snapshot on disk
+(verifying its digest on the way through) — or starts fresh if the kill
+landed before the first checkpoint.
 
-``process``
-    The whole simulation process is killed mid-run.  Recovery is the
-    checkpoint layer: every attempt resumes from the latest snapshot on
-    disk (verifying its digest on the way through) — or starts fresh if
-    the kill landed before the first checkpoint.
-
-``worker``
-    A *forked shard worker* (a grandchild) is killed mid-window.  The
-    parent driver's supervision detects the death (naming the signal,
-    see ``repro.sim.shard._death_cause``), unwinds cleanly, and the
-    supervisor restarts the attempt.
-
-Either way the oracle is total: the recovered run's full
+The oracle is total: the recovered run's full
 ``MachineStats.to_dict()`` must equal a zero-chaos baseline computed in
 the supervising process, so any divergence — one counter, one packet —
 fails the point.  Kill times are drawn from a seeded RNG, so a campaign
@@ -47,7 +38,7 @@ def _write_result(result_path: Path, payload: dict) -> None:
 def _checkpoint_child(
     config_dict: dict, workload: dict, out_dir: str, every: int, result: str
 ) -> None:
-    """Chaos child for ``process`` kills: run (or resume) with checkpoints."""
+    """Chaos child: run (or resume) with checkpoints."""
     config = AlewifeConfig(**config_dict)
     spec = WorkloadSpec(workload["name"], dict(workload.get("params", {})))
     marker = latest_snapshot(out_dir)
@@ -56,26 +47,6 @@ def _checkpoint_child(
     else:
         stats = run_with_checkpoints(config, spec, every=every, out_dir=out_dir)
     _write_result(Path(result), stats.to_dict())
-
-
-def _forked_child(config_dict: dict, workload: dict, result: str) -> None:
-    """Chaos child for ``worker`` kills: the forked shard driver, whose
-    own supervision is the recovery mechanism under test."""
-    config = AlewifeConfig(**config_dict)
-    spec = WorkloadSpec(workload["name"], dict(workload.get("params", {})))
-    stats = run_experiment(config, spec.build())
-    _write_result(Path(result), stats.to_dict())
-
-
-def _grandchildren(pid: int) -> list[int]:
-    """PIDs of ``pid``'s direct children via /proc (the forked workers)."""
-    pids: list[int] = []
-    try:
-        for children in Path(f"/proc/{pid}/task").glob("*/children"):
-            pids.extend(int(p) for p in children.read_text().split())
-    except OSError:
-        pass
-    return sorted(pids)
 
 
 def run_chaos_point(
@@ -87,16 +58,11 @@ def run_chaos_point(
     seed: int,
     workdir: Path,
     every: int = 400,
-    kill_target: str = "process",
     kill_window: tuple[float, float] = (0.05, 0.4),
     grace: float = 120.0,
 ) -> dict:
     """One chaos point: kill ``kills`` times at seeded delays, recover,
     and return a record with the recovered stats (or the failure)."""
-    if kill_target not in ("process", "worker"):
-        raise ValueError("kill_target must be 'process' or 'worker'")
-    if kill_target == "worker" and config.shards <= 1:
-        raise ValueError("worker kills need a sharded config (shards > 1)")
     rng = random.Random(f"{seed}:{label}")
     delays = [rng.uniform(*kill_window) for _ in range(kills)]
     slug = label.replace("/", "_").replace(" ", "_")
@@ -114,37 +80,26 @@ def run_chaos_point(
     # Every kill costs at most one attempt, plus one clean attempt to
     # finish; anything beyond that is a real failure, not chaos.
     for attempt in range(1, kills + 2):
-        if kill_target == "process":
-            proc = ctx.Process(
-                target=_checkpoint_child,
-                args=(
-                    asdict(config),
-                    workload,
-                    str(snap_dir),
-                    every,
-                    str(result_path),
-                ),
-            )
-        else:
-            proc = ctx.Process(
-                target=_forked_child,
-                args=(asdict(config), workload, str(result_path)),
-            )
+        proc = ctx.Process(
+            target=_checkpoint_child,
+            args=(
+                asdict(config),
+                workload,
+                str(snap_dir),
+                every,
+                str(result_path),
+            ),
+        )
         proc.start()
-        record = {"attempt": attempt, "killed": False, "victim": None}
+        record = {"attempt": attempt, "killed": False}
         if killed < kills:
             time.sleep(delays[killed])
-            victim = proc.pid
-            if kill_target == "worker":
-                workers = _grandchildren(proc.pid)
-                if workers:
-                    victim = rng.choice(workers)
             try:
-                os.kill(victim, 9)  # SIGKILL: no cleanup, the real thing
-                record.update(killed=True, victim=victim)
+                os.kill(proc.pid, 9)  # SIGKILL: no cleanup, the real thing
+                record["killed"] = True
                 killed += 1
             except ProcessLookupError:
-                pass  # finished (or worker exited) before the kill landed
+                pass  # finished before the kill landed
         proc.join(grace)
         if proc.is_alive():
             proc.kill()
@@ -158,7 +113,7 @@ def run_chaos_point(
         if result_path.exists():
             stats_dict = json.loads(result_path.read_text())
             break
-        if not record["killed"] and kill_target == "process":
+        if not record["killed"]:
             # A clean (unkilled) checkpoint attempt must succeed.
             error = f"attempt {attempt} failed (exit {proc.exitcode}) without a kill"
             break
@@ -168,7 +123,6 @@ def run_chaos_point(
         error = "run never produced a result"
     return {
         "label": label,
-        "kill_target": kill_target,
         "kills_requested": kills,
         "kills_delivered": killed,
         "delays": [round(d, 4) for d in delays],
@@ -184,27 +138,21 @@ def chaos_points(
     procs: int = 16,
     protocols: Sequence[str] = ("fullmap", "limitless"),
     workloads: Sequence[str] = ("weather",),
-    shards: Sequence[int] = (1, 2),
     iters: int = 2,
     pointers: int = 4,
     ts: int = 50,
 ) -> list[tuple[str, AlewifeConfig, WorkloadSpec]]:
-    """The default campaign grid: workload × protocol × shard count."""
+    """The default campaign grid: workload × protocol."""
     from ..faults.campaign import workload_spec
 
     points = []
     for wname in workloads:
         spec = workload_spec(wname, procs, iters)
         for protocol in protocols:
-            for k in shards:
-                config = AlewifeConfig(
-                    n_procs=procs,
-                    protocol=protocol,
-                    pointers=pointers,
-                    ts=ts,
-                    shards=k,
-                )
-                points.append((f"{protocol}/{wname}-K{k}", config, spec))
+            config = AlewifeConfig(
+                n_procs=procs, protocol=protocol, pointers=pointers, ts=ts
+            )
+            points.append((f"{protocol}/{wname}", config, spec))
     return points
 
 
@@ -214,7 +162,6 @@ def run_chaos_campaign(
     kills: int = 2,
     seed: int = 0,
     every: int = 400,
-    kill_target: str = "process",
     workdir: Path | str,
     kill_window: tuple[float, float] = (0.05, 0.4),
     out: Path | str | None = "BENCH_process_chaos.json",
@@ -227,21 +174,15 @@ def run_chaos_campaign(
         raise RuntimeError("process chaos needs the fork start method")
     echo(
         f"repro faults --process-chaos: {len(points)} points, "
-        f"{kills} kill(s) each at seeded times (seed {seed}, "
-        f"target {kill_target})"
+        f"{kills} kill(s) each at seeded times (seed {seed})"
     )
     start = time.perf_counter()
     rows: list[dict] = []
     for label, config, spec in points:
-        target = kill_target
-        if target == "worker" and config.shards <= 1:
-            target = "process"  # serial points have no workers to kill
         # JSON round-trip the baseline so tuple-vs-list artifacts of the
         # result file cannot mask (or fake) a real divergence.
         golden = json.loads(
-            json.dumps(
-                run_experiment(config, spec.build(), shard_workers=1).to_dict()
-            )
+            json.dumps(run_experiment(config, spec.build()).to_dict())
         )
         row = run_chaos_point(
             label,
@@ -251,19 +192,10 @@ def run_chaos_campaign(
             seed=seed,
             workdir=Path(workdir),
             every=every,
-            kill_target=target,
             kill_window=kill_window,
         )
         row["golden_cycles"] = golden["cycles"]
-        # shard_meta holds driver-efficiency artifacts (windows, handoff
-        # bytes, worker count) that legitimately differ between the forked
-        # and in-process drivers; everything else must match exactly.
-        recovered = (
-            None if row["stats"] is None else dict(row["stats"], shard_meta=None)
-        )
-        row["recovered"] = (
-            recovered is not None and recovered == dict(golden, shard_meta=None)
-        )
+        row["recovered"] = row["stats"] == golden
         if row["stats"] is not None and not row["recovered"]:
             row["error"] = row["error"] or (
                 "recovered stats differ from the zero-chaos baseline"
@@ -286,7 +218,6 @@ def run_chaos_campaign(
         "kills": kills,
         "seed": seed,
         "every": every,
-        "kill_target": kill_target,
         "wall_seconds": round(wall, 3),
         "summary": {
             "points": len(rows),

@@ -1,25 +1,19 @@
 """Checkpointed runs and verified resume.
 
-Both drivers pause the simulation only at globally consistent instants —
-the serial kernel between events at an exact cycle, the sharded
-in-process driver at a post-absorb window boundary — write a replay
-marker there, and continue.  Resume replays the run from cycle zero
-(generator-based workload programs cannot be serialized), verifies the
-state digest when it passes the marker, and runs to completion; the
-final stats are therefore bit-identical to an uninterrupted run, and
-the digest check turns "should be identical" into "verified identical".
-
-Checkpointing a sharded config forces in-process stepping (the forked
-driver has no global boundary to pause at); the forked driver's crash
-story is supervision + restart-from-marker, exercised by
-:mod:`repro.recover.chaos`.
+The driver pauses the simulation only at consistent instants — between
+events at an exact cycle — writes a replay marker there, and continues.
+Resume replays the run from cycle zero (generator-based workload
+programs cannot be serialized), verifies the state digest when it passes
+the marker, and runs to completion; the final stats are therefore
+bit-identical to an uninterrupted run, and the digest check turns
+"should be identical" into "verified identical".
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from ..machine.config import AlewifeConfig
 from ..machine.machine import AlewifeMachine, MachineStats
@@ -33,9 +27,6 @@ from .snapshot import (
     snapshot_path,
     state_digest,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
 
 
 class CheckpointError(Exception):
@@ -68,7 +59,7 @@ def latest_snapshot(directory: Path | str) -> Optional[Path]:
 
 
 class _Checkpointer:
-    """Shared boundary logic for both drivers: verify-then-write.
+    """Boundary logic of the checkpoint driver: verify-then-write.
 
     While a resume marker is pending, every boundary below its cycle is
     skipped, the boundary *at* its cycle must reproduce its digest, and
@@ -86,7 +77,6 @@ class _Checkpointer:
         every: Optional[int],
         out_dir: Path,
         fingerprint: str,
-        driver: str,
         stop_after: Optional[int] = None,
         resume_from: Optional[Snapshot] = None,
     ):
@@ -95,7 +85,6 @@ class _Checkpointer:
         self.every = every
         self.out_dir = Path(out_dir)
         self.fingerprint = fingerprint
-        self.driver = driver
         self.stop_after = stop_after
         self.resume_from = resume_from
         self.verified = resume_from is None
@@ -109,7 +98,7 @@ class _Checkpointer:
     def resume_cycle(self) -> Optional[int]:
         return None if self.resume_from is None else self.resume_from.cycle
 
-    def boundary(self, cycle: int, machines: list) -> None:
+    def boundary(self, cycle: int, machine: AlewifeMachine) -> None:
         """Called at every consistent instant with work still remaining."""
         if not self.verified:
             snap = self.resume_from
@@ -122,7 +111,7 @@ class _Checkpointer:
                     f"snapshot's cycle {snap.cycle} — the run no longer "
                     f"visits the instant the snapshot was taken at"
                 )
-            digest = state_digest(machines)
+            digest = state_digest(machine)
             if digest != snap.digest:
                 raise SnapshotDrift(
                     f"state digest mismatch at cycle {cycle}: snapshot "
@@ -136,10 +125,9 @@ class _Checkpointer:
         snap = make_snapshot(
             self.config,
             self.spec.key_dict(),
-            machines,
+            machine,
             cycle,
             fingerprint=self.fingerprint,
-            driver=self.driver,
         )
         path = snap.write(snapshot_path(self.out_dir, cycle))
         self.written += 1
@@ -159,8 +147,8 @@ class _Checkpointer:
             )
 
 
-def _serial_driver(machine: AlewifeMachine, cp: _Checkpointer) -> None:
-    """Checkpoint-aware replacement for ``sim.run()`` on a serial machine.
+def _checkpoint_driver(machine: AlewifeMachine, cp: _Checkpointer) -> None:
+    """Checkpoint-aware replacement for ``sim.run()``.
 
     Pausing ``run(until=...)`` at exact cycles never reorders events, so
     the executed event sequence — and every statistic — is identical to
@@ -171,7 +159,7 @@ def _serial_driver(machine: AlewifeMachine, cp: _Checkpointer) -> None:
     target = cp.resume_cycle
     if target is not None and target > sim.now:
         sim.run(until=min(target, max_cycles))
-        cp.boundary(sim.now, [machine])
+        cp.boundary(sim.now, machine)
     while True:
         if cp.every is None:
             sim.run()
@@ -182,7 +170,7 @@ def _serial_driver(machine: AlewifeMachine, cp: _Checkpointer) -> None:
             # Drained (done) or budget exhausted (the caller's laggard
             # check reports it) — either way, no more boundaries.
             return
-        cp.boundary(limit, [machine])
+        cp.boundary(limit, machine)
 
 
 def _resolve_spec(workload: dict) -> WorkloadSpec:
@@ -238,41 +226,18 @@ def run_with_checkpoints(
             "scratch, or pass check_source=False to gamble)"
         )
 
-    sharded = config.shards > 1
-    if sharded:
-        from ..sim.shard import ShardPlan, _run_inprocess
-
-        plan = ShardPlan(config)
-        sharded = plan.n_shards > 1
-    driver_tag = "shards" if sharded else "serial"
-    if snap is not None and snap.driver != driver_tag:
-        raise CheckpointError(
-            f"snapshot was taken by the {snap.driver!r} driver but this "
-            f"config selects {driver_tag!r}; their boundaries differ"
-        )
     cp = _Checkpointer(
         config,
         spec,
         every=every,
         out_dir=Path(out_dir),
         fingerprint=fingerprint,
-        driver=driver_tag,
         stop_after=stop_after,
         resume_from=snap,
     )
-    if sharded:
-        stats = _run_inprocess(
-            config,
-            spec.build(),
-            plan,
-            on_boundary=lambda limit, shards: cp.boundary(
-                limit, [s.machine for s in shards]
-            ),
-        )
-    else:
-        stats = AlewifeMachine(config).run(
-            spec.build(), driver=lambda machine: _serial_driver(machine, cp)
-        )
+    stats = AlewifeMachine(config).run(
+        spec.build(), driver=lambda machine: _checkpoint_driver(machine, cp)
+    )
     cp.finish()
     return stats
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -28,11 +28,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Snapshot format version; bump when the schema or digest recipe changes
 #: (a digest from another recipe must never be compared against ours).
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 def _machine_state(machine: "AlewifeMachine") -> dict:
-    """The digestible state of one machine (or one shard's partition)."""
+    """The digestible state of one machine."""
     sim = machine.sim
     counters = {
         node.node_id: node.counters.as_dict() for node in machine.nodes
@@ -57,7 +57,6 @@ def _machine_state(machine: "AlewifeMachine") -> dict:
         rng.update(name.encode())
         rng.update(repr(machine.rng._streams[name].getstate()).encode())
     return {
-        "shard": machine.shard_id,
         "sim": [
             sim.now,
             sim._seq,
@@ -73,16 +72,15 @@ def _machine_state(machine: "AlewifeMachine") -> dict:
     }
 
 
-def state_digest(machines: list) -> str:
-    """SHA-256 over the canonical state of one machine or all shards.
+def state_digest(machine: "AlewifeMachine") -> str:
+    """SHA-256 over the canonical state of one machine.
 
-    The machines must sit at a globally consistent instant (the serial
-    driver between events, the sharded driver at a post-absorb window
-    boundary); shard partition does not affect the digest inputs other
-    than through ``shard`` ordering, which is deterministic.
+    The machine must sit at a consistent instant: between events, as the
+    checkpoint driver leaves it when ``run(until=...)`` returns.
     """
-    payload = [_machine_state(m) for m in machines]
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(
+        _machine_state(machine), sort_keys=True, separators=(",", ":")
+    )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -96,10 +94,6 @@ class Snapshot:
     digest: str
     fingerprint: str
     version: int = SNAPSHOT_VERSION
-    #: "serial" or "shards" — which driver geometry took the snapshot
-    #: (their window boundaries differ, so markers are not interchangeable)
-    driver: str = "serial"
-    meta: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=1)
@@ -144,20 +138,15 @@ def list_snapshots(directory: Path | str) -> list[Path]:
 def make_snapshot(
     config: Any,
     workload: dict,
-    machines: list,
+    machine: "AlewifeMachine",
     cycle: int,
     *,
     fingerprint: str,
-    driver: str,
 ) -> Snapshot:
-    from dataclasses import asdict as config_asdict
-
     return Snapshot(
-        config=config_asdict(config),
+        config=asdict(config),
         workload=workload,
         cycle=cycle,
-        digest=state_digest(machines),
+        digest=state_digest(machine),
         fingerprint=fingerprint,
-        driver=driver,
-        meta={"shards": len(machines)},
     )

@@ -543,11 +543,7 @@ class SweepService:
     def _payload(self, point: JobPoint, request: JobRequest) -> tuple:
         timeouts = [t for t in (request.timeout, self.point_timeout) if t]
         timeout = min(timeouts) if timeouts else None
-        # Sharded configs fork their own workers inside the pool process;
-        # pin them to in-process stepping so one point cannot oversubscribe
-        # the whole machine (mirrors the sweep runner's core budgeting).
-        shard_workers = 1 if point.config.shards > 1 else None
-        return (0, point.as_job(), timeout, shard_workers)
+        return (0, point.as_job(), timeout)
 
     # ------------------------------------------------------------------
     # Execution plumbing
@@ -658,11 +654,6 @@ class SweepService:
             "wall_seconds": round(wall, 6),
             "error": error,
         }
-        if stats is not None and stats.shard_meta:
-            m = stats.shard_meta
-            row["shards"] = {
-                k: m[k] for k in ("shards", "workers", "windows", "handoffs")
-            }
         record.results[index] = row
         total = len(record.request.points)
         event = record.tracker.record(result, total - len(record._pending), total)

@@ -88,8 +88,6 @@ class Simulator:
     def __init__(self, *, max_cycles: int | None = None) -> None:
         self._queue: list[tuple] = []
         self._seq = 0
-        #: descending negative sequence counter for :meth:`post_front`
-        self._front_seq = -1
         self._live = 0
         #: same-cycle fast lane: events scheduled *for* the current cycle
         #: *during* the current cycle skip the heap entirely.  Entries are
@@ -158,28 +156,6 @@ class Simulator:
             self._lane.append((seq, callback, arg, None))
         else:
             _heappush(self._queue, (time, seq, callback, arg, None))
-        self._live += 1
-
-    def post_front(
-        self, time: int, callback: Callable[..., None], arg: Any = _NO_ARG
-    ) -> None:
-        """Schedule ahead of every normally-scheduled event at ``time``.
-
-        Front events at one cycle execute before all ``call_at``/``post``
-        events of that cycle, in an unspecified order among themselves —
-        callers must only front-schedule work whose instances commute.
-        The sharded fabric uses this for its link/inbox drains so that a
-        cycle's cross-shard deliveries land in canonical order regardless
-        of how event sequence numbers interleave on each shard.
-        """
-        time = int(time)
-        if time < self.now or (time == self.now and self._running):
-            raise SimulationError(
-                f"cannot front-schedule event at {time}, now is {self.now}"
-            )
-        seq = self._front_seq
-        self._front_seq = seq - 1
-        _heappush(self._queue, (time, seq, callback, arg, None))
         self._live += 1
 
     def post_after(
@@ -319,11 +295,12 @@ class Simulator:
     def run_until(self, limit: int) -> int:
         """Execute every event strictly before ``limit``; leave now=limit.
 
-        The window primitive of the sharded driver: after it returns, the
-        queue holds only events at ``limit`` or later and externally
-        injected work (cross-shard handoffs) may be posted at any time
-        >= ``limit``.  Unlike :meth:`run`, events at exactly ``limit`` do
-        *not* execute — a window owns the half-open interval [now, limit).
+        The window primitive: after it returns, the queue holds only
+        events at ``limit`` or later, so a caller stepping the machine in
+        windows (the co-simulation tests do) may post new work at any
+        time >= ``limit``.  Unlike :meth:`run`, events at exactly
+        ``limit`` do *not* execute — a window owns the half-open interval
+        [now, limit).
         """
         limit = int(limit)
         if limit < self.now:
@@ -334,8 +311,7 @@ class Simulator:
         lane = self._lane
         if not lane and (not queue or queue[0][0] >= limit):
             # Empty window: nothing strictly before limit (a cancelled
-            # head still lower-bounds the live events under it).  Shards
-            # idling through wide adaptive windows take this exit.
+            # head still lower-bounds the live events under it).
             self.now = limit
             return limit
         pop = heapq.heappop

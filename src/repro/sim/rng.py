@@ -40,36 +40,3 @@ class DeterministicRng:
         out = list(seq)
         self.stream(name).shuffle(out)
         return out
-
-
-class ScopedRng:
-    """A :class:`DeterministicRng` view that prefixes every substream name.
-
-    Sharded simulation scopes each node's runtime draws (retry jitter,
-    victim choice) to that node: a shared stream's draw order would depend
-    on how nodes interleave globally, which differs between a serial run
-    and a sharded one.  With per-node streams, a node's draw sequence is a
-    function of its own deterministic history only.
-    """
-
-    def __init__(self, base: DeterministicRng, scope: str) -> None:
-        self._base = base
-        self._scope = scope
-
-    @property
-    def seed(self) -> int:
-        return self._base.seed
-
-    def stream(self, name: str):
-        return self._base.stream(f"{self._scope}.{name}")
-
-    def randint(self, name: str, lo: int, hi: int) -> int:
-        return self.stream(name).randint(lo, hi)
-
-    def choice(self, name: str, seq):
-        return self.stream(name).choice(seq)
-
-    def shuffled(self, name: str, seq) -> list:
-        out = list(seq)
-        self.stream(name).shuffle(out)
-        return out

@@ -6,10 +6,9 @@ Two tiers share one namespace:
   update.  Fine for cold paths (errors, faults, reports).
 * **Slot counters** — a component interns a name once with
   :func:`counter_slot` and then increments a plain list cell on the hot
-  path.  Slots are process-global (the registry only grows, and the same
-  construction order reproduces the same ids in every shard worker), and
-  they fold back into the named bag whenever anything *reads* the
-  counters, so reports, merges, and serialized results are unchanged.
+  path.  Slots are process-global (the registry only grows), and they
+  fold back into the named bag whenever anything *reads* the counters,
+  so reports, merges, and serialized results are unchanged.
 
 The shipped components intern their slots in module-level constants, so
 building machines in a loop does not grow the registry.  Code that

@@ -26,18 +26,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "--workers", type=int, default=1, help="worker processes (default serial)"
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="shard every grid point's machine K ways (default 1 = serial)",
-    )
-    parser.add_argument(
-        "--fabric",
-        choices=["auto", "atomic", "staged"],
-        default="auto",
-        help="network arbitration model for every grid point (default auto)",
-    )
-    parser.add_argument(
         "--figures",
         nargs="+",
         metavar="MATCH",
@@ -113,10 +101,7 @@ def run_from_args(args: argparse.Namespace) -> int:
         print(f"removed {removed} cached results from {cache.directory}")
         return 0
     if args.list:
-        listing = figure_grids(
-            args.procs, args.iters, shards=args.shards, fabric=args.fabric
-        )
-        for title, jobs in listing.items():
+        for title, jobs in figure_grids(args.procs, args.iters).items():
             print(f"{title} ({len(jobs)} points)")
             for job in jobs:
                 print(f"  {job.label:28s} {job.workload.describe()}")
@@ -136,8 +121,6 @@ def run_from_args(args: argparse.Namespace) -> int:
                 only=args.figures,
                 out=args.out or None,
                 timeout=args.timeout,
-                shards=args.shards,
-                fabric=args.fabric,
                 manifest=manifest,
                 resume=args.resume,
                 retries=args.retries,

@@ -22,20 +22,8 @@ from .runner import JobResult, ProgressPrinter, run_jobs
 from .spec import Job, WorkloadSpec
 
 
-def figure_grids(
-    procs: int = 64,
-    iters: int = 8,
-    *,
-    shards: int = 1,
-    fabric: str = "auto",
-) -> dict[str, list[Job]]:
-    """Ordered figure-title -> jobs mapping for the full evaluation.
-
-    ``shards``/``fabric`` flow into every grid point's config, so whole
-    figure suites can run through the sharded driver (and its results
-    are cached under distinct keys — the staged fabric is a different
-    machine model than the atomic one).
-    """
+def figure_grids(procs: int = 64, iters: int = 8) -> dict[str, list[Job]]:
+    """Ordered figure-title -> jobs mapping for the full evaluation."""
 
     def weather(**kw) -> WorkloadSpec:
         return WorkloadSpec("weather", {"iterations": iters, **kw})
@@ -45,10 +33,7 @@ def figure_grids(
     )
 
     def cfg(protocol: str, **extras) -> AlewifeConfig:
-        return AlewifeConfig(
-            n_procs=procs, protocol=protocol, shards=shards, fabric=fabric,
-            **extras,
-        )
+        return AlewifeConfig(n_procs=procs, protocol=protocol, **extras)
 
     grids: dict[str, list[Job]] = {}
     grids["Figure 7: Static Multigrid"] = [
@@ -123,8 +108,6 @@ def run_figure_suite(
     out: Path | str | None = None,
     echo: Callable[[str], None] = print,
     timeout: float | None = None,
-    shards: int = 1,
-    fabric: str = "auto",
     manifest: CampaignManifest | None = None,
     resume: bool = False,
     retries: int = 0,
@@ -146,7 +129,7 @@ def run_figure_suite(
     ``on_error="record"`` when a manifest is present, and failed points
     surface in the report and the artifact rather than as an exception.
     """
-    grids = figure_grids(procs, iters, shards=shards, fabric=fabric)
+    grids = figure_grids(procs, iters)
     if only:
         grids = {
             title: jobs
@@ -205,8 +188,6 @@ def run_figure_suite(
         "suite": "figures",
         "procs": procs,
         "iters": iters,
-        "shards": shards,
-        "fabric": fabric,
         "workers": workers,
         "wall_seconds": round(wall, 3),
         "simulated": executed,

@@ -57,7 +57,7 @@ def _on_alarm(signum, frame):  # pragma: no cover - fires inside workers
 
 
 def _execute(
-    payload: tuple[int, Job, Optional[float], Optional[int]]
+    payload: tuple[int, Job, Optional[float]]
 ) -> tuple[int, Optional[MachineStats], float, Optional[str]]:
     """Worker-process entry point: run one job, return its stats.
 
@@ -65,7 +65,7 @@ def _execute(
     rendered error string instead of poisoning the whole pool; the parent
     decides whether to raise or record them.
     """
-    index, job, timeout, shard_workers = payload
+    index, job, timeout = payload
     start = time.perf_counter()
     armed = timeout is not None and hasattr(signal, "SIGALRM")
     old_handler = None
@@ -73,12 +73,7 @@ def _execute(
         if armed:
             old_handler = signal.signal(signal.SIGALRM, _on_alarm)
             signal.alarm(max(1, int(timeout)))
-        if shard_workers is None:
-            stats = run_experiment(job.config, job.workload.build())
-        else:
-            stats = run_experiment(
-                job.config, job.workload.build(), shard_workers=shard_workers
-            )
+        stats = run_experiment(job.config, job.workload.build())
         return index, stats, time.perf_counter() - start, None
     except JobTimeout:
         wall = time.perf_counter() - start
@@ -156,7 +151,7 @@ def run_jobs(
     # First occurrence of each key runs (or hits the cache); duplicates
     # share its stats without re-simulating.
     primary: dict[str, int] = {}
-    pending: list[tuple[int, Job, Optional[float], Optional[int]]] = []
+    pending: list[tuple[int, Job, Optional[float]]] = []
     for index, (job, key) in enumerate(zip(jobs, keys)):
         if key in primary:
             continue
@@ -189,9 +184,9 @@ def run_jobs(
             if progress is not None:
                 progress(results[index], done, total)
             continue
-        pending.append((index, job, timeout, None))
+        pending.append((index, job, timeout))
 
-    def launch(payload: tuple[int, Job, Optional[float], Optional[int]]) -> None:
+    def launch(payload: tuple[int, Job, Optional[float]]) -> None:
         """Write-ahead: log the attempt before it executes."""
         key = keys[payload[0]]
         attempt_no[key] += 1
@@ -221,10 +216,10 @@ def run_jobs(
         if progress is not None:
             progress(results[index], done, total)
 
-    retry_queue: list[tuple[int, Job, Optional[float], Optional[int]]] = []
+    retry_queue: list[tuple[int, Job, Optional[float]]] = []
 
     def settle(
-        payload: tuple[int, Job, Optional[float], Optional[int]],
+        payload: tuple[int, Job, Optional[float]],
         stats: Optional[MachineStats],
         wall: float,
         error: Optional[str],
@@ -239,50 +234,34 @@ def run_jobs(
             return
         record(payload[0], stats, wall, error)
 
-    # Sharded grid points fork their own worker processes, so handing them
-    # to the pool would oversubscribe the core budget K-fold.  They run
-    # one at a time in this process instead, with the whole budget as
-    # their internal workers (in-process stepping when the budget is one
-    # core); serial points fan out over the pool as before.
-    serial_pending = [p for p in pending if p[1].config.shards <= 1]
-    sharded_pending = [p for p in pending if p[1].config.shards > 1]
-    payload_by_index = {p[0]: p for p in serial_pending}
-
-    if serial_pending:
-        if workers > 1 and len(serial_pending) > 1:
-            ctx = _pool_context()
-            n = min(workers, len(serial_pending))
-            with ctx.Pool(n) as pool:
-                # Submit in waves of pool size so the write-ahead records
-                # only cover points that are genuinely executing: a crash
-                # then charges at most one attempt to each of ~n points,
-                # not to the whole campaign.
-                for wave_start in range(0, len(serial_pending), n):
-                    wave = serial_pending[wave_start : wave_start + n]
-                    for payload in wave:
-                        launch(payload)
-                    for index, stats, wall, error in pool.imap_unordered(
-                        _execute, wave, chunksize=1
-                    ):
-                        settle(
-                            payload_by_index[index],
-                            stats,
-                            wall,
-                            error,
-                            retries_left=retries,
-                        )
-        else:
-            for payload in serial_pending:
-                launch(payload)
-                index, stats, wall, error = _execute(payload)
-                settle(payload, stats, wall, error, retries_left=retries)
-
-    for index, job, job_timeout, _ in sharded_pending:
-        shard_workers = 1 if workers <= 1 else None
-        payload = (index, job, job_timeout, shard_workers)
-        launch(payload)
-        index, stats, wall, error = _execute(payload)
-        settle(payload, stats, wall, error, retries_left=retries)
+    payload_by_index = {p[0]: p for p in pending}
+    if workers > 1 and len(pending) > 1:
+        ctx = _pool_context()
+        n = min(workers, len(pending))
+        with ctx.Pool(n) as pool:
+            # Submit in waves of pool size so the write-ahead records
+            # only cover points that are genuinely executing: a crash
+            # then charges at most one attempt to each of ~n points,
+            # not to the whole campaign.
+            for wave_start in range(0, len(pending), n):
+                wave = pending[wave_start : wave_start + n]
+                for payload in wave:
+                    launch(payload)
+                for index, stats, wall, error in pool.imap_unordered(
+                    _execute, wave, chunksize=1
+                ):
+                    settle(
+                        payload_by_index[index],
+                        stats,
+                        wall,
+                        error,
+                        retries_left=retries,
+                    )
+    else:
+        for payload in pending:
+            launch(payload)
+            index, stats, wall, error = _execute(payload)
+            settle(payload, stats, wall, error, retries_left=retries)
 
     # Retry rounds: failed points re-execute serially in this process,
     # spaced by a linear backoff, until they succeed or the budget is

@@ -31,10 +31,10 @@ def machine_block_view(node, entry, cached_copies) -> BlockView:
 
     ``cached_copies`` maps node id -> ``(state, words)`` for every valid
     copy of the entry's block, machine-wide.  The tuple form (rather than
-    live cache-line objects) is deliberate: a sharded audit exchanges
-    exactly these holdings between workers.  Nothing is in flight at audit
-    time, so the in-flight invalidation set is empty and ``awaited`` is
-    whatever the (necessarily broken, if nonempty) entry still records.
+    live cache-line objects) is deliberate: the same holdings map feeds
+    the checkpoint digest.  Nothing is in flight at audit time, so the
+    in-flight invalidation set is empty and ``awaited`` is whatever the
+    (necessarily broken, if nonempty) entry still records.
     """
     controller = node.directory_controller
     software = node.software
@@ -62,11 +62,7 @@ def machine_block_view(node, entry, cached_copies) -> BlockView:
 
 
 def cache_holdings(nodes) -> dict[int, dict[int, tuple]]:
-    """Map block -> {node: (state, words)} for every valid cached copy.
-
-    Picklable, so a shard worker can ship its slice to the parent, which
-    unions the slices into the machine-wide map every shard audits against.
-    """
+    """Map block -> {node: (state, words)} for every valid cached copy."""
     cached: dict[int, dict[int, tuple]] = {}
     for node in nodes:
         for line in node.cache_array.valid_lines():
@@ -78,7 +74,7 @@ def cache_holdings(nodes) -> dict[int, dict[int, tuple]]:
 
 
 def local_quiesce_problems(nodes, network) -> list[str]:
-    """Shard-local quiescence checks (in-flight, MSHRs, IPI queues)."""
+    """Quiescence checks (in-flight, MSHRs, IPI queues)."""
     problems: list[str] = []
     if network.in_flight:
         problems.append(f"{network.in_flight} packets still in flight")

@@ -131,7 +131,7 @@ def context_state(machine: AlewifeMachine) -> list:
 
 
 def kernel_state(machine: AlewifeMachine) -> tuple:
-    """The kernel observables the shard driver and the checkpointer read."""
+    """The kernel observables the checkpointer reads."""
     sim = machine.sim
     return (sim.now, sim._seq, sim.events_executed, sim.pending_events)
 
@@ -155,14 +155,14 @@ def crash(backend, streams, *, poke=None, **overrides):
         run_streams(machine, streams, poke)
     at_raise = (
         kernel_state(machine),
-        state_digest([machine]),
+        state_digest(machine),
         context_state(machine),
     )
     # The failed context is gone for good, but everything else still
     # queued must run to quiescence from a consistent kernel.
     machine.sim.run()
     assert machine.sim.pending_events == 0
-    drained = (kernel_state(machine), state_digest([machine]))
+    drained = (kernel_state(machine), state_digest(machine))
     return {
         "error": (caught.type, str(caught.value)),
         "at_raise": at_raise,

@@ -77,7 +77,7 @@ def mshr_state(machine) -> list:
 def final_state(machine, stats) -> dict:
     """What the run left behind, beyond the windowed trace."""
     return {
-        "digest": state_digest([machine]),
+        "digest": state_digest(machine),
         "fingerprint": equivalence_fingerprint(stats),
         "counters": {n.node_id: n.counters.as_dict() for n in machine.nodes},
         "latency": [
@@ -240,8 +240,8 @@ CASES = [
          poke=_poke_update_block),
     Case("fallback_wb_buffer", _MIXED, reasons=frozenset({"wb_buffer"}),
          poke=_poke_wb_buffer, unpoke=_clear_wb_buffer),
-    Case("fallback_staged_fabric", _MIXED, reasons=frozenset({"fabric"}),
-         overrides={"fabric": "staged"}),
+    Case("fallback_ideal_fabric", _MIXED, reasons=frozenset({"fabric"}),
+         overrides={"topology": "ideal"}),
     Case("mixed_traffic_stays_compiled", _MIXED,
          witness=("cache.fills", "cache.inv_received", "cache.upgrades")),
     # the gate reads a flag as Python's ``if`` does: a falsy int is off
@@ -295,7 +295,7 @@ def test_a_python_packet_pool_hands_every_step_back_as_pool(monkeypatch):
 @needs_extension
 def test_an_emptied_network_is_malformed_not_fabric():
     """What ``dismantle()`` leaves: Python raises, and the counter says
-    the machine was broken, not that its fabric was a staged one."""
+    the machine was broken, not that its fabric's send was Python."""
 
     def run(backend):
         machine = make_machine(backend)
@@ -453,7 +453,7 @@ def test_event_cancel_inside_the_ring_drain_a_completion_runs_in():
         stats = machine.run(
             OpStreamWorkload({0: [[("think", 90)]], **_NEIGHBOURS}), driver=driver
         )
-        return log, trace, state_digest([machine]), equivalence_fingerprint(stats)
+        return log, trace, state_digest(machine), equivalence_fingerprint(stats)
 
     reference = run("reference")
     assert [entry[0] for entry in reference[0]] == ["done", "first", "later"]

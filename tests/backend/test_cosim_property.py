@@ -9,8 +9,8 @@ Two layers of lockstep comparison, both driven by hypothesis:
   per-window kernel observables ``(now, _seq, events_executed,
   pending_events)`` must match exactly: the 64-slot ring and the batched
   counter updates are pure reorderings of *work*, never of *results*,
-  and the window boundaries are exactly where the shard driver and the
-  checkpointer read those observables.
+  and the window boundaries are exactly where the checkpointer reads
+  those observables.
 * **Machine level** — random small weather configurations run end to end
   on both backends under a windowed driver; the per-window observables
   and the final equivalence fingerprint must match.  This sweeps the

@@ -196,7 +196,7 @@ def directory_state(machine) -> list:
 
 def final_state(machine, stats, scripted) -> dict:
     return {
-        "digest": state_digest([machine]),
+        "digest": state_digest(machine),
         "fingerprint": equivalence_fingerprint(stats) if stats is not None else None,
         "counters": {n.node_id: n.counters.as_dict() for n in machine.nodes},
         "directory": directory_state(machine),
@@ -487,11 +487,11 @@ CASES = [
          poke=lambda m: [setattr(n.directory_controller, "fault_tolerant", True)
                          for n in m.nodes]),
     # -- the send primitive follows the fabric; the cells stay compiled ----
-    Case("staged_fabric_sends_through_the_python_nic",
+    Case("ideal_fabric_sends_through_the_python_nic",
          {0: [[("load", 0)]], 2: [[("load", 0)]],
           1: [[("load", 0), ("think", 150), ("store", 0, 5)]], **_idle(3)},
          reasons=frozenset({"fabric"}), witness=("dir.invalidations",),
-         overrides={**_FULLMAP, "fabric": "staged"}),
+         overrides={**_FULLMAP, "topology": "ideal"}),
     Case("crc_stamping_sends_through_the_python_nic",
          {1: [[("store", 0, 9)]], 2: [[("think", 120), ("load", 0)]], **_idle(0, 3)},
          reasons=frozenset({"crc"}), witness=("dir.read_transactions_done",),
@@ -613,25 +613,6 @@ def test_a_python_packet_pool_hands_every_step_back_as_pool(monkeypatch):
     assert (trace, final) == (ref_trace, ref_final)
     handed = native.fallthroughs(machine)
     assert {reason for reason, n in handed.items() if n} == {"pool"}
-
-
-@needs_extension
-def test_a_sharded_run_keeps_the_kernel_and_sends_through_python():
-    from repro.machine import run_experiment
-
-    config = make_machine("reference", **_FULLMAP).config
-    prints = {
-        (backend, shards): equivalence_fingerprint(
-            run_experiment(
-                config.with_(backend=backend, shards=shards),
-                OpStreamWorkload(_SHARING),
-            )
-        )
-        for backend in ("reference", "native")
-        for shards in (1, 2)
-    }
-    assert len({prints[key] for key in prints if key[1] == 2}) == 1
-    assert prints[("native", 1)] == prints[("reference", 1)]
 
 
 # ----------------------------------------------------------------------
@@ -877,7 +858,7 @@ def test_event_cancel_of_a_process_event():
             driver=driver, audit=False,
         )
         entry = _entry(machine)
-        return log, trace, sorted(entry.sharers), state_digest([machine]), \
+        return log, trace, sorted(entry.sharers), state_digest(machine), \
             equivalence_fingerprint(stats)
 
     reference = run("reference")

@@ -4,7 +4,7 @@ The ``soa`` backend's contract is *bit-identical* observable behaviour:
 same cycles, counters, histograms, and network statistics as the
 pure-Python reference on every committed scenario.  The digests below
 pin :func:`repro.backend.equivalence_fingerprint` (MachineStats minus
-the backend-carrying ``config`` and the driver-only ``shard_meta``) for
+the backend-carrying ``config``) for
 both backends at once — a mismatch on either backend means simulated
 behaviour changed, exactly the regression the sweep result cache and the
 recovery digests cannot tolerate.
@@ -12,9 +12,8 @@ recovery digests cannot tolerate.
 The matrix deliberately crosses the axes where the SoA layout differs
 most from the reference object model: all three protocols (fullmap's
 dense bitmasks, dir4nb's pointer eviction, limitless's software
-extension with its PointerSet-into-set merges), a second workload shape,
-nonzero fault injection (RNG interleaving), and the K=2 windowed shard
-driver (staged fabric + harvest merge).
+extension with its PointerSet-into-set merges), a second workload shape
+and nonzero fault injection (RNG interleaving).
 """
 
 from __future__ import annotations
@@ -57,10 +56,6 @@ SCENARIOS = {
         ),
         lambda: WeatherWorkload(iterations=3),
     ),
-    "weather-fullmap-p16-k2": (
-        dict(n_procs=16, protocol="fullmap", shards=2),
-        lambda: WeatherWorkload(iterations=3),
-    ),
 }
 
 #: digests recorded from the reference backend at the PR that introduced
@@ -81,17 +76,13 @@ GOLDEN_FINGERPRINTS = {
     "weather-limitless4-faults-p16": (
         "e3609960d35c3f6d3ac31b0c1d641611d1659235899f098a89433750b2f17295"
     ),
-    "weather-fullmap-p16-k2": (
-        "f8cafc692c8e3fe176397d976925dd922d0e0f85aa7dec002607c9f3f0e77857"
-    ),
 }
 
 
 def _run(name: str, backend: str):
     config_kw, workload_factory = SCENARIOS[name]
     config = AlewifeConfig(**config_kw, backend=backend)
-    kwargs = {"shard_workers": 1} if config.shards > 1 else {}
-    return run_experiment(config, workload_factory(), **kwargs)
+    return run_experiment(config, workload_factory())
 
 
 @pytest.mark.parametrize("backend", backend_names())

@@ -12,10 +12,12 @@ disabled:
 * a collection then finds **nothing** unreachable — ``dismantle()`` left
   no cycle behind, so reference counting alone freed the machines;
 * ``sys.getallocatedblocks()``, read right after that collection (which
-  also empties the interpreter's free lists, the one thing that
-  otherwise drifts), is **flat** from batch to batch once the first
-  batches have warmed the caches — nothing is pinned by a live
-  reference or a missed ``Py_DECREF`` either.
+  also empties the interpreter's free lists) and a flush of the type
+  attribute cache (its entries own their name strings, so an eviction
+  frees a couple of blocks at a moment that depends on every test that
+  ran before) — the two things that otherwise drift — is **flat** from
+  batch to batch once the first batches have warmed the caches: nothing
+  is pinned by a live reference or a missed ``Py_DECREF`` either.
 
 The machines are the miss-transaction rows of ``test_cache_kernel.py``
 (every hand-back path of the compiled cache side, the fault-tolerant
@@ -107,6 +109,7 @@ def test_nothing_accumulates_with_gc_disabled(build_run_dismantle, backend):
             build_run_dismantle(backend)
             build_run_dismantle(backend)
             unreachable[batch] = gc.collect()
+            sys._clear_type_cache()
             blocks[batch] = sys.getallocatedblocks()
     finally:
         if was_enabled:

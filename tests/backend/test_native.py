@@ -201,17 +201,17 @@ class _Core:
     def bind(self, sim):
         pass
 
-    post = post_after = call_at = call_after = post_front = bind
+    post = post_after = call_at = call_after = bind
     run = run_until = flush_ring = next_ring_time = bind
 
 
-class _CoreWithoutFrontSeq(_Core):
-    """The ``Core`` of the build the re-anchor tripped over."""
+class _CoreWithoutLive(_Core):
+    """A ``Core`` one scalar short of what ``NativeSimulator`` sets."""
 
     def __setattr__(self, name, value):
-        if name == "front_seq":
+        if name == "live":
             raise AttributeError(
-                "'repro._native.Core' object has no attribute 'front_seq'"
+                "'repro._native.Core' object has no attribute 'live'"
             )
         super().__setattr__(name, value)
 
@@ -246,13 +246,13 @@ def test_an_unstamped_extension_degrades(monkeypatch):
 def test_an_extension_whose_core_lacks_an_attribute_degrades(monkeypatch):
     """``setup()`` passes, the stamp (a forged one, here) matches, and the
     first ``NativeSimulator()`` would have died with ``AttributeError:
-    'repro._native.Core' object has no attribute 'front_seq'``."""
+    'repro._native.Core' object has no attribute 'live'``."""
     stand_in = types.SimpleNamespace(
         setup=lambda spec: None,
-        Core=_CoreWithoutFrontSeq,
+        Core=_CoreWithoutLive,
         SOURCE_SHA256=_checked_out_hash(),
     )
-    _assert_degrades_to_soa(monkeypatch, stand_in, "no attribute 'front_seq'")
+    _assert_degrades_to_soa(monkeypatch, stand_in, "no attribute 'live'")
 
 
 @pytest.mark.skipif(not native.available(), reason="extension not built")

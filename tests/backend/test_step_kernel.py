@@ -136,7 +136,7 @@ def test_hand_built_bursts_run_like_reference():
 
 def _poke_burst(pos):
     def poke(machine):
-        ctx = machine.node_map[0].processor.contexts[0]
+        ctx = machine.nodes[0].processor.contexts[0]
         ctx.burst_ops = (ops.think(1), ops.think(2))
         ctx.burst_pos = pos
 

@@ -109,3 +109,25 @@ class TestMain:
             ]
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--ts", "-5"], "error: ts must be >= 0, got -5"),
+            (["--procs", "0"], "error: need at least one processor"),
+            (["--pointers", "-1"], "error: pointer count must be >= 0"),
+        ],
+    )
+    def test_invalid_config_is_exit_2_not_a_traceback(
+        self, capsys, flags, message
+    ):
+        code = main(["run", "--workload", "hotspot", "--procs", "4", *flags])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--shards", "--shard-workers", "--fabric"])
+    def test_removed_sharding_flags_are_unknown(self, capsys, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--workload", "hotspot", "--procs", "4", flag, "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

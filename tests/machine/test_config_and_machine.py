@@ -32,6 +32,30 @@ class TestConfig:
         with pytest.raises(ValueError):
             AlewifeConfig(protocol="limited", pointers=0)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "ts",
+            "ts_per_invalidation",
+            "hop_latency",
+            "cycles_per_word",
+            "injection_latency",
+            "ideal_latency",
+            "cache_hit_latency",
+            "dir_occupancy",
+            "switch_cycles",
+        ],
+    )
+    def test_negative_latency_rejected(self, field):
+        """``ts=-5`` used to validate and die 223 cycles into the run."""
+        with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+            AlewifeConfig(**{field: -1})
+        assert getattr(AlewifeConfig(**{field: 0}), field) == 0
+
+    def test_removed_sharding_fields_are_unknown(self):
+        with pytest.raises(TypeError, match="shards"):
+            AlewifeConfig(shards=2)
+
     def test_with_returns_modified_copy(self):
         base = AlewifeConfig(n_procs=16)
         other = base.with_(ts=125)

@@ -17,20 +17,15 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def _campaign(tmp_path, *, shards, kill_target, kills=1):
+def _campaign(tmp_path, *, protocols=("limitless",), kills=1):
     points = chaos_points(
-        procs=8,
-        protocols=("limitless",),
-        workloads=("weather",),
-        shards=shards,
-        iters=1,
+        procs=8, protocols=protocols, workloads=("weather",), iters=1
     )
     return run_chaos_campaign(
         points,
         kills=kills,
         seed=3,
         every=200,
-        kill_target=kill_target,
         kill_window=(0.01, 0.08),
         workdir=str(tmp_path),
         out=None,
@@ -39,20 +34,15 @@ def _campaign(tmp_path, *, shards, kill_target, kills=1):
 
 
 def test_process_kill_recovers_bit_identical(tmp_path):
-    report = _campaign(tmp_path, shards=(1, 2), kill_target="process")
+    report = _campaign(tmp_path, protocols=("fullmap", "limitless"))
     assert report["summary"]["points"] == 2
     assert report["summary"]["failed"] == 0, report["points"]
     for row in report["points"]:
         assert row["recovered"], row
 
 
-def test_worker_kill_recovers_bit_identical(tmp_path):
-    report = _campaign(tmp_path, shards=(2,), kill_target="worker")
-    assert report["summary"]["failed"] == 0, report["points"]
-
-
 def test_zero_kills_matches_golden(tmp_path):
     """The chaos harness itself must not perturb results."""
-    report = _campaign(tmp_path, shards=(1,), kill_target="process", kills=0)
+    report = _campaign(tmp_path, kills=0)
     row = report["points"][0]
     assert row["recovered"] and row["kills_delivered"] == 0, row

@@ -2,8 +2,8 @@
 
 The contract under test: a run that is checkpointed, killed, and resumed
 from its latest snapshot produces final statistics *bit-identical* to the
-same run executed without interruption — across workloads, protocols and
-shard counts — and the cycle counts match the committed resume goldens,
+same run executed without interruption — across workloads and protocols
+— and the cycle counts match the committed resume goldens,
 so a semantic drift in either the simulator or the snapshot layer fails
 loudly here.
 """
@@ -41,21 +41,16 @@ WORKLOADS = {
 }
 
 
-def _config(protocol: str, shards: int) -> AlewifeConfig:
-    return AlewifeConfig(
-        n_procs=16, protocol=protocol, pointers=4, ts=50, shards=shards
-    )
+def _config(protocol: str) -> AlewifeConfig:
+    return AlewifeConfig(n_procs=16, protocol=protocol, pointers=4, ts=50)
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 @pytest.mark.parametrize("protocol", ["fullmap", "limitless"])
-@pytest.mark.parametrize("shards", [1, 2])
-def test_interrupted_resume_is_bit_identical(
-    tmp_path, workload, protocol, shards
-):
-    config = _config(protocol, shards)
+def test_interrupted_resume_is_bit_identical(tmp_path, workload, protocol):
+    config = _config(protocol)
     spec = WORKLOADS[workload]
-    golden = run_experiment(config, spec.build(), shard_workers=1)
+    golden = run_experiment(config, spec.build())
 
     with pytest.raises(CheckpointInterrupted):
         run_with_checkpoints(
@@ -67,25 +62,25 @@ def test_interrupted_resume_is_bit_identical(
     resumed = resume_run(snap_path, every=300)
 
     assert resumed.to_dict() == golden.to_dict()
-    assert resumed.cycles == GOLDENS[f"{workload}/{protocol}/k{shards}"]
+    assert resumed.cycles == GOLDENS[f"{workload}/{protocol}/k1"]
 
 
 def test_uninterrupted_checkpointed_run_matches_plain(tmp_path):
-    config = _config("limitless", 1)
+    config = _config("limitless")
     spec = WORKLOADS["weather"]
     golden = run_experiment(config, spec.build())
     stats = run_with_checkpoints(config, spec, every=300, out_dir=tmp_path)
     assert stats.to_dict() == golden.to_dict()
-    # Serial snapshots land on exact multiples of the interval.
+    # Snapshots land on exact multiples of the interval.
     cycles = [s.cycle for s in map(read_snapshot, list_snapshots(tmp_path))]
     assert cycles and all(c % 300 == 0 for c in cycles)
 
 
 def test_repeated_interruptions_converge(tmp_path):
     """Kill after every snapshot; each resume still reaches the golden."""
-    config = _config("limitless", 2)
+    config = _config("limitless")
     spec = WORKLOADS["weather"]
-    golden = run_experiment(config, spec.build(), shard_workers=1)
+    golden = run_experiment(config, spec.build())
     try:
         run_with_checkpoints(
             config, spec, every=300, out_dir=tmp_path, stop_after=1
@@ -107,7 +102,7 @@ def test_repeated_interruptions_converge(tmp_path):
 
 
 def test_digest_mismatch_is_drift(tmp_path):
-    config = _config("fullmap", 1)
+    config = _config("fullmap")
     spec = WORKLOADS["weather"]
     with pytest.raises(CheckpointInterrupted):
         run_with_checkpoints(
@@ -125,7 +120,7 @@ def test_config_mismatch_is_drift(tmp_path):
     (The config swap has to actually change the simulated state by the
     marker's cycle — a different RNG seed diverges from cycle zero.)
     """
-    config = _config("fullmap", 1)
+    config = _config("fullmap")
     spec = WORKLOADS["weather"]
     with pytest.raises(CheckpointInterrupted):
         run_with_checkpoints(
@@ -140,7 +135,7 @@ def test_config_mismatch_is_drift(tmp_path):
 
 
 def test_source_fingerprint_mismatch_is_drift(tmp_path):
-    config = _config("fullmap", 1)
+    config = _config("fullmap")
     spec = WORKLOADS["weather"]
     with pytest.raises(CheckpointInterrupted):
         run_with_checkpoints(
@@ -157,7 +152,7 @@ def test_source_fingerprint_mismatch_is_drift(tmp_path):
 
 
 def test_unknown_snapshot_version_rejected(tmp_path):
-    config = _config("fullmap", 1)
+    config = _config("fullmap")
     spec = WORKLOADS["weather"]
     with pytest.raises(CheckpointInterrupted):
         run_with_checkpoints(
@@ -174,11 +169,11 @@ def test_unknown_snapshot_version_rejected(tmp_path):
 def test_checkpoint_requires_interval_or_snapshot(tmp_path):
     with pytest.raises(CheckpointError):
         run_with_checkpoints(
-            _config("fullmap", 1), WORKLOADS["weather"], out_dir=tmp_path
+            _config("fullmap"), WORKLOADS["weather"], out_dir=tmp_path
         )
     with pytest.raises(CheckpointError):
         run_with_checkpoints(
-            _config("fullmap", 1),
+            _config("fullmap"),
             WORKLOADS["weather"],
             every=0,
             out_dir=tmp_path,

@@ -62,6 +62,11 @@ class TestRequestParsing:
             ),
             ({**job_payload(), "timeout": -1}, "timeout"),
             ({**job_payload(), "timeout": "soon"}, "timeout"),
+            # the removed sharding options are unknown fields, by name
+            (job_payload(shards=2), "unexpected keyword argument 'shards'"),
+            (job_payload(fabric="staged"), "unexpected keyword argument 'fabric'"),
+            # a negative latency never reaches a pool worker
+            (job_payload(ts=-5), "ts must be >= 0"),
         ],
     )
     def test_bad_payloads_rejected(self, payload, match):
@@ -207,43 +212,6 @@ class TestCacheShortCircuit:
         service.cache.invalidate()
         warm = service.submit_payload(job_payload())
         assert warm.done and warm.warm
-        service.close()
-
-
-class TestShardedJobs:
-    """`shards`/`fabric` in the job JSON flow through to the shard driver."""
-
-    def test_sharded_config_keys_parse(self):
-        request = JobRequest.from_payload(job_payload(shards=2, fabric="staged"))
-        point = request.points[0]
-        assert point.config.shards == 2
-        assert point.config.fabric == "staged"
-
-    def test_sharded_point_runs_and_reports_shard_meta(
-        self, cache, thread_executor_factory
-    ):
-        service = SweepService(
-            workers=1, cache=cache, executor_factory=thread_executor_factory
-        )
-        record = service.submit_payload(job_payload(shards=2, fabric="staged"))
-        assert record.wait(120)
-        assert record.state == "done"
-        row = record.snapshot()["results"][0]
-        assert row["ok"], row["error"]
-        # The service pins sharded points to in-process stepping.
-        assert row["shards"] == {
-            "shards": 2,
-            "workers": 1,
-            "windows": row["shards"]["windows"],
-            "handoffs": row["shards"]["handoffs"],
-        }
-        assert row["shards"]["windows"] > 0
-        # A serial run of the same workload is a different machine model:
-        # distinct cache key, no shard block in its result row.
-        serial = service.submit_payload(job_payload())
-        assert serial.wait(120)
-        assert serial.keys[0] != record.keys[0]
-        assert "shards" not in serial.snapshot()["results"][0]
         service.close()
 
 

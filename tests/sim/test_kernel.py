@@ -356,29 +356,6 @@ class TestSameCycleFastLane:
         assert log == ["after"]
 
 
-class TestPostFront:
-    def test_front_events_run_before_normal_events(self, sim):
-        log = []
-        sim.call_at(10, lambda: log.append("normal"))
-        sim.post_front(10, lambda: log.append("front"))
-        sim.run()
-        assert log == ["front", "normal"]
-
-    def test_front_scheduling_now_while_running_raises(self, sim):
-        def root():
-            sim.post_front(sim.now, lambda: None)
-
-        sim.call_at(5, root)
-        with pytest.raises(SimulationError):
-            sim.run()
-
-    def test_front_scheduling_in_the_past_raises(self, sim):
-        sim.call_at(10, lambda: None)
-        sim.run()
-        with pytest.raises(SimulationError):
-            sim.post_front(5, lambda: None)
-
-
 class TestRunUntilWindow:
     def test_executes_strictly_before_limit(self, sim):
         log = []
@@ -396,6 +373,17 @@ class TestRunUntilWindow:
     def test_advances_now_with_no_events(self, sim):
         sim.run_until(100)
         assert sim.now == 100
+
+    def test_run_until_fast_path_advances_an_empty_window(self, sim):
+        """Nothing strictly before the limit: the early exit, with and
+        without a later event at the head of the queue."""
+        assert sim.run_until(100) == 100
+        fired = []
+        sim.post(250, fired.append, 1)
+        assert sim.run_until(250) == 250  # half-open: 250 not executed
+        assert fired == []
+        sim.run_until(251)
+        assert fired == [1]
 
     def test_window_below_now_raises(self, sim):
         sim.run_until(50)

@@ -1,8 +1,7 @@
 """Slot-registry growth contract: shipped components never grow it.
 
-The slot registry is process-global by design (same construction order
-=> same ids in every shard worker), which makes monotonic growth a
-leak for long-lived processes.  Two guarantees pin the fix:
+The slot registry is process-global by design, which makes monotonic
+growth a leak for long-lived processes.  Two guarantees pin the fix:
 
 * every shipped component interns its slot names in module-level
   constants, so building machines in a loop leaves the registry size
