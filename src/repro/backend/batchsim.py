@@ -37,7 +37,14 @@ from collections import deque
 from heapq import heappush as _heappush
 from typing import Any, Callable
 
-from ..sim.kernel import Event, SimulationError, Simulator, _NO_ARG
+from ..sim.kernel import (
+    _MAX_TIME,
+    _NO_ARG,
+    Event,
+    SimulationError,
+    Simulator,
+    _bad_time,
+)
 
 _RING = 64
 _MASK = _RING - 1
@@ -60,12 +67,9 @@ class BatchSimulator(Simulator):
     def call_at(
         self, time: int, callback: Callable[..., None], arg: Any = _NO_ARG
     ) -> Event:
-        time = int(time)
         now = self.now
-        if time < now:
-            raise SimulationError(
-                f"cannot schedule event at {time}, now is {self.now}"
-            )
+        if type(time) is not int or not now <= time <= _MAX_TIME:
+            raise _bad_time(time, now)
         seq = self._seq
         self._seq = seq + 1
         event = Event(time, seq, callback, arg, self)
@@ -82,10 +86,8 @@ class BatchSimulator(Simulator):
         self, time: int, callback: Callable[..., None], arg: Any = _NO_ARG
     ) -> None:
         now = self.now
-        if time < now:
-            raise SimulationError(
-                f"cannot schedule event at {time}, now is {self.now}"
-            )
+        if type(time) is not int or not now <= time <= _MAX_TIME:
+            raise _bad_time(time, now)
         seq = self._seq
         self._seq = seq + 1
         if self._running and time - now < _RING:

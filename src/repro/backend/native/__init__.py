@@ -18,9 +18,14 @@ components and records the reason in :func:`load_status` /
 Exactness is non-negotiable: the compiled kernels replicate
 ``BatchSimulator`` and the reference ``Processor``/``CacheController``/
 ``WormholeNetwork`` methods observable-for-observable (sequence numbers,
-counter settle order, exception partial effects), and the equivalence
-golden tier in ``tests/backend`` pins them against the committed SHA-256
-fingerprints with the extension present *and* absent.
+execution order, exception partial effects), and the equivalence golden
+tier in ``tests/backend`` pins them against the committed SHA-256
+fingerprints with the extension present *and* absent.  Two things a run
+does per event stay out of Python objects until it returns — ring
+entries are C structs, counter bumps C integers folded into the usual
+attributes by one settle on every exit — so "observable" means: at any
+instant Python code can look *between* runs (docs/BACKENDS.md, "The
+settle contract").
 """
 
 from __future__ import annotations
@@ -39,9 +44,9 @@ from ...mem.memory import MainMemory
 from ...network.fabric import WormholeNetwork
 from ...network.packet import N_OPS, OP_NAMES
 from ...proc import processor as pp
-from ...sim.kernel import StallableResource
+from ...sim.kernel import Simulator, StallableResource
 from ...stats.counters import Counters
-from ..batchsim import _RING, BatchSimulator
+from ..batchsim import _RING
 from ..soa import SoaCacheArray, SoaDirectory
 
 _native = None
@@ -100,6 +105,7 @@ def _ensure_setup() -> None:
     global _setup_done
     if _setup_done or _native is None:
         return
+    _setup_done = True  # the NativeSimulator() probe below comes back here
     from ...cache.controller import Mshr, _Waiter
     from ...mem.memory import BlockData
     from ...network.fabric import NetworkStats
@@ -164,8 +170,6 @@ def _ensure_setup() -> None:
         built = getattr(_native, "SOURCE_SHA256", None) or "unstamped"
         if built != digest:
             _stale(f"source hash {digest[:12]}, built from {built[:12]}")
-            return
-    _setup_done = True
 
 
 def _core_property(name):
@@ -181,20 +185,25 @@ def _core_property(name):
     return property(fget, fset)
 
 
-class NativeSimulator(BatchSimulator):
-    """BatchSimulator whose state and run loops live in the C core.
+class NativeSimulator(Simulator):
+    """The reference kernel's interface over the compiled event core.
 
-    The scalar state (``now``, sequence counters, live count, ring mask)
-    is stored in the :class:`_native.Core` and exposed through settable
-    properties, so every external poke that works on ``BatchSimulator``
-    (``Event.cancel``, checkpoint digests, modelcheck queue clears)
-    works unchanged here.  The ring slots are real Python lists shared
-    with the core; the heap is the real ``_queue`` list.  ``run``/
-    ``run_until``/``post``/``call_at``/... are shadowed per-instance by
-    the core's compiled methods.
+    The scalar state (``now``, sequence counter, live count) is stored in
+    the :class:`_native.Core` and exposed through settable properties, so
+    every external poke that works on ``Simulator`` (``Event.cancel``,
+    checkpoint digests, modelcheck queue clears) works unchanged here.
+    The heap is the real ``_queue`` list; the 64-cycle ring of
+    ``BatchSimulator`` is an array of C structs inside the core, spilled
+    into the heap whenever a run returns, so between runs this *is* the
+    reference kernel's queue.  ``run``/``run_until``/``post``/``call_at``/
+    ... are shadowed per-instance by the core's compiled methods;
+    ``step``, ``pending_events`` and ``drain_check`` are inherited.
     """
 
     def __init__(self, *, max_cycles: int | None = None) -> None:
+        _ensure_setup()
+        if _native is None:
+            raise RuntimeError(f"native extension unavailable: {_IMPORT_ERROR}")
         core = _native.Core()
         self._core = core
         core.bind(self)
@@ -207,16 +216,11 @@ class NativeSimulator(BatchSimulator):
         self.call_after = core.call_after
         self.run = core.run
         self.run_until = core.run_until
-        # ... and the cold ring helpers, re-expressed over the core's
-        # list-backed ring (BatchSimulator's versions use ``popleft``).
-        self._flush_ring = core.flush_ring
-        self._next_ring_time = core.next_ring_time
 
     now = _core_property("now")
     _seq = _core_property("seq")
     _live = _core_property("live")
     events_executed = _core_property("executed")
-    _ring_mask = _core_property("ring_mask")
     _running = _core_property("running")
 
     @property
@@ -231,16 +235,13 @@ class NativeSimulator(BatchSimulator):
         queue = self._core.queue
         queue[:] = value
 
-    @property
-    def _ring(self):
-        return self._core.ring
-
-    @_ring.setter
-    def _ring(self, value):
-        # BatchSimulator.__init__ assigns fresh empty deques; the core's
-        # 64 slot lists already exist and must keep their identity.
-        if any(value):
-            raise ValueError("cannot replace the compiled scheduling ring")
+    def next_event_time(self) -> int | None:
+        # Between runs the ring is empty and this is the reference scan.
+        # A callback peeking mid-run (nothing in the package does) has the
+        # ring spilled into the heap first, where the scan can see it; the
+        # run carries on from the heap in the same (time, seq) order.
+        self._core.flush_ring()
+        return super().next_event_time()
 
 
 def _step_kernel(processor, core):
@@ -405,20 +406,31 @@ _CELLS = {
 }
 
 
-def _cell_codes(ctrl) -> tuple:
+def _cell_codes(ctrl, class_cells: dict) -> tuple:
     """``_native.c``'s cell code for each ``_table[state][op]``, row-major;
-    0 where the handler is not a method the C mirrors."""
+    0 where the handler is not a method the C mirrors.
+
+    ``class_cells`` memoizes the half of the answer that depends only on
+    the controller's class and victim policy — which cells' helpers are
+    the mirrored ones — across the (identical) controllers of one machine.
+    """
     cls = type(ctrl)
     fifo = getattr(ctrl, "victim_policy", None) == "fifo"
-    code_of = {}
-    for code, name in enumerate(_native.DIR_CELLS.split(), 1):
-        owner, function, inlined = _CELLS[name]
-        if (owner is _BASE or fifo) and all(
-            getattr(cls, helper) is getattr(owner, helper)
-            and helper not in vars(ctrl)
-            for helper in inlined
-        ):
-            code_of[function] = code
+    cells = class_cells.get((cls, fifo))
+    if cells is None:
+        cells = class_cells[cls, fifo] = [
+            (function, code, inlined)
+            for code, name in enumerate(_native.DIR_CELLS.split(), 1)
+            for owner, function, inlined in [_CELLS[name]]
+            if (owner is _BASE or fifo)
+            and all(getattr(cls, helper) is getattr(owner, helper) for helper in inlined)
+        ]
+    shadowed = vars(ctrl)
+    code_of = {
+        function: code
+        for function, code, inlined in cells
+        if not any(helper in shadowed for helper in inlined)
+    }
     return tuple(
         code_of.get(getattr(handler, "__func__", None), 0)
         if getattr(handler, "__self__", None) is ctrl
@@ -428,9 +440,11 @@ def _cell_codes(ctrl) -> tuple:
     )
 
 
-def install_dir_kernel(ctrl):
+def install_dir_kernel(ctrl, class_cells: Optional[dict] = None):
     """Shadow ``ctrl.receive``/``ctrl.process`` with a compiled
     :class:`_native.DirKernel`; returns it, or ``None`` when none applies.
+    (``class_cells``: a dict shared by the installs of one machine, see
+    :func:`_cell_codes`.)
 
     The kernel mirrors ``MemoryController.receive`` and ``process`` and
     the cells of ``_CELLS`` over the ``SoaDirectory`` columns, so it exists
@@ -485,7 +499,7 @@ def install_dir_kernel(ctrl):
             "acks": directory._acks,
             "table": table,
             "cells": tuple(handler for row in table for handler in row),
-            "codes": _cell_codes(ctrl),
+            "codes": _cell_codes(ctrl, {} if class_cells is None else class_cells),
             "n_ops": N_OPS,
             "slots": ctrl._slots,
             "packets_slot": dc._DIR_PACKETS_SLOT,
@@ -527,11 +541,12 @@ def finalize(machine) -> None:
         return
     core = machine.sim._core
     handlers = machine.network._handlers
+    class_cells: dict = {}
     for node in machine.nodes:
         kernel = _step_kernel(node.processor, core)
         if kernel is not None:
             node.processor._step = kernel
-        install_dir_kernel(node.directory_controller)
+        install_dir_kernel(node.directory_controller, class_cells)
         nic = node.nic
         handlers[node.node_id] = _native.RxChain(
             {
@@ -542,6 +557,7 @@ def finalize(machine) -> None:
                 "pool": nic.pool,
                 "divert": nic.divert_to_ipi,
                 "kernel": kernel,
+                "core": core,
             }
         )
 

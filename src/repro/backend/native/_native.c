@@ -6,11 +6,14 @@
  * pipeline and Table-2 cells, and wormhole route stepping — re-expressed as
  * CPython C-API code over the *same Python data structures* the Python
  * engines use.  That is what makes bit-identity tractable: the heap is
- * the same list of ``(time, seq, callback, arg, event)`` tuples, the ring
- * slots are Python lists Python code can still append to, counters are
- * the same live slot lists, and every settle point (per-batch counter
- * updates, exception tail restoration, ring flush on return) mirrors
- * ``repro/backend/batchsim.py`` statement for statement.
+ * the same list of ``(time, seq, callback, arg, event)`` tuples, and the
+ * counters are the same attributes and live slot lists.  What a run does
+ * per event stays out of Python objects, though: the 64-cycle ring holds
+ * C structs, boxed into heap tuples only when a run returns with events
+ * still queued, and the kernels' counter bumps accumulate in C integers
+ * that ``core_settle`` folds into those attributes on every way out of a
+ * run — so between runs, where Python can look, the machine is the one
+ * ``repro/backend/batchsim.py`` and the reference classes would leave.
  *
  * Nothing here is imported directly by repro code; ``repro.backend.native``
  * calls ``setup()`` (classes, constants, slot offsets), installs the
@@ -120,6 +123,8 @@ static PyObject *s_latency_hist, *s_counts, *s_txn;
 /* Set-up helpers are called from long explicit lists, once per import or
  * per machine: out of line, or -O3 copies them into every call. */
 #define SETUP_ONLY __attribute__((noinline, cold))
+/* So are the settle's helpers, called once per counter per run. */
+#define PER_RUN SETUP_ONLY
 
 /* Resolve the offset of one __slots__ member descriptor. */
 static SETUP_ONLY Py_ssize_t
@@ -165,49 +170,88 @@ tuple_ll(PyObject *tup, Py_ssize_t i)
     return PyLong_AsLongLong(PyTuple_GET_ITEM(tup, i));
 }
 
-/* list[i] += delta for a list of ints (counter slot views) */
-static int
-list_add_ll(PyObject *list, Py_ssize_t i, long long delta)
+/* ``cur + delta`` as a new int; a NULL ``cur`` counts as 0 */
+static PER_RUN PyObject *
+ll_sum(PyObject *cur, long long delta)
 {
-    long long v = PyLong_AsLongLong(PyList_GET_ITEM(list, i));
-    PyObject *obj;
-    if (v == -1 && PyErr_Occurred())
-        return -1;
-    obj = PyLong_FromLongLong(v + delta);
-    if (obj == NULL)
-        return -1;
-    return PyList_SetItem(list, i, obj); /* steals */
-}
-
-/* dict[key] += delta for int values: obj.__dict__ attributes, which must
- * exist, or with ``create`` a tally where a missing key counts as 0 */
-static int
-dict_add(PyObject *dict, PyObject *key, long long delta, int create)
-{
-    PyObject *cur = PyDict_GetItemWithError(dict, key);
     long long v = 0;
-    PyObject *obj;
-    int r;
     if (cur != NULL) {
         v = PyLong_AsLongLong(cur);
         if (v == -1 && PyErr_Occurred())
-            return -1;
+            return NULL;
     }
-    else if (PyErr_Occurred())
-        return -1;
-    else if (!create) {
-        PyErr_SetObject(PyExc_AttributeError, key);
-        return -1;
-    }
-    obj = PyLong_FromLongLong(v + delta);
-    if (obj == NULL)
-        return -1;
-    r = PyDict_SetItem(dict, key, obj);
-    Py_DECREF(obj);
-    return r;
+    return PyLong_FromLongLong(v + delta);
 }
 
-#define dict_add_ll(dict, key, delta) dict_add(dict, key, delta, 0)
+/* Where a counter held in C lands when it is settled: ``*delta`` is added
+ * to the Python int and zeroed; on failure it keeps its count. */
+
+/* dict[key] += *delta: an obj.__dict__ attribute, which must exist, or
+ * with ``create`` a tally where a missing key counts as 0 */
+static PER_RUN int
+fold_dict(PyObject *dict, PyObject *key, long long *delta, int create)
+{
+    PyObject *cur, *sum;
+    int rc;
+    if (*delta == 0)
+        return 0;
+    cur = PyDict_GetItemWithError(dict, key);
+    if (cur == NULL && (PyErr_Occurred() || !create)) {
+        if (!PyErr_Occurred())
+            PyErr_SetObject(PyExc_AttributeError, key);
+        return -1;
+    }
+    sum = ll_sum(cur, *delta);
+    if (sum == NULL)
+        return -1;
+    rc = PyDict_SetItem(dict, key, sum);
+    Py_DECREF(sum);
+    if (rc == 0)
+        *delta = 0;
+    return rc;
+}
+
+/* list[i] += *delta (a counter slot view, the fabric's link_busy) */
+static PER_RUN int
+fold_list(PyObject *list, Py_ssize_t i, long long *delta)
+{
+    PyObject *cur, *sum;
+    if (*delta == 0)
+        return 0;
+    cur = PyList_GetItem(list, i);
+    sum = cur != NULL ? ll_sum(cur, *delta) : NULL;
+    if (sum == NULL || PyList_SetItem(list, i, sum) < 0) /* steals */
+        return -1;
+    *delta = 0;
+    return 0;
+}
+
+/* slot-stored int += *delta (a NetworkStats field) */
+static PER_RUN int
+fold_slot(PyObject *obj, Py_ssize_t off, long long *delta)
+{
+    PyObject *sum;
+    if (*delta == 0)
+        return 0;
+    sum = ll_sum(SLOT_GET(obj, off), *delta);
+    if (sum == NULL)
+        return -1;
+    slot_set(obj, off, sum);
+    *delta = 0;
+    return 0;
+}
+
+/* ``bag[name] += amount`` on a counter bag, deferred: the name enters the
+ * bag now, where Python's bump would have put it (a bag's order is
+ * visible in reports), the amount at the next settle. */
+static inline int
+tally_named(PyObject *bag, PyObject *name, long long *delta, long long amount)
+{
+    if (*delta == 0 && PyDict_SetDefault(bag, name, g_zero) == NULL)
+        return -1;
+    *delta += amount;
+    return 0;
+}
 
 static long long
 dict_get_ll(PyObject *dict, PyObject *key, int *err)
@@ -226,21 +270,6 @@ dict_get_ll(PyObject *dict, PyObject *key, int *err)
         return 0;
     }
     return v;
-}
-
-/* slot-stored NetworkStats int += delta */
-static int
-stat_add_ll(PyObject *stats, Py_ssize_t off, long long delta)
-{
-    long long v = PyLong_AsLongLong(SLOT_GET(stats, off));
-    PyObject *obj;
-    if (v == -1 && PyErr_Occurred())
-        return -1;
-    obj = PyLong_FromLongLong(v + delta);
-    if (obj == NULL)
-        return -1;
-    slot_set(stats, off, obj);
-    return 0;
 }
 
 /* ------------------------------------------------------------------ */
@@ -332,14 +361,37 @@ heap_pop(PyObject *queue)
 /* Core: the batched-ring event kernel state                          */
 /* ------------------------------------------------------------------ */
 
+/* One queued ring event; ``ev`` is its cancel handle, NULL for a post. */
+typedef struct {
+    long long seq;
+    PyObject *cb, *arg, *ev;
+} RingEntry;
+
+/* One cycle's events, oldest first: items[head..n) are queued; a drain
+ * in progress has consumed the cells before ``head``. */
+typedef struct {
+    RingEntry *items;
+    Py_ssize_t head, n, cap;
+} RingSlot;
+
+/* A kernel's membership of its core's settle list.  The core's pointers
+ * to kernels are borrowed (every kernel owns its core; owning them back
+ * would be a cycle only the collector could break), so a kernel leaves
+ * the list in tp_clear, and a core that is cleared first empties it. */
+typedef struct Settler {
+    struct Settler *next, **link;   /* ``link`` NULL: on no list */
+    PyObject *owner;                /* the kernel this sits in */
+    int (*fold)(PyObject *owner);   /* its C counters -> Python objects */
+} Settler;
+
 typedef struct {
     PyObject_HEAD
     long long now, seq, live, executed;
     unsigned long long ring_mask;
     int running;
     PyObject *queue;        /* list of heap tuples */
-    PyObject *ring;         /* list of RING lists (Python-visible) */
-    PyObject *slots[RING];  /* borrowed from ring for fast access */
+    RingSlot ring[RING];
+    Settler *settlers;
     PyObject *sim;          /* owning NativeSimulator (GC-managed cycle) */
 } CoreObject;
 
@@ -348,40 +400,109 @@ static PyTypeObject Core_Type;
 static PyObject *
 Core_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
-    CoreObject *self = (CoreObject *)type->tp_alloc(type, 0);
-    int i;
+    CoreObject *self;
+    if (!g_ready) {
+        PyErr_SetString(PyExc_RuntimeError, "_native.setup() not called");
+        return NULL;
+    }
+    self = (CoreObject *)type->tp_alloc(type, 0); /* zeroed */
     if (self == NULL)
         return NULL;
-    self->now = 0;
-    self->seq = 0;
-    self->live = 0;
-    self->executed = 0;
-    self->ring_mask = 0;
-    self->running = 0;
-    self->sim = NULL;
     self->queue = PyList_New(0);
-    self->ring = PyList_New(RING);
-    if (self->queue == NULL || self->ring == NULL) {
+    if (self->queue == NULL) {
         Py_DECREF(self);
         return NULL;
     }
-    for (i = 0; i < RING; i++) {
-        PyObject *slot = PyList_New(0);
-        if (slot == NULL) {
-            Py_DECREF(self);
-            return NULL;
-        }
-        PyList_SET_ITEM(self->ring, i, slot); /* steals */
-        self->slots[i] = slot;                /* borrowed */
-    }
     return (PyObject *)self;
+}
+
+static void
+settler_leave(Settler *s)
+{
+    if (s->link == NULL)
+        return;
+    *s->link = s->next;
+    if (s->next != NULL)
+        s->next->link = s->link;
+    s->next = NULL;
+    s->link = NULL;
+}
+
+static void
+settler_join(CoreObject *core, Settler *s, PyObject *owner,
+             int (*fold)(PyObject *))
+{
+    settler_leave(s);
+    s->owner = owner;
+    s->fold = fold;
+    s->next = core->settlers;
+    s->link = &core->settlers;
+    if (s->next != NULL)
+        s->next->link = &s->next;
+    core->settlers = s;
+}
+
+/* A kernel being torn down: it folds what it still holds (nothing,
+ * unless it was replaced in the middle of a run) and leaves the list. */
+static PER_RUN void
+settler_retire(Settler *s)
+{
+    if (s->link != NULL) {
+        PyObject *exc, *val, *tb;
+        PyErr_Fetch(&exc, &val, &tb);
+        if (s->fold(s->owner) < 0)
+            PyErr_Clear();
+        PyErr_Restore(exc, val, tb);
+        settler_leave(s);
+    }
+}
+
+/* Fold every kernel's C counters into the Python objects they stand for:
+ * on every way out of run/run_until, and after a kernel call made outside
+ * one, so Python never finds a counter short.  Additions commute, so
+ * Python code bumping the same attribute in between stays exact.  An
+ * exception already pending is kept (a fold failing under it is dropped);
+ * otherwise the first fold failure is raised once the rest have folded.
+ * Returns -1 whenever an exception is set on the way out. */
+static PER_RUN int
+core_settle(CoreObject *core)
+{
+    PyObject *exc, *val, *tb;
+    Settler *s;
+    PyErr_Fetch(&exc, &val, &tb);
+    for (s = core->settlers; s != NULL; s = s->next)
+        if (s->fold(s->owner) < 0) {
+            if (exc == NULL)
+                PyErr_Fetch(&exc, &val, &tb);
+            else
+                PyErr_Clear();
+        }
+    if (exc == NULL)
+        return 0;
+    PyErr_Restore(exc, val, tb);
+    return -1;
+}
+
+static inline void
+entry_release(RingEntry *e)
+{
+    Py_DECREF(e->cb);
+    Py_DECREF(e->arg);
+    Py_XDECREF(e->ev);
 }
 
 static int
 Core_traverse(CoreObject *self, visitproc visit, void *arg)
 {
+    int i;
+    Py_ssize_t j;
     Py_VISIT(self->queue);
-    Py_VISIT(self->ring);
+    for (i = 0; i < RING; i++)
+        for (j = self->ring[i].head; j < self->ring[i].n; j++) {
+            Py_VISIT(self->ring[i].items[j].cb);
+            Py_VISIT(self->ring[i].items[j].arg);
+            Py_VISIT(self->ring[i].items[j].ev);
+        }
     Py_VISIT(self->sim);
     return 0;
 }
@@ -389,8 +510,17 @@ Core_traverse(CoreObject *self, visitproc visit, void *arg)
 static int
 Core_clear(CoreObject *self)
 {
+    int i;
+    for (i = 0; i < RING; i++) {
+        RingSlot *slot = &self->ring[i];
+        while (slot->head < slot->n)
+            entry_release(&slot->items[slot->head++]);
+        slot->head = slot->n = 0;
+    }
+    self->ring_mask = 0;
+    while (self->settlers != NULL)
+        settler_leave(self->settlers);
     Py_CLEAR(self->queue);
-    Py_CLEAR(self->ring);
     Py_CLEAR(self->sim);
     return 0;
 }
@@ -398,8 +528,11 @@ Core_clear(CoreObject *self)
 static void
 Core_dealloc(CoreObject *self)
 {
+    int i;
     PyObject_GC_UnTrack(self);
     Core_clear(self);
+    for (i = 0; i < RING; i++)
+        PyMem_Free(self->ring[i].items);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
@@ -421,38 +554,91 @@ sched_error(long long time, long long now)
     return NULL;
 }
 
-/* Append a no-handle entry to the ring (caller guarantees mid-run and
- * time - now < RING).  Mirrors the inlined BatchSimulator.post body. */
+/* Queue an entry in the ring (caller guarantees mid-run and
+ * time - now < RING); ``ev`` NULL for a post.  One struct write: the
+ * array doubles when full, after reclaiming what a drain has consumed
+ * once that is half of it. */
 static int
-core_ring_post(CoreObject *core, long long time, PyObject *cb, PyObject *arg)
+core_ring_push(CoreObject *core, long long time, long long seq, PyObject *cb,
+               PyObject *arg, PyObject *ev)
 {
-    long long seq = core->seq;
-    int slot = (int)(time & RING_MASK);
-    PyObject *entry, *seq_obj;
-    core->seq = seq + 1;
-    seq_obj = PyLong_FromLongLong(seq);
-    if (seq_obj == NULL)
-        return -1;
-    entry = PyTuple_New(4);
-    if (entry == NULL) {
-        Py_DECREF(seq_obj);
-        return -1;
+    RingSlot *slot = &core->ring[time & RING_MASK];
+    RingEntry *e;
+    if (slot->n == slot->cap) {
+        if (slot->head > 0 && slot->head >= slot->cap / 2) {
+            slot->n -= slot->head;
+            memmove(slot->items, slot->items + slot->head,
+                    slot->n * sizeof(RingEntry));
+            slot->head = 0;
+        }
+        else {
+            Py_ssize_t cap = slot->cap ? 2 * slot->cap : 8;
+            RingEntry *items = PyMem_Realloc(slot->items,
+                                             cap * sizeof(RingEntry));
+            if (items == NULL) {
+                PyErr_NoMemory();
+                return -1;
+            }
+            slot->items = items;
+            slot->cap = cap;
+        }
     }
-    PyTuple_SET_ITEM(entry, 0, seq_obj);
+    e = &slot->items[slot->n++];
+    e->seq = seq;
     Py_INCREF(cb);
-    PyTuple_SET_ITEM(entry, 1, cb);
+    e->cb = cb;
     Py_INCREF(arg);
-    PyTuple_SET_ITEM(entry, 2, arg);
-    Py_INCREF(Py_None);
-    PyTuple_SET_ITEM(entry, 3, Py_None);
-    if (PyList_Append(core->slots[slot], entry) < 0) {
-        Py_DECREF(entry);
-        return -1;
-    }
-    Py_DECREF(entry);
-    core->ring_mask |= 1ULL << slot;
+    e->arg = arg;
+    Py_XINCREF(ev);
+    e->ev = ev;
+    core->ring_mask |= 1ULL << (time & RING_MASK);
     core->live += 1;
     return 0;
+}
+
+/* Take the oldest entry of a non-empty slot (its references move to
+ * ``*out``); an emptied slot goes back to the start of its array. */
+static inline void
+slot_pop(RingSlot *slot, RingEntry *out)
+{
+    *out = slot->items[slot->head++];
+    if (slot->head == slot->n)
+        slot->head = slot->n = 0;
+}
+
+/* Push ``(time, seq, cb, arg, ev or None)`` on the heap; ``t_obj`` is
+ * ``time`` as an int when the caller has one. */
+static int
+core_heap_push(CoreObject *core, long long time, PyObject *t_obj,
+               long long seq, PyObject *cb, PyObject *arg, PyObject *ev)
+{
+    PyObject *seq_obj = PyLong_FromLongLong(seq), *entry;
+    int rc;
+    if (seq_obj == NULL)
+        return -1;
+    if (t_obj == NULL)
+        t_obj = PyLong_FromLongLong(time);
+    else
+        Py_INCREF(t_obj);
+    entry = t_obj != NULL ? PyTuple_New(5) : NULL;
+    if (entry == NULL) {
+        Py_DECREF(seq_obj);
+        Py_XDECREF(t_obj);
+        return -1;
+    }
+    if (ev == NULL)
+        ev = Py_None;
+    PyTuple_SET_ITEM(entry, 0, t_obj);
+    PyTuple_SET_ITEM(entry, 1, seq_obj);
+    Py_INCREF(cb);
+    PyTuple_SET_ITEM(entry, 2, cb);
+    Py_INCREF(arg);
+    PyTuple_SET_ITEM(entry, 3, arg);
+    Py_INCREF(ev);
+    PyTuple_SET_ITEM(entry, 4, ev);
+    rc = heap_push(core->queue, entry);
+    Py_DECREF(entry);
+    return rc;
 }
 
 /* The full BatchSimulator.post: ring when mid-run and near, else heap. */
@@ -460,79 +646,81 @@ static int
 core_post_impl(CoreObject *core, long long time, PyObject *time_obj,
                PyObject *cb, PyObject *arg)
 {
-    long long seq;
-    PyObject *entry, *seq_obj, *t_obj = time_obj;
     if (time < core->now) {
         sched_error(time, core->now);
         return -1;
     }
     if (core->running && time - core->now < RING)
-        return core_ring_post(core, time, cb, arg);
-    seq = core->seq;
-    core->seq = seq + 1;
-    seq_obj = PyLong_FromLongLong(seq);
-    if (seq_obj == NULL)
+        return core_ring_push(core, time, core->seq++, cb, arg, NULL);
+    if (core_heap_push(core, time, time_obj, core->seq++, cb, arg, NULL) < 0)
         return -1;
-    if (t_obj == NULL) {
-        t_obj = PyLong_FromLongLong(time);
-        if (t_obj == NULL) {
-            Py_DECREF(seq_obj);
-            return -1;
-        }
-    }
-    else
-        Py_INCREF(t_obj);
-    entry = PyTuple_New(5);
-    if (entry == NULL) {
-        Py_DECREF(seq_obj);
-        Py_DECREF(t_obj);
-        return -1;
-    }
-    PyTuple_SET_ITEM(entry, 0, t_obj);
-    PyTuple_SET_ITEM(entry, 1, seq_obj);
-    Py_INCREF(cb);
-    PyTuple_SET_ITEM(entry, 2, cb);
-    Py_INCREF(arg);
-    PyTuple_SET_ITEM(entry, 3, arg);
-    Py_INCREF(Py_None);
-    PyTuple_SET_ITEM(entry, 4, Py_None);
-    if (heap_push(core->queue, entry) < 0) {
-        Py_DECREF(entry);
-        return -1;
-    }
-    Py_DECREF(entry);
     core->live += 1;
     return 0;
 }
 
+/* ``(time, callback, arg=...)`` or ``(delay, callback, arg=...)``,
+ * positionally or by the names the Python kernels give them.  The time
+ * must be an int (the ring cannot hold anything else, and the Python
+ * kernels refuse the rest the same way) that fits the cycle counter. */
 static int
 parse_time_cb_arg(PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames,
-                  PyObject **time_obj, PyObject **cb, PyObject **arg)
+                  const char *first, long long *time, PyObject **time_obj,
+                  PyObject **cb, PyObject **arg)
 {
-    Py_ssize_t nkw = kwnames ? PyTuple_GET_SIZE(kwnames) : 0;
-    *arg = g_no_arg;
-    if (nargs < 2 || nargs > 3 || nkw > 1) {
-        PyErr_SetString(PyExc_TypeError,
-                        "expected (time, callback, arg=...)");
+    const char *const names[3] = {first, "callback", "arg"};
+    PyObject *got[3] = {NULL, NULL, NULL};
+    Py_ssize_t i, j, nkw = kwnames ? PyTuple_GET_SIZE(kwnames) : 0;
+    for (i = 0; i < nargs && i < 3; i++)
+        got[i] = args[i];
+    for (i = 0; i < nkw; i++) {
+        PyObject *name = PyTuple_GET_ITEM(kwnames, i);
+        for (j = 0; j < 3; j++)
+            if (PyUnicode_CompareWithASCIIString(name, names[j]) == 0)
+                break;
+        if (j == 3 || got[j] != NULL) {
+            PyErr_Format(PyExc_TypeError, "unexpected or repeated keyword %R",
+                         name);
+            return -1;
+        }
+        got[j] = args[nargs + i];
+    }
+    if (nargs > 3 || got[0] == NULL || got[1] == NULL) {
+        PyErr_Format(PyExc_TypeError, "expected (%s, callback, arg=...)",
+                     first);
         return -1;
     }
-    *time_obj = args[0];
-    *cb = args[1];
-    if (nargs == 3)
-        *arg = args[2];
-    if (nkw == 1) {
-        PyObject *name = PyTuple_GET_ITEM(kwnames, 0);
-        if (PyUnicode_CompareWithASCIIString(name, "arg") != 0) {
-            PyErr_SetString(PyExc_TypeError, "unexpected keyword");
-            return -1;
-        }
-        if (nargs == 3) {
-            PyErr_SetString(PyExc_TypeError, "duplicate arg");
-            return -1;
-        }
-        *arg = args[nargs];
+    if (!PyLong_CheckExact(got[0])) {
+        PyErr_Format(PyExc_TypeError, "%s must be an int, not %.80s", first,
+                     Py_TYPE(got[0])->tp_name);
+        return -1;
     }
+    *time = PyLong_AsLongLong(got[0]);
+    if (*time == -1 && PyErr_Occurred()) {
+        PyErr_Clear();
+        PyErr_Format(g_sim_error, "%s %R is outside the cycle counter", first,
+                     got[0]);
+        return -1;
+    }
+    *time_obj = got[0];
+    *cb = got[1];
+    *arg = got[2] != NULL ? got[2] : g_no_arg;
     return 0;
+}
+
+/* ``now + delay`` for post_after/call_after, refusing a negative delay
+ * and a sum past the cycle counter: -1 with the error set. */
+static long long
+time_after(CoreObject *core, long long delay)
+{
+    long long time;
+    if (delay < 0)
+        PyErr_Format(g_sim_error, "negative delay %lld", delay);
+    else if (__builtin_add_overflow(core->now, delay, &time))
+        PyErr_Format(g_sim_error, "delay %lld is outside the cycle counter",
+                     delay);
+    else
+        return time;
+    return -1;
 }
 
 static PyObject *
@@ -541,12 +729,9 @@ Core_post(CoreObject *self, PyObject *const *args, Py_ssize_t nargs,
 {
     PyObject *time_obj, *cb, *arg;
     long long time;
-    if (parse_time_cb_arg(args, nargs, kwnames, &time_obj, &cb, &arg) < 0)
-        return NULL;
-    time = PyLong_AsLongLong(time_obj);
-    if (time == -1 && PyErr_Occurred())
-        return NULL;
-    if (core_post_impl(self, time, time_obj, cb, arg) < 0)
+    if (parse_time_cb_arg(args, nargs, kwnames, "time", &time, &time_obj,
+                          &cb, &arg) < 0 ||
+        core_post_impl(self, time, time_obj, cb, arg) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -556,15 +741,11 @@ Core_post_after(CoreObject *self, PyObject *const *args, Py_ssize_t nargs,
                 PyObject *kwnames)
 {
     PyObject *time_obj, *cb, *arg;
-    long long delay;
-    if (parse_time_cb_arg(args, nargs, kwnames, &time_obj, &cb, &arg) < 0)
-        return NULL;
-    delay = PyLong_AsLongLong(time_obj);
-    if (delay == -1 && PyErr_Occurred())
-        return NULL;
-    if (delay < 0)
-        return PyErr_Format(g_sim_error, "negative delay %lld", delay);
-    if (core_post_impl(self, self->now + delay, NULL, cb, arg) < 0)
+    long long delay, time;
+    if (parse_time_cb_arg(args, nargs, kwnames, "delay", &delay, &time_obj,
+                          &cb, &arg) < 0 ||
+        (time = time_after(self, delay)) < 0 ||
+        core_post_impl(self, time, NULL, cb, arg) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -574,67 +755,34 @@ static PyObject *
 core_call_at_impl(CoreObject *core, long long time, PyObject *cb,
                   PyObject *arg)
 {
-    long long seq;
-    PyObject *event, *entry, *seq_obj, *t_obj;
-    int in_ring;
+    long long seq = core->seq;
+    PyObject *event, *seq_obj, *t_obj;
+    int rc;
     if (time < core->now)
         return sched_error(time, core->now);
-    seq = core->seq;
     core->seq = seq + 1;
     seq_obj = PyLong_FromLongLong(seq);
     t_obj = PyLong_FromLongLong(time);
-    if (seq_obj == NULL || t_obj == NULL) {
-        Py_XDECREF(seq_obj);
+    event = seq_obj != NULL && t_obj != NULL
+                ? PyObject_CallFunctionObjArgs(g_event_type, t_obj, seq_obj,
+                                               cb, arg, core->sim, NULL)
+                : NULL;
+    Py_XDECREF(seq_obj);
+    if (event == NULL) {
         Py_XDECREF(t_obj);
         return NULL;
     }
-    event = PyObject_CallFunctionObjArgs(g_event_type, t_obj, seq_obj, cb,
-                                         arg, core->sim, NULL);
-    if (event == NULL) {
-        Py_DECREF(seq_obj);
-        Py_DECREF(t_obj);
-        return NULL;
-    }
-    in_ring = core->running && time - core->now < RING;
-    entry = PyTuple_New(in_ring ? 4 : 5);
-    if (entry == NULL) {
-        Py_DECREF(seq_obj);
-        Py_DECREF(t_obj);
-        Py_DECREF(event);
-        return NULL;
-    }
-    if (in_ring) {
-        PyTuple_SET_ITEM(entry, 0, seq_obj);
-        Py_INCREF(cb);
-        PyTuple_SET_ITEM(entry, 1, cb);
-        Py_INCREF(arg);
-        PyTuple_SET_ITEM(entry, 2, arg);
-        Py_INCREF(event);
-        PyTuple_SET_ITEM(entry, 3, event);
-        Py_DECREF(t_obj);
-        if (PyList_Append(core->slots[time & RING_MASK], entry) < 0)
-            goto fail;
-        core->ring_mask |= 1ULL << (time & RING_MASK);
-    }
+    if (core->running && time - core->now < RING)
+        rc = core_ring_push(core, time, seq, cb, arg, event);
     else {
-        PyTuple_SET_ITEM(entry, 0, t_obj);
-        PyTuple_SET_ITEM(entry, 1, seq_obj);
-        Py_INCREF(cb);
-        PyTuple_SET_ITEM(entry, 2, cb);
-        Py_INCREF(arg);
-        PyTuple_SET_ITEM(entry, 3, arg);
-        Py_INCREF(event);
-        PyTuple_SET_ITEM(entry, 4, event);
-        if (heap_push(core->queue, entry) < 0)
-            goto fail;
+        rc = core_heap_push(core, time, t_obj, seq, cb, arg, event);
+        if (rc == 0)
+            core->live += 1;
     }
-    Py_DECREF(entry);
-    core->live += 1;
+    Py_DECREF(t_obj);
+    if (rc < 0)
+        Py_CLEAR(event);
     return event;
-fail:
-    Py_DECREF(entry);
-    Py_DECREF(event);
-    return NULL;
 }
 
 static PyObject *
@@ -643,20 +791,9 @@ Core_call_at(CoreObject *self, PyObject *const *args, Py_ssize_t nargs,
 {
     PyObject *time_obj, *cb, *arg;
     long long time;
-    if (parse_time_cb_arg(args, nargs, kwnames, &time_obj, &cb, &arg) < 0)
+    if (parse_time_cb_arg(args, nargs, kwnames, "time", &time, &time_obj,
+                          &cb, &arg) < 0)
         return NULL;
-    time = PyLong_AsLongLong(time_obj);
-    if (time == -1 && PyErr_Occurred()) {
-        /* Match ``int(time)`` in the Python kernel for e.g. floats. */
-        PyErr_Clear();
-        time_obj = PyNumber_Long(time_obj);
-        if (time_obj == NULL)
-            return NULL;
-        time = PyLong_AsLongLong(time_obj);
-        Py_DECREF(time_obj);
-        if (time == -1 && PyErr_Occurred())
-            return NULL;
-    }
     return core_call_at_impl(self, time, cb, arg);
 }
 
@@ -665,15 +802,12 @@ Core_call_after(CoreObject *self, PyObject *const *args, Py_ssize_t nargs,
                 PyObject *kwnames)
 {
     PyObject *time_obj, *cb, *arg;
-    long long delay;
-    if (parse_time_cb_arg(args, nargs, kwnames, &time_obj, &cb, &arg) < 0)
+    long long delay, time;
+    if (parse_time_cb_arg(args, nargs, kwnames, "delay", &delay, &time_obj,
+                          &cb, &arg) < 0 ||
+        (time = time_after(self, delay)) < 0)
         return NULL;
-    delay = PyLong_AsLongLong(time_obj);
-    if (delay == -1 && PyErr_Occurred())
-        return NULL;
-    if (delay < 0)
-        return PyErr_Format(g_sim_error, "negative delay %lld", delay);
-    return core_call_at_impl(self, self->now + delay, cb, arg);
+    return core_call_at_impl(self, time, cb, arg);
 }
 
 /* -- execution ------------------------------------------------------ */
@@ -684,78 +818,61 @@ event_cancelled(PyObject *ev)
     return SLOT_GET(ev, g_ev.cancelled) == Py_True;
 }
 
-/* Spill ring entries back into the heap with their original seqs. */
-static int
+/* Spill ring entries back into the heap with their original seqs: the
+ * only place a ring entry is boxed.  An entry leaves its slot as it is
+ * pushed, so a failure part-way loses nothing. */
+static PER_RUN int
 core_flush_ring(CoreObject *core)
 {
     unsigned long long mask = core->ring_mask;
     long long now = core->now;
     while (mask) {
         int slot_idx = __builtin_ctzll(mask);
-        long long time;
-        PyObject *slot, *t_obj;
-        Py_ssize_t i, n;
-        mask &= mask - 1;
-        time = now + (((long long)slot_idx - now) & RING_MASK);
-        t_obj = PyLong_FromLongLong(time);
+        RingSlot *slot = &core->ring[slot_idx];
+        long long time = now + (((long long)slot_idx - now) & RING_MASK);
+        PyObject *t_obj = PyLong_FromLongLong(time);
         if (t_obj == NULL)
             return -1;
-        slot = core->slots[slot_idx];
-        n = PyList_GET_SIZE(slot);
-        for (i = 0; i < n; i++) {
-            PyObject *e = PyList_GET_ITEM(slot, i);
-            PyObject *entry = PyTuple_New(5);
-            if (entry == NULL) {
+        while (slot->head < slot->n) {
+            RingEntry *e = &slot->items[slot->head];
+            if (core_heap_push(core, time, t_obj, e->seq, e->cb, e->arg,
+                               e->ev) < 0) {
                 Py_DECREF(t_obj);
                 return -1;
             }
-            Py_INCREF(t_obj);
-            PyTuple_SET_ITEM(entry, 0, t_obj);
-            Py_INCREF(PyTuple_GET_ITEM(e, 0));
-            PyTuple_SET_ITEM(entry, 1, PyTuple_GET_ITEM(e, 0));
-            Py_INCREF(PyTuple_GET_ITEM(e, 1));
-            PyTuple_SET_ITEM(entry, 2, PyTuple_GET_ITEM(e, 1));
-            Py_INCREF(PyTuple_GET_ITEM(e, 2));
-            PyTuple_SET_ITEM(entry, 3, PyTuple_GET_ITEM(e, 2));
-            Py_INCREF(PyTuple_GET_ITEM(e, 3));
-            PyTuple_SET_ITEM(entry, 4, PyTuple_GET_ITEM(e, 3));
-            if (heap_push(core->queue, entry) < 0) {
-                Py_DECREF(entry);
-                Py_DECREF(t_obj);
-                return -1;
-            }
-            Py_DECREF(entry);
+            slot->head += 1;
+            entry_release(e);
         }
         Py_DECREF(t_obj);
-        if (PyList_SetSlice(slot, 0, n, NULL) < 0)
-            return -1;
+        slot->head = slot->n = 0;
+        mask &= mask - 1;
+        core->ring_mask = mask;
     }
-    core->ring_mask = 0;
     return 0;
 }
 
-/* Earliest live ring time strictly after now; pops cancelled heads.
- * Returns 1 with *out set, 0 when no live ring entry, -1 on error. */
+/* Earliest live ring time strictly after now; drops cancelled heads.
+ * Returns 1 with *out set, 0 when no live ring entry. */
 static int
 core_next_ring_time(CoreObject *core, long long *out)
 {
     for (;;) {
         unsigned long long mask = core->ring_mask, rot;
         int start, dist, slot_idx;
-        PyObject *slot;
+        RingSlot *slot;
         if (!mask)
             return 0;
         start = (int)((core->now + 1) & RING_MASK);
         rot = start ? ((mask >> start) | (mask << (RING - start))) : mask;
         dist = __builtin_ctzll(rot);
         slot_idx = (start + dist) & RING_MASK;
-        slot = core->slots[slot_idx];
-        while (PyList_GET_SIZE(slot)) {
-            PyObject *head_ev =
-                PyTuple_GET_ITEM(PyList_GET_ITEM(slot, 0), 3);
-            if (head_ev != Py_None && event_cancelled(head_ev)) {
-                if (PySequence_DelItem(slot, 0) < 0)
-                    return -1;
+        slot = &core->ring[slot_idx];
+        while (slot->head < slot->n) {
+            RingEntry *head = &slot->items[slot->head];
+            if (head->ev != NULL && event_cancelled(head->ev)) {
+                RingEntry dead;
+                slot_pop(slot, &dead);
+                entry_release(&dead);
                 continue;
             }
             *out = core->now + 1 + dist;
@@ -765,195 +882,137 @@ core_next_ring_time(CoreObject *core, long long *out)
     }
 }
 
-/* Invoke one entry's callback.  Returns 0 / -1. */
+/* Run one entry taken off the ring or the heap, consuming its
+ * references: 0, or -1 when the callback raised.  A cancelled one is
+ * dropped (cancel() already took it out of ``live``); a live one counts
+ * before it is called, as the reference kernel counts it. */
 static inline int
-invoke(PyObject *cb, PyObject *arg)
+core_dispatch(CoreObject *core, RingEntry *e)
 {
-    PyObject *res = (arg == g_no_arg) ? PyObject_CallNoArgs(cb)
-                                      : PyObject_CallOneArg(cb, arg);
+    PyObject *res = Py_None;
+    if (e->ev != NULL && event_cancelled(e->ev))
+        Py_INCREF(res);
+    else {
+        if (e->ev != NULL)
+            slot_set_incref(e->ev, g_ev.done, Py_True);
+        core->executed += 1;
+        core->live -= 1;
+        res = (e->arg == g_no_arg) ? PyObject_CallNoArgs(e->cb)
+                                   : PyObject_CallOneArg(e->cb, e->arg);
+    }
+    entry_release(e);
     if (res == NULL)
         return -1;
     Py_DECREF(res);
     return 0;
 }
 
+/* Pop the heap's head into ``*e`` (new references; ``ev`` NULL for a
+ * post) and its time into ``*time``: 0, or -1 on error. */
+static int
+core_heap_pop(CoreObject *core, RingEntry *e, long long *time)
+{
+    PyObject *entry = heap_pop(core->queue);
+    if (entry == NULL)
+        return -1;
+    *time = tuple_ll(entry, 0);
+    e->cb = Py_NewRef(PyTuple_GET_ITEM(entry, 2));
+    e->arg = Py_NewRef(PyTuple_GET_ITEM(entry, 3));
+    e->ev = PyTuple_GET_ITEM(entry, 4);
+    e->ev = e->ev == Py_None ? NULL : Py_NewRef(e->ev);
+    Py_DECREF(entry);
+    return 0;
+}
+
 /* BatchSimulator._run_loop: until_mode is its ``strict`` (run_until:
  * break at >= limit); 0 is run() (has_limit optional, events AT the
- * limit still execute, now clamps to limit).  Counter settle points,
- * exception tail restoration and the finally-flush mirror it exactly. */
+ * limit still execute, now clamps to limit).  The order of execution is
+ * BatchSimulator's; what differs is unobservable between runs: the batch
+ * drain pops and invokes where the Python loop snapshots and clears (an
+ * entry a callback appends for this cycle is reached by the same walk,
+ * after everything queued before it), a raising callback leaves the
+ * undispatched tail simply where it was, and ``executed``/``live`` move
+ * per event.  Every way out settles the kernels' counters and spills the
+ * ring into the heap. */
 static int
 core_run_loop(CoreObject *core, int until_mode, int has_limit,
               long long limit)
 {
     PyObject *queue = core->queue;
+    int rc = 0;
     core->running = 1;
-    for (;;) {
-        PyObject *slot = core->slots[core->now & RING_MASK];
-        PyObject *cb, *arg, *ev, *entry;
-        if (PyList_GET_SIZE(slot)) {
-            Py_ssize_t qn = PyList_GET_SIZE(queue);
-            if (qn && tuple_ll(PyList_GET_ITEM(queue, 0), 0) == core->now) {
+    while (rc == 0) {
+        RingSlot *slot = &core->ring[core->now & RING_MASK];
+        RingEntry e;
+        long long t_ring = 0, next;
+        int has_ring, from_heap;
+        if (slot->head < slot->n) {
+            if (PyList_GET_SIZE(queue) &&
+                tuple_ll(PyList_GET_ITEM(queue, 0), 0) == core->now) {
                 /* Rare: pre-run events share this cycle. */
                 if (tuple_ll(PyList_GET_ITEM(queue, 0), 1) <
-                    tuple_ll(PyList_GET_ITEM(slot, 0), 0)) {
-                    entry = heap_pop(queue);
-                    if (entry == NULL)
-                        goto error;
-                    cb = PyTuple_GET_ITEM(entry, 2);
-                    arg = PyTuple_GET_ITEM(entry, 3);
-                    ev = PyTuple_GET_ITEM(entry, 4);
-                }
+                    slot->items[slot->head].seq)
+                    rc = core_heap_pop(core, &e, &next);
                 else {
-                    entry = PyList_GET_ITEM(slot, 0);
-                    Py_INCREF(entry);
-                    if (PySequence_DelItem(slot, 0) < 0) {
-                        Py_DECREF(entry);
-                        goto error;
-                    }
-                    if (!PyList_GET_SIZE(slot))
-                        core->ring_mask &=
-                            ~(1ULL << (core->now & RING_MASK));
-                    cb = PyTuple_GET_ITEM(entry, 1);
-                    arg = PyTuple_GET_ITEM(entry, 2);
-                    ev = PyTuple_GET_ITEM(entry, 3);
+                    slot_pop(slot, &e);
+                    if (slot->n == 0)
+                        core->ring_mask &= ~(1ULL << (core->now & RING_MASK));
                 }
-                if (ev != Py_None) {
-                    if (event_cancelled(ev)) {
-                        Py_DECREF(entry);
-                        continue;
-                    }
-                    slot_set_incref(ev, g_ev.done, Py_True);
-                }
-                core->executed += 1;
-                core->live -= 1;
-                if (invoke(cb, arg) < 0) {
-                    Py_DECREF(entry);
-                    goto error;
-                }
-                Py_DECREF(entry);
+                if (rc == 0)
+                    rc = core_dispatch(core, &e);
                 continue;
             }
-            /* Batch drain: the heap provably holds nothing at now. */
-            {
-                long long ran = 0;
-                while (PyList_GET_SIZE(slot)) {
-                    Py_ssize_t n = PyList_GET_SIZE(slot), i;
-                    PyObject *snap = PyList_GetSlice(slot, 0, n);
-                    if (snap == NULL)
-                        goto error;
-                    if (PyList_SetSlice(slot, 0, n, NULL) < 0) {
-                        Py_DECREF(snap);
-                        goto error;
-                    }
-                    for (i = 0; i < n; i++) {
-                        PyObject *e = PyList_GET_ITEM(snap, i);
-                        ev = PyTuple_GET_ITEM(e, 3);
-                        if (ev != Py_None) {
-                            if (event_cancelled(ev))
-                                continue;
-                            slot_set_incref(ev, g_ev.done, Py_True);
-                        }
-                        ran += 1;
-                        if (invoke(PyTuple_GET_ITEM(e, 1),
-                                   PyTuple_GET_ITEM(e, 2)) < 0) {
-                            /* Restore the undispatched tail, matching
-                             * slot.extendleft(reversed(list(it))), and
-                             * settle the counters for what did dispatch. */
-                            PyObject *tail =
-                                PyList_GetSlice(snap, i + 1, n);
-                            core->executed += ran;
-                            core->live -= ran;
-                            if (tail != NULL) {
-                                PyObject *exc, *val, *tb;
-                                PyErr_Fetch(&exc, &val, &tb);
-                                PyList_SetSlice(slot, 0, 0, tail);
-                                Py_DECREF(tail);
-                                PyErr_Restore(exc, val, tb);
-                            }
-                            Py_DECREF(snap);
-                            goto error;
-                        }
-                    }
-                    Py_DECREF(snap);
-                }
-                core->executed += ran;
-                core->live -= ran;
+            /* Batch drain: the heap provably holds nothing at now, and
+             * the walk re-reads the slot after every callback. */
+            while (rc == 0 && slot->head < slot->n) {
+                slot_pop(slot, &e);
+                rc = core_dispatch(core, &e);
+            }
+            if (rc == 0)
                 core->ring_mask &= ~(1ULL << (core->now & RING_MASK));
-                continue;
-            }
+            continue;
         }
-        else {
-            long long t_ring = 0;
-            int has_ring = core_next_ring_time(core, &t_ring);
-            Py_ssize_t qn;
-            if (has_ring < 0)
-                goto error;
-            qn = PyList_GET_SIZE(queue);
-            if (qn && (!has_ring ||
-                       tuple_ll(PyList_GET_ITEM(queue, 0), 0) <= t_ring)) {
-                long long head_t =
-                    tuple_ll(PyList_GET_ITEM(queue, 0), 0);
-                if (until_mode) {
-                    if (head_t >= limit)
-                        break;
-                }
-                else if (has_limit && head_t > limit) {
-                    core->now = limit;
-                    break;
-                }
-                entry = heap_pop(queue);
-                if (entry == NULL)
-                    goto error;
-                cb = PyTuple_GET_ITEM(entry, 2);
-                arg = PyTuple_GET_ITEM(entry, 3);
-                ev = PyTuple_GET_ITEM(entry, 4);
-                if (ev != Py_None) {
-                    if (event_cancelled(ev)) {
-                        Py_DECREF(entry);
-                        continue;
-                    }
-                    slot_set_incref(ev, g_ev.done, Py_True);
-                }
-                core->now = head_t;
-                core->executed += 1;
-                core->live -= 1;
-                if (invoke(cb, arg) < 0) {
-                    Py_DECREF(entry);
-                    goto error;
-                }
-                Py_DECREF(entry);
-                continue;
-            }
-            else if (has_ring) {
-                if (until_mode) {
-                    if (t_ring >= limit)
-                        break;
-                }
-                else if (has_limit && t_ring > limit) {
-                    core->now = limit;
-                    break;
-                }
-                core->now = t_ring;
-                continue;
-            }
-            else
+        has_ring = core_next_ring_time(core, &t_ring);
+        from_heap = PyList_GET_SIZE(queue) &&
+                    (!has_ring ||
+                     tuple_ll(PyList_GET_ITEM(queue, 0), 0) <= t_ring);
+        if (from_heap)
+            next = tuple_ll(PyList_GET_ITEM(queue, 0), 0);
+        else if (has_ring)
+            next = t_ring;
+        else
+            break;
+        if (until_mode) {
+            if (next >= limit)
                 break;
+        }
+        else if (has_limit && next > limit) {
+            core->now = limit;
+            break;
+        }
+        if (!from_heap) {
+            core->now = next;
+            continue;
+        }
+        rc = core_heap_pop(core, &e, &next);
+        if (rc == 0) {
+            if (e.ev == NULL || !event_cancelled(e.ev))
+                core->now = next;
+            rc = core_dispatch(core, &e);
         }
     }
     core->running = 0;
-    if (core->ring_mask && core_flush_ring(core) < 0)
-        return -1;
-    return 0;
-error:
-    core->running = 0;
+    if (core_settle(core) < 0)
+        rc = -1;
     if (core->ring_mask) {
         PyObject *exc, *val, *tb;
         PyErr_Fetch(&exc, &val, &tb);
-        if (core_flush_ring(core) < 0)
-            PyErr_Clear();
+        if (core_flush_ring(core) < 0 && exc == NULL)
+            return -1;
+        PyErr_Clear();
         PyErr_Restore(exc, val, tb);
     }
-    return -1;
+    return rc;
 }
 
 static PyObject *
@@ -1036,18 +1095,6 @@ Core_flush_ring_py(CoreObject *self, PyObject *noarg)
     Py_RETURN_NONE;
 }
 
-static PyObject *
-Core_next_ring_time_py(CoreObject *self, PyObject *noarg)
-{
-    long long t;
-    int r = core_next_ring_time(self, &t);
-    if (r < 0)
-        return NULL;
-    if (r == 0)
-        Py_RETURN_NONE;
-    return PyLong_FromLongLong(t);
-}
-
 static PyMethodDef Core_methods[] = {
     {"bind", (PyCFunction)Core_bind, METH_O, NULL},
     {"post", (PyCFunction)(void (*)(void))Core_post,
@@ -1062,8 +1109,6 @@ static PyMethodDef Core_methods[] = {
      METH_FASTCALL | METH_KEYWORDS, NULL},
     {"run_until", (PyCFunction)Core_run_until, METH_O, NULL},
     {"flush_ring", (PyCFunction)Core_flush_ring_py, METH_NOARGS, NULL},
-    {"next_ring_time", (PyCFunction)Core_next_ring_time_py, METH_NOARGS,
-     NULL},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1088,22 +1133,6 @@ CORE_LL_GETSET(live)
 CORE_LL_GETSET(executed)
 
 static PyObject *
-Core_get_ring_mask(CoreObject *s, void *c)
-{
-    return PyLong_FromUnsignedLongLong(s->ring_mask);
-}
-
-static int
-Core_set_ring_mask(CoreObject *s, PyObject *v, void *c)
-{
-    unsigned long long x = PyLong_AsUnsignedLongLong(v);
-    if (x == (unsigned long long)-1 && PyErr_Occurred())
-        return -1;
-    s->ring_mask = x;
-    return 0;
-}
-
-static PyObject *
 Core_get_running(CoreObject *s, void *c)
 {
     return PyBool_FromLong(s->running);
@@ -1126,25 +1155,15 @@ Core_get_queue(CoreObject *s, void *c)
     return s->queue;
 }
 
-static PyObject *
-Core_get_ring(CoreObject *s, void *c)
-{
-    Py_INCREF(s->ring);
-    return s->ring;
-}
-
 static PyGetSetDef Core_getsets[] = {
     {"now", (getter)Core_get_now, (setter)Core_set_now, NULL, NULL},
     {"seq", (getter)Core_get_seq, (setter)Core_set_seq, NULL, NULL},
     {"live", (getter)Core_get_live, (setter)Core_set_live, NULL, NULL},
     {"executed", (getter)Core_get_executed, (setter)Core_set_executed, NULL,
      NULL},
-    {"ring_mask", (getter)Core_get_ring_mask, (setter)Core_set_ring_mask,
-     NULL, NULL},
     {"running", (getter)Core_get_running, (setter)Core_set_running, NULL,
      NULL},
     {"queue", (getter)Core_get_queue, NULL, NULL, NULL},
-    {"ring", (getter)Core_get_ring, NULL, NULL, NULL},
     {NULL, NULL, NULL, NULL, NULL},
 };
 
@@ -1186,10 +1205,38 @@ static const char *const handback_names[N_HANDBACKS] = {
     "mshr_merge", "victim", "replay", "fabric", "pool", "malformed",
     "dir_meta", "dir_overflow", "dir_override", "dir_error"};
 
+/* What every kernel object starts with: called like a function, it owns
+ * its core and sits on the core's settle list. */
+#define KERNEL_HEAD                                                      \
+    PyObject_HEAD                                                        \
+    vectorcallfunc vectorcall;                                           \
+    CoreObject *core;       /* strong */                                 \
+    Settler settler;
 typedef struct {
-    PyObject_HEAD
-    vectorcallfunc vectorcall;
-    CoreObject *core;       /* strong */
+    KERNEL_HEAD
+} KernelHead;
+
+/* What a kernel's entry point returns: when the call came from outside a
+ * run, where no run exit will settle for it (a pre-run send,
+ * Simulator.step(), a test poking the kernel), it settles first. */
+static inline PyObject *
+settled(CoreObject *core, PyObject *result)
+{
+    if (!core->running && core_settle(core) < 0)
+        Py_CLEAR(result);
+    return result;
+}
+
+#define KERNEL_ENTRY(name, impl)                                         \
+    static PyObject *name(PyObject *self, PyObject *const *args,         \
+                          size_t nargsf, PyObject *kwnames)              \
+    {                                                                    \
+        return settled(((KernelHead *)self)->core,                       \
+                       impl(self, args, nargsf, kwnames));               \
+    }
+
+typedef struct {
+    KERNEL_HEAD
     PyObject *proc;
     PyObject *tags;         /* list[int] */
     PyObject *states;       /* bytearray */
@@ -1210,6 +1257,9 @@ typedef struct {
     long long wpb, shift, imask, block_mask, low_mask, latency;
     long long node_id, seg_shift, n_nodes;
     Py_ssize_t cs[N_CS], ps[N_PS];
+    /* counters held in C between settles: the cells above, then
+     * proc.busy_cycles, nic.packets_sent, cache.miss_latency_total/count */
+    long long cs_n[N_CS], ps_n[N_PS], busy, sent, latency_total, latency_count;
     long long fallthroughs; /* ops handed to execute_op (see fallback:) */
     long long handbacks[N_HANDBACKS];
 } StepKernelObject;
@@ -1273,6 +1323,20 @@ take_ref(PyObject *spec, const char *key, PyObject **slot)
     return 0;
 }
 
+/* *slot = spec["core"], which must be a Core */
+static SETUP_ONLY int
+take_core(PyObject *spec, CoreObject **slot)
+{
+    PyObject *core = spec_get(spec, "core");
+    if (core == NULL)
+        return -1;
+    if (!PyObject_TypeCheck(core, &Core_Type)) {
+        PyErr_SetString(PyExc_TypeError, "spec['core'] must be a Core");
+        return -1;
+    }
+    return take_ref(spec, "core", (PyObject **)slot);
+}
+
 #define SPEC_REF(field, key)                                             \
     do {                                                                 \
         PyObject *v_ = spec_get(spec, key);                              \
@@ -1282,24 +1346,38 @@ take_ref(PyObject *spec, const char *key, PyObject **slot)
         Py_XSETREF(self->field, v_);                                     \
     } while (0)
 
+static PER_RUN int
+step_kernel_fold(PyObject *self)
+{
+    StepKernelObject *k = (StepKernelObject *)self;
+    int i;
+    if (fold_dict(k->proc_dict, s_busy_cycles, &k->busy, 0) < 0 ||
+        fold_dict(k->nic_dict, s_packets_sent, &k->sent, 0) < 0 ||
+        fold_dict(k->cache_dict, s_miss_latency_total, &k->latency_total,
+                  0) < 0 ||
+        fold_dict(k->cache_dict, s_miss_latency_count, &k->latency_count,
+                  0) < 0)
+        return -1;
+    for (i = 0; i < N_CS; i++)
+        if (fold_list(k->cache_slots, k->cs[i], &k->cs_n[i]) < 0)
+            return -1;
+    for (i = 0; i < N_PS; i++)
+        if (fold_list(k->proc_slots, k->ps[i], &k->ps_n[i]) < 0)
+            return -1;
+    return 0;
+}
+
 static int
 StepKernel_init(StepKernelObject *self, PyObject *args, PyObject *kwds)
 {
-    PyObject *spec, *core;
+    PyObject *spec;
     if (!g_ready) {
         PyErr_SetString(PyExc_RuntimeError, "_native.setup() not called");
         return -1;
     }
-    if (!PyArg_ParseTuple(args, "O!:StepKernel", &PyDict_Type, &spec))
+    if (!PyArg_ParseTuple(args, "O!:StepKernel", &PyDict_Type, &spec) ||
+        take_core(spec, &self->core) < 0)
         return -1;
-    core = spec_get(spec, "core");
-    if (core == NULL || !PyObject_TypeCheck(core, &Core_Type)) {
-        if (core != NULL)
-            PyErr_SetString(PyExc_TypeError, "spec['core'] must be a Core");
-        return -1;
-    }
-    Py_INCREF(core);
-    Py_XSETREF(self->core, (CoreObject *)core);
     SPEC_REF(proc, "proc");
     SPEC_REF(tags, "tags");
     SPEC_REF(states, "states");
@@ -1352,6 +1430,8 @@ StepKernel_init(StepKernelObject *self, PyObject *args, PyObject *kwds)
     }
     self->pool_native = PyObject_TypeCheck(self->pool, &Pool_Type);
     self->vectorcall = step_kernel_vectorcall;
+    settler_join(self->core, &self->settler, (PyObject *)self,
+                 step_kernel_fold);
     return 0;
 }
 
@@ -1387,6 +1467,7 @@ StepKernel_traverse(StepKernelObject *self, visitproc visit, void *arg)
 static int
 StepKernel_clear(StepKernelObject *self)
 {
+    settler_retire(&self->settler);
     if (self->slab_held) {
         PyBuffer_Release(&self->slab_buf);
         self->slab_held = 0;
@@ -1469,11 +1550,13 @@ op_shape_ok(PyObject *op, Py_ssize_t n)
            PyLong_Check(PyTuple_GET_ITEM(op, 1));
 }
 
-/* the completion-event ring insert every hit/think shares */
+/* the completion event every hit, think and idle cycle posts: this step
+ * again, at ``time`` (the ring mid-run, the heap when stepped from
+ * outside one) */
 static inline int
-sk_ring_post(StepKernelObject *k, long long time, PyObject *ctx)
+sk_post(StepKernelObject *k, long long time, PyObject *ctx)
 {
-    return core_ring_post(k->core, time, (PyObject *)k, ctx);
+    return core_post_impl(k->core, time, NULL, (PyObject *)k, ctx);
 }
 
 /* ctx.ops_executed += 1 */
@@ -1552,14 +1635,13 @@ sk_hit(StepKernelObject *k, PyObject *ctx, int kind, long long index,
 {
     PyObject *result;
     slot_set_incref(ctx, g_ctx.state, g_ctx_blocked);
-    if (dict_add_ll(k->proc_dict, s_busy_cycles, k->latency) < 0 ||
-        list_add_ll(k->cache_slots, k->cs[CS_HIT + kind], 1) < 0)
-        return -1;
+    k->busy += k->latency;
+    k->cs_n[CS_HIT + kind] += 1;
     result = sk_apply(k, kind, index, addr, payload);
     if (result == NULL)
         return -1;
     slot_set(ctx, g_ctx.resume_value, result);
-    return sk_ring_post(k, k->core->now + k->latency, ctx);
+    return sk_post(k, k->core->now + k->latency, ctx);
 }
 
 static int ck_issue(StepKernelObject *, PyObject *, int, PyObject *,
@@ -1594,15 +1676,13 @@ sk_issue(StepKernelObject *k, PyObject *ctx, int kind, PyObject *addr,
 static int
 sk_one_cycle(StepKernelObject *k, PyObject *ctx)
 {
-    if (dict_add_ll(k->proc_dict, s_busy_cycles, 1) < 0)
-        return -1;
-    return core_post_impl(k->core, k->core->now + 1, NULL, (PyObject *)k,
-                          ctx);
+    k->busy += 1;
+    return sk_post(k, k->core->now + 1, ctx);
 }
 
 static PyObject *
-step_kernel_vectorcall(PyObject *kself, PyObject *const *args, size_t nargsf,
-                       PyObject *kwnames)
+step_kernel_call(PyObject *kself, PyObject *const *args, size_t nargsf,
+                 PyObject *kwnames)
 {
     StepKernelObject *k = (StepKernelObject *)kself;
     CoreObject *core = k->core;
@@ -1622,7 +1702,7 @@ step_kernel_vectorcall(PyObject *kself, PyObject *const *args, size_t nargsf,
     if (err)
         return NULL;
     if (now < tfa) {
-        if (core_post_impl(core, tfa, NULL, kself, ctx) < 0)
+        if (sk_post(k, tfa, ctx) < 0)
             return NULL;
         Py_RETURN_NONE;
     }
@@ -1727,17 +1807,10 @@ redispatch:
         cycles = PyLong_AsLongLong(PyTuple_GET_ITEM(op, 1));
         if (cycles == -1 && PyErr_Occurred())
             goto fail_op;
-        if (dict_add_ll(k->proc_dict, s_busy_cycles, cycles) < 0)
-            goto fail_op;
-        if (list_add_ll(k->proc_slots, k->ps[PS_THINK], cycles) < 0)
-            goto fail_op;
-        /* A negative think must reach the checked post and raise, not
-         * be masked into the ring. */
-        if (cycles >= 0 && cycles < RING) {
-            if (sk_ring_post(k, now + cycles, ctx) < 0)
-                goto fail_op;
-        }
-        else if (core_post_impl(core, now + cycles, NULL, kself, ctx) < 0)
+        k->busy += cycles;
+        k->ps_n[PS_THINK] += cycles;
+        /* the checked post: a negative think raises there */
+        if (sk_post(k, now + cycles, ctx) < 0)
             goto fail_op;
         break;
     }
@@ -1844,6 +1917,8 @@ fail_op:
     Py_XDECREF(op);
     return NULL;
 }
+
+KERNEL_ENTRY(step_kernel_vectorcall, step_kernel_call)
 
 static PyMemberDef StepKernel_members[] = {
     {"fallthroughs", T_LONGLONG, offsetof(StepKernelObject, fallthroughs),
@@ -2197,8 +2272,7 @@ static PyTypeObject Pool_Type = {
 /* ------------------------------------------------------------------ */
 
 typedef struct {
-    PyObject_HEAD
-    vectorcallfunc vectorcall;
+    KERNEL_HEAD
     PyObject *nic, *nic_dict, *nic_receive, *memory_handler;
     PyObject *cache_rx, *pool, *pool_release, *divert;
     /* The node's StepKernel (or NULL), which carries the compiled fill
@@ -2207,6 +2281,7 @@ typedef struct {
     StepKernelObject *kernel;
     PyObject *compiled[3];
     int pool_native;
+    long long received;     /* nic.packets_received, until the settle */
 } RxChainObject;
 
 static int ck_fill(StepKernelObject *, PyObject *, int);
@@ -2214,6 +2289,13 @@ static int ck_invalidate(StepKernelObject *, PyObject *);
 
 static PyObject *rx_chain_vectorcall(PyObject *, PyObject *const *, size_t,
                                      PyObject *);
+
+static PER_RUN int
+rx_chain_fold(PyObject *self)
+{
+    RxChainObject *c = (RxChainObject *)self;
+    return fold_dict(c->nic_dict, s_packets_received, &c->received, 0);
+}
 
 static int
 RxChain_init(RxChainObject *self, PyObject *args, PyObject *kwds)
@@ -2223,7 +2305,8 @@ RxChain_init(RxChainObject *self, PyObject *args, PyObject *kwds)
         PyErr_SetString(PyExc_RuntimeError, "_native.setup() not called");
         return -1;
     }
-    if (!PyArg_ParseTuple(args, "O!:RxChain", &PyDict_Type, &spec))
+    if (!PyArg_ParseTuple(args, "O!:RxChain", &PyDict_Type, &spec) ||
+        take_core(spec, &self->core) < 0)
         return -1;
     SPEC_REF(nic, "nic");
     SPEC_REF(nic_receive, "receive");
@@ -2263,12 +2346,14 @@ RxChain_init(RxChainObject *self, PyObject *args, PyObject *kwds)
         Py_XSETREF(self->pool_release, rel);
     }
     self->vectorcall = rx_chain_vectorcall;
+    settler_join(self->core, &self->settler, (PyObject *)self, rx_chain_fold);
     return 0;
 }
 
 static int
 RxChain_traverse(RxChainObject *self, visitproc visit, void *arg)
 {
+    Py_VISIT(self->core);
     Py_VISIT(self->nic);
     Py_VISIT(self->nic_dict);
     Py_VISIT(self->nic_receive);
@@ -2287,6 +2372,8 @@ RxChain_traverse(RxChainObject *self, visitproc visit, void *arg)
 static int
 RxChain_clear(RxChainObject *self)
 {
+    settler_retire(&self->settler);
+    Py_CLEAR(self->core);
     Py_CLEAR(self->nic);
     Py_CLEAR(self->nic_dict);
     Py_CLEAR(self->nic_receive);
@@ -2311,8 +2398,8 @@ RxChain_dealloc(RxChainObject *self)
 }
 
 static PyObject *
-rx_chain_vectorcall(PyObject *cself, PyObject *const *args, size_t nargsf,
-                    PyObject *kwnames)
+rx_chain_call(PyObject *cself, PyObject *const *args, size_t nargsf,
+              PyObject *kwnames)
 {
     RxChainObject *c = (RxChainObject *)cself;
     PyObject *packet, *crc, *op, *r;
@@ -2345,8 +2432,7 @@ rx_chain_vectorcall(PyObject *cself, PyObject *const *args, size_t nargsf,
             return PyObject_CallOneArg(c->nic_receive, packet);
         }
     }
-    if (dict_add_ll(c->nic_dict, s_packets_received, 1) < 0)
-        return NULL;
+    c->received += 1;
     if (v >= 0) {
         PyObject *handler;
         if (v <= g_last_c2m)
@@ -2389,6 +2475,8 @@ rx_chain_vectorcall(PyObject *cself, PyObject *const *args, size_t nargsf,
     return PyObject_CallOneArg(c->divert, packet);
 }
 
+KERNEL_ENTRY(rx_chain_vectorcall, rx_chain_call)
+
 static PyTypeObject RxChain_Type = {
     PyVarObject_HEAD_INIT(NULL, 0).tp_name = "repro._native.RxChain",
     .tp_basicsize = sizeof(RxChainObject),
@@ -2411,36 +2499,55 @@ static PyTypeObject RxChain_Type = {
 /* a drained machine accepts; a mid-run verify.diagnose sees none).   */
 /* ------------------------------------------------------------------ */
 
+/* the NetworkStats fields a send adds to, in g_stat's order */
+enum { NS_PACKETS, NS_WORDS, NS_HOPS, NS_LATENCY, NS_CONTENTION, N_NS };
+
 typedef struct {
-    PyObject_HEAD
-    vectorcallfunc vectorcall;
-    CoreObject *core;
+    KERNEL_HEAD
     PyObject *net, *net_dict, *stats, *per_opcode, *handlers;
     PyObject *route_cache, *intern_route, *link_free_at, *link_busy;
     long long hop_latency, cycles_per_word, injection_latency;
+    /* until the settle: the stats fields, per_opcode by Op value, and
+     * link_busy by link index (grown as links are interned) */
+    long long stat_n[N_NS], op_n[64], *link_n;
+    Py_ssize_t n_links;
 } NetSendObject;
 
 static PyObject *net_send_vectorcall(PyObject *, PyObject *const *, size_t,
                                      PyObject *);
 
+static PER_RUN int
+net_send_fold(PyObject *self)
+{
+    static const Py_ssize_t *const offsets[N_NS] = {
+        &g_stat.packets, &g_stat.words, &g_stat.hops, &g_stat.total_latency,
+        &g_stat.contention};
+    NetSendObject *ns = (NetSendObject *)self;
+    Py_ssize_t i;
+    for (i = 0; i < N_NS; i++)
+        if (fold_slot(ns->stats, *offsets[i], &ns->stat_n[i]) < 0)
+            return -1;
+    for (i = 0; i < 64 && i < PyTuple_GET_SIZE(g_op_names); i++)
+        if (fold_dict(ns->per_opcode, PyTuple_GET_ITEM(g_op_names, i),
+                      &ns->op_n[i], 1) < 0)
+            return -1;
+    for (i = 0; i < ns->n_links; i++)
+        if (fold_list(ns->link_busy, i, &ns->link_n[i]) < 0)
+            return -1;
+    return 0;
+}
+
 static int
 NetSend_init(NetSendObject *self, PyObject *args, PyObject *kwds)
 {
-    PyObject *spec, *core;
+    PyObject *spec;
     if (!g_ready) {
         PyErr_SetString(PyExc_RuntimeError, "_native.setup() not called");
         return -1;
     }
-    if (!PyArg_ParseTuple(args, "O!:NetSend", &PyDict_Type, &spec))
+    if (!PyArg_ParseTuple(args, "O!:NetSend", &PyDict_Type, &spec) ||
+        take_core(spec, &self->core) < 0)
         return -1;
-    core = spec_get(spec, "core");
-    if (core == NULL || !PyObject_TypeCheck(core, &Core_Type)) {
-        if (core != NULL)
-            PyErr_SetString(PyExc_TypeError, "spec['core'] must be a Core");
-        return -1;
-    }
-    Py_INCREF(core);
-    Py_XSETREF(self->core, (CoreObject *)core);
     SPEC_REF(net, "net");
     SPEC_REF(stats, "stats");
     SPEC_REF(per_opcode, "per_opcode");
@@ -2465,6 +2572,7 @@ NetSend_init(NetSendObject *self, PyObject *args, PyObject *kwds)
         return -1;
     }
     self->vectorcall = net_send_vectorcall;
+    settler_join(self->core, &self->settler, (PyObject *)self, net_send_fold);
     return 0;
 }
 
@@ -2487,6 +2595,7 @@ NetSend_traverse(NetSendObject *self, visitproc visit, void *arg)
 static int
 NetSend_clear(NetSendObject *self)
 {
+    settler_retire(&self->settler);
     Py_CLEAR(self->core);
     Py_CLEAR(self->net);
     Py_CLEAR(self->net_dict);
@@ -2505,23 +2614,51 @@ NetSend_dealloc(NetSendObject *self)
 {
     PyObject_GC_UnTrack(self);
     NetSend_clear(self);
+    PyMem_Free(self->link_n);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
-/* per_opcode[key] = per_opcode.get(key, 0) + 1, key as in WormholeNetwork */
+/* per_opcode[key] = per_opcode.get(key, 0) + 1, key as in WormholeNetwork:
+ * an Op counts under its name, at the settle; anything else at once */
 static int
 per_opcode_bump(NetSendObject *ns, PyObject *op)
 {
-    PyObject *key;
+    long long one = 1;
     if (Py_TYPE(op) == (PyTypeObject *)g_op_type) {
         long v = PyLong_AsLong(op);
-        if (v == -1 && PyErr_Occurred())
-            return -1;
-        key = PyTuple_GET_ITEM(g_op_names, v);
+        if (v >= 0 && v < 64 && v < PyTuple_GET_SIZE(g_op_names))
+            return tally_named(ns->per_opcode, PyTuple_GET_ITEM(g_op_names, v),
+                               &ns->op_n[v], 1);
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_IndexError, "tuple index out of range");
+        return -1;
     }
-    else
-        key = op;
-    return dict_add(ns->per_opcode, key, 1, 1);
+    return fold_dict(ns->per_opcode, op, &one, 1);
+}
+
+/* link_busy[link] += cycles, at the settle; the C column follows the
+ * Python one as routes intern new links */
+static int
+link_busy_add(NetSendObject *ns, Py_ssize_t link, long long cycles)
+{
+    if (link >= ns->n_links) {
+        Py_ssize_t n = PyList_GET_SIZE(ns->link_busy);
+        long long *grown;
+        if (link >= n) {
+            PyErr_SetString(PyExc_IndexError, "link_busy index out of range");
+            return -1;
+        }
+        grown = PyMem_Realloc(ns->link_n, n * sizeof(long long));
+        if (grown == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        memset(grown + ns->n_links, 0, (n - ns->n_links) * sizeof(long long));
+        ns->link_n = grown;
+        ns->n_links = n;
+    }
+    ns->link_n[link] += cycles;
+    return 0;
 }
 
 static int
@@ -2546,8 +2683,8 @@ injector_admit(PyObject *injector, long long when, PyObject *packet)
 }
 
 static PyObject *
-net_send_vectorcall(PyObject *nself, PyObject *const *args, size_t nargsf,
-                    PyObject *kwnames)
+net_send_call(PyObject *nself, PyObject *const *args, size_t nargsf,
+              PyObject *kwnames)
 {
     NetSendObject *ns = (NetSendObject *)nself;
     CoreObject *core = ns->core;
@@ -2596,10 +2733,9 @@ net_send_vectorcall(PyObject *nself, PyObject *const *args, size_t nargsf,
     if (injector == Py_None)
         injector = NULL;
     if (src == dst) {
-        if (stat_add_ll(ns->stats, g_stat.packets, 1) < 0 ||
-            stat_add_ll(ns->stats, g_stat.words, words) < 0 ||
-            stat_add_ll(ns->stats, g_stat.total_latency, 2) < 0)
-            return NULL;
+        ns->stat_n[NS_PACKETS] += 1;
+        ns->stat_n[NS_WORDS] += words;
+        ns->stat_n[NS_LATENCY] += 2;
         if (per_opcode_bump(ns, op) < 0)
             return NULL;
         if (injector != NULL) {
@@ -2610,11 +2746,7 @@ net_send_vectorcall(PyObject *nself, PyObject *const *args, size_t nargsf,
         handler = PyList_GetItem(ns->handlers, (Py_ssize_t)dst);
         if (handler == NULL)
             return NULL;
-        if (core->running) {
-            if (core_ring_post(core, now + 2, handler, packet) < 0)
-                return NULL;
-        }
-        else if (core_post_impl(core, now + 2, NULL, handler, packet) < 0)
+        if (core_post_impl(core, now + 2, NULL, handler, packet) < 0)
             return NULL;
         Py_RETURN_NONE;
     }
@@ -2676,8 +2808,7 @@ net_send_vectorcall(PyObject *nself, PyObject *const *args, size_t nargsf,
                 Py_DECREF(fast);
                 goto fail_path;
             }
-            if (list_add_ll(ns->link_busy, (Py_ssize_t)link,
-                            serialization) < 0) {
+            if (link_busy_add(ns, (Py_ssize_t)link, serialization) < 0) {
                 Py_DECREF(fast);
                 goto fail_path;
             }
@@ -2685,12 +2816,11 @@ net_send_vectorcall(PyObject *nself, PyObject *const *args, size_t nargsf,
         }
         Py_DECREF(fast);
         arrival = head + serialization;
-        if (stat_add_ll(ns->stats, g_stat.packets, 1) < 0 ||
-            stat_add_ll(ns->stats, g_stat.words, words) < 0 ||
-            stat_add_ll(ns->stats, g_stat.hops, npath) < 0 ||
-            stat_add_ll(ns->stats, g_stat.total_latency, arrival - now) < 0
-            || stat_add_ll(ns->stats, g_stat.contention, waited) < 0)
-            goto fail_path;
+        ns->stat_n[NS_PACKETS] += 1;
+        ns->stat_n[NS_WORDS] += words;
+        ns->stat_n[NS_HOPS] += npath;
+        ns->stat_n[NS_LATENCY] += arrival - now;
+        ns->stat_n[NS_CONTENTION] += waited;
         if (per_opcode_bump(ns, op) < 0)
             goto fail_path;
         if (path_owned)
@@ -2704,11 +2834,7 @@ net_send_vectorcall(PyObject *nself, PyObject *const *args, size_t nargsf,
         handler = PyList_GetItem(ns->handlers, (Py_ssize_t)dst);
         if (handler == NULL)
             return NULL;
-        if (core->running && arrival - now < RING) {
-            if (core_ring_post(core, arrival, handler, packet) < 0)
-                return NULL;
-        }
-        else if (core_post_impl(core, arrival, NULL, handler, packet) < 0)
+        if (core_post_impl(core, arrival, NULL, handler, packet) < 0)
             return NULL;
         Py_RETURN_NONE;
     }
@@ -2717,6 +2843,8 @@ fail_path:
         Py_XDECREF(path);
     return NULL;
 }
+
+KERNEL_ENTRY(net_send_vectorcall, net_send_call)
 
 static PyTypeObject NetSend_Type = {
     PyVarObject_HEAD_INIT(NULL, 0).tp_name = "repro._native.NetSend",
@@ -2846,8 +2974,10 @@ ck_send(StepKernelObject *k, PyObject *dst, PyObject *op, PyObject *address,
         return -1;
     if (send == NULL)
         PyErr_SetString(PyExc_RuntimeError, "network.send replaced mid-step");
-    else if (dict_add_ll(k->nic_dict, s_packets_sent, 1) == 0)
-        r = net_send_vectorcall(send, &packet, 1, NULL);
+    else {
+        k->sent += 1;
+        r = net_send_call(send, &packet, 1, NULL);
+    }
     Py_DECREF(packet);
     if (r == NULL)
         return -1;
@@ -2909,13 +3039,13 @@ ck_issue(StepKernelObject *k, PyObject *ctx, int kind, PyObject *addr,
     }
     /* Processor._issue: a remote request releases the pipeline */
     slot_set_incref(ctx, g_ctx.state, g_ctx_blocked);
-    if (list_add_ll(k->proc_slots,
-                    k->ps[remote ? PS_REMOTE_STALL : PS_LOCAL_STALL], 1) < 0
-        || (remote && PyDict_SetItem(k->proc_dict, s_running, Py_None) < 0)
-        /* CacheController._access */
-        || list_add_ll(k->cache_slots, k->cs[CS_MISS + kind], 1) < 0 ||
-        (state && list_add_ll(k->cache_slots, k->cs[CS_UPGRADES], 1) < 0))
+    k->ps_n[remote ? PS_REMOTE_STALL : PS_LOCAL_STALL] += 1;
+    if (remote && PyDict_SetItem(k->proc_dict, s_running, Py_None) < 0)
         goto done;
+    /* CacheController._access */
+    k->cs_n[CS_MISS + kind] += 1;
+    if (state)
+        k->cs_n[CS_UPGRADES] += 1;
     /* _enqueue_miss: Mshr(block, need_write, now, [_Waiter(...)]) */
     now_obj = PyLong_FromLongLong(k->core->now);
     home_obj = PyLong_FromLongLong(home);
@@ -2946,9 +3076,8 @@ ck_issue(StepKernelObject *k, PyObject *ctx, int kind, PyObject *addr,
     if (PyDict_SetItem(mshrs, block_obj, mshr) < 0)
         goto done;
     /* _send_request */
-    if (list_add_ll(k->cache_slots,
-                    k->cs[remote ? CS_REMOTE_REQ : CS_LOCAL_REQ], 1) < 0 ||
-        ck_send(k, home_obj, g_miss_ops[kind == A_LOAD ? O_RREQ : O_WREQ],
+    k->cs_n[remote ? CS_REMOTE_REQ : CS_LOCAL_REQ] += 1;
+    if (ck_send(k, home_obj, g_miss_ops[kind == A_LOAD ? O_RREQ : O_WREQ],
                 block_obj, NULL, NULL) < 0)
         goto done;
     /* back in _issue */
@@ -3009,8 +3138,7 @@ ck_replay(StepKernelObject *k, PyObject *waiter)
         Py_XDECREF(result);
         return result == NULL ? -1 : 0;
     }
-    if (list_add_ll(k->cache_slots, k->cs[CS_HIT + kind], 1) < 0)
-        return -1;
+    k->cs_n[CS_HIT + kind] += 1;
     result = sk_apply(k, kind, index, addr, payload);
     if (result == NULL)
         return -1;
@@ -3036,8 +3164,9 @@ hist_add(PyObject *owner_dict, PyObject *name, long long value)
     counts = PyObject_GetAttr(hist, s_counts);
     key = PyLong_FromLongLong(value);
     if (counts != NULL && key != NULL) {
+        long long one = 1;
         if (PyDict_Check(counts))
-            rc = dict_add(counts, key, 1, 1);
+            rc = fold_dict(counts, key, &one, 1);
         else
             PyErr_Format(PyExc_TypeError, "%U.counts: no dict", name);
     }
@@ -3050,9 +3179,8 @@ hist_add(PyObject *owner_dict, PyObject *name, long long value)
 static PER_MISS int
 ck_record_latency(StepKernelObject *k, long long latency)
 {
-    if (dict_add_ll(k->cache_dict, s_miss_latency_total, latency) < 0 ||
-        dict_add_ll(k->cache_dict, s_miss_latency_count, 1) < 0)
-        return -1;
+    k->latency_total += latency;
+    k->latency_count += 1;
     return hist_add(k->cache_dict, s_latency_hist, (latency >> 3) << 3);
 }
 
@@ -3126,9 +3254,9 @@ ck_fill(StepKernelObject *k, PyObject *packet, int state)
     line = (long long *)k->slab_buf.buf + index * k->wpb;
     for (i = 0; i < k->wpb; i++)
         line[i] = PyLong_AsLongLong(PyList_GET_ITEM(words, i));
-    if (ck_record_latency(k, latency) < 0 ||
-        list_add_ll(k->cache_slots, k->cs[CS_FILLS], 1) < 0)
+    if (ck_record_latency(k, latency) < 0)
         goto done;
+    k->cs_n[CS_FILLS] += 1;
     for (i = 0; i < PyTuple_GET_SIZE(waiters); i++)
         if (ck_replay(k, PyTuple_GET_ITEM(waiters, i)) < 0)
             goto done;
@@ -3173,9 +3301,9 @@ ck_invalidate(StepKernelObject *k, PyObject *packet)
         txn = Py_None;
     }
     reply_meta = PyDict_New();
-    if (reply_meta == NULL || PyDict_SetItem(reply_meta, s_txn, txn) < 0 ||
-        list_add_ll(k->cache_slots, k->cs[CS_INV_RECEIVED], 1) < 0)
+    if (reply_meta == NULL || PyDict_SetItem(reply_meta, s_txn, txn) < 0)
         goto done;
+    k->cs_n[CS_INV_RECEIVED] += 1;
     if (state)
         PyByteArray_AS_STRING(k->states)[index] = 0;
     if (state == 2) {
@@ -3249,48 +3377,68 @@ static const char *const dk_ref_names[DK_CTRL_DICT] = {
     "slots", "values", "memory", "blocks", "occupancy", "nic", "net", "pool",
     "node_id", "stray_names"};
 
+/* the named counters the cells bump, and their names in the bag */
+enum { DN_INVALIDATIONS, DN_REGRANT, DN_BUSY_SENT, DN_STRAY_DROPPED,
+       DN_WRITE_DONE, DN_READ_DONE, DN_READ_OVERFLOW, DN_POINTER_EVICTIONS,
+       N_DN };
+static PyObject *s_dn[N_DN];
+#define MAX_DIR_OPS (MAX_DIR_CELLS / N_DIR_STATES)
+
 typedef struct {
-    PyObject_HEAD
-    vectorcallfunc vectorcall;  /* kernel(packet) is ``process`` */
-    CoreObject *core;
+    KERNEL_HEAD                 /* kernel(packet) is ``process`` */
     PyObject *r[N_DK_REFS];
     unsigned char codes[MAX_DIR_CELLS]; /* DC_* by state * n_ops + op */
     long long n_ops, packets_slot, node_id, seg_shift, n_nodes, low_mask;
     int pool_native;
+    /* until the settle: the dir.packets cell, the named counters and
+     * dir.stray.<op>, occupancy.busy_cycles/requests, nic.packets_sent */
+    long long packets_n, named_n[N_DN], stray_n[MAX_DIR_OPS];
+    long long occ_busy, occ_requests, sent;
     long long handbacks[N_HANDBACKS];
 } DirKernelObject;
 
 static PyObject *s_retained, *s_pointer_capacity, *s_software_pass;
 static PyObject *s_dir_occupancy, *s_free_at, *s_requests, *s_worker_sets;
-static PyObject *s_inv_rounds, *s_entry, *s_block;
-static PyObject *s_n_invalidations, *s_n_regrant, *s_n_busy_sent;
-static PyObject *s_n_stray_dropped, *s_n_write_done, *s_n_read_done;
-static PyObject *s_fifo_order, *s_n_read_overflow, *s_n_pointer_evictions;
+static PyObject *s_inv_rounds, *s_entry, *s_block, *s_fifo_order;
 
 static PyObject *dir_kernel_vectorcall(PyObject *, PyObject *const *, size_t,
                                        PyObject *);
+
+static PER_RUN int
+dir_kernel_fold(PyObject *self)
+{
+    DirKernelObject *k = (DirKernelObject *)self;
+    PyObject **r = k->r;
+    Py_ssize_t i;
+    if (fold_list(r[DK_SLOTS], (Py_ssize_t)k->packets_slot, &k->packets_n) < 0
+        || fold_dict(r[DK_OCC_DICT], s_busy_cycles, &k->occ_busy, 0) < 0 ||
+        fold_dict(r[DK_OCC_DICT], s_requests, &k->occ_requests, 0) < 0 ||
+        fold_dict(r[DK_NIC_DICT], s_packets_sent, &k->sent, 0) < 0)
+        return -1;
+    for (i = 0; i < N_DN; i++)
+        if (fold_dict(r[DK_VALUES], s_dn[i], &k->named_n[i], 1) < 0)
+            return -1;
+    for (i = 0; i < k->n_ops; i++)
+        if (fold_dict(r[DK_VALUES], PyTuple_GET_ITEM(r[DK_STRAY_NAMES], i),
+                      &k->stray_n[i], 1) < 0)
+            return -1;
+    return 0;
+}
 
 static int
 DirKernel_init(DirKernelObject *self, PyObject *args, PyObject *kwds)
 {
     static const int dict_of[] = {DK_CTRL, DK_OCCUPANCY, DK_NIC, DK_NET};
-    PyObject *spec, *core, *codes;
+    PyObject *spec, *codes;
     PyObject **r = self->r;
     Py_ssize_t i, n_cells;
     if (!g_ready) {
         PyErr_SetString(PyExc_RuntimeError, "_native.setup() not called");
         return -1;
     }
-    if (!PyArg_ParseTuple(args, "O!:DirKernel", &PyDict_Type, &spec))
+    if (!PyArg_ParseTuple(args, "O!:DirKernel", &PyDict_Type, &spec) ||
+        take_core(spec, &self->core) < 0)
         return -1;
-    core = spec_get(spec, "core");
-    if (core == NULL || !PyObject_TypeCheck(core, &Core_Type)) {
-        if (core != NULL)
-            PyErr_SetString(PyExc_TypeError, "spec['core'] must be a Core");
-        return -1;
-    }
-    Py_INCREF(core);
-    Py_XSETREF(self->core, (CoreObject *)core);
     for (i = 0; i < DK_CTRL_DICT; i++)
         if (take_ref(spec, dk_ref_names[i], &r[i]) < 0)
             return -1;
@@ -3339,6 +3487,8 @@ DirKernel_init(DirKernelObject *self, PyObject *args, PyObject *kwds)
     }
     self->pool_native = PyObject_TypeCheck(r[DK_POOL], &Pool_Type);
     self->vectorcall = dir_kernel_vectorcall;
+    settler_join(self->core, &self->settler, (PyObject *)self,
+                 dir_kernel_fold);
     return 0;
 }
 
@@ -3356,6 +3506,7 @@ static int
 DirKernel_clear(DirKernelObject *self)
 {
     int i;
+    settler_retire(&self->settler);
     Py_CLEAR(self->core);
     for (i = 0; i < N_DK_REFS; i++)
         Py_CLEAR(self->r[i]);
@@ -3636,11 +3787,12 @@ dk_decide(DirKernelObject *k, PyObject *packet, DirStep *s)
     return -1;
 }
 
-/* counters.bump(name, amount) */
+/* counters.bump(<the DN_* name>, amount) */
 static inline int
-dk_bump(DirKernelObject *k, PyObject *name, long long amount)
+dk_bump(DirKernelObject *k, int which, long long amount)
 {
-    return dict_add(k->r[DK_VALUES], name, amount, 1);
+    return tally_named(k->r[DK_VALUES], s_dn[which], &k->named_n[which],
+                       amount);
 }
 
 /* memory.block(address): the live BlockData, a new reference.  First
@@ -3739,8 +3891,8 @@ dk_send(DirKernelObject *k, long long dst, int op, PyObject *address,
     if (send != NULL && Py_TYPE(send) == &NetSend_Type &&
         ck_flag(k->r[DK_NIC_DICT], s_crc_enabled) == 0 &&
         dict_peek(k->r[DK_NIC_DICT], s_send) == NULL) {
-        if (dict_add_ll(k->r[DK_NIC_DICT], s_packets_sent, 1) == 0)
-            result = net_send_vectorcall(send, &packet, 1, NULL);
+        k->sent += 1;
+        result = net_send_call(send, &packet, 1, NULL);
     }
     else
         result = PyObject_CallMethodOneArg(k->r[DK_NIC], s_send, packet);
@@ -3787,9 +3939,11 @@ dk_send_invs(DirKernelObject *k, unsigned long long targets, long long txn,
 static PER_MISS int
 dk_stray(DirKernelObject *k, long op)
 {
-    if (dk_bump(k, s_n_stray_dropped, 1) < 0)
+    if (dk_bump(k, DN_STRAY_DROPPED, 1) < 0)
         return -1;
-    return dk_bump(k, PyTuple_GET_ITEM(k->r[DK_STRAY_NAMES], op), 1);
+    return tally_named(k->r[DK_VALUES],
+                       PyTuple_GET_ITEM(k->r[DK_STRAY_NAMES], op),
+                       &k->stray_n[op], 1);
 }
 
 /* entry.add_sharer(node) */
@@ -3898,8 +4052,8 @@ dk_cell(DirKernelObject *k, DirStep *s)
         if (dk_order_remove(order, s->src) < 0)
             return -1;
         if (evict) {
-            if (dk_bump(k, s_n_read_overflow, 1) < 0 ||
-                dk_bump(k, s_n_pointer_evictions, 1) < 0 ||
+            if (dk_bump(k, DN_READ_OVERFLOW, 1) < 0 ||
+                dk_bump(k, DN_POINTER_EVICTIONS, 1) < 0 ||
                 dk_send_invs(k, BIT(s->victim), 0, address) < 0 ||
                 dk_order_remove(order, s->victim) < 0)
                 return -1;
@@ -3937,7 +4091,7 @@ dk_cell(DirKernelObject *k, DirStep *s)
                      __builtin_popcountll(others) + 1) < 0 ||
             dk_send_invs(k, others, s->txn, address) < 0)
             return -1;
-        return dk_bump(k, s_n_invalidations, __builtin_popcountll(others));
+        return dk_bump(k, DN_INVALIDATIONS, __builtin_popcountll(others));
     }
     case DC_RW_RREQ: /* transition 5 */
         dk_begin(s, holders, D_READ_TRANSACTION);
@@ -3948,7 +4102,7 @@ dk_cell(DirKernelObject *k, DirStep *s)
         if (holders == src_bit) { /* the owner asks again: re-grant */
             if (dk_send_data(k, s->src, O_WDATA, address) < 0)
                 return -1;
-            return dk_bump(k, s_n_regrant, 1);
+            return dk_bump(k, DN_REGRANT, 1);
         }
         dk_begin(s, holders, D_WRITE_TRANSACTION); /* transition 4 */
         if (dk_commit(k, &was, s) < 0)
@@ -3967,7 +4121,7 @@ dk_cell(DirKernelObject *k, DirStep *s)
     case DC_STRAY:
         return dk_stray(k, s->op);
     case DC_TXN_BUSY: /* transitions 7/9 */
-        if (dk_bump(k, s_n_busy_sent, 1) < 0)
+        if (dk_bump(k, DN_BUSY_SENT, 1) < 0)
             return -1;
         return dk_send(k, s->src, O_BUSY, address, NULL, NULL);
     default: { /* the ack-collecting cells of the two transactions */
@@ -3997,14 +4151,14 @@ dk_cell(DirKernelObject *k, DirStep *s)
         if (dk_send_data(k, requester, reading ? O_RDATA : O_WDATA,
                          address) < 0)
             return -1;
-        return dk_bump(k, reading ? s_n_read_done : s_n_write_done, 1);
+        return dk_bump(k, reading ? DN_READ_DONE : DN_WRITE_DONE, 1);
     }
     }
 }
 
 static PyObject *
-dir_kernel_vectorcall(PyObject *kself, PyObject *const *args, size_t nargsf,
-                      PyObject *kwnames)
+dir_kernel_call(PyObject *kself, PyObject *const *args, size_t nargsf,
+                PyObject *kwnames)
 {
     DirKernelObject *k = (DirKernelObject *)kself;
     PyObject *packet;
@@ -4041,8 +4195,8 @@ dir_kernel_vectorcall(PyObject *kself, PyObject *const *args, size_t nargsf,
             return NULL;
         }
     }
-    if (list_add_ll(k->r[DK_SLOTS], (Py_ssize_t)k->packets_slot, 1) < 0 ||
-        PyDict_SetItem(k->r[DK_CTRL_DICT], s_retained, Py_False) < 0 ||
+    k->packets_n += 1;
+    if (PyDict_SetItem(k->r[DK_CTRL_DICT], s_retained, Py_False) < 0 ||
         dk_cell(k, &s) < 0 ||
         /* no compiled cell retains its packet */
         pool_release_impl((PoolObject *)k->r[DK_POOL], packet) < 0)
@@ -4050,9 +4204,11 @@ dir_kernel_vectorcall(PyObject *kself, PyObject *const *args, size_t nargsf,
     Py_RETURN_NONE;
 }
 
+KERNEL_ENTRY(dir_kernel_vectorcall, dir_kernel_call)
+
 /* MemoryController.receive */
 static PyObject *
-DirKernel_receive(DirKernelObject *k, PyObject *packet)
+dir_kernel_receive(DirKernelObject *k, PyObject *packet)
 {
     PyObject *occ = k->r[DK_OCC_DICT];
     PyObject *cycles_obj, *free_obj, *busy_obj, *req_obj, *done_obj;
@@ -4090,17 +4246,25 @@ DirKernel_receive(DirKernelObject *k, PyObject *packet)
     done_obj = PyLong_FromLongLong(start + cycles);
     if (done_obj == NULL)
         return NULL;
-    if (PyDict_SetItem(occ, s_free_at, done_obj) < 0 ||
-        dict_add_ll(occ, s_busy_cycles, cycles) < 0 ||
-        dict_add_ll(occ, s_requests, 1) < 0 ||
-        /* sim.post(done_at, self.process, packet) */
-        core_post_impl(k->core, start + cycles, done_obj, (PyObject *)k,
-                       packet) < 0) {
+    if (PyDict_SetItem(occ, s_free_at, done_obj) < 0) {
         Py_DECREF(done_obj);
         return NULL;
     }
+    k->occ_busy += cycles;
+    k->occ_requests += 1;
+    /* sim.post(done_at, self.process, packet) */
+    reason = core_post_impl(k->core, start + cycles, done_obj, (PyObject *)k,
+                            packet);
     Py_DECREF(done_obj);
+    if (reason < 0)
+        return NULL;
     Py_RETURN_NONE;
+}
+
+static PyObject *
+DirKernel_receive(DirKernelObject *k, PyObject *packet)
+{
+    return settled(k->core, dir_kernel_receive(k, packet));
 }
 
 static PyMethodDef DirKernel_methods[] = {
@@ -4362,14 +4526,14 @@ static const struct {
     {&s_software_pass, "_software_pass"}, {&s_dir_occupancy, "dir_occupancy"},
     {&s_free_at, "free_at"}, {&s_requests, "requests"},
     {&s_worker_sets, "worker_sets"}, {&s_inv_rounds, "_inv_rounds"},
-    {&s_entry, "entry"}, {&s_block, "block"},
-    {&s_n_invalidations, "dir.invalidations"}, {&s_n_regrant, "dir.regrant"},
-    {&s_n_busy_sent, "dir.busy_sent"},
-    {&s_n_stray_dropped, "dir.stray_dropped"},
-    {&s_n_write_done, "dir.write_transactions_done"},
-    {&s_n_read_done, "dir.read_transactions_done"},
-    {&s_fifo_order, "_fifo_order"}, {&s_n_read_overflow, "dir.read_overflow"},
-    {&s_n_pointer_evictions, "dir.pointer_evictions"},
+    {&s_entry, "entry"}, {&s_block, "block"}, {&s_fifo_order, "_fifo_order"},
+    {&s_dn[DN_INVALIDATIONS], "dir.invalidations"},
+    {&s_dn[DN_REGRANT], "dir.regrant"}, {&s_dn[DN_BUSY_SENT], "dir.busy_sent"},
+    {&s_dn[DN_STRAY_DROPPED], "dir.stray_dropped"},
+    {&s_dn[DN_WRITE_DONE], "dir.write_transactions_done"},
+    {&s_dn[DN_READ_DONE], "dir.read_transactions_done"},
+    {&s_dn[DN_READ_OVERFLOW], "dir.read_overflow"},
+    {&s_dn[DN_POINTER_EVICTIONS], "dir.pointer_evictions"},
 };
 
 PyMODINIT_FUNC

@@ -9,6 +9,7 @@ paper's bottom-line metric ("how fast a system can run a program", §5).
 
 from __future__ import annotations
 
+import gc
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -102,42 +103,51 @@ class AlewifeMachine:
     """A configured machine instance, ready to run one workload."""
 
     def __init__(self, config: AlewifeConfig) -> None:
-        self.config = config
-        self.backend = get_backend(config.backend)
-        self.sim = self.backend.make_simulator(max_cycles=config.max_cycles)
-        self.rng = DeterministicRng(config.seed)
-        self.space = AddressSpace(
-            n_nodes=config.n_procs,
-            block_bytes=config.block_bytes,
-            segment_bytes=config.segment_bytes,
-        )
-        self.allocator = Allocator(self.space)
-        self.network = self._build_network()
-        # One free list per machine instance; every component reaches it
-        # through the network.
-        pool_factory = self.backend.make_pool or PacketPool
-        self.pool = pool_factory(enabled=config.packet_pool)
-        self.network.pool = self.pool
-        if config.faults_enabled:
-            # The injector installs itself as network.fault_injector and
-            # takes over delivery scheduling; zero-rate configs skip it
-            # entirely so the fast path (and the goldens) are untouched.
-            FaultInjector(self.network, self.rng, config)
-        self._finished = 0
-        self.nodes = [
-            Node(
-                self.sim,
-                node_id,
-                config,
-                self.space,
-                self.network,
-                self.rng,
-                on_proc_done=self._proc_done,
+        # Assembly allocates a few ten thousand objects that all live as
+        # long as the machine and creates no garbage, so a collection in
+        # the middle of it only re-traverses the half-built machine.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            self.config = config
+            self.backend = get_backend(config.backend)
+            self.sim = self.backend.make_simulator(max_cycles=config.max_cycles)
+            self.rng = DeterministicRng(config.seed)
+            self.space = AddressSpace(
+                n_nodes=config.n_procs,
+                block_bytes=config.block_bytes,
+                segment_bytes=config.segment_bytes,
             )
-            for node_id in range(config.n_procs)
-        ]
-        if self.backend.finalize is not None:
-            self.backend.finalize(self)
+            self.allocator = Allocator(self.space)
+            self.network = self._build_network()
+            # One free list per machine instance; every component reaches it
+            # through the network.
+            pool_factory = self.backend.make_pool or PacketPool
+            self.pool = pool_factory(enabled=config.packet_pool)
+            self.network.pool = self.pool
+            if config.faults_enabled:
+                # The injector installs itself as network.fault_injector and
+                # takes over delivery scheduling; zero-rate configs skip it
+                # entirely so the fast path (and the goldens) are untouched.
+                FaultInjector(self.network, self.rng, config)
+            self._finished = 0
+            self.nodes = [
+                Node(
+                    self.sim,
+                    node_id,
+                    config,
+                    self.space,
+                    self.network,
+                    self.rng,
+                    on_proc_done=self._proc_done,
+                )
+                for node_id in range(config.n_procs)
+            ]
+            if self.backend.finalize is not None:
+                self.backend.finalize(self)
+        finally:
+            if collecting:
+                gc.enable()
 
     def _build_network(self) -> Network:
         cfg = self.config

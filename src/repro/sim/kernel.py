@@ -39,6 +39,27 @@ class DeadlockError(SimulationError):
     """Raised when the event queue drains while agents are still blocked."""
 
 
+#: Event times are cycle counts that fit the compiled core's signed 64-bit
+#: counter; every kernel refuses anything else the same way.
+_MAX_TIME = (1 << 63) - 1
+
+
+def _bad_time(time: Any, now: int) -> Exception:
+    """Why ``time`` cannot be scheduled at cycle ``now`` (the cold half of
+    the one check every ``post``/``call_at`` makes)."""
+    if type(time) is not int:
+        return TypeError(f"time must be an int, not {type(time).__name__}")
+    if time < now:
+        return SimulationError(f"cannot schedule event at {time}, now is {now}")
+    return SimulationError(f"time {time} is outside the cycle counter")
+
+
+def _bad_delay(delay: Any) -> Exception:
+    if type(delay) is not int:
+        return TypeError(f"delay must be an int, not {type(delay).__name__}")
+    return SimulationError(f"negative delay {delay}")
+
+
 class Event:
     """A scheduled callback.
 
@@ -111,15 +132,13 @@ class Simulator:
         the allocation-free alternative to ``lambda: callback(arg)`` on hot
         paths like packet delivery.
         """
-        time = int(time)
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule event at {time}, now is {self.now}"
-            )
+        now = self.now
+        if type(time) is not int or not now <= time <= _MAX_TIME:
+            raise _bad_time(time, now)
         seq = self._seq
         self._seq = seq + 1
         event = Event(time, seq, callback, arg, self)
-        if time == self.now and self._running:
+        if time == now and self._running:
             self._lane.append((seq, callback, arg, event))
         else:
             _heappush(self._queue, (time, seq, callback, arg, event))
@@ -130,9 +149,9 @@ class Simulator:
         self, delay: int, callback: Callable[..., None], arg: Any = _NO_ARG
     ) -> Event:
         """Schedule ``callback`` ``delay`` cycles from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        return self.call_at(self.now + int(delay), callback, arg)
+        if type(delay) is not int or delay < 0:
+            raise _bad_delay(delay)
+        return self.call_at(self.now + delay, callback, arg)
 
     def post(
         self, time: int, callback: Callable[..., None], arg: Any = _NO_ARG
@@ -140,19 +159,16 @@ class Simulator:
         """Schedule without a cancel handle.
 
         The hot-path twin of :meth:`call_at`: no :class:`Event` is
-        allocated, so the caller cannot cancel the callback, and times are
-        trusted to be integers (every internal scheduler computes them
-        with integer arithmetic).  Every steady-state scheduler in the
-        machine model (packet delivery, pipeline steps, directory
-        occupancy) uses this.
+        allocated, so the caller cannot cancel the callback.  Every
+        steady-state scheduler in the machine model (packet delivery,
+        pipeline steps, directory occupancy) uses this.
         """
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule event at {time}, now is {self.now}"
-            )
+        now = self.now
+        if type(time) is not int or not now <= time <= _MAX_TIME:
+            raise _bad_time(time, now)
         seq = self._seq
         self._seq = seq + 1
-        if time == self.now and self._running:
+        if time == now and self._running:
             self._lane.append((seq, callback, arg, None))
         else:
             _heappush(self._queue, (time, seq, callback, arg, None))
@@ -162,9 +178,9 @@ class Simulator:
         self, delay: int, callback: Callable[..., None], arg: Any = _NO_ARG
     ) -> None:
         """Schedule ``delay`` cycles from now without a cancel handle."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        self.post(self.now + int(delay), callback, arg)
+        if type(delay) is not int or delay < 0:
+            raise _bad_delay(delay)
+        self.post(self.now + delay, callback, arg)
 
     # ------------------------------------------------------------------
     # Execution

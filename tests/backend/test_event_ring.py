@@ -1,0 +1,439 @@
+"""The event kernel at the seams the compiled ring introduced, on every
+backend — so ``Simulator`` and ``BatchSimulator`` stay the definition.
+
+The native core keeps its 64-cycle ring as C structs (``RingSlot`` arrays
+that grow, compact and are walked while callbacks append to them) and
+boxes an entry only when a run returns with it still queued.  Each case
+below drives one of those mechanisms through the public scheduling API
+and states the outcome outright; the sanitizer CI job runs this file on
+the instrumented build, which is what ``core_ring_push``'s ``memmove``/
+``realloc`` under a drain that holds a popped entry needs.
+
+The last section pins one table for the scheduling API itself: which
+argument forms every kernel accepts and how each refuses the rest.
+"""
+
+from __future__ import annotations
+
+import gc
+import os
+import subprocess
+import sys
+
+import pytest
+
+from repro.backend import backend_names, get_backend, native
+from repro.sim.kernel import SimulationError
+
+_SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
+
+
+@pytest.fixture(params=backend_names())
+def sim(request):
+    return get_backend(request.param).make_simulator(max_cycles=1_000_000)
+
+
+def _boom():
+    raise RuntimeError("boom")
+
+
+# ----------------------------------------------------------------------
+# A callback that raises in the middle of a cycle's batch
+# ----------------------------------------------------------------------
+
+
+def test_a_raise_mid_batch_leaves_the_tail_queued_and_the_counters_settled(sim):
+    log = []
+
+    def root():
+        sim.post(sim.now, log.append, "before")
+        sim.post(sim.now, _boom)
+        sim.post(sim.now, log.append, "after")
+        sim.post(sim.now + 1, log.append, "later")
+
+    sim.post(2, root)
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run()
+    # root, "before" and the raising callback itself count as executed;
+    # the two behind it are still pending, in the heap where step() and
+    # the checkpointer look
+    assert (sim.now, log) == (2, ["before"])
+    assert (sim.events_executed, sim.pending_events) == (3, 2)
+    assert [(t, seq) for t, seq, *_ in sorted(sim._queue)] == [(2, 3), (3, 4)]
+    assert sim.run() == 3
+    assert log == ["before", "after", "later"]
+    assert (sim.events_executed, sim.pending_events) == (5, 0)
+
+
+def test_entries_appended_before_a_raise_keep_their_place(sim):
+    """The raising callback first appends to its own cycle: on resume the
+    older tail still runs before the newer entry."""
+    log = []
+
+    def append_then_raise():
+        sim.post(sim.now, log.append, "newest")
+        raise RuntimeError("boom")
+
+    def root():
+        sim.post(sim.now, append_then_raise)
+        sim.post(sim.now, log.append, "older")
+
+    sim.post(7, root)
+    with pytest.raises(RuntimeError):
+        sim.run()
+    sim.run()
+    assert log == ["older", "newest"]
+    assert (sim.now, sim.events_executed, sim.pending_events) == (7, 4, 0)
+
+
+# ----------------------------------------------------------------------
+# Cancel handles inside the ring
+# ----------------------------------------------------------------------
+
+
+def test_call_at_and_cancel_inside_the_ring(sim):
+    log = []
+    handles = {}
+
+    def root():
+        handles["same"] = sim.call_at(sim.now, log.append, "same-cycle, cancelled")
+        handles["near"] = sim.call_at(sim.now + 3, log.append, "near, cancelled later")
+        handles["kept"] = sim.call_at(sim.now + 3, log.append, "kept")
+        handles["far"] = sim.call_at(sim.now + 40, log.append, "alone in its cycle")
+        sim.post(sim.now + 1, canceller)
+        handles["same"].cancel()
+
+    def canceller():
+        handles["near"].cancel()
+        handles["far"].cancel()
+        handles["far"].cancel()  # twice: live drops once
+
+    sim.post(10, root)
+    sim.run()
+    assert log == ["kept"]
+    # the cancelled entry alone in cycle 50 must not drag time there
+    assert sim.now == 13
+    assert (sim.events_executed, sim.pending_events) == (3, 0)
+    handles["kept"].cancel()  # after it ran: a no-op
+    assert sim.pending_events == 0
+    assert handles["kept"].cancelled is False and handles["near"].cancelled is True
+
+
+# ----------------------------------------------------------------------
+# A slot that grows while it is being drained
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("width", [3, 8, 9, 100])
+def test_a_slot_grows_past_its_capacity_during_its_own_drain(sim, width):
+    """``width`` same-cycle entries, each appending two more to the cycle
+    being drained: the slot passes its initial capacity (8), doubles, and
+    reclaims consumed cells, all under the walk that is emptying it."""
+    log = []
+
+    def second(tag):
+        log.append(tag)
+
+    def first(i):
+        log.append(("first", i))
+        sim.post(sim.now, second, ("second", i, "a"))
+        sim.call_at(sim.now, second, ("second", i, "b"))
+
+    def root():
+        for i in range(width):
+            sim.post(sim.now, first, i)
+
+    sim.post(5, root)
+    sim.run()
+    expected = [("first", i) for i in range(width)] + [
+        ("second", i, half) for i in range(width) for half in "ab"
+    ]
+    assert log == expected
+    assert (sim.now, sim.events_executed, sim.pending_events) == (5, 1 + 3 * width, 0)
+
+
+def test_a_same_cycle_chain_reuses_one_cell(sim):
+    """Pop one, append one, many times over: the slot must not grow."""
+    count = [0]
+
+    def link():
+        count[0] += 1
+        if count[0] < 10_000:
+            sim.post(sim.now, link)
+
+    sim.post(1, link)
+    sim.run()
+    assert (count[0], sim.now, sim.events_executed) == (10_000, 1, 10_000)
+
+
+# ----------------------------------------------------------------------
+# The ring's horizon: 63 cycles ahead is the ring, 64 the heap
+# ----------------------------------------------------------------------
+
+
+def test_the_63_64_cycle_boundary(sim):
+    log = []
+
+    def note(tag):
+        log.append((sim.now, tag))
+
+    def root():
+        for ahead in (64, 63, 65, 0, 63, 64):
+            sim.post(sim.now + ahead, note, f"+{ahead}")
+        sim.call_at(sim.now + 64, note, "+64 handle")
+        sim.post(sim.now + 1, late)
+
+    def late():
+        # now + 63 is the cycle root called "+64": the heap already holds
+        # three entries there, with smaller seqs than this ring entry
+        sim.post(sim.now + 63, note, "late +63")
+        sim.post(sim.now + 64, note, "late +64")
+
+    sim.post(100, root)
+    sim.run()
+    assert log == [
+        (100, "+0"),
+        (163, "+63"),
+        (163, "+63"),
+        (164, "+64"),
+        (164, "+64"),
+        (164, "+64 handle"),
+        (164, "late +63"),
+        (165, "+65"),
+        (165, "late +64"),
+    ]
+    assert (sim.events_executed, sim.pending_events) == (11, 0)
+
+
+def test_a_ring_slot_is_reused_64_cycles_later(sim):
+    """A self-rescheduling event 64 cycles out lands in the heap every
+    time, one 63 out in the same ring slot index every 64th cycle."""
+    log = []
+
+    def tick(period):
+        log.append((sim.now, period))
+        if sim.now < 400:
+            sim.post(sim.now + period, tick, period)
+
+    sim.post(0, tick, 63)
+    sim.post(0, tick, 64)
+    sim.run()
+    assert [t for t, p in log if p == 63] == list(range(0, 442, 63))
+    assert [t for t, p in log if p == 64] == list(range(0, 449, 64))
+
+
+# ----------------------------------------------------------------------
+# Ring -> heap on every return from a run
+# ----------------------------------------------------------------------
+
+
+def test_a_run_that_stops_early_hands_the_ring_back_in_time_seq_order(sim):
+    log = []
+
+    def root():
+        sim.post(sim.now + 30, log.append, "c")
+        sim.call_at(sim.now + 5, log.append, "a")
+        sim.post(sim.now + 30, log.append, "d")
+        sim.post(sim.now + 5, log.append, "b")
+        sim.call_at(sim.now + 30, log.append, "cancelled").cancel()
+
+    sim.post(10, root)
+    assert sim.run(until=12) == 12
+    assert log == []
+    queued = sorted(sim._queue, key=lambda entry: entry[:2])
+    assert [(t, seq) for t, seq, *_ in queued] == [
+        (15, 2), (15, 4), (40, 1), (40, 3), (40, 5),
+    ]
+    assert [entry[4] is None for entry in queued] == [False, True, True, True, False]
+    assert sim.next_event_time() == 15 and sim.pending_events == 4
+    # the window form stops short of its limit too, and step() works
+    # on what came back
+    assert sim.run_until(15) == 15 and log == []
+    assert sim.step() and log == ["a"]
+    sim.run()
+    assert log == ["a", "b", "c", "d"]
+    assert (sim.now, sim.events_executed, sim.pending_events) == (40, 5, 0)
+
+
+def test_a_mid_run_peek_at_the_next_event_time_is_exact(sim):
+    seen = []
+
+    def root():
+        sim.post(sim.now + 2, seen.append, "near")
+        sim.post(sim.now + 200, seen.append, "far")
+        sim.post(sim.now, peek)
+
+    def peek():
+        seen.append(sim.next_event_time())
+        sim.post(sim.now, seen.append, "after the peek")
+
+    sim.post(4, root)
+    sim.run()
+    assert seen == [6, "after the peek", "near", "far"]
+    assert (sim.now, sim.pending_events) == (204, 0)
+
+
+def test_the_collector_sees_what_the_ring_holds(sim):
+    """Entries queued in the ring own their callback, argument and cancel
+    handle, and the collector is told so: a collection in the middle of a
+    batch (machines allocate: it happens) must leave them be."""
+
+    class Probe:
+        fired = 0
+
+        def fire(self, arg=None):
+            Probe.fired += 1
+
+    seen = {}
+
+    def root():
+        for ahead in (0, 1, 63):
+            probe = Probe()
+            sim.post(sim.now + ahead, probe.fire, probe)
+            sim.call_at(sim.now + ahead, probe.fire)
+        del probe  # the queue alone owns the probes now
+        gc.collect()
+        if hasattr(sim, "_core"):
+            seen["core"] = gc.get_referents(sim._core)
+
+    sim.post(3, root)
+    sim.run()
+    assert Probe.fired == 6
+    assert (sim.events_executed, sim.pending_events) == (7, 0)
+    if seen:  # native: what Core_traverse visited while the six were queued
+        kinds = [type(obj).__name__ for obj in seen["core"]]
+        assert kinds.count("method") == 6
+        assert kinds.count("Probe") == 3 and kinds.count("Event") == 3
+
+
+# ----------------------------------------------------------------------
+# One table for the scheduling API
+# ----------------------------------------------------------------------
+
+
+def test_keywords_are_accepted_by_every_kernel(sim):
+    log = []
+    sim.post(time=1, callback=log.append, arg="post")
+    sim.post_after(delay=2, callback=log.append, arg="post_after")
+    sim.call_at(time=3, callback=log.append, arg="call_at")
+    sim.call_after(delay=4, callback=log.append, arg="call_after")
+    sim.post(5, log.append, arg="mixed")
+    sim.call_at(6, callback=lambda: log.append("no arg"))
+    sim.run()
+    assert log == ["post", "post_after", "call_at", "call_after", "mixed", "no arg"]
+
+
+@pytest.mark.parametrize(
+    "time, error",
+    [
+        (1.0, TypeError),
+        (2.5, TypeError),
+        ("3", TypeError),
+        (None, TypeError),
+        (True, TypeError),
+        (-1, SimulationError),
+        (2**63, SimulationError),
+        (2**80, SimulationError),
+    ],
+    ids=lambda value: getattr(value, "__name__", repr(value)),
+)
+@pytest.mark.parametrize("method", ["post", "call_at", "post_after", "call_after"])
+def test_a_time_that_is_not_a_cycle_count_is_refused_alike(sim, method, time, error):
+    with pytest.raises(error):
+        getattr(sim, method)(time, lambda: None)
+    assert (sim._seq, sim.pending_events, list(sim._queue)) == (0, 0, [])
+    # ... mid-run as well, where the ring would have taken it
+    caught = []
+
+    def root():
+        try:
+            getattr(sim, method)(time, lambda: None)
+        except Exception as exc:
+            caught.append(type(exc))
+
+    sim.post(1, root)
+    sim.run()
+    assert caught == [error] and sim.pending_events == 0
+
+
+def test_the_largest_cycle_count_is_schedulable(sim):
+    sim.post(2**63 - 1, lambda: None)
+    sim.call_at(2**63 - 1, lambda: None)
+    assert sim.pending_events == 2 and sim.next_event_time() == 2**63 - 1
+    sim.now = 10
+    for method in ("post_after", "call_after"):
+        with pytest.raises(SimulationError):
+            getattr(sim, method)(2**63 - 5, lambda: None)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda sim: sim.post(1),
+        lambda sim: sim.post(1, print, 2, 3),
+        lambda sim: sim.post(1, print, callback=print),
+        lambda sim: sim.post(1, print, when=2),
+        lambda sim: sim.call_at(callback=print),
+    ],
+    ids=["no callback", "too many", "callback twice", "unknown keyword", "no time"],
+)
+def test_a_malformed_call_is_a_type_error_on_every_kernel(sim, call):
+    with pytest.raises(TypeError):
+        call(sim)
+    assert sim.pending_events == 0
+
+
+# ----------------------------------------------------------------------
+# The public class without its set-up
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.skipif(not native.available(), reason="extension not built")
+def test_the_native_simulator_is_safe_to_construct_directly():
+    """``NativeSimulator()`` before anything called ``load_status()`` used
+    to run on an extension whose ``setup()`` had not happened: signal 11
+    at the first event, ``SystemError`` from ``post(-1, f)``."""
+    code = (
+        "from repro.backend.native import NativeSimulator as S\n"
+        "from repro.sim.kernel import SimulationError\n"
+        "log = []\n"
+        "s = S(); s.post(0, log.append, 'ran'); s.call_at(1, log.append, 'too')\n"
+        "try:\n"
+        "    s.post(-1, print)\n"
+        "except SimulationError as exc:\n"
+        "    log.append(str(exc))\n"
+        "s.run(); print(log)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": _SRC},
+        timeout=120,
+    )
+    assert result.returncode == 0, (result.returncode, result.stderr)
+    assert result.stdout.strip() == str(
+        ["cannot schedule event at -1, now is 0", "ran", "too"]
+    )
+
+
+@pytest.mark.skipif(not native.available(), reason="extension not built")
+def test_the_bare_core_refuses_to_exist_before_setup():
+    code = (
+        "import importlib\n"
+        "ext = importlib.import_module('repro.backend.native._native')\n"
+        "assert not ext.is_ready()\n"
+        "try:\n"
+        "    ext.Core()\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": _SRC},
+        timeout=120,
+    )
+    assert result.returncode == 0, (result.returncode, result.stderr)
+    assert result.stdout.strip() == "_native.setup() not called"

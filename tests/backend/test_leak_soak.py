@@ -25,7 +25,10 @@ row with its injector and watchdog included) and the directory rows of
 ``test_dir_kernel.py`` (every compiled cell and hand-back of the
 directory kernel, the scripted caches' packets included); the bare fabric is the
 ladder's ``packetstorm`` in small: one send per delivery through the
-backend's packet pool.
+backend's packet pool.  The bare kernel is dropped with events still
+queued, the way a run that raised leaves it: on ``native`` the ring's
+entries are C structs that own their callback, argument and handle, boxed
+into the heap when the run returned.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 import gc
 import random
 import sys
+import weakref
 from array import array
 
 import pytest
@@ -93,9 +97,43 @@ def packet_storm(backend: str, side: int = 4, events: int = 10_000) -> None:
         vars(part).clear()
 
 
+def _raise_with_events_queued(sim, callback) -> None:
+    """Run ``sim`` into a callback that queues ``callback`` all over the
+    ring's range (and beyond it), with and without handles, then raises
+    from the middle of its cycle's batch."""
+
+    def fill_and_raise():
+        for ahead in (0, 0, 1, 63, 64, 200):
+            sim.post(sim.now + ahead, callback, ahead)
+            sim.call_at(sim.now + ahead, callback)
+        raise RuntimeError("abandoned")
+
+    def root():
+        sim.post(sim.now, callback, "before")
+        sim.post(sim.now, fill_and_raise)
+        sim.post(sim.now, callback, "after")
+
+    sim.post(3, root)
+    sim.post(500, callback, 500)
+    try:
+        sim.run()
+    except RuntimeError:
+        pass
+    assert sim.pending_events == 14
+
+
+def abandoned_queue(backend: str) -> None:
+    sim = get_backend(backend).make_simulator()
+    sink = []
+    _raise_with_events_queued(sim, sink.append)
+    del sink[:]
+    vars(sim).clear()  # sim <-> core, as ``dismantle()`` breaks it
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize(
-    "build_run_dismantle", [miss_rows, directory_rows, packet_storm]
+    "build_run_dismantle",
+    [miss_rows, directory_rows, packet_storm, abandoned_queue],
 )
 def test_nothing_accumulates_with_gc_disabled(build_run_dismantle, backend):
     # Preallocated: the bookkeeping itself must not allocate per batch.
@@ -115,4 +153,47 @@ def test_nothing_accumulates_with_gc_disabled(build_run_dismantle, backend):
         if was_enabled:
             gc.enable()
     assert list(unreachable) == [0] * BATCHES
+    assert len(set(blocks[WARM_UP:])) == 1, list(blocks)
+
+
+class _Agent:
+    """Holds its simulator and schedules its own bound method on it."""
+
+    def __init__(self, sim):
+        self.sim = sim
+
+    def act(self, arg=None):
+        pass
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_cycle_through_queued_events_is_the_collectors_to_free(backend):
+    """``sim -> core -> queued entry -> bound method -> agent -> sim``:
+    nobody dismantles it, so reference counting cannot free it — the
+    collector must find it through the core (``Core_traverse``), break it
+    (``Core_clear``) and leave nothing behind."""
+    collected = array("q", [0]) * BATCHES
+    blocks = array("q", [0]) * BATCHES
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for batch in range(BATCHES):
+            agents = []
+            for _ in range(10):
+                sim = get_backend(backend).make_simulator()
+                agent = _Agent(sim)
+                _raise_with_events_queued(sim, agent.act)
+                agents.append(weakref.ref(agent))
+            del sim, agent
+            assert all(ref() is not None for ref in agents)
+            collected[batch] = gc.collect()
+            assert all(ref() is None for ref in agents)
+            del agents
+            sys._clear_type_cache()
+            blocks[batch] = sys.getallocatedblocks()
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert min(collected) > 0
     assert len(set(blocks[WARM_UP:])) == 1, list(blocks)

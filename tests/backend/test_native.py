@@ -196,13 +196,12 @@ class _Core:
 
     def __init__(self):
         self.queue = []
-        self.ring = [[] for _ in range(64)]
 
     def bind(self, sim):
         pass
 
     post = post_after = call_at = call_after = bind
-    run = run_until = flush_ring = next_ring_time = bind
+    run = run_until = flush_ring = bind
 
 
 class _CoreWithoutLive(_Core):
