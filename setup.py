@@ -2,7 +2,7 @@
 
 The compiled backend (``repro.backend._native``) is strictly a
 performance add-on: every install must succeed without a C toolchain,
-and every feature must work (via the ``soa`` fallback) when the
+and every feature must work (via the ``reference`` fallback) when the
 extension is absent.  The build therefore treats any compile failure as
 a warning, not an error — unless ``REPRO_NATIVE_REQUIRE=1`` is set, in
 which case a failed build fails the install (the CI ``native-smoke``
@@ -61,7 +61,7 @@ class OptionalBuildExt(build_ext):
         print(
             f"WARNING: building the optional repro.backend._native "
             f"extension failed ({exc}); the package will fall back to "
-            f"the pure-Python 'soa' backend at runtime",
+            f"the pure-Python 'reference' backend at runtime",
             file=sys.stderr,
         )
 

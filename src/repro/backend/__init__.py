@@ -6,11 +6,11 @@ this repo is defined by what that code does.  A *backend* swaps the data
 layout and inner loops underneath that semantics without changing a
 single observable number: ``soa`` stores cache-line tags/state/data and
 directory entries in flat structure-of-arrays storage (stdlib
-:mod:`array` slabs viewed through :class:`memoryview`) and executes
-events through a 64-cycle batching ring extending the PR 4 same-cycle
-lane, under the unmodified reference processor, controllers and fabric.
-``native`` is that same machine with compiled kernels installed on it;
-without the extension it *is* ``soa``.
+:mod:`array` slabs viewed through :class:`memoryview`) under the
+unmodified reference kernel, processor, controllers and fabric.
+``native`` is that storage with a compiled event core and compiled
+kernels installed on it; without the extension it *is* ``reference``,
+the fastest of the Python engines.
 
 Equivalence is *bit-identical*: the SoA components present the exact
 reference object protocol (``CacheLine``-shaped views, ``set``-shaped
@@ -83,17 +83,13 @@ def _reference_backend() -> Backend:
 
 
 def _soa_backend() -> Backend:
-    from .batchsim import BatchSimulator
     from .soa import SoaCacheArray, SoaDirectory
 
-    return Backend(
+    return replace(
+        _reference_backend(),
         name="soa",
-        make_simulator=lambda *, max_cycles=None: BatchSimulator(
-            max_cycles=max_cycles
-        ),
         make_cache_array=SoaCacheArray,
         make_directory=SoaDirectory,
-        wormhole_class=WormholeNetwork,
     )
 
 
@@ -102,13 +98,14 @@ def _native_backend() -> Backend:
 
     ok, reason = native.load_status()
     if not ok:
-        # Graceful degradation: the run proceeds on the soa components,
-        # and the reason is visible wherever backend_notes surface.
+        # Graceful degradation: the run proceeds on the reference
+        # components, and the reason is visible wherever backend_notes
+        # surface.
         return replace(
-            _soa_backend(),
+            _reference_backend(),
             name="native",
             notes=f"native extension unavailable ({reason}); "
-            "running soa fallback",
+            "running reference fallback",
         )
     from .soa import SoaCacheArray, SoaDirectory
 

@@ -11,12 +11,12 @@ The extension (``_native.c``) is a hand-written CPython C module built
 by ``setup.py build_ext --inplace``.  It is strictly optional: when it
 does not import (not built, wrong interpreter, ``REPRO_NATIVE=0``) or
 was built from another ``_native.c`` than the one checked out, the
-backend registry silently degrades ``backend="native"`` to the ``soa``
-components and records the reason in :func:`load_status` /
+backend registry silently degrades ``backend="native"`` to the
+``reference`` components and records the reason in :func:`load_status` /
 ``Backend.notes`` so runs proceed and report the fallback honestly.
 
-Exactness is non-negotiable: the compiled kernels replicate
-``BatchSimulator`` and the reference ``Processor``/``CacheController``/
+Exactness is non-negotiable: the compiled kernels replicate the
+reference ``Simulator``/``Processor``/``CacheController``/
 ``WormholeNetwork`` methods observable-for-observable (sequence numbers,
 execution order, exception partial effects), and the equivalence golden
 tier in ``tests/backend`` pins them against the committed SHA-256
@@ -46,8 +46,10 @@ from ...network.packet import N_OPS, OP_NAMES
 from ...proc import processor as pp
 from ...sim.kernel import Simulator, StallableResource
 from ...stats.counters import Counters
-from ..batchsim import _RING
 from ..soa import SoaCacheArray, SoaDirectory
+
+#: the core's scheduling ring: ``RING`` slots in ``_native.c``
+_RING = 64
 
 _native = None
 _IMPORT_ERROR: Optional[str] = None
@@ -192,12 +194,13 @@ class NativeSimulator(Simulator):
     the :class:`_native.Core` and exposed through settable properties, so
     every external poke that works on ``Simulator`` (``Event.cancel``,
     checkpoint digests, modelcheck queue clears) works unchanged here.
-    The heap is the real ``_queue`` list; the 64-cycle ring of
-    ``BatchSimulator`` is an array of C structs inside the core, spilled
-    into the heap whenever a run returns, so between runs this *is* the
-    reference kernel's queue.  ``run``/``run_until``/``post``/``call_at``/
-    ... are shadowed per-instance by the core's compiled methods;
-    ``step``, ``pending_events`` and ``drain_check`` are inherited.
+    The heap is the real ``_queue`` list; the core's 64-cycle scheduling
+    ring (which generalizes the reference kernel's same-cycle lane) is an
+    array of C structs inside the core, spilled into the heap whenever a
+    run returns, so between runs this *is* the reference kernel's queue.
+    ``run``/``run_until``/``post``/``call_at``/... are shadowed
+    per-instance by the core's compiled methods; ``step`` and
+    ``pending_events`` are inherited.
     """
 
     def __init__(self, *, max_cycles: int | None = None) -> None:

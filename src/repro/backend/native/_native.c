@@ -13,12 +13,13 @@
  * still queued, and the kernels' counter bumps accumulate in C integers
  * that ``core_settle`` folds into those attributes on every way out of a
  * run — so between runs, where Python can look, the machine is the one
- * ``repro/backend/batchsim.py`` and the reference classes would leave.
+ * ``repro/sim/kernel.py``'s ``Simulator`` and the reference classes would
+ * leave.
  *
  * Nothing here is imported directly by repro code; ``repro.backend.native``
  * calls ``setup()`` (classes, constants, slot offsets), installs the
- * kernels on the reference objects, and degrades to ``soa`` — the same
- * machine without them — when the extension is missing or stale.
+ * kernels on the reference objects, and degrades to ``reference`` when the
+ * extension is missing or stale.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -641,7 +642,8 @@ core_heap_push(CoreObject *core, long long time, PyObject *t_obj,
     return rc;
 }
 
-/* The full BatchSimulator.post: ring when mid-run and near, else heap. */
+/* Simulator.post with the ring for its lane: ring when mid-run and near,
+ * else heap. */
 static int
 core_post_impl(CoreObject *core, long long time, PyObject *time_obj,
                PyObject *cb, PyObject *arg)
@@ -658,10 +660,29 @@ core_post_impl(CoreObject *core, long long time, PyObject *time_obj,
     return 0;
 }
 
+/* A time (or delay, or run limit) must be exactly an int (the ring cannot
+ * hold anything else, and the Python kernel refuses the rest the same
+ * way) that fits the cycle counter: 0, or -1 with the error set. */
+static int
+parse_cycle(PyObject *obj, const char *name, long long *out)
+{
+    if (!PyLong_CheckExact(obj)) {
+        PyErr_Format(PyExc_TypeError, "%s must be an int, not %.80s", name,
+                     Py_TYPE(obj)->tp_name);
+        return -1;
+    }
+    *out = PyLong_AsLongLong(obj);
+    if (*out == -1 && PyErr_Occurred()) {
+        PyErr_Clear();
+        PyErr_Format(g_sim_error, "%s %R is outside the cycle counter", name,
+                     obj);
+        return -1;
+    }
+    return 0;
+}
+
 /* ``(time, callback, arg=...)`` or ``(delay, callback, arg=...)``,
- * positionally or by the names the Python kernels give them.  The time
- * must be an int (the ring cannot hold anything else, and the Python
- * kernels refuse the rest the same way) that fits the cycle counter. */
+ * positionally or by the names the Python kernel gives them. */
 static int
 parse_time_cb_arg(PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames,
                   const char *first, long long *time, PyObject **time_obj,
@@ -689,18 +710,8 @@ parse_time_cb_arg(PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames,
                      first);
         return -1;
     }
-    if (!PyLong_CheckExact(got[0])) {
-        PyErr_Format(PyExc_TypeError, "%s must be an int, not %.80s", first,
-                     Py_TYPE(got[0])->tp_name);
+    if (parse_cycle(got[0], first, time) < 0)
         return -1;
-    }
-    *time = PyLong_AsLongLong(got[0]);
-    if (*time == -1 && PyErr_Occurred()) {
-        PyErr_Clear();
-        PyErr_Format(g_sim_error, "%s %R is outside the cycle counter", first,
-                     got[0]);
-        return -1;
-    }
     *time_obj = got[0];
     *cb = got[1];
     *arg = got[2] != NULL ? got[2] : g_no_arg;
@@ -924,19 +935,30 @@ core_heap_pop(CoreObject *core, RingEntry *e, long long *time)
     return 0;
 }
 
-/* BatchSimulator._run_loop: until_mode is its ``strict`` (run_until:
- * break at >= limit); 0 is run() (has_limit optional, events AT the
- * limit still execute, now clamps to limit).  The order of execution is
- * BatchSimulator's; what differs is unobservable between runs: the batch
- * drain pops and invokes where the Python loop snapshots and clears (an
- * entry a callback appends for this cycle is reached by the same walk,
- * after everything queued before it), a raising callback leaves the
- * undispatched tail simply where it was, and ``executed``/``live`` move
- * per event.  Every way out settles the kernels' counters and spills the
- * ring into the heap. */
+/* Simulator._run_loop with a 64-slot ring in place of its same-cycle
+ * lane: until_mode is its ``strict`` (run_until: events AT the limit stay
+ * queued); otherwise they run and now stops at the limit only if
+ * something later is pending (LLONG_MAX: no limit).  The ring takes any
+ * event scheduled mid-run for the next RING cycles, and the order stays
+ * Simulator's exact (time, seq) order:
+ *  - seqs come from the one unconditional counter, so every event has
+ *    the key it would have under Simulator;
+ *  - at any time t, every heap entry has a smaller seq than every ring
+ *    entry: one is in the ring only if it was pushed mid-run with
+ *    t < now + RING, and every later schedule for t meets that bound too
+ *    (now is monotone), so it lands behind it.  "Heap first iff its head
+ *    is at now with the smaller seq", the lane's rule, is thus exact;
+ *  - while a slot drains, the heap gains nothing at now (same-cycle
+ *    schedules land in the ring), so the drain skips the heap check; it
+ *    re-reads the slot after every callback, and a raising callback
+ *    leaves the tail where it was;
+ *  - every way out settles the kernels' counters and spills the ring into
+ *    the heap with the original seqs, so between runs — where checkpoints
+ *    digest the queue and windowed drivers peek — the queue is the one
+ *    Simulator would hold.
+ * tests/backend/test_cosim_property.py runs both against a heap oracle. */
 static int
-core_run_loop(CoreObject *core, int until_mode, int has_limit,
-              long long limit)
+core_run_loop(CoreObject *core, int until_mode, long long limit)
 {
     PyObject *queue = core->queue;
     int rc = 0;
@@ -982,11 +1004,7 @@ core_run_loop(CoreObject *core, int until_mode, int has_limit,
             next = t_ring;
         else
             break;
-        if (until_mode) {
-            if (next >= limit)
-                break;
-        }
-        else if (has_limit && next > limit) {
+        if (until_mode ? next >= limit : next > limit) {
             core->now = limit;
             break;
         }
@@ -1015,13 +1033,28 @@ core_run_loop(CoreObject *core, int until_mode, int has_limit,
     return rc;
 }
 
+/* A run limit is a cycle count like any scheduled time, and no earlier
+ * than now: 0, or -1 with the error set. */
+static int
+core_limit(CoreObject *core, PyObject *obj, long long *limit)
+{
+    if (parse_cycle(obj, "time", limit) < 0)
+        return -1;
+    if (*limit < core->now) {
+        PyErr_Format(g_sim_error, "cannot run to %lld, now is %lld", *limit,
+                     core->now);
+        return -1;
+    }
+    return 0;
+}
+
 static PyObject *
 Core_run(CoreObject *self, PyObject *const *args, Py_ssize_t nargs,
          PyObject *kwnames)
 {
-    PyObject *until = Py_None;
-    int has_limit = 0;
-    long long limit = 0;
+    PyObject *until = Py_None, *max_cycles = NULL;
+    long long limit = LLONG_MAX;
+    int rc;
     if (nargs > 1 || (kwnames && PyTuple_GET_SIZE(kwnames) > 1)) {
         PyErr_SetString(PyExc_TypeError, "run() takes at most 1 argument");
         return NULL;
@@ -1038,26 +1071,14 @@ Core_run(CoreObject *self, PyObject *const *args, Py_ssize_t nargs,
         until = args[0];
     }
     if (until == Py_None && self->sim != NULL) {
-        PyObject *mc = PyObject_GetAttr(self->sim, s_max_cycles);
-        if (mc == NULL)
+        max_cycles = PyObject_GetAttr(self->sim, s_max_cycles);
+        if (max_cycles == NULL)
             return NULL;
-        if (mc != Py_None) {
-            limit = PyLong_AsLongLong(mc);
-            if (limit == -1 && PyErr_Occurred()) {
-                Py_DECREF(mc);
-                return NULL;
-            }
-            has_limit = 1;
-        }
-        Py_DECREF(mc);
+        until = max_cycles;
     }
-    else if (until != Py_None) {
-        limit = PyLong_AsLongLong(until);
-        if (limit == -1 && PyErr_Occurred())
-            return NULL;
-        has_limit = 1;
-    }
-    if (core_run_loop(self, 0, has_limit, limit) < 0)
+    rc = until == Py_None ? 0 : core_limit(self, until, &limit);
+    Py_XDECREF(max_cycles);
+    if (rc < 0 || core_run_loop(self, 0, limit) < 0)
         return NULL;
     return PyLong_FromLongLong(self->now);
 }
@@ -1065,23 +1086,13 @@ Core_run(CoreObject *self, PyObject *const *args, Py_ssize_t nargs,
 static PyObject *
 Core_run_until(CoreObject *self, PyObject *limit_obj)
 {
-    long long limit = PyLong_AsLongLong(limit_obj);
-    Py_ssize_t qn;
-    if (limit == -1 && PyErr_Occurred())
+    long long limit;
+    if (core_limit(self, limit_obj, &limit) < 0)
         return NULL;
-    if (limit < self->now) {
-        PyErr_Format(g_sim_error,
-                     "cannot run window to %lld, now is %lld",
-                     limit, self->now);
-        return NULL;
-    }
-    qn = PyList_GET_SIZE(self->queue);
-    if (!qn ||
-        tuple_ll(PyList_GET_ITEM(self->queue, 0), 0) >= limit) {
-        self->now = limit;
-        return PyLong_FromLongLong(limit);
-    }
-    if (core_run_loop(self, 1, 1, limit) < 0)
+    /* the ring is empty between runs: an empty window skips the run */
+    if (PyList_GET_SIZE(self->queue) &&
+        tuple_ll(PyList_GET_ITEM(self->queue, 0), 0) < limit &&
+        core_run_loop(self, 1, limit) < 0)
         return NULL;
     self->now = limit;
     return PyLong_FromLongLong(limit);

@@ -85,10 +85,10 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
         default="reference",
         choices=list(backend_names()),
         help="simulation backend: 'reference' is the pure-Python golden "
-        "object model, 'soa' the structure-of-arrays + batched-events "
-        "engine, 'native' the compiled C kernels (falls back to soa when "
-        "the extension is not built; bit-identical results either way, "
-        "see docs/BACKENDS.md)",
+        "object model, 'soa' the same engine over structure-of-arrays "
+        "storage, 'native' the compiled C kernels (falls back to reference "
+        "when the extension is not built; bit-identical results either "
+        "way, see docs/BACKENDS.md)",
     )
     parser.add_argument(
         "--checkpoint-every",

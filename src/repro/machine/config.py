@@ -88,8 +88,8 @@ class AlewifeConfig:
     # Simulation
     #: simulation backend: "reference" is the pure-Python golden object
     #: model; "soa" stores cache/directory state in structure-of-arrays
-    #: slabs and batches event execution — bit-identical results (see
-    #: repro.backend / docs/BACKENDS.md)
+    #: slabs; "native" runs compiled kernels over them — bit-identical
+    #: results (see repro.backend / docs/BACKENDS.md)
     backend: str = "reference"
     seed: int = 42
     max_cycles: int = 50_000_000

@@ -165,7 +165,7 @@ class ProfileReport:
     #: ``repro._native`` frame ran, i.e. every non-native run)
     native: Optional[dict] = None
     #: the backend bundle's status note (e.g. the native backend's
-    #: compiled/fallback state) — surfaced so a profile of the soa
+    #: compiled/fallback state) — surfaced so a profile of the reference
     #: fallback can never be mistaken for a compiled measurement
     backend_notes: Optional[str] = None
     #: what the compiled kernels handed back to Python, summed over

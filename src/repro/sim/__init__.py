@@ -1,23 +1,14 @@
 """Event-driven simulation kernel (the reproduction's ASIM core)."""
 
 from .component import Component
-from .kernel import (
-    DeadlockError,
-    Event,
-    SimulationError,
-    Simulator,
-    StallableResource,
-    simulate_all,
-)
+from .kernel import Event, SimulationError, Simulator, StallableResource
 from .rng import DeterministicRng
 
 __all__ = [
     "Component",
-    "DeadlockError",
     "DeterministicRng",
     "Event",
     "SimulationError",
     "Simulator",
     "StallableResource",
-    "simulate_all",
 ]

@@ -35,22 +35,18 @@ class SimulationError(RuntimeError):
     """Raised when the simulation reaches an inconsistent state."""
 
 
-class DeadlockError(SimulationError):
-    """Raised when the event queue drains while agents are still blocked."""
-
-
 #: Event times are cycle counts that fit the compiled core's signed 64-bit
 #: counter; every kernel refuses anything else the same way.
 _MAX_TIME = (1 << 63) - 1
 
 
-def _bad_time(time: Any, now: int) -> Exception:
-    """Why ``time`` cannot be scheduled at cycle ``now`` (the cold half of
-    the one check every ``post``/``call_at`` makes)."""
+def _bad_time(time: Any, now: int, verb: str = "schedule event at") -> Exception:
+    """Why ``time`` cannot be scheduled (or run to) at cycle ``now`` — the
+    cold half of the one check every ``post``/``call_at``/``run`` makes."""
     if type(time) is not int:
         return TypeError(f"time must be an int, not {type(time).__name__}")
     if time < now:
-        return SimulationError(f"cannot schedule event at {time}, now is {now}")
+        return SimulationError(f"cannot {verb} {time}, now is {now}")
     return SimulationError(f"time {time} is outside the cycle counter")
 
 
@@ -223,9 +219,40 @@ class Simulator:
     def run(self, until: int | None = None) -> int:
         """Run until the queue drains, ``until`` cycles, or ``max_cycles``.
 
-        Returns the cycle count at which the run stopped.
+        Events at the limit execute; ``now`` stops at the limit only if
+        something later is still pending.  Returns the cycle count at
+        which the run stopped.
         """
-        limit = self.max_cycles if until is None else until
+        if until is None:
+            until = self.max_cycles
+        return self._run_loop(_MAX_TIME if until is None else until, False)
+
+    def run_until(self, limit: int) -> int:
+        """Execute every event strictly before ``limit``; leave now=limit.
+
+        The window primitive: after it returns, the queue holds only
+        events at ``limit`` or later, so a caller stepping the machine in
+        windows (the co-simulation tests do) may post new work at any
+        time >= ``limit``.  Unlike :meth:`run`, events at exactly
+        ``limit`` do *not* execute — a window owns the half-open interval
+        [now, limit).
+        """
+        return self._run_loop(limit, True)
+
+    def _run_loop(self, limit: int, strict: bool) -> int:
+        """The one event loop behind :meth:`run` and :meth:`run_until`
+        (``_native.c``'s ``core_run_loop`` is this loop with its ring).
+
+        ``strict`` is the window form: events *at* ``limit`` stay queued
+        and ``now`` ends at the limit.  A limit is a cycle count like any
+        scheduled time — exactly an ``int``, no earlier than ``now`` and
+        inside the cycle counter — so ``now`` never moves backwards.
+        """
+        now = self.now
+        if type(limit) is not int or not now <= limit <= _MAX_TIME:
+            raise _bad_time(limit, now, "run to")
+        # a heap head at or past ``stop`` ends the run: one comparison
+        stop = limit if strict else limit + 1
         queue = self._queue
         lane = self._lane
         pop = heapq.heappop
@@ -239,101 +266,8 @@ class Simulator:
             # go to the lane), so its seq is smaller and it runs first —
             # comparing the heap top's seq against the lane head preserves
             # exact (time, seq) order without heap traffic for lane events.
-            if limit is None:
-                while True:
-                    if lane:
-                        if (
-                            queue
-                            and queue[0][0] == self.now
-                            and queue[0][1] < lane[0][0]
-                        ):
-                            _time, _seq, callback, arg, event = pop(queue)
-                        else:
-                            _seq, callback, arg, event = lane.popleft()
-                        if event is not None:
-                            if event.cancelled:
-                                continue
-                            event._done = True
-                    elif queue:
-                        time, _seq, callback, arg, event = pop(queue)
-                        if event is not None:
-                            if event.cancelled:
-                                continue
-                            event._done = True
-                        self.now = time
-                    else:
-                        break
-                    self.events_executed += 1
-                    self._live -= 1
-                    if arg is no_arg:
-                        callback()
-                    else:
-                        callback(arg)
-            else:
-                while True:
-                    if lane:
-                        if (
-                            queue
-                            and queue[0][0] == self.now
-                            and queue[0][1] < lane[0][0]
-                        ):
-                            _time, _seq, callback, arg, event = pop(queue)
-                        else:
-                            _seq, callback, arg, event = lane.popleft()
-                        if event is not None:
-                            if event.cancelled:
-                                continue
-                            event._done = True
-                    elif queue:
-                        if queue[0][0] > limit:
-                            self.now = limit
-                            break
-                        time, _seq, callback, arg, event = pop(queue)
-                        if event is not None:
-                            if event.cancelled:
-                                continue
-                            event._done = True
-                        self.now = time
-                    else:
-                        break
-                    self.events_executed += 1
-                    self._live -= 1
-                    if arg is no_arg:
-                        callback()
-                    else:
-                        callback(arg)
-        finally:
-            self._running = False
-            if lane:
-                self._flush_lane()
-        return self.now
-
-    def run_until(self, limit: int) -> int:
-        """Execute every event strictly before ``limit``; leave now=limit.
-
-        The window primitive: after it returns, the queue holds only
-        events at ``limit`` or later, so a caller stepping the machine in
-        windows (the co-simulation tests do) may post new work at any
-        time >= ``limit``.  Unlike :meth:`run`, events at exactly
-        ``limit`` do *not* execute — a window owns the half-open interval
-        [now, limit).
-        """
-        limit = int(limit)
-        if limit < self.now:
-            raise SimulationError(
-                f"cannot run window to {limit}, now is {self.now}"
-            )
-        queue = self._queue
-        lane = self._lane
-        if not lane and (not queue or queue[0][0] >= limit):
-            # Empty window: nothing strictly before limit (a cancelled
-            # head still lower-bounds the live events under it).
-            self.now = limit
-            return limit
-        pop = heapq.heappop
-        no_arg = _NO_ARG
-        self._running = True
-        try:
+            # A cancelled heap head still lower-bounds the live events
+            # under it, so stopping on it is exact too.
             while True:
                 if lane:
                     if (
@@ -349,7 +283,8 @@ class Simulator:
                             continue
                         event._done = True
                 elif queue:
-                    if queue[0][0] >= limit:
+                    if queue[0][0] >= stop:
+                        self.now = limit
                         break
                     time, _seq, callback, arg, event = pop(queue)
                     if event is not None:
@@ -369,7 +304,8 @@ class Simulator:
             self._running = False
             if lane:
                 self._flush_lane()
-        self.now = limit
+        if strict:
+            self.now = limit
         return self.now
 
     def next_event_time(self) -> int | None:
@@ -392,15 +328,6 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of live (non-cancelled) events still queued.  O(1)."""
         return self._live
-
-    def drain_check(self, describe_blocked: Callable[[], str] | None = None) -> None:
-        """Raise :class:`DeadlockError` if live events remain queued."""
-        if self.pending_events:
-            detail = describe_blocked() if describe_blocked else ""
-            raise DeadlockError(
-                f"{self.pending_events} events still pending at cycle "
-                f"{self.now}. {detail}"
-            )
 
 
 class StallableResource:
@@ -443,12 +370,3 @@ class StallableResource:
         if elapsed <= 0:
             return 0.0
         return min(1.0, self.busy_cycles / elapsed)
-
-
-def simulate_all(sim: Simulator, components: list[Any]) -> int:
-    """Start every component (calling ``start()`` if present) and run."""
-    for component in components:
-        start = getattr(component, "start", None)
-        if callable(start):
-            start()
-    return sim.run()

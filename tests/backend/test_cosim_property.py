@@ -1,22 +1,24 @@
-"""Property-based co-simulation: reference vs batched-ring kernel.
+"""Property-based co-simulation: every engine against the reference.
 
-Two layers of lockstep comparison, both driven by hypothesis:
+Three layers of lockstep comparison, all driven by hypothesis:
 
 * **Kernel level** — random self-rescheduling event schedules run through
-  :class:`~repro.sim.kernel.Simulator` and
-  :class:`~repro.backend.batchsim.BatchSimulator` under identical
-  ``run_until`` windows.  The firing log (cycle, event identity) and the
-  per-window kernel observables ``(now, _seq, events_executed,
-  pending_events)`` must match exactly: the 64-slot ring and the batched
-  counter updates are pure reorderings of *work*, never of *results*,
-  and the window boundaries are exactly where the checkpointer reads
-  those observables.
+  :class:`~repro.sim.kernel.Simulator` (and, when the extension is built,
+  :class:`~repro.backend.native.NativeSimulator`) under ``run_until``
+  windows, ``run(until=...)`` windows and free runs, against a
+  heap-order oracle: a ``Simulator`` advanced by ``step()``, which pops
+  one heap entry at a time and never touches the same-cycle lane.  The
+  firing log (cycle, event identity) and the per-window kernel
+  observables ``(now, _seq, events_executed, pending_events)`` must
+  match exactly: the lane and the compiled 64-slot ring are pure
+  reorderings of *work*, never of *results*, and the window boundaries
+  are exactly where the checkpointer reads those observables.
 * **Machine level** — random small weather configurations run end to end
-  on both backends under a windowed driver; the per-window observables
+  on every backend under a windowed driver; the per-window observables
   and the final equivalence fingerprint must match.  This sweeps the
-  ring kernel, the view-object cache/directory storage and the compiled
-  step, send and receive kernels under schedules the committed goldens
-  do not enumerate.
+  view-object cache/directory storage and the compiled ring, step, send
+  and receive kernels under schedules the committed goldens do not
+  enumerate.
 * **Op-stream level** — random straight-line programs over all seven op
   kinds (bursts of one and of several ops whose first op hits or misses,
   nested bursts, fences, switch hints with one to three contexts per
@@ -40,8 +42,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend import equivalence_fingerprint
-from repro.backend.batchsim import BatchSimulator
+from repro.backend import equivalence_fingerprint, native
 from repro.coherence.registry import protocol_names
 from repro.extensions.update import make_update_block
 from repro.machine import AlewifeConfig, AlewifeMachine
@@ -56,12 +57,13 @@ from .opstream import N_WORDS, trace_streams, windowed_driver, word_address
 
 #: (start_time, chain_length, delta): event i fires at start_time, then
 #: reposts itself chain_length times at +delta.  Deltas straddle the
-#: 64-cycle ring horizon so both the ring and the heap paths execute.
+#: 64-cycle ring horizon, and include 0 (the same-cycle lane), so every
+#: path of each kernel executes.
 _schedules = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=120),
         st.integers(min_value=0, max_value=3),
-        st.integers(min_value=1, max_value=90),
+        st.integers(min_value=0, max_value=90),
     ),
     min_size=1,
     max_size=40,
@@ -69,9 +71,27 @@ _schedules = st.lists(
 
 _windows = st.sampled_from([1, 7, 63, 64, 65, 257])
 
+#: the kernels held to the oracle: the compiled core only when built
+_KERNELS = [Simulator] + ([native.NativeSimulator] if native.available() else [])
 
-def _run_kernel(sim_class, schedule, window):
-    sim = sim_class()
+
+def _oracle_run_until(sim, limit):
+    """``run_until`` by ``step()``: one heap pop at a time, no lane."""
+    while (head := sim.next_event_time()) is not None and head < limit:
+        sim.step()
+    sim.now = limit
+
+
+def _oracle_run(sim, limit=None):
+    """``run(until=limit)`` by ``step()``."""
+    while (head := sim.next_event_time()) is not None:
+        if limit is not None and head > limit:
+            sim.now = limit
+            return
+        sim.step()
+
+
+def _schedule_on(sim, schedule):
     log = []
 
     def fire(arg):
@@ -82,45 +102,52 @@ def _run_kernel(sim_class, schedule, window):
 
     for ident, (start, chain, delta) in enumerate(schedule):
         sim.post(start, fire, (ident, chain, delta))
+    return log
+
+
+def _observe(sim):
+    return sim.now, sim._seq, sim.events_executed, sim.pending_events
+
+
+def _windowed(sim, schedule, window, advance):
+    log = _schedule_on(sim, schedule)
     trace = []
-    guard = 0
     while sim.pending_events:
-        guard += 1
-        assert guard < 10_000
-        sim.run_until(sim.now + window)
-        trace.append(
-            (sim.now, sim._seq, sim.events_executed, sim.pending_events)
-        )
+        assert len(trace) < 10_000
+        advance(sim, sim.now + window)
+        trace.append(_observe(sim))
     return log, trace
 
 
 class TestKernelCoSimulation:
     @settings(max_examples=40, deadline=None)
     @given(schedule=_schedules, window=_windows)
-    def test_windowed_batch_kernel_matches_reference(self, schedule, window):
-        ref = _run_kernel(Simulator, schedule, window)
-        soa = _run_kernel(BatchSimulator, schedule, window)
-        assert soa == ref
+    def test_windowed_runs_match_heap_order(self, schedule, window):
+        oracle = _windowed(Simulator(), schedule, window, _oracle_run_until)
+        inclusive = _windowed(Simulator(), schedule, window, _oracle_run)
+        for kernel in _KERNELS:
+            # (the instance's methods: native shadows them per instance)
+            assert (
+                _windowed(kernel(), schedule, window, lambda s, t: s.run_until(t))
+                == oracle
+            )
+            # run(until=...) executes the events at the limit as well
+            assert (
+                _windowed(kernel(), schedule, window, lambda s, t: s.run(until=t))
+                == inclusive
+            )
 
     @settings(max_examples=20, deadline=None)
     @given(schedule=_schedules)
-    def test_free_running_batch_kernel_matches_reference(self, schedule):
-        def free_run(sim_class):
-            sim = sim_class()
-            log = []
+    def test_free_runs_match_heap_order(self, schedule):
+        def free_run(sim, advance):
+            log = _schedule_on(sim, schedule)
+            advance(sim)
+            return log, _observe(sim)
 
-            def fire(arg):
-                ident, remaining, delta = arg
-                log.append((sim.now, ident))
-                if remaining:
-                    sim.post(sim.now + delta, fire, (ident, remaining - 1, delta))
-
-            for ident, (start, chain, delta) in enumerate(schedule):
-                sim.post(start, fire, (ident, chain, delta))
-            sim.run()
-            return log, sim.now, sim._seq, sim.events_executed
-
-        assert free_run(BatchSimulator) == free_run(Simulator)
+        oracle = free_run(Simulator(), _oracle_run)
+        for kernel in _KERNELS:
+            assert free_run(kernel(), lambda sim: sim.run()) == oracle
 
 
 # ----------------------------------------------------------------------
@@ -179,8 +206,8 @@ class TestMachineCoSimulation:
     @given(params=_configs)
     def test_native_machine_matches_reference_window_for_window(self, params):
         # Runs against the compiled kernels when the extension is built,
-        # and against the soa fallback otherwise — both must co-simulate
-        # with the reference machine window for window.
+        # and against the reference fallback otherwise — both must
+        # co-simulate with the reference machine window for window.
         assert _trace_machine("native", params) == _trace_machine(
             "reference", params
         )
@@ -304,7 +331,7 @@ class TestOpStreamCoSimulation:
     @given(params=_op_streams)
     def test_soa_and_native_match_reference_window_for_window(self, params):
         # ``native`` is the compiled step when the extension is built and
-        # the soa fallback otherwise; either way it must co-simulate.
+        # the reference fallback otherwise; either way it must co-simulate.
         reference = _trace_op_streams("reference", params)
         assert _trace_op_streams("soa", params) == reference
         assert _trace_op_streams("native", params) == reference

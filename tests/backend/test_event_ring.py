@@ -1,5 +1,5 @@
 """The event kernel at the seams the compiled ring introduced, on every
-backend — so ``Simulator`` and ``BatchSimulator`` stay the definition.
+backend — so ``Simulator`` stays the definition.
 
 The native core keeps its 64-cycle ring as C structs (``RingSlot`` arrays
 that grow, compact and are walked while callbacks append to them) and
@@ -10,7 +10,8 @@ the instrumented build, which is what ``core_ring_push``'s ``memmove``/
 ``realloc`` under a drain that holds a popped entry needs.
 
 The last section pins one table for the scheduling API itself: which
-argument forms every kernel accepts and how each refuses the rest.
+argument forms every kernel accepts for a time, a delay or a run limit,
+and how each refuses the rest.
 """
 
 from __future__ import annotations
@@ -364,6 +365,72 @@ def test_the_largest_cycle_count_is_schedulable(sim):
     for method in ("post_after", "call_after"):
         with pytest.raises(SimulationError):
             getattr(sim, method)(2**63 - 5, lambda: None)
+
+
+def _set_max_cycles(value):
+    def run(sim):
+        sim.max_cycles = value
+        return sim.run()
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "run, error",
+    [
+        (lambda sim: sim.run(until=-3), SimulationError),
+        (lambda sim: sim.run(-3), SimulationError),
+        (lambda sim: sim.run(until=2.5), TypeError),
+        (lambda sim: sim.run(until=True), TypeError),
+        (lambda sim: sim.run(until="5"), TypeError),
+        (lambda sim: sim.run(until=2**63), SimulationError),
+        (lambda sim: sim.run_until(-3), SimulationError),
+        (lambda sim: sim.run_until(2.5), TypeError),
+        (lambda sim: sim.run_until(True), TypeError),
+        (lambda sim: sim.run_until(None), TypeError),
+        (lambda sim: sim.run_until(2**63), SimulationError),
+        (lambda sim: sim.run_until(2**80), SimulationError),
+        (_set_max_cycles(-3), SimulationError),
+        (_set_max_cycles(2.5), TypeError),
+        (_set_max_cycles(2**63), SimulationError),
+    ],
+    ids=[
+        "run until=-3", "run -3", "run until=2.5", "run until=True",
+        "run until='5'", "run until=2**63", "run_until -3", "run_until 2.5",
+        "run_until True", "run_until None", "run_until 2**63",
+        "run_until 2**80", "max_cycles -3", "max_cycles 2.5",
+        "max_cycles 2**63",
+    ],
+)
+def test_a_run_limit_that_is_not_a_cycle_count_is_refused_alike(sim, run, error):
+    """A limit obeys the scheduling rule — exactly an ``int``, no earlier
+    than ``now``, inside the cycle counter — and a refused run leaves the
+    kernel as it was: time never moves backwards or off the integers."""
+    log = []
+    sim.post(1, log.append, 1)
+    sim.post(5, log.append, 5)
+    before = (sim.now, sim._seq, sim.events_executed, sim.pending_events)
+    with pytest.raises(error):
+        run(sim)
+    assert (sim.now, sim._seq, sim.events_executed, sim.pending_events) == before
+    assert type(sim.now) is int and log == []
+    # ... and once time has moved, a limit behind it is refused the same way
+    assert sim.run_until(3) == 3 and log == [1]
+    with pytest.raises(SimulationError):
+        sim.run(until=2)
+    with pytest.raises(SimulationError):
+        sim.run_until(2)
+    assert (sim.now, sim.pending_events) == (3, 1)
+
+
+def test_the_largest_cycle_count_is_a_valid_run_limit(sim):
+    log = []
+    sim.post(1, log.append, 1)
+    sim.post(2**63 - 1, log.append, "last")
+    assert sim.run_until(2**63 - 1) == 2**63 - 1 and log == [1]
+    assert sim.run(until=2**63 - 1) == 2**63 - 1 and log == [1, "last"]
+    sim.max_cycles = None
+    assert sim.run() == 2**63 - 1 and sim.pending_events == 0
 
 
 @pytest.mark.parametrize(

@@ -5,8 +5,8 @@ backend's *results* (it parametrizes over ``backend_names()``, so the
 committed SHA-256 fingerprints cover it with the extension present or
 absent).  This file covers the plumbing around it: requesting ``native``
 without the extension — or with one built from another ``_native.c`` —
-must degrade to the soa components with a recorded reason and identical
-numbers, nothing may import ``numpy``, the
+must degrade to the reference components with a recorded reason and
+identical numbers, nothing may import ``numpy``, the
 ``repro run``/``repro profile`` CLIs must accept ``--backend native``,
 and the serve ``/metrics`` per-backend block must report native work.
 
@@ -62,7 +62,7 @@ from repro.machine import AlewifeConfig, run_experiment
 from repro.workloads import WeatherWorkload
 
 prints = {{}}
-for backend in ("soa", "native"):
+for backend in ("reference", "native"):
     config = AlewifeConfig(**{_TINY}, backend=backend)
     stats = run_experiment(config, WeatherWorkload(iterations=2))
     prints[backend] = equivalence_fingerprint(stats)
@@ -70,6 +70,7 @@ print(json.dumps({{
     "fingerprints": prints,
     "notes": get_backend("native").notes,
     "simulator": type(get_backend("native").make_simulator()).__name__,
+    "cache_array": get_backend("native").make_cache_array.__name__,
 }}))
 """
 
@@ -89,16 +90,17 @@ def test_native_backend_always_carries_notes():
 
 
 def test_requested_but_missing_falls_back_and_records_reason():
-    """Extension disabled via REPRO_NATIVE=0: run proceeds on soa,
-    bit-identical, with the reason in the backend notes."""
+    """Extension disabled via REPRO_NATIVE=0: run proceeds on the
+    reference components, bit-identical, with the reason in the notes."""
     result = _subprocess(_FINGERPRINT_CODE, REPRO_NATIVE="0")
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout)
-    assert report["fingerprints"]["native"] == report["fingerprints"]["soa"]
+    assert report["fingerprints"]["native"] == report["fingerprints"]["reference"]
     assert "native extension unavailable" in report["notes"]
     assert "REPRO_NATIVE=0" in report["notes"]
-    assert "soa fallback" in report["notes"]
-    assert report["simulator"] == "BatchSimulator"
+    assert "running reference fallback" in report["notes"]
+    assert report["simulator"] == "Simulator"
+    assert report["cache_array"] == "CacheArray"
 
 
 def test_no_numpy_does_not_perturb_native_results():
@@ -113,17 +115,18 @@ assert "numpy" not in sys.modules, "numpy was imported"
     result = _subprocess(code)
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout)
-    assert report["fingerprints"]["native"] == report["fingerprints"]["soa"]
+    assert report["fingerprints"]["native"] == report["fingerprints"]["reference"]
     import repro.backend
 
     assert not hasattr(repro.backend, "_detect_numpy")
     assert "REPRO_NO_NUMPY" not in open(repro.backend.__file__).read()
 
 
-def test_in_process_fallback_uses_soa_components(monkeypatch):
+def test_in_process_fallback_uses_reference_components(monkeypatch):
     """The registry consults load_status() at bundle build time."""
     import repro.backend as backend_mod
-    from repro.backend.batchsim import BatchSimulator
+    from repro.cache.cache import CacheArray
+    from repro.sim.kernel import Simulator
 
     monkeypatch.setattr(native, "_native", None)
     monkeypatch.setattr(native, "_IMPORT_ERROR", "patched out for the test")
@@ -131,16 +134,18 @@ def test_in_process_fallback_uses_soa_components(monkeypatch):
     try:
         backend = get_backend("native")
         assert "patched out for the test" in backend.notes
-        sim = backend.make_simulator()
-        assert type(sim) is BatchSimulator
+        assert "running reference fallback" in backend.notes
+        assert type(backend.make_simulator()) is Simulator
+        assert backend.make_cache_array is CacheArray
+        assert backend.make_directory(0) is None
     finally:
         # drop the patched bundle so later tests rebuild the real one
         backend_mod._INSTANCES.pop("native", None)
 
 
-def _assert_degrades_to_soa(monkeypatch, stand_in, *fragments) -> str:
+def _assert_degrades_to_reference(monkeypatch, stand_in, *fragments) -> str:
     """``stand_in`` in place of the extension module must read as an
-    extension that did not load: soa components, the reason in the
+    extension that did not load: reference components, the reason in the
     notes, identical numbers.  Returns the reason."""
     import repro.backend as backend_mod
 
@@ -156,7 +161,9 @@ def _assert_degrades_to_soa(monkeypatch, stand_in, *fragments) -> str:
             assert fragment in reason, reason
         assert reason.endswith("rebuild with python setup.py build_ext --inplace")
         backend = get_backend("native")
-        assert reason in backend.notes and "soa fallback" in backend.notes
+        assert reason in backend.notes
+        assert "running reference fallback" in backend.notes
+        assert type(backend.make_simulator()).__name__ == "Simulator"
         prints = {
             name: equivalence_fingerprint(
                 run_experiment(
@@ -164,9 +171,9 @@ def _assert_degrades_to_soa(monkeypatch, stand_in, *fragments) -> str:
                     WeatherWorkload(iterations=2),
                 )
             )
-            for name in ("soa", "native")
+            for name in ("reference", "native")
         }
-        assert prints["native"] == prints["soa"]
+        assert prints["native"] == prints["reference"]
     finally:
         backend_mod._INSTANCES.pop("native", None)
     return reason
@@ -181,12 +188,12 @@ def test_stale_extension_degrades_like_a_missing_one(monkeypatch, refusal):
     """A shared object built from another ``_native.c`` refuses this
     source's ``setup()`` spec.  That used to escape at machine build
     (``KeyError: 'spec missing deque'``); it must read as an extension
-    that did not load: soa components, the reason in the notes."""
+    that did not load: reference components, the reason in the notes."""
 
     def setup(spec):
         raise refusal
 
-    _assert_degrades_to_soa(
+    _assert_degrades_to_reference(
         monkeypatch, types.SimpleNamespace(setup=setup), str(refusal)
     )
 
@@ -228,7 +235,7 @@ def test_an_extension_built_from_other_source_degrades(monkeypatch):
     stand_in = types.SimpleNamespace(
         setup=lambda spec: None, Core=_Core, SOURCE_SHA256="0" * 64
     )
-    _assert_degrades_to_soa(
+    _assert_degrades_to_reference(
         monkeypatch,
         stand_in,
         f"source hash {_checked_out_hash()[:12]}",
@@ -239,7 +246,7 @@ def test_an_extension_built_from_other_source_degrades(monkeypatch):
 def test_an_unstamped_extension_degrades(monkeypatch):
     """A build that predates the stamp cannot vouch for its source."""
     stand_in = types.SimpleNamespace(setup=lambda spec: None, Core=_Core)
-    _assert_degrades_to_soa(monkeypatch, stand_in, "built from unstamped")
+    _assert_degrades_to_reference(monkeypatch, stand_in, "built from unstamped")
 
 
 def test_an_extension_whose_core_lacks_an_attribute_degrades(monkeypatch):
@@ -251,7 +258,7 @@ def test_an_extension_whose_core_lacks_an_attribute_degrades(monkeypatch):
         Core=_CoreWithoutLive,
         SOURCE_SHA256=_checked_out_hash(),
     )
-    _assert_degrades_to_soa(monkeypatch, stand_in, "no attribute 'live'")
+    _assert_degrades_to_reference(monkeypatch, stand_in, "no attribute 'live'")
 
 
 @pytest.mark.skipif(not native.available(), reason="extension not built")
@@ -284,7 +291,7 @@ def test_cli_run_accepts_backend_native():
     expected = (
         "compiled kernels active"
         if native.available()
-        else "soa fallback"
+        else "running reference fallback"
     )
     assert expected in result.stdout
 

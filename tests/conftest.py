@@ -12,8 +12,9 @@ from repro.sim.kernel import Simulator
 
 def pytest_report_header(config) -> list[str]:
     """Which engine each backend name resolved to in this process: a
-    ``native`` that silently fell back to ``soa`` (extension not built,
-    disabled, or stale) must not pass for a run of the compiled kernels."""
+    ``native`` that silently fell back to ``reference`` (extension not
+    built, disabled, or stale) must not pass for a run of the compiled
+    kernels."""
     return [
         f"repro backend {name!r}: {get_backend(name).notes or 'pure Python'}"
         for name in backend_names()

@@ -4,13 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.kernel import (
-    DeadlockError,
-    SimulationError,
-    Simulator,
-    StallableResource,
-    simulate_all,
-)
+from repro.sim.kernel import SimulationError, Simulator, StallableResource
 
 
 class TestScheduling:
@@ -95,15 +89,6 @@ class TestRunLimits:
         dead.cancel()
         assert sim.pending_events == 1
         assert keep is not dead
-
-    def test_drain_check_raises_when_events_remain(self, sim):
-        sim.call_at(10, lambda: None)
-        with pytest.raises(DeadlockError):
-            sim.drain_check()
-
-    def test_drain_check_passes_when_empty(self, sim):
-        sim.run()
-        sim.drain_check()
 
 
 class TestArgCarryingEvents:
@@ -238,21 +223,6 @@ class TestStallableResource:
         res.acquire(4)
         assert res.busy_cycles == 7
         assert res.requests == 2
-
-
-class TestSimulateAll:
-    def test_starts_components_with_start_method(self, sim):
-        started = []
-
-        class Comp:
-            def __init__(self, n):
-                self.n = n
-
-            def start(self):
-                started.append(self.n)
-
-        simulate_all(sim, [Comp(1), Comp(2), object()])
-        assert started == [1, 2]
 
 
 class TestSameCycleFastLane:
