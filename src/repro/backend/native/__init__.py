@@ -139,6 +139,10 @@ def _ensure_setup() -> None:
         "FENCE": ops.FENCE,
         "SWITCH_HINT": ops.SWITCH_HINT,
         "BURST": ops.BURST,
+        "SPIN": ops.SPIN,
+        "GE": ops.GE,
+        "EQ": ops.EQ,
+        "spin_satisfied": ops.spin_satisfied,
         "Op": Op,
         "OP_NAMES": OP_NAMES,
         "OP_BY_NAME": OP_BY_NAME,
@@ -306,6 +310,7 @@ def _step_kernel(processor, core):
             "retire": processor._retire,
             "execute_op": processor._execute_op,
             "find_work": processor._find_work,
+            "mem_done": processor._mem_done,
             # the cache side of a miss
             "cache": cache,
             "cache_access": cache.access,
@@ -532,7 +537,9 @@ def finalize(machine) -> None:
     Called by the machine builder after all nodes are wired.  Each
     processor's ``_step`` becomes a :class:`_native.StepKernel` (an
     instance attribute, so ``_dispatch``'s schedule, ``_mem_done``'s
-    direct call and every ring event reach it); each directory
+    direct call and every ring event reach it) and its ``_mem_done`` the
+    kernel's ``mem_done`` (so the completion callback ``add_thread``
+    binds re-dispatches a context in C); each directory
     controller's ``receive`` and ``process`` become a
     :class:`_native.DirKernel` (:func:`install_dir_kernel`); and each
     node's network handler becomes an :class:`_native.RxChain` (NIC
@@ -549,6 +556,7 @@ def finalize(machine) -> None:
         kernel = _step_kernel(node.processor, core)
         if kernel is not None:
             node.processor._step = kernel
+            node.processor._mem_done = kernel.mem_done
         install_dir_kernel(node.directory_controller, class_cells)
         nic = node.nic
         handlers[node.node_id] = _native.RxChain(

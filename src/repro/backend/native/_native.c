@@ -43,7 +43,7 @@
 typedef struct {
     Py_ssize_t state, gen, started, resume_value, ops_executed, last_op;
     Py_ssize_t outstanding_stores, pending_op, pending_needs;
-    Py_ssize_t burst_ops, burst_pos, mem_done;
+    Py_ssize_t burst_ops, burst_pos, spin, mem_done;
 } CtxOffsets;
 
 typedef struct {
@@ -69,12 +69,15 @@ typedef struct {
 } MshrOffsets;
 
 static PyObject *g_sim_error;       /* SimulationError */
+static PyObject *g_context_type;    /* proc.processor.Context */
 static PyObject *g_event_type;      /* kernel.Event */
 static PyObject *g_no_arg;          /* kernel._NO_ARG sentinel */
 static PyObject *g_ctx_done, *g_ctx_running, *g_ctx_blocked, *g_ctx_ready;
-#define N_OP_KINDS 7
+#define N_OP_KINDS 8
 static PyObject *g_op_kinds[N_OP_KINDS]; /* repro.proc.ops kind constants,
                                             in the step kernel's K_* order */
+static PyObject *g_spin_ge, *g_spin_eq; /* ops.GE, ops.EQ */
+static PyObject *g_spin_satisfied;  /* ops.spin_satisfied */
 static PyObject *g_op_type;         /* packet.Op (IntEnum class) */
 static PyObject *g_op_names;        /* packet.OP_NAMES tuple */
 static PyObject *g_protocol_packet; /* packet.protocol_packet */
@@ -120,6 +123,7 @@ static PyObject *s_running, *s_fault_tolerant, *s_request_timeout;
 static PyObject *s_update_blocks, *s_wb_buffer, *s_mshrs, *s_packets_sent;
 static PyObject *s_miss_latency_total, *s_miss_latency_count;
 static PyObject *s_latency_hist, *s_counts, *s_txn;
+static PyObject *s_step, *s_last_on_pipeline;
 
 /* Set-up helpers are called from long explicit lists, once per import or
  * per machine: out of line, or -O3 copies them into every call. */
@@ -1256,7 +1260,7 @@ typedef struct {
     PyObject *cache_slots;  /* live counter slot list */
     PyObject *proc_slots;   /* live counter slot list */
     PyObject *issue, *park, *retire, *execute_op;  /* bound methods */
-    PyObject *find_work, *cache_access;            /* bound methods */
+    PyObject *find_work, *cache_access, *mem_done; /* bound methods */
     PyObject *cache, *nic, *net;
     PyObject *pool;         /* the machine's packet pool */
     PyObject *node_obj;     /* int node id */
@@ -1402,6 +1406,7 @@ StepKernel_init(StepKernelObject *self, PyObject *args, PyObject *kwds)
     SPEC_REF(execute_op, "execute_op");
     SPEC_REF(find_work, "find_work");
     SPEC_REF(cache_access, "cache_access");
+    SPEC_REF(mem_done, "mem_done");
     SPEC_REF(cache, "cache");
     SPEC_REF(nic, "nic");
     SPEC_REF(net, "net");
@@ -1463,6 +1468,7 @@ StepKernel_traverse(StepKernelObject *self, visitproc visit, void *arg)
     Py_VISIT(self->execute_op);
     Py_VISIT(self->find_work);
     Py_VISIT(self->cache_access);
+    Py_VISIT(self->mem_done);
     Py_VISIT(self->cache);
     Py_VISIT(self->nic);
     Py_VISIT(self->net);
@@ -1497,6 +1503,7 @@ StepKernel_clear(StepKernelObject *self)
     Py_CLEAR(self->execute_op);
     Py_CLEAR(self->find_work);
     Py_CLEAR(self->cache_access);
+    Py_CLEAR(self->mem_done);
     Py_CLEAR(self->cache);
     Py_CLEAR(self->nic);
     Py_CLEAR(self->net);
@@ -1530,7 +1537,7 @@ call2_drop(PyObject *fn, PyObject *a, PyObject *b)
 
 /* Op kinds the compiled step executes itself; the order is g_op_kinds'. */
 enum { K_OTHER = 0, K_THINK, K_LOAD, K_STORE, K_RMW, K_SWITCH_HINT,
-       K_FENCE, K_BURST };
+       K_FENCE, K_BURST, K_SPIN };
 _Static_assert(K_STORE - K_LOAD == A_STORE && K_RMW - K_LOAD == A_RMW,
                "the memory op kinds must follow the access kinds' order");
 
@@ -1691,6 +1698,76 @@ sk_one_cycle(StepKernelObject *k, PyObject *ctx)
     return sk_post(k, k->core->now + 1, ctx);
 }
 
+/* A spin's steps are kept out of line: the per-op path of a program that
+ * never spins pays one compare. */
+
+/* ops.spin_satisfied(ctx.spin, ctx.resume_value): 1, 0, or -1 on error.
+ * The two predicates of a spin the kernel issued itself are compared
+ * here; any other spin is the Python helper's, its exceptions included. */
+static __attribute__((noinline)) int
+sk_spin_held(PyObject *ctx)
+{
+    PyObject *spin = SLOT_GET(ctx, g_ctx.spin);
+    PyObject *value = SLOT_GET(ctx, g_ctx.resume_value), *r;
+    int held;
+    if (PyTuple_CheckExact(spin) && PyTuple_GET_SIZE(spin) == 4) {
+        PyObject *pred = PyTuple_GET_ITEM(spin, 1);
+        if (pred == g_spin_ge || pred == g_spin_eq)
+            return PyObject_RichCompareBool(value, PyTuple_GET_ITEM(spin, 2),
+                                            pred == g_spin_ge ? Py_GE : Py_EQ);
+    }
+    r = PyObject_CallFunctionObjArgs(g_spin_satisfied, spin, value, NULL);
+    if (r == NULL)
+        return -1;
+    held = PyObject_IsTrue(r);
+    Py_DECREF(r);
+    return held;
+}
+
+/* A spin_until op the kernel runs — (SPIN, GE or EQ, arg, a non-empty
+ * tuple) — noted in ctx.spin, with last_op its retry run's last op, the
+ * load: that load, a new reference.  NULL, having changed nothing, for
+ * any other shape, which is _execute_op's. */
+static __attribute__((noinline)) PyObject *
+sk_spin_load(PyObject *ctx, PyObject *op)
+{
+    PyObject *pred, *retry, *load;
+    if (PyTuple_GET_SIZE(op) != 4)
+        return NULL;
+    pred = PyTuple_GET_ITEM(op, 1);
+    retry = PyTuple_GET_ITEM(op, 3);
+    if ((pred != g_spin_ge && pred != g_spin_eq) ||
+        !PyTuple_CheckExact(retry) || PyTuple_GET_SIZE(retry) == 0)
+        return NULL;
+    load = PyTuple_GET_ITEM(retry, PyTuple_GET_SIZE(retry) - 1);
+    slot_set_incref(ctx, g_ctx.spin, op);
+    slot_set_incref(ctx, g_ctx.last_op, load);
+    return Py_NewRef(load);
+}
+
+/* A failed poll: back off and poll again (the spin's retry run ends with
+ * its load) without resuming the program.  Installs the run as
+ * Processor._step does and returns its first op, a new reference; NULL
+ * on error. */
+static __attribute__((noinline)) PyObject *
+sk_poll_again(PyObject *ctx)
+{
+    PyObject *retry, *op;
+    Py_ssize_t n;
+    slot_set_incref(ctx, g_ctx.resume_value, Py_None);
+    retry = PySequence_GetItem(SLOT_GET(ctx, g_ctx.spin), 3);
+    op = retry != NULL ? PySequence_GetItem(retry, 0) : NULL;
+    n = op != NULL ? PyObject_Size(retry) : -1;
+    if (n > 1) {
+        slot_set_incref(ctx, g_ctx.burst_ops, retry);
+        slot_set_incref(ctx, g_ctx.burst_pos, g_one);
+    }
+    Py_XDECREF(retry);
+    if (n < 0 || ctx_count_op(ctx) < 0)
+        Py_CLEAR(op);
+    return op;
+}
+
 static PyObject *
 step_kernel_call(PyObject *kself, PyObject *const *args, size_t nargsf,
                  PyObject *kwnames)
@@ -1699,7 +1776,7 @@ step_kernel_call(PyObject *kself, PyObject *const *args, size_t nargsf,
     CoreObject *core = k->core;
     PyObject *ctx, *op = NULL;
     long long now, tfa, addr, block, index;
-    int err = 0, state, code;
+    int err = 0, state, code, held;
     if (PyVectorcall_NARGS(nargsf) != 1 ||
         (kwnames && PyTuple_GET_SIZE(kwnames))) {
         PyErr_SetString(PyExc_TypeError, "step kernel takes exactly (ctx)");
@@ -1763,12 +1840,19 @@ step_kernel_call(PyObject *kself, PyObject *const *args, size_t nargsf,
         if (ctx_count_op(ctx) < 0)
             goto fail_op;
     }
+    else if (SLOT_GET(ctx, g_ctx.spin) != Py_None &&
+             (held = sk_spin_held(ctx)) != 1) {
+        if (held < 0 || (op = sk_poll_again(ctx)) == NULL)
+            return NULL;
+    }
     else {
         PyObject *value = SLOT_GET(ctx, g_ctx.resume_value);
         PyObject *gen;
         PySendResult sr;
         Py_INCREF(value);
         slot_set_incref(ctx, g_ctx.resume_value, Py_None);
+        if (SLOT_GET(ctx, g_ctx.spin) != Py_None)
+            slot_set_incref(ctx, g_ctx.spin, Py_None);
         gen = SLOT_GET(ctx, g_ctx.gen);
         if (SLOT_GET(ctx, g_ctx.started) != Py_True) {
             slot_set_incref(ctx, g_ctx.started, Py_True);
@@ -1912,6 +1996,15 @@ redispatch:
         Py_SETREF(op, first);
         goto redispatch;
     }
+    case K_SPIN: {
+        /* The first poll: its load, through the rows above; while the
+         * predicate fails the step comes back with the retry run. */
+        PyObject *load = sk_spin_load(ctx, op);
+        if (load == NULL)
+            goto fallback;
+        Py_SETREF(op, load);
+        goto redispatch;
+    }
     default:
         goto fallback;
     }
@@ -1930,6 +2023,62 @@ fail_op:
 }
 
 KERNEL_ENTRY(step_kernel_vectorcall, step_kernel_call)
+
+/* Processor._mem_done(ctx, value), installed on the processor as its
+ * ``_mem_done`` so that every context's completion callback (the
+ * ``partial`` add_thread binds) is this: the completed access resumes its
+ * context in place when the pipeline was held for it, else marks it ready
+ * and, when the pipeline is idle and was last its own, dispatches it at
+ * once.  A dispatch that pays a context switch (whose counter is a named
+ * bump) and a processor whose ``_step`` is not this kernel go to the
+ * Python method. */
+static PyObject *dict_peek(PyObject *, PyObject *);
+
+static PyObject *
+step_kernel_mem_done_impl(PyObject *kself, PyObject *const *args,
+                          Py_ssize_t nargs)
+{
+    StepKernelObject *k = (StepKernelObject *)kself;
+    PyObject *ctx, *running;
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "mem_done takes exactly (ctx, value)");
+        return NULL;
+    }
+    ctx = args[0];
+    running = dict_peek(k->proc_dict, s_running);
+    if (!Py_IS_TYPE(ctx, (PyTypeObject *)g_context_type) || running == NULL ||
+        dict_peek(k->proc_dict, s_step) != kself ||
+        (running == Py_None &&
+         dict_peek(k->proc_dict, s_last_on_pipeline) != ctx))
+        return PyObject_Vectorcall(k->mem_done, args, 2, NULL);
+    slot_set_incref(ctx, g_ctx.resume_value, args[1]);
+    if (running == ctx) /* the pipeline was held: continue in place */
+        return k->vectorcall(kself, args, 1, NULL); /* not inlined here */
+    if (running != Py_None) {
+        slot_set_incref(ctx, g_ctx.state, g_ctx_ready);
+        Py_RETURN_NONE;
+    }
+    /* _dispatch(ctx, 0) */
+    if (PyDict_SetItem(k->proc_dict, s_running, ctx) < 0)
+        return NULL;
+    slot_set_incref(ctx, g_ctx.state, g_ctx_running);
+    if (sk_post(k, k->core->now, ctx) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+step_kernel_mem_done(PyObject *kself, PyObject *const *args, Py_ssize_t nargs)
+{
+    return settled(((KernelHead *)kself)->core,
+                   step_kernel_mem_done_impl(kself, args, nargs));
+}
+
+static PyMethodDef StepKernel_methods[] = {
+    {"mem_done", (PyCFunction)(void (*)(void))step_kernel_mem_done,
+     METH_FASTCALL, "Processor._mem_done(ctx, value), compiled"},
+    {NULL, NULL, 0, NULL},
+};
 
 static PyMemberDef StepKernel_members[] = {
     {"fallthroughs", T_LONGLONG, offsetof(StepKernelObject, fallthroughs),
@@ -1972,6 +2121,7 @@ static PyTypeObject StepKernel_Type = {
     .tp_traverse = (traverseproc)StepKernel_traverse,
     .tp_clear = (inquiry)StepKernel_clear,
     .tp_members = StepKernel_members,
+    .tp_methods = StepKernel_methods,
     .tp_getset = StepKernel_getsets,
     .tp_vectorcall_offset = offsetof(StepKernelObject, vectorcall),
     .tp_call = PyVectorcall_Call,
@@ -4321,6 +4471,7 @@ mod_setup(PyObject *mod, PyObject *spec)
     if (take_ref(spec, "SimulationError", &g_sim_error) < 0 ||
         take_ref(spec, "Event", &g_event_type) < 0 ||
         take_ref(spec, "NO_ARG", &g_no_arg) < 0 ||
+        take_ref(spec, "Context", &g_context_type) < 0 ||
         take_ref(spec, "DONE", &g_ctx_done) < 0 ||
         take_ref(spec, "RUNNING", &g_ctx_running) < 0 ||
         take_ref(spec, "BLOCKED", &g_ctx_blocked) < 0 ||
@@ -4335,6 +4486,10 @@ mod_setup(PyObject *mod, PyObject *spec)
         take_ref(spec, "SWITCH_HINT", &g_op_kinds[4]) < 0 ||
         take_ref(spec, "FENCE", &g_op_kinds[5]) < 0 ||
         take_ref(spec, "BURST", &g_op_kinds[6]) < 0 ||
+        take_ref(spec, "SPIN", &g_op_kinds[7]) < 0 ||
+        take_ref(spec, "GE", &g_spin_ge) < 0 ||
+        take_ref(spec, "EQ", &g_spin_eq) < 0 ||
+        take_ref(spec, "spin_satisfied", &g_spin_satisfied) < 0 ||
         take_ref(spec, "Op", &g_op_type) < 0 ||
         take_ref(spec, "OP_NAMES", &g_op_names) < 0 ||
         take_ref(spec, "OP_BY_NAME", &g_op_by_name) < 0 ||
@@ -4397,6 +4552,7 @@ mod_setup(PyObject *mod, PyObject *spec)
         (g_ctx.pending_needs = slot_offset(cls, "pending_needs")) < 0 ||
         (g_ctx.burst_ops = slot_offset(cls, "burst_ops")) < 0 ||
         (g_ctx.burst_pos = slot_offset(cls, "burst_pos")) < 0 ||
+        (g_ctx.spin = slot_offset(cls, "spin")) < 0 ||
         (g_ctx.mem_done = slot_offset(cls, "mem_done")) < 0)
         return NULL;
     cls = spec_get(spec, "Packet");
@@ -4526,6 +4682,7 @@ static const struct {
     {&s_words, "words"}, {&s_send, "send"}, {&g_str_all, "all"},
     {&g_kinds[A_LOAD], "load"}, {&g_kinds[A_STORE], "store"},
     {&g_kinds[A_RMW], "rmw"}, {&s_running, "_running"},
+    {&s_step, "_step"}, {&s_last_on_pipeline, "_last_on_pipeline"},
     {&s_fault_tolerant, "fault_tolerant"},
     {&s_request_timeout, "request_timeout"},
     {&s_update_blocks, "update_blocks"}, {&s_wb_buffer, "_wb_buffer"},

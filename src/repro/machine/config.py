@@ -140,10 +140,17 @@ class AlewifeConfig:
             "cache_hit_latency",
             "dir_occupancy",
             "switch_cycles",
+            "spin_poll_interval",
+            "retry_base",
+            "retry_cap",
         ):
             latency = getattr(self, latency_field)
             if latency < 0:
                 raise ValueError(f"{latency_field} must be >= 0, got {latency}")
+        for capacity_field in ("max_contexts", "store_buffer"):
+            capacity = getattr(self, capacity_field)
+            if capacity < 1:
+                raise ValueError(f"{capacity_field} must be >= 1, got {capacity}")
         for rate_field in (
             "fault_drop_rate",
             "fault_dup_rate",

@@ -326,8 +326,20 @@ def run_experiment(config: AlewifeConfig, workload: "Workload") -> MachineStats:
     instead of however many dead ones the cyclic collector has not got
     to yet.  Build an :class:`AlewifeMachine` and call ``run`` yourself
     to keep it inspectable.
+
+    The built machine is also frozen out of the cyclic collector for the
+    run (``gc.freeze``): it lives until ``dismantle`` and is garbage to
+    nobody before, yet every young-generation collection the run's
+    allocations trigger would otherwise re-traverse it.  The freeze takes
+    every object alive at that point, the caller's too, and ``gc.unfreeze``
+    lifts it on every way out: nothing stays frozen after a run, including
+    anything the caller had frozen before it.
     """
     machine = AlewifeMachine(config)
-    stats = machine.run(workload)
-    machine.dismantle()
+    gc.freeze()
+    try:
+        stats = machine.run(workload)
+        machine.dismantle()
+    finally:
+        gc.unfreeze()
     return stats

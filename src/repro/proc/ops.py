@@ -7,6 +7,13 @@ equivalent of the paper's trace-driven inputs with embedded synchronization
 (the post-mortem scheduler of §5.1): the instruction stream is fixed, but
 synchronization operations can branch on the values the memory system
 actually delivers.
+
+Two ops carry that split into the processor.  :func:`burst` is a run of
+value-independent ops the program yields once.  :func:`spin_until` is the
+one value-*dependent* op: the program yields a whole spin loop (poll a
+word, back off while a fixed predicate fails), the processor runs it, and
+the program resumes only with the value that ended it.  The memory system
+sees the same operations, cycle for cycle, as the loop written out.
 """
 
 from __future__ import annotations
@@ -20,6 +27,12 @@ RMW = "rmw"
 FENCE = "fence"
 SWITCH_HINT = "switch_hint"
 BURST = "burst"
+SPIN = "spin_until"
+
+#: the predicates a spin waits on: ``value >= arg`` (barrier flags, epoch
+#: counters) and ``value == arg`` (test-and-test-and-set's free lock)
+GE = ">="
+EQ = "=="
 
 
 def think(cycles: int) -> tuple:
@@ -60,7 +73,8 @@ def switch_hint() -> tuple:
     Models SPARCLE's context switch on *synchronization faults* (§2): a
     spinning thread gives way so same-node threads cannot starve each
     other.  Costs the 11-cycle switch when a switch happens, one cycle
-    otherwise.  Spin loops in :mod:`repro.sync` emit this between polls.
+    otherwise.  Spin loops in :mod:`repro.sync` back off with it between
+    polls.
     """
     return (SWITCH_HINT,)
 
@@ -86,6 +100,41 @@ def burst(*operations: tuple) -> tuple:
     if not flat:
         raise ValueError("burst needs at least one operation")
     return (BURST, tuple(flat))
+
+
+def spin_until(addr: int, pred: str, arg: int, backoff: tuple) -> tuple:
+    """Poll ``addr`` until ``pred`` holds of its value; yields that value.
+
+    Exactly the loop ::
+
+        while True:
+            value = yield load(addr)
+            if value <pred> arg:
+                break
+            yield backoff
+
+    run by the processor instead of the program: a failed poll executes
+    ``backoff`` (any op; a :func:`burst` usually) and reloads without
+    resuming the generator.  Each poll counts as the ops it is made of.
+    The op is ``(SPIN, pred, arg, retry)``, ``retry`` being the
+    precompiled ``burst(backoff, load(addr))`` a failed poll installs; its
+    last op is the load.
+    """
+    if pred not in (GE, EQ):
+        raise ValueError(f"unknown spin predicate {pred!r}")
+    return (SPIN, pred, arg, burst(backoff, load(addr))[1])
+
+
+def spin_satisfied(spin: tuple, value) -> bool:
+    """Does ``value`` end ``spin``?  The one definition of the predicates:
+    the processor, its compiled step and the trace recorder all ask here
+    (the compiled step inlines :data:`GE` and :data:`EQ`)."""
+    pred = spin[1]
+    if pred == GE:
+        return value >= spin[2]
+    if pred == EQ:
+        return value == spin[2]
+    raise ValueError(f"unknown spin predicate {pred!r}")
 
 
 def fence() -> tuple:

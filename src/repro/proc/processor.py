@@ -72,6 +72,8 @@ class Context:
     #: remaining ops of an :func:`repro.proc.ops.burst` being executed
     burst_ops: tuple | None = None
     burst_pos: int = 0
+    #: the :func:`repro.proc.ops.spin_until` being polled, if any
+    spin: tuple | None = None
     #: completion callback pre-bound to this context (avoids allocating a
     #: closure per memory access in Processor._issue)
     mem_done: Callable[[Optional[int]], None] | None = None
@@ -192,8 +194,21 @@ class Processor(Component, TrapEngine):
             else:
                 ctx.burst_pos = pos
             ctx.ops_executed += 1
+        elif ctx.spin is not None and not ops.spin_satisfied(
+            ctx.spin, ctx.resume_value
+        ):
+            # A failed poll: back off and poll again — the spin's retry
+            # run ends with its load — without resuming the program.
+            ctx.resume_value = None
+            retry = ctx.spin[3]
+            op = retry[0]
+            if len(retry) > 1:
+                ctx.burst_ops = retry
+                ctx.burst_pos = 1
+            ctx.ops_executed += 1
         else:
             value, ctx.resume_value = ctx.resume_value, None
+            ctx.spin = None
             try:
                 if ctx.started:
                     op = ctx.gen.send(value)
@@ -277,6 +292,16 @@ class Processor(Component, TrapEngine):
                 ctx.burst_pos = 1
             ctx.last_op = sub[0]
             self._execute_op(ctx, sub[0])
+        elif kind == ops.SPIN:
+            # The first poll: note the spin and issue its load (the retry
+            # run's last op); _step polls again while the predicate fails.
+            _, pred, _arg, retry = op
+            if pred != ops.GE and pred != ops.EQ:
+                raise SimulationError(f"{self.name}: unknown spin predicate {pred!r}")
+            load = retry[-1]
+            ctx.spin = op
+            ctx.last_op = load
+            self._execute_op(ctx, load)
         elif kind == "__retire__":
             self._retire(ctx)
         else:

@@ -150,16 +150,12 @@ def barrier_wait(
         else:
             break
     if node is not None:
-        # Not last here: spin on this node's release flag.
+        # Not last here: spin on this node's release flag.  Between polls
         # a spinning thread backs off, then yields the pipeline (the
         # synchronization-fault switch) so same-node threads cannot starve
-        # each other; the two ops are value-independent, so precompiled
+        # each other; the processor runs the loop without resuming us.
         backoff = ops.burst(ops.think(poll_interval), ops.switch_hint())
-        while True:
-            value = yield ops.load(node.flag_addr)
-            if value >= epoch:
-                break
-            yield backoff
+        yield ops.spin_until(node.flag_addr, ops.GE, epoch, backoff)
     # Release every node this processor won, top-down.  The fence orders
     # the release stores after everything above (counter resets and the
     # caller's data stores) under the weakly-ordered memory model; it is a

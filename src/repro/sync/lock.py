@@ -13,19 +13,18 @@ def spin_lock_acquire(
     """Test-and-test-and-set acquire (use via ``yield from``).
 
     Spins read-only on a cached copy until the lock looks free, then tries
-    the atomic test-and-set; on failure, goes back to spinning.  The
-    read-only spin phase keeps the lock's worker-set visible to the
-    directory, which is what makes contended locks interesting for
-    coherence protocols.
+    the atomic test-and-set; on failure, backs off and goes back to
+    spinning.  The read-only spin phase keeps the lock's worker-set
+    visible to the directory, which is what makes contended locks
+    interesting for coherence protocols.
     """
+    backoff = ops.burst(ops.think(poll_interval), ops.switch_hint())
     while True:
-        value = yield ops.load(lock_addr)
-        if value == 0:
-            old = yield ops.test_and_set(lock_addr)
-            if old == 0:
-                return
-        yield ops.think(poll_interval)
-        yield ops.switch_hint()
+        yield ops.spin_until(lock_addr, ops.EQ, 0, backoff)
+        old = yield ops.test_and_set(lock_addr)
+        if old == 0:
+            return
+        yield backoff
 
 
 def spin_lock_release(lock_addr: int) -> Generator[tuple, int, None]:

@@ -36,16 +36,12 @@ class MigratoryWorkload(Workload):
             "mig.payload", max(1, self.payload_words), home=0
         )
         total_hops = self.rounds * n
+        backoff = ops.burst(ops.think(poll), ops.switch_hint())
 
         def program(p: int) -> Program:
             for my_turn in range(p, total_hops, n):
                 # Wait until the token counter reaches this processor's turn.
-                while True:
-                    value = yield ops.load(token.base)
-                    if value >= my_turn:
-                        break
-                    yield ops.think(poll)
-                    yield ops.switch_hint()
+                yield ops.spin_until(token.base, ops.GE, my_turn, backoff)
                 # Own the payload: read-modify-write every word.
                 for w in range(min(self.payload_words, 4)):
                     old = yield ops.load(payload.word(w))

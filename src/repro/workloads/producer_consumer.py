@@ -37,6 +37,7 @@ class ProducerConsumerWorkload(Workload):
         done_ctr = alloc.alloc_scalar("pc.done", home=n - 1)
         buffer = alloc.alloc_words("pc.buffer", max(4, self.buffer_words), home=0)
         consumers = max(1, n - 1)
+        backoff = ops.burst(ops.think(poll), ops.switch_hint())
 
         def producer() -> Program:
             for epoch in range(1, self.epochs + 1):
@@ -48,21 +49,13 @@ class ProducerConsumerWorkload(Workload):
                 yield ops.store(flag.base, epoch)
                 yield ops.think(self.think_per_epoch)
                 # Wait for every consumer to finish this epoch.
-                while True:
-                    value = yield ops.load(done_ctr.base)
-                    if value >= epoch * consumers:
-                        break
-                    yield ops.think(poll)
-                    yield ops.switch_hint()
+                yield ops.spin_until(
+                    done_ctr.base, ops.GE, epoch * consumers, backoff
+                )
 
         def consumer(p: int) -> Program:
             for epoch in range(1, self.epochs + 1):
-                while True:
-                    value = yield ops.load(flag.base)
-                    if value >= epoch:
-                        break
-                    yield ops.think(poll)
-                    yield ops.switch_hint()
+                yield ops.spin_until(flag.base, ops.GE, epoch, backoff)
                 total = 0
                 for w in range(min(self.buffer_words, 8)):
                     total += yield ops.load(buffer.word(w))

@@ -93,8 +93,26 @@ class TraceRecorder(Workload):
                 started = True
             except StopIteration:
                 return
-            result = yield op
-            self._record(proc, op, result)
+            if op[0] == ops.SPIN:
+                result = yield from self._unroll(proc, op)
+            else:
+                result = yield op
+                self._record(proc, op, result)
+
+    def _unroll(self, proc: int, spin: tuple):
+        """Run a :func:`~repro.proc.ops.spin_until` as the loop it stands
+        for, recording the polls and backoffs it resolves to; the same
+        ops at the same cycles as the processor's own loop."""
+        retry = spin[3]
+        load, backoff = retry[-1], retry[:-1]
+        while True:
+            value = yield load
+            self._record(proc, load, value)
+            if ops.spin_satisfied(spin, value):
+                return value
+            if backoff:
+                yield (ops.BURST, backoff)
+                self._record(proc, (ops.BURST, backoff), None)
 
     def _record(self, proc: int, op: tuple, result) -> None:
         kind = op[0]

@@ -3,7 +3,7 @@
 The registered workloads only ever yield ops built by
 :mod:`repro.proc.ops`, one hardware context per processor.  The step
 kernel tests need the opposite: arbitrary straight-line programs over
-all seven op kinds, several contexts per processor, hand-built (possibly
+all eight op kinds, several contexts per processor, hand-built (possibly
 malformed) op tuples, and programs that raise on cue.
 
 A *stream* is a list of items, one per yield:
@@ -17,10 +17,15 @@ A *stream* is a list of items, one per yield:
 * ``("raw", op)`` — ``op`` is yielded untouched (unknown kinds, short
   tuples, un-flattened nested bursts)
 * ``("rmw", word, fn)`` — an atomic with a caller-supplied callable
+* ``("spin", word, pred, arg)`` — :func:`ops.spin_until` on ``word``,
+  backing off with :data:`SPIN_BACKOFF` between polls
 * ``("raise", exc)`` — the program raises ``exc`` instead of yielding
 
-Programs are value-independent and spin-free, so every stream terminates
-on every protocol.
+Words ``N_WORDS`` and up (``N_FLAGS`` of them) are flags: nothing but
+spins and the stores that release them should touch one.  Programs are
+otherwise value-independent, so a stream terminates on every protocol as
+long as each spin's releasing value is stored by a context that never
+waits on it (the property co-simulation builds its streams that way).
 """
 
 from __future__ import annotations
@@ -36,6 +41,9 @@ from repro.workloads.base import Workload
 BACKENDS = backend_names()
 
 N_WORDS = 6
+N_FLAGS = 2
+#: what a spin does between polls
+SPIN_BACKOFF = ops.burst(ops.think(12), ops.switch_hint())
 
 
 def _compile(words: list[int], item: tuple) -> tuple:
@@ -51,6 +59,8 @@ def _compile(words: list[int], item: tuple) -> tuple:
         return ops.fetch_add(words[item[1]], item[2])
     if kind == "rmw":
         return ops.rmw(words[item[1]], item[2])
+    if kind == "spin":
+        return ops.spin_until(words[item[1]], item[2], item[3], SPIN_BACKOFF)
     if kind == "burst":
         return ops.burst(*(_compile(words, sub) for sub in item[1]))
     if kind == "raw":
@@ -70,7 +80,7 @@ class OpStreamWorkload(Workload):
         n = machine.config.n_procs
         words = [
             machine.allocator.alloc_scalar(f"ops.w{i}", home=i % n).base
-            for i in range(N_WORDS)
+            for i in range(N_WORDS + N_FLAGS)
         ]
 
         def program(stream):
@@ -122,6 +132,7 @@ def context_state(machine: AlewifeMachine) -> list:
             show(ctx.last_op),
             show(ctx.burst_ops),
             ctx.burst_pos,
+            show(ctx.spin),
             show(ctx.pending_op),
             ctx.outstanding_stores,
         )

@@ -19,10 +19,14 @@ Three layers of lockstep comparison, all driven by hypothesis:
   view-object cache/directory storage and the compiled ring, step, send
   and receive kernels under schedules the committed goldens do not
   enumerate.
-* **Op-stream level** — random straight-line programs over all seven op
+* **Op-stream level** — random straight-line programs over all eight op
   kinds (bursts of one and of several ops whose first op hits or misses,
   nested bursts, fences, switch hints with one to three contexts per
-  processor, ``sc`` and ``wo``) compared the same way.  Weather with one
+  processor, ``sc`` and ``wo``) compared the same way, ``spin_until``
+  included: spins on flag words that one context per run — never a
+  spinning one — releases, so a spin may hold at its first poll, fail
+  many polls first, or poll alongside the releaser on its own
+  processor.  Weather with one
   context never reaches most of the processor step's branches; this
   does, on the Python step over the columns and on the compiled one.
   The same streams also drive the compiled miss transaction off its
@@ -46,10 +50,17 @@ from repro.backend import equivalence_fingerprint, native
 from repro.coherence.registry import protocol_names
 from repro.extensions.update import make_update_block
 from repro.machine import AlewifeConfig, AlewifeMachine
+from repro.proc import ops
 from repro.sim.kernel import Simulator
 from repro.workloads import WeatherWorkload
 
-from .opstream import N_WORDS, trace_streams, windowed_driver, word_address
+from .opstream import (
+    N_FLAGS,
+    N_WORDS,
+    trace_streams,
+    windowed_driver,
+    word_address,
+)
 
 # ----------------------------------------------------------------------
 # Kernel level
@@ -243,6 +254,21 @@ _opening = st.one_of(
     st.tuples(st.just("add"), _word, st.just(1)),
     st.tuples(st.just("store"), _word, st.just(7)),
 )
+#: the value a flag's one releasing store writes
+_RELEASE = 2
+#: (processor, context, position, flag, (predicate, argument)); the context
+#: is taken modulo that processor's count, and a spin drawn for the
+#: releasing context is dropped
+_spin = st.tuples(
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=N_FLAGS - 1),
+    # GE 0 holds at the first poll; the others wait for the release
+    st.sampled_from(
+        [(ops.GE, 0), (ops.GE, 1), (ops.GE, _RELEASE), (ops.EQ, _RELEASE)]
+    ),
+)
 #: the protocols whose controllers recover from lost and duplicated packets
 _HARDENED = ("fullmap", "limited", "limitless")
 #: machines on which the compiled miss transaction must stand down whole
@@ -265,6 +291,14 @@ _op_streams = st.fixed_dictionaries(
         ),
         "openings": st.fixed_dictionaries(
             {proc: _opening for proc in range(4)}
+        ),
+        "spins": st.lists(_spin, max_size=4),
+        # whose first context stores every flag's release, and where
+        "releaser": st.integers(min_value=0, max_value=3),
+        "release_at": st.lists(
+            st.integers(min_value=0, max_value=12),
+            min_size=N_FLAGS,
+            max_size=N_FLAGS,
         ),
         # the compiled step and miss transaction exist under ``sc`` only
         "memory_model": st.sampled_from(["sc", "sc", "wo"]),
@@ -304,6 +338,13 @@ def _trace_op_streams(backend, params):
             ]
             for stream in contexts
         ]
+    releaser = streams[params["releaser"]][0]
+    for flag, at in enumerate(params["release_at"]):
+        releaser.insert(at, ("store", N_WORDS + flag, _RELEASE))
+    for proc, ctx, at, flag, (pred, arg) in params["spins"]:
+        stream = streams[proc][ctx % len(streams[proc])]
+        if stream is not releaser:
+            stream.insert(at, ("spin", N_WORDS + flag, pred, arg))
 
     def prepare(m):
         if update_word is not None:

@@ -5,8 +5,8 @@ the SoA columns and the compiled ``StepKernel`` are checked against it
 here where the goldens and the property co-simulation do not reach: ops
 no constructor in :mod:`repro.proc.ops` would build, exceptions raised
 underneath the step (by the program, by an ``rmw`` callable, by the
-Python fallback), stale burst bookkeeping, and the kernel's own
-fall-through counter.
+Python fallback) or while a spin polls, stale burst bookkeeping, and the
+kernel's own fall-through counter.
 
 "Same as reference" means the same exception type and message, the same
 checkpoint digest and per-context bookkeeping at the moment it
@@ -27,6 +27,7 @@ from repro.workloads import SyntheticSharingWorkload, WeatherWorkload
 
 from .opstream import (
     BACKENDS,
+    N_WORDS,
     OpStreamWorkload,
     assert_crashes_like,
     context_state,
@@ -85,6 +86,17 @@ def test_negative_think_leaves_the_same_state_on_every_backend():
 # Malformed and unusual ops: whatever the Python step does
 # ----------------------------------------------------------------------
 
+#: spin_until tuples no constructor builds: the compiled step hands each
+#: to Processor._execute_op, which raises
+_MALFORMED_SPINS = [
+    ((ops.SPIN,), ValueError),
+    ((ops.SPIN, ops.GE, 0), ValueError),
+    ((ops.SPIN, "<", 0, ((ops.LOAD, 64),)), SimulationError),
+    ((ops.SPIN, ops.GE, 0, ()), IndexError),
+    ((ops.SPIN, ops.EQ, 0, None), TypeError),
+    ((ops.SPIN, ops.GE, 0, ((ops.LOAD,),)), IndexError),
+]
+
 
 @pytest.mark.parametrize(
     "raw, expected",
@@ -101,12 +113,22 @@ def test_negative_think_leaves_the_same_state_on_every_backend():
         ((), IndexError),
         (None, TypeError),
         (("think", "soon"), TypeError),
+        *_MALFORMED_SPINS,
     ],
 )
 def test_malformed_op_raises_what_the_reference_step_raises(raw, expected):
     streams = {0: [[("think", 2), ("raw", raw)]], **_NEIGHBOURS}
     reference = _assert_crashes_like_reference(streams)
     assert reference["error"][0] is expected
+
+
+@needs_extension
+@pytest.mark.parametrize("raw, expected", _MALFORMED_SPINS)
+def test_malformed_spin_is_handed_to_execute_op(raw, expected):
+    machine = make_machine("native")
+    with pytest.raises(expected):
+        run_streams(machine, {0: [[("think", 2), ("raw", raw)]]})
+    assert native.fallthroughs(machine)["op"] == 1
 
 
 def test_hand_built_bursts_run_like_reference():
@@ -183,6 +205,27 @@ def test_program_raising_between_bursts():
     assert reference["error"] == (Boom, "program")
 
 
+@pytest.mark.parametrize("raiser", ["neighbour", "spinner"])
+def test_program_raising_while_a_spin_polls(raiser):
+    """A neighbour raises while processor 0 is between polls (the crash
+    state holds its spin and retry run), or the spinner's own program
+    raises as the satisfied spin resumes it; the release lands either way
+    and the drain runs the spin out."""
+    flag = N_WORDS
+    spinner = [("spin", flag, ops.GE, 1)]
+    other = [("think", 40), ("raise", Boom("while spinning"))]
+    if raiser == "spinner":
+        spinner.append(("raise", Boom("after the spin")))
+        other = [("think", 3)]
+    streams = {
+        0: [spinner],
+        1: [[("think", 150), ("store", flag, 1)]],
+        2: [other],
+    }
+    reference = _assert_crashes_like_reference(streams)
+    assert reference["error"][0] is Boom
+
+
 @pytest.mark.parametrize("position", ["first", "later"])
 def test_rmw_callable_raising_inside_a_burst(position):
     def explode(_old):
@@ -253,3 +296,16 @@ def test_fallthroughs_is_read_only_and_absent_without_a_kernel():
     unfused = make_machine("native", memory_model="wo")
     assert native.fallthroughs(unfused) is None
     assert native.fallthroughs(make_machine("reference")) is None
+
+
+@needs_extension
+def test_completions_resume_contexts_through_the_kernel():
+    """Every context's completion callback is the kernel's compiled
+    ``_mem_done``; a processor without a kernel keeps the Python one."""
+    machine = make_machine("native")
+    run_streams(machine, {0: [[("load", 1)], [("load", 2)]]})
+    proc = machine.nodes[0].processor
+    assert vars(proc)["_mem_done"] == proc._step.mem_done
+    assert all(ctx.mem_done.func == proc._step.mem_done for ctx in proc.contexts)
+    unfused = make_machine("native", memory_model="wo").nodes[0].processor
+    assert "_mem_done" not in vars(unfused)

@@ -9,8 +9,10 @@ import pytest
 from repro.backend import backend_names, equivalence_fingerprint
 from repro.backend.soa import SoaCacheArray
 from repro.machine import AlewifeConfig, AlewifeMachine, Node, run_experiment
+from repro.proc import ops
 from repro.proc.processor import Processor
 from repro.sim.kernel import SimulationError
+from repro.verify.diagnose import LivenessError
 from repro.workloads import HotSpotWorkload
 from repro.workloads.base import Workload
 
@@ -44,6 +46,11 @@ class TestConfig:
             "cache_hit_latency",
             "dir_occupancy",
             "switch_cycles",
+            # these three used to fail inside the run: a program
+            # generator's think(), and the cache's randrange() backoff
+            "spin_poll_interval",
+            "retry_base",
+            "retry_cap",
         ],
     )
     def test_negative_latency_rejected(self, field):
@@ -51,6 +58,20 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{field} must be >= 0"):
             AlewifeConfig(**{field: -1})
         assert getattr(AlewifeConfig(**{field: 0}), field) == 0
+
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            # "out of hardware contexts" at the first add_thread
+            ("max_contexts", {}),
+            # a LivenessError: the first buffered store never finds a slot
+            ("store_buffer", {"memory_model": "wo"}),
+        ],
+    )
+    def test_zero_capacity_rejected(self, field, overrides):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1, got 0"):
+            AlewifeConfig(**{field: 0}, **overrides)
+        assert getattr(AlewifeConfig(**{field: 1}, **overrides), field) == 1
 
     def test_removed_sharding_fields_are_unknown(self):
         with pytest.raises(TypeError, match="shards"):
@@ -235,3 +256,41 @@ class TestOneShotRunFreesItsMachine:
         machine.run(HotSpotWorkload(rounds=2))
         assert all(node.processor.done for node in machine.nodes)
         assert machine.sim.pending_events == 0
+
+
+class TestOneShotRunFreezesItsMachine:
+    """The built machine sits in the collector's permanent generation for
+    the run, and nothing is left frozen however the run ends."""
+
+    CONFIG = TestOneShotRunFreesItsMachine.CONFIG
+
+    def test_the_run_is_frozen_and_the_freeze_lifted(self):
+        during = []
+
+        class Probe(HotSpotWorkload):
+            def build(self, machine):
+                during.append(gc.get_freeze_count())
+                return super().build(machine)
+
+        assert gc.get_freeze_count() == 0
+        run_experiment(AlewifeConfig(**self.CONFIG), Probe(rounds=2))
+        assert during[0] > 0
+        assert gc.get_freeze_count() == 0
+
+    def test_the_freeze_is_lifted_when_the_run_raises(self):
+        class Stuck(Workload):
+            name = "stuck"
+
+            def build(self, machine):
+                flag = machine.allocator.alloc_scalar("never", home=0)
+                backoff = ops.burst(ops.think(10), ops.switch_hint())
+
+                def spin():
+                    yield ops.spin_until(flag.base, ops.GE, 1, backoff)
+
+                return {p: [spin()] for p in range(machine.config.n_procs)}
+
+        config = AlewifeConfig(**{**self.CONFIG, "max_cycles": 5_000})
+        with pytest.raises(LivenessError):
+            run_experiment(config, Stuck())
+        assert gc.get_freeze_count() == 0

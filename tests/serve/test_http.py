@@ -120,6 +120,15 @@ class TestSubmission:
         assert status == 400
         assert "unknown workload" in body["error"]["message"]
 
+    def test_config_that_would_fail_mid_run_400(self, server):
+        payload = {
+            "config": {"n_procs": 4, "memory_model": "wo", "store_buffer": 0},
+            "workload": {"name": "hotspot"},
+        }
+        status, body = request(server, "POST", "/jobs", payload)
+        assert status == 400
+        assert "store_buffer must be >= 1" in body["error"]["message"]
+
     def test_over_budget_413(self, server):
         status, body = request(
             server,

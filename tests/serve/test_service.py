@@ -67,6 +67,15 @@ class TestRequestParsing:
             (job_payload(fabric="staged"), "unexpected keyword argument 'fabric'"),
             # a negative latency never reaches a pool worker
             (job_payload(ts=-5), "ts must be >= 0"),
+            # nor does a value that used to fail only mid-run
+            (job_payload(spin_poll_interval=-1), "spin_poll_interval must be >= 0"),
+            (job_payload(retry_base=-5), "retry_base must be >= 0"),
+            (job_payload(retry_cap=-1), "retry_cap must be >= 0"),
+            (job_payload(max_contexts=0), "max_contexts must be >= 1"),
+            (
+                job_payload(memory_model="wo", store_buffer=0),
+                "store_buffer must be >= 1",
+            ),
         ],
     )
     def test_bad_payloads_rejected(self, payload, match):

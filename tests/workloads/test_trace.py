@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+from repro.backend import backend_names
 from repro.machine import AlewifeConfig, AlewifeMachine
 from repro.proc import ops
 from repro.workloads import (
@@ -58,6 +61,24 @@ class TestRecording:
         ]
         assert rmws
         assert all(op.value == 1 for op in rmws)  # barrier increments
+
+    @pytest.mark.parametrize("backend", backend_names())
+    def test_recorded_weather_streams_are_pinned(self, backend):
+        """Barrier spins run inside the processor as ``spin_until``; the
+        recorder unrolls each into the polls and backoffs it resolved to,
+        which must be the very stream the program-written loop issued."""
+        trace, stats = record_trace(
+            small_config(backend=backend), WeatherWorkload(iterations=2)
+        )
+        digest = hashlib.sha256()
+        for proc in sorted(trace.streams):
+            for op in trace.streams[proc]:
+                digest.update(f"{proc} {op.kind} {op.addr} {op.value}\n".encode())
+        assert (digest.hexdigest(), trace.length(), stats.cycles) == (
+            "82801b111293ef67e5d1723bab7381e4173e1daeb1f16d1ef26535b2f240a784",
+            1012,
+            1141,
+        )
 
     def test_streams_keyed_by_processor(self):
         trace, _ = record_trace(small_config(), MultigridWorkload(levels=(1,)))
