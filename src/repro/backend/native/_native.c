@@ -54,9 +54,8 @@ typedef struct {
     Py_ssize_t src, dst, opcode, address, data, meta, sent_at, crc, free;
 } PktOffsets;
 
-typedef struct {
-    Py_ssize_t packets, words, hops, total_latency, contention, per_opcode;
-} StatOffsets;
+/* the NetworkStats fields a send adds to */
+enum { NS_PACKETS, NS_WORDS, NS_HOPS, NS_LATENCY, NS_CONTENTION, N_NS };
 
 /* cache.controller._Waiter and Mshr */
 typedef struct {
@@ -107,7 +106,7 @@ static long g_last_c2m = 4;
 static CtxOffsets g_ctx;
 static EvOffsets g_ev;
 static PktOffsets g_pkt;
-static StatOffsets g_stat;
+static Py_ssize_t g_stat[N_NS];     /* NetworkStats, by NS_* */
 static WaiterOffsets g_waiter;
 static MshrOffsets g_mshr;
 static Py_ssize_t g_block_words;    /* BlockData.words */
@@ -149,7 +148,8 @@ slot_offset(PyObject *cls, const char *name)
     return off;
 }
 
-#define SLOT_GET(obj, off) (*(PyObject **)((char *)(obj) + (off)))
+#define FIELD_AT(obj, off) ((char *)(obj) + (off))
+#define SLOT_GET(obj, off) (*(PyObject **)FIELD_AT(obj, off))
 
 /* Replace slot contents, stealing ``value``. */
 static inline void
@@ -386,8 +386,10 @@ typedef struct {
 typedef struct Settler {
     struct Settler *next, **link;   /* ``link`` NULL: on no list */
     PyObject *owner;                /* the kernel this sits in */
-    int (*fold)(PyObject *owner);   /* its C counters -> Python objects */
 } Settler;
+
+/* a kernel's C counters -> the Python objects they stand for */
+static int kernel_fold(PyObject *owner);
 
 typedef struct {
     PyObject_HEAD
@@ -434,12 +436,10 @@ settler_leave(Settler *s)
 }
 
 static void
-settler_join(CoreObject *core, Settler *s, PyObject *owner,
-             int (*fold)(PyObject *))
+settler_join(CoreObject *core, Settler *s, PyObject *owner)
 {
     settler_leave(s);
     s->owner = owner;
-    s->fold = fold;
     s->next = core->settlers;
     s->link = &core->settlers;
     if (s->next != NULL)
@@ -455,7 +455,7 @@ settler_retire(Settler *s)
     if (s->link != NULL) {
         PyObject *exc, *val, *tb;
         PyErr_Fetch(&exc, &val, &tb);
-        if (s->fold(s->owner) < 0)
+        if (kernel_fold(s->owner) < 0)
             PyErr_Clear();
         PyErr_Restore(exc, val, tb);
         settler_leave(s);
@@ -476,7 +476,7 @@ core_settle(CoreObject *core)
     Settler *s;
     PyErr_Fetch(&exc, &val, &tb);
     for (s = core->settlers; s != NULL; s = s->next)
-        if (s->fold(s->owner) < 0) {
+        if (kernel_fold(s->owner) < 0) {
             if (exc == NULL)
                 PyErr_Fetch(&exc, &val, &tb);
             else
@@ -1127,41 +1127,43 @@ static PyMethodDef Core_methods[] = {
     {NULL, NULL, 0, NULL},
 };
 
-/* Scalar getsets (all settable so the Python wrappers stay drop-in). */
-#define CORE_LL_GETSET(field)                                            \
-    static PyObject *Core_get_##field(CoreObject *s, void *c)            \
-    {                                                                    \
-        return PyLong_FromLongLong(s->field);                            \
-    }                                                                    \
-    static int Core_set_##field(CoreObject *s, PyObject *v, void *c)     \
-    {                                                                    \
-        long long x = PyLong_AsLongLong(v);                              \
-        if (x == -1 && PyErr_Occurred())                                 \
-            return -1;                                                   \
-        s->field = x;                                                    \
-        return 0;                                                        \
-    }
-
-CORE_LL_GETSET(now)
-CORE_LL_GETSET(seq)
-CORE_LL_GETSET(live)
-CORE_LL_GETSET(executed)
-
+/* Getsets over a C field, the closure its offset: a long long, and an int
+ * read and set as a bool.  Core and Pool's scalars are all settable, so
+ * the Python wrappers stay drop-in. */
 static PyObject *
-Core_get_running(CoreObject *s, void *c)
+ll_get(PyObject *self, void *off)
 {
-    return PyBool_FromLong(s->running);
+    return PyLong_FromLongLong(*(long long *)FIELD_AT(self, (size_t)off));
 }
 
 static int
-Core_set_running(CoreObject *s, PyObject *v, void *c)
+ll_set(PyObject *self, PyObject *v, void *off)
+{
+    long long x = PyLong_AsLongLong(v);
+    if (x == -1 && PyErr_Occurred())
+        return -1;
+    *(long long *)FIELD_AT(self, (size_t)off) = x;
+    return 0;
+}
+
+static PyObject *
+flag_get(PyObject *self, void *off)
+{
+    return PyBool_FromLong(*(int *)FIELD_AT(self, (size_t)off));
+}
+
+static int
+flag_set(PyObject *self, PyObject *v, void *off)
 {
     int x = PyObject_IsTrue(v);
     if (x < 0)
         return -1;
-    s->running = x;
+    *(int *)FIELD_AT(self, (size_t)off) = x;
     return 0;
 }
+
+#define FIELD_GETSET(kind, T, f)                                         \
+    {#f, kind##_get, kind##_set, NULL, (void *)offsetof(T, f)}
 
 static PyObject *
 Core_get_queue(CoreObject *s, void *c)
@@ -1171,13 +1173,9 @@ Core_get_queue(CoreObject *s, void *c)
 }
 
 static PyGetSetDef Core_getsets[] = {
-    {"now", (getter)Core_get_now, (setter)Core_set_now, NULL, NULL},
-    {"seq", (getter)Core_get_seq, (setter)Core_set_seq, NULL, NULL},
-    {"live", (getter)Core_get_live, (setter)Core_set_live, NULL, NULL},
-    {"executed", (getter)Core_get_executed, (setter)Core_set_executed, NULL,
-     NULL},
-    {"running", (getter)Core_get_running, (setter)Core_set_running, NULL,
-     NULL},
+    FIELD_GETSET(ll, CoreObject, now), FIELD_GETSET(ll, CoreObject, seq),
+    FIELD_GETSET(ll, CoreObject, live), FIELD_GETSET(ll, CoreObject, executed),
+    FIELD_GETSET(flag, CoreObject, running),
     {"queue", (getter)Core_get_queue, NULL, NULL, NULL},
     {NULL, NULL, NULL, NULL, NULL},
 };
@@ -1250,40 +1248,88 @@ settled(CoreObject *core, PyObject *result)
                        impl(self, args, nargsf, kwnames));               \
     }
 
+/* ------------------------------------------------------------------ */
+/* A kernel's fields, declared once                                    */
+/* ------------------------------------------------------------------ */
+
+/* Each kernel lists its fields in one X-macro, a line a field.  The list
+ * makes the struct members and the table that the shared init, traverse,
+ * clear and settle fold below walk, so a field cannot be added to one of
+ * them and forgotten in another.  A line is one of
+ *   X(REF, f, key, type)   f = spec[key], owned; ``type`` NULL, or the
+ *                          type (or a subtype) spec[key] must have
+ *   X(DICT, f, of)         f = the __dict__ of the owned field ``of``
+ *   X(HELD, f, dim)        owned, set (or not) by the kernel's own init
+ *   X(LL, f, key)          f = spec[key], an int
+ *   X(IDS, f, key, dim)    f = spec[key], a tuple of ints
+ * or a counter held in C until the settle (docs/BACKENDS.md, "The settle
+ * contract"):
+ *   X(ATTR, f, dict, name)         dict[name] += f; the entry must exist
+ *   X(TALLY, f, dim, bag, names)   bag[names[i]] += f[i], from 0
+ *   X(CELLS, f, dim, list, ids)    list[ids[i]] += f[i]
+ *   X(SLOTS, f, dim, obj, offs)    the slot at offs[i] of obj += f[i]
+ * ``dim`` is ``[n]`` for an array, empty for one value.  Counters fold in
+ * the order they are declared. */
+enum { F_END, F_REF, F_DICT, F_HELD, /* the owned objects: F_HELD and below */
+       F_LL, F_IDS,
+       F_ATTR, F_TALLY, F_CELLS, F_SLOTS /* the counters: F_ATTR and up */ };
+
 typedef struct {
-    KERNEL_HEAD
-    PyObject *proc;
-    PyObject *tags;         /* list[int] */
-    PyObject *states;       /* bytearray */
-    PyObject *written;      /* bytearray */
-    PyObject *slab;         /* array('q'); buffer held below */
-    PyObject *cache_slots;  /* live counter slot list */
-    PyObject *proc_slots;   /* live counter slot list */
-    PyObject *issue, *park, *retire, *execute_op;  /* bound methods */
-    PyObject *find_work, *cache_access, *mem_done; /* bound methods */
-    PyObject *cache, *nic, *net;
-    PyObject *pool;         /* the machine's packet pool */
-    PyObject *node_obj;     /* int node id */
-    /* net_dict["send"] is looked up per use rather than held: the
-     * fabric's NetSend holds every node's RxChain, which holds us. */
-    PyObject *proc_dict, *cache_dict, *nic_dict, *net_dict;
-    Py_buffer slab_buf;
-    int slab_held, pool_native;
-    long long wpb, shift, imask, block_mask, low_mask, latency;
-    long long node_id, seg_shift, n_nodes;
-    Py_ssize_t cs[N_CS], ps[N_PS];
-    /* counters held in C between settles: the cells above, then
-     * proc.busy_cycles, nic.packets_sent, cache.miss_latency_total/count */
-    long long cs_n[N_CS], ps_n[N_PS], busy, sent, latency_total, latency_count;
-    long long fallthroughs; /* ops handed to execute_op (see fallback:) */
-    long long handbacks[N_HANDBACKS];
-} StepKernelObject;
+    int kind;
+    Py_ssize_t n;               /* values at ``off``: 1, or an array's */
+    size_t off;                 /* the field */
+    size_t of;                  /* DICT: its owner; a counter: its target */
+    size_t ids;                 /* CELLS: the field holding the indices */
+    const char *key;            /* REF, LL, IDS: the spec key */
+    PyTypeObject *type;         /* REF: what spec[key] must be, or NULL */
+    PyObject **names;           /* ATTR, TALLY: interned names */
+    const Py_ssize_t *slots;    /* SLOTS: slot offsets */
+} KernelField;
 
-static PyTypeObject StepKernel_Type;
-static PyTypeObject Pool_Type;
+#define MEMBER(K, ...) MEMBER_##K(__VA_ARGS__)
+#define MEMBER_REF(f, key, type) PyObject *f;
+#define MEMBER_DICT(f, of) PyObject *f;
+#define MEMBER_HELD(f, dim) PyObject *f dim;
+#define MEMBER_LL(f, key) long long f;
+#define MEMBER_IDS(f, key, dim) long long f dim;
+#define MEMBER_ATTR(f, dict, name) long long f;
+#define MEMBER_TALLY(f, dim, bag, names) long long f dim;
+#define MEMBER_CELLS(f, dim, list, ids) long long f dim;
+#define MEMBER_SLOTS(f, dim, obj, offs) long long f dim;
 
-static PyObject *step_kernel_vectorcall(PyObject *, PyObject *const *,
-                                        size_t, PyObject *);
+/* A table row, for the struct ``KT`` names where it expands. */
+#define KOFF(f) offsetof(KT, f)
+#define KLEN(f, elem) ((Py_ssize_t)(sizeof(((KT *)0)->f) / sizeof(elem)))
+#define ROW(K, ...) {.kind = F_##K, ROW_##K(__VA_ARGS__)},
+#define ROW_REF(f, k, t) .n = 1, .off = KOFF(f), .key = k, .type = t
+#define ROW_DICT(f, o) .n = 1, .off = KOFF(f), .of = KOFF(o)
+#define ROW_HELD(f, dim) .n = KLEN(f, PyObject *), .off = KOFF(f)
+#define ROW_LL(f, k) .n = 1, .off = KOFF(f), .key = k
+#define ROW_IDS(f, k, dim) .n = KLEN(f, long long), .off = KOFF(f), .key = k
+#define ROW_ATTR(f, d, name)                                             \
+    .n = 1, .off = KOFF(f), .of = KOFF(d), .names = &name
+#define ROW_TALLY(f, dim, b, nm)                                         \
+    .n = KLEN(f, long long), .off = KOFF(f), .of = KOFF(b), .names = nm
+#define ROW_CELLS(f, dim, l, i)                                          \
+    .n = KLEN(f, long long), .off = KOFF(f), .of = KOFF(l), .ids = KOFF(i)
+#define ROW_SLOTS(f, dim, o, s)                                          \
+    .n = KLEN(f, long long), .off = KOFF(f), .of = KOFF(o), .slots = s
+/* A kernel's table: its core (KERNEL_HEAD holds it), then its own list. */
+#define FIELD_TABLE(name, FIELDS)                                        \
+    static const KernelField name[] = {                                  \
+        ROW(REF, core, "core", &Core_Type) FIELDS(ROW) {F_END}}
+
+/* A kernel type: the table its fields are walked by, and what is its own. */
+typedef struct {
+    PyTypeObject type;
+    const KernelField *fields;
+    vectorcallfunc vectorcall;      /* installed by a successful __init__ */
+    int (*init)(PyObject *self, PyObject *spec); /* after the fields */
+    int (*fold)(PyObject *self);    /* counters that are not a field's */
+    void (*release)(PyObject *self); /* what it holds outside the table */
+} KernelType;
+
+#define KERNEL_TYPE(self) ((const KernelType *)Py_TYPE(self))
 
 static SETUP_ONLY PyObject *
 spec_get(PyObject *spec, const char *key)
@@ -1294,234 +1340,258 @@ spec_get(PyObject *spec, const char *key)
     return v;  /* borrowed */
 }
 
+/* ``v``, spec[key] or an item of it, as a long long */
 static SETUP_ONLY int
-spec_get_ll(PyObject *spec, const char *key, long long *out)
+spec_ll(PyObject *v, const char *key, long long *out)
 {
-    PyObject *v = spec_get(spec, key);
-    if (v == NULL)
+    if (!PyLong_Check(v)) {
+        PyErr_Format(PyExc_TypeError, "spec[%s] must be int, not %.80s", key,
+                     Py_TYPE(v)->tp_name);
         return -1;
+    }
     *out = PyLong_AsLongLong(v);
-    if (*out == -1 && PyErr_Occurred())
-        return -1;
-    return 0;
+    return *out == -1 && PyErr_Occurred() ? -1 : 0;
 }
 
-/* spec[key] is a tuple of exactly ``n`` list indices */
+/* One declared field from ``spec``: 0, or -1 with an error that names
+ * the key. */
 static SETUP_ONLY int
-spec_get_ids(PyObject *spec, const char *key, Py_ssize_t *out, Py_ssize_t n)
+field_load(PyObject *self, const KernelField *f, PyObject *spec)
 {
-    PyObject *ids = spec_get(spec, key);
+    PyObject **obj = (PyObject **)FIELD_AT(self, f->off), *v;
+    long long *ll = (long long *)FIELD_AT(self, f->off);
     Py_ssize_t i;
-    if (ids == NULL)
-        return -1;
-    if (!PyTuple_Check(ids) || PyTuple_GET_SIZE(ids) != n) {
-        PyErr_Format(PyExc_TypeError, "spec[%s] must be a %zd-tuple", key, n);
-        return -1;
-    }
-    for (i = 0; i < n; i++) {
-        out[i] = PyLong_AsSsize_t(PyTuple_GET_ITEM(ids, i));
-        if (out[i] == -1 && PyErr_Occurred())
+    if (f->kind == F_DICT) {
+        v = PyObject_GenericGetDict(*(PyObject **)FIELD_AT(self, f->of), NULL);
+        if (v == NULL)
             return -1;
+        Py_XSETREF(*obj, v);
+        return 0;
     }
-    return 0;
-}
-
-/* *slot = spec[key], a new reference */
-static SETUP_ONLY int
-take_ref(PyObject *spec, const char *key, PyObject **slot)
-{
-    PyObject *v = spec_get(spec, key);
-    if (v == NULL)
+    if (f->kind == F_HELD || f->kind > F_IDS)
+        return 0;
+    if ((v = spec_get(spec, f->key)) == NULL)
         return -1;
-    Py_INCREF(v);
-    Py_XSETREF(*slot, v);
-    return 0;
-}
-
-/* *slot = spec["core"], which must be a Core */
-static SETUP_ONLY int
-take_core(PyObject *spec, CoreObject **slot)
-{
-    PyObject *core = spec_get(spec, "core");
-    if (core == NULL)
-        return -1;
-    if (!PyObject_TypeCheck(core, &Core_Type)) {
-        PyErr_SetString(PyExc_TypeError, "spec['core'] must be a Core");
-        return -1;
+    switch (f->kind) {
+    case F_REF:
+        if (f->type != NULL && !PyObject_TypeCheck(v, f->type)) {
+            PyErr_Format(PyExc_TypeError, "spec[%s] must be %s, not %.80s",
+                         f->key, f->type->tp_name, Py_TYPE(v)->tp_name);
+            return -1;
+        }
+        Py_XSETREF(*obj, Py_NewRef(v));
+        return 0;
+    case F_LL:
+        return spec_ll(v, f->key, ll);
+    default: /* F_IDS */
+        if (!PyTuple_Check(v) || PyTuple_GET_SIZE(v) != f->n) {
+            PyErr_Format(PyExc_TypeError, "spec[%s] must be a %zd-tuple",
+                         f->key, f->n);
+            return -1;
+        }
+        for (i = 0; i < f->n; i++)
+            if (spec_ll(PyTuple_GET_ITEM(v, i), f->key, &ll[i]) < 0)
+                return -1;
+        return 0;
     }
-    return take_ref(spec, "core", (PyObject **)slot);
 }
 
-#define SPEC_REF(field, key)                                             \
-    do {                                                                 \
-        PyObject *v_ = spec_get(spec, key);                              \
-        if (v_ == NULL)                                                  \
-            return -1;                                                   \
-        Py_INCREF(v_);                                                   \
-        Py_XSETREF(self->field, v_);                                     \
-    } while (0)
-
+/* The settle fold: every declared counter, then the kernel's own. */
 static PER_RUN int
-step_kernel_fold(PyObject *self)
+kernel_fold(PyObject *self)
 {
-    StepKernelObject *k = (StepKernelObject *)self;
-    int i;
-    if (fold_dict(k->proc_dict, s_busy_cycles, &k->busy, 0) < 0 ||
-        fold_dict(k->nic_dict, s_packets_sent, &k->sent, 0) < 0 ||
-        fold_dict(k->cache_dict, s_miss_latency_total, &k->latency_total,
-                  0) < 0 ||
-        fold_dict(k->cache_dict, s_miss_latency_count, &k->latency_count,
-                  0) < 0)
-        return -1;
-    for (i = 0; i < N_CS; i++)
-        if (fold_list(k->cache_slots, k->cs[i], &k->cs_n[i]) < 0)
+    const KernelType *kt = KERNEL_TYPE(self);
+    const KernelField *f;
+    for (f = kt->fields; f->kind != F_END; f++) {
+        long long *n = (long long *)FIELD_AT(self, f->off);
+        PyObject *to;
+        Py_ssize_t i;
+        int rc = 0;
+        if (f->kind < F_ATTR)
+            continue;
+        to = *(PyObject **)FIELD_AT(self, f->of);
+        for (i = 0; rc == 0 && i < f->n; i++)
+            if (f->kind == F_CELLS)
+                rc = fold_list(to, ((long long *)FIELD_AT(self, f->ids))[i],
+                               &n[i]);
+            else if (f->kind == F_SLOTS)
+                rc = fold_slot(to, f->slots[i], &n[i]);
+            else
+                rc = fold_dict(to, f->names[i], &n[i], f->kind == F_TALLY);
+        if (rc < 0)
             return -1;
-    for (i = 0; i < N_PS; i++)
-        if (fold_list(k->proc_slots, k->ps[i], &k->ps_n[i]) < 0)
-            return -1;
-    return 0;
+    }
+    return kt->fold != NULL ? kt->fold(self) : 0;
 }
 
+/* __init__(spec): the declared fields, the kernel's own part, then a seat
+ * on the core's settle list and, last, its vectorcall.  Until that, the
+ * kernel refuses to be called: its vectorcall is NULL (and its methods
+ * check it), so a kernel never built or half built cannot run. */
 static int
-StepKernel_init(StepKernelObject *self, PyObject *args, PyObject *kwds)
+kernel_init(PyObject *self, PyObject *args, PyObject *kwds)
 {
+    const KernelType *kt = KERNEL_TYPE(self);
+    KernelHead *k = (KernelHead *)self;
+    const KernelField *f;
     PyObject *spec;
+    k->vectorcall = NULL;
+    settler_retire(&k->settler); /* a second __init__: settle the first */
     if (!g_ready) {
         PyErr_SetString(PyExc_RuntimeError, "_native.setup() not called");
         return -1;
     }
-    if (!PyArg_ParseTuple(args, "O!:StepKernel", &PyDict_Type, &spec) ||
-        take_core(spec, &self->core) < 0)
+    if (!PyArg_ParseTuple(args, "O!", &PyDict_Type, &spec))
         return -1;
-    SPEC_REF(proc, "proc");
-    SPEC_REF(tags, "tags");
-    SPEC_REF(states, "states");
-    SPEC_REF(written, "written");
-    SPEC_REF(slab, "slab");
-    SPEC_REF(cache_slots, "cache_slots");
-    SPEC_REF(proc_slots, "proc_slots");
-    SPEC_REF(issue, "issue");
-    SPEC_REF(park, "park");
-    SPEC_REF(retire, "retire");
-    SPEC_REF(execute_op, "execute_op");
-    SPEC_REF(find_work, "find_work");
-    SPEC_REF(cache_access, "cache_access");
-    SPEC_REF(mem_done, "mem_done");
-    SPEC_REF(cache, "cache");
-    SPEC_REF(nic, "nic");
-    SPEC_REF(net, "net");
-    SPEC_REF(pool, "pool");
-    SPEC_REF(node_obj, "node_id");
-    Py_XSETREF(self->proc_dict, PyObject_GenericGetDict(self->proc, NULL));
-    Py_XSETREF(self->cache_dict, PyObject_GenericGetDict(self->cache, NULL));
-    Py_XSETREF(self->nic_dict, PyObject_GenericGetDict(self->nic, NULL));
-    Py_XSETREF(self->net_dict, PyObject_GenericGetDict(self->net, NULL));
-    if (self->proc_dict == NULL || self->cache_dict == NULL ||
-        self->nic_dict == NULL || self->net_dict == NULL)
+    for (f = kt->fields; f->kind != F_END; f++)
+        if (field_load(self, f, spec) < 0)
+            return -1;
+    if (kt->init != NULL && kt->init(self, spec) < 0)
         return -1;
-    if (spec_get_ll(spec, "wpb", &self->wpb) < 0 ||
-        spec_get_ll(spec, "shift", &self->shift) < 0 ||
-        spec_get_ll(spec, "imask", &self->imask) < 0 ||
-        spec_get_ll(spec, "block_mask", &self->block_mask) < 0 ||
-        spec_get_ll(spec, "low_mask", &self->low_mask) < 0 ||
-        spec_get_ll(spec, "latency", &self->latency) < 0 ||
-        spec_get_ll(spec, "node_id", &self->node_id) < 0 ||
-        spec_get_ll(spec, "seg_shift", &self->seg_shift) < 0 ||
-        spec_get_ll(spec, "n_nodes", &self->n_nodes) < 0 ||
-        spec_get_ids(spec, "cache_slot_ids", self->cs, N_CS) < 0 ||
-        spec_get_ids(spec, "proc_slot_ids", self->ps, N_PS) < 0)
-        return -1;
-    if (self->slab_held) {
-        PyBuffer_Release(&self->slab_buf);
-        self->slab_held = 0;
-    }
-    if (PyObject_GetBuffer(self->slab, &self->slab_buf,
-                           PyBUF_WRITABLE | PyBUF_FORMAT) < 0)
-        return -1;
-    self->slab_held = 1;
-    if (!PyByteArray_Check(self->states) || !PyByteArray_Check(self->written)
-        || !PyList_Check(self->tags)) {
-        PyErr_SetString(PyExc_TypeError, "bad SoA column types");
-        return -1;
-    }
-    self->pool_native = PyObject_TypeCheck(self->pool, &Pool_Type);
-    self->vectorcall = step_kernel_vectorcall;
-    settler_join(self->core, &self->settler, (PyObject *)self,
-                 step_kernel_fold);
+    settler_join(k->core, &k->settler, self);
+    k->vectorcall = kt->vectorcall;
     return 0;
 }
 
 static int
-StepKernel_traverse(StepKernelObject *self, visitproc visit, void *arg)
+kernel_traverse(PyObject *self, visitproc visit, void *arg)
 {
-    Py_VISIT(self->core);
-    Py_VISIT(self->proc);
-    Py_VISIT(self->tags);
-    Py_VISIT(self->states);
-    Py_VISIT(self->written);
-    Py_VISIT(self->slab);
-    Py_VISIT(self->cache_slots);
-    Py_VISIT(self->proc_slots);
-    Py_VISIT(self->issue);
-    Py_VISIT(self->park);
-    Py_VISIT(self->retire);
-    Py_VISIT(self->execute_op);
-    Py_VISIT(self->find_work);
-    Py_VISIT(self->cache_access);
-    Py_VISIT(self->mem_done);
-    Py_VISIT(self->cache);
-    Py_VISIT(self->nic);
-    Py_VISIT(self->net);
-    Py_VISIT(self->pool);
-    Py_VISIT(self->node_obj);
-    Py_VISIT(self->proc_dict);
-    Py_VISIT(self->cache_dict);
-    Py_VISIT(self->nic_dict);
-    Py_VISIT(self->net_dict);
+    const KernelField *f;
+    Py_ssize_t i;
+    for (f = KERNEL_TYPE(self)->fields; f->kind != F_END; f++)
+        for (i = 0; f->kind <= F_HELD && i < f->n; i++)
+            Py_VISIT(((PyObject **)FIELD_AT(self, f->off))[i]);
     return 0;
 }
 
 static int
-StepKernel_clear(StepKernelObject *self)
+kernel_clear(PyObject *self)
 {
-    settler_retire(&self->settler);
-    if (self->slab_held) {
-        PyBuffer_Release(&self->slab_buf);
-        self->slab_held = 0;
-    }
-    Py_CLEAR(self->core);
-    Py_CLEAR(self->proc);
-    Py_CLEAR(self->tags);
-    Py_CLEAR(self->states);
-    Py_CLEAR(self->written);
-    Py_CLEAR(self->slab);
-    Py_CLEAR(self->cache_slots);
-    Py_CLEAR(self->proc_slots);
-    Py_CLEAR(self->issue);
-    Py_CLEAR(self->park);
-    Py_CLEAR(self->retire);
-    Py_CLEAR(self->execute_op);
-    Py_CLEAR(self->find_work);
-    Py_CLEAR(self->cache_access);
-    Py_CLEAR(self->mem_done);
-    Py_CLEAR(self->cache);
-    Py_CLEAR(self->nic);
-    Py_CLEAR(self->net);
-    Py_CLEAR(self->pool);
-    Py_CLEAR(self->node_obj);
-    Py_CLEAR(self->proc_dict);
-    Py_CLEAR(self->cache_dict);
-    Py_CLEAR(self->nic_dict);
-    Py_CLEAR(self->net_dict);
+    const KernelType *kt = KERNEL_TYPE(self);
+    const KernelField *f;
+    Py_ssize_t i;
+    settler_retire(&((KernelHead *)self)->settler);
+    ((KernelHead *)self)->vectorcall = NULL;
+    if (kt->release != NULL)
+        kt->release(self);
+    for (f = kt->fields; f->kind != F_END; f++)
+        for (i = 0; f->kind <= F_HELD && i < f->n; i++)
+            Py_CLEAR(((PyObject **)FIELD_AT(self, f->off))[i]);
     return 0;
 }
 
 static void
-StepKernel_dealloc(StepKernelObject *self)
+kernel_dealloc(PyObject *self)
 {
     PyObject_GC_UnTrack(self);
-    StepKernel_clear(self);
-    Py_TYPE(self)->tp_free((PyObject *)self);
+    kernel_clear(self);
+    Py_TYPE(self)->tp_free(self);
+}
+
+/* A kernel's methods refuse it as its call does: -1, with the error, when
+ * no __init__ has succeeded. */
+static int
+kernel_unready(PyObject *self)
+{
+    if (((KernelHead *)self)->vectorcall != NULL)
+        return 0;
+    PyErr_Format(PyExc_TypeError,
+                 "'%.200s' object does not support vectorcall",
+                 Py_TYPE(self)->tp_name);
+    return -1;
+}
+
+/* The PyTypeObject slots every kernel type has. */
+#define KERNEL_TYPE_SLOTS(T)                                             \
+    .tp_basicsize = sizeof(T),                                           \
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC |                \
+                Py_TPFLAGS_HAVE_VECTORCALL,                              \
+    .tp_new = PyType_GenericNew, .tp_init = kernel_init,                 \
+    .tp_dealloc = kernel_dealloc, .tp_traverse = kernel_traverse,        \
+    .tp_clear = kernel_clear,                                            \
+    .tp_vectorcall_offset = offsetof(KernelHead, vectorcall),            \
+    .tp_call = PyVectorcall_Call
+
+/* StepKernel's fields.  net_dict["send"] is looked up per use rather than
+ * held: the fabric's NetSend holds every node's RxChain, which holds us. */
+#define STEP_KERNEL(X)                                                   \
+    X(REF, proc, "proc", NULL)                                           \
+    X(REF, tags, "tags", &PyList_Type)                                   \
+    X(REF, states, "states", &PyByteArray_Type)                          \
+    X(REF, written, "written", &PyByteArray_Type)                        \
+    X(REF, slab, "slab", NULL)      /* array('q'), held as slab_buf */   \
+    X(REF, cache_slots, "cache_slots", &PyList_Type)                     \
+    X(REF, proc_slots, "proc_slots", &PyList_Type)                       \
+    X(REF, issue, "issue", NULL)    /* the processor's bound methods */  \
+    X(REF, park, "park", NULL)                                           \
+    X(REF, retire, "retire", NULL)                                       \
+    X(REF, execute_op, "execute_op", NULL)                               \
+    X(REF, find_work, "find_work", NULL)                                 \
+    X(REF, cache_access, "cache_access", NULL)                           \
+    X(REF, mem_done, "mem_done", NULL)                                   \
+    X(REF, cache, "cache", NULL)                                         \
+    X(REF, nic, "nic", NULL)                                             \
+    X(REF, net, "net", NULL)                                             \
+    X(REF, pool, "pool", NULL)      /* the machine's packet pool */      \
+    X(REF, node_obj, "node_id", NULL)                                    \
+    X(DICT, proc_dict, proc)                                             \
+    X(DICT, cache_dict, cache)                                           \
+    X(DICT, nic_dict, nic)                                               \
+    X(DICT, net_dict, net)                                               \
+    X(LL, wpb, "wpb")                                                    \
+    X(LL, shift, "shift")                                                \
+    X(LL, imask, "imask")                                                \
+    X(LL, block_mask, "block_mask")                                      \
+    X(LL, low_mask, "low_mask")                                          \
+    X(LL, latency, "latency")                                            \
+    X(LL, node_id, "node_id")                                            \
+    X(LL, seg_shift, "seg_shift")                                        \
+    X(LL, n_nodes, "n_nodes")                                            \
+    X(IDS, cs, "cache_slot_ids", [N_CS])                                 \
+    X(IDS, ps, "proc_slot_ids", [N_PS])                                  \
+    X(ATTR, busy, proc_dict, s_busy_cycles)                              \
+    X(ATTR, sent, nic_dict, s_packets_sent)                              \
+    X(ATTR, latency_total, cache_dict, s_miss_latency_total)             \
+    X(ATTR, latency_count, cache_dict, s_miss_latency_count)             \
+    X(CELLS, cs_n, [N_CS], cache_slots, cs)                              \
+    X(CELLS, ps_n, [N_PS], proc_slots, ps)
+
+typedef struct {
+    KERNEL_HEAD
+    STEP_KERNEL(MEMBER)
+    Py_buffer slab_buf;
+    int slab_held, pool_native;
+    long long fallthroughs; /* ops handed to execute_op (see fallback:) */
+    long long handbacks[N_HANDBACKS];
+} StepKernelObject;
+
+#define KT StepKernelObject
+FIELD_TABLE(step_kernel_fields, STEP_KERNEL);
+#undef KT
+
+static PyTypeObject Pool_Type;
+
+static void
+step_kernel_release(PyObject *self)
+{
+    StepKernelObject *k = (StepKernelObject *)self;
+    if (k->slab_held) {
+        PyBuffer_Release(&k->slab_buf);
+        k->slab_held = 0;
+    }
+}
+
+static int
+step_kernel_init(PyObject *self, PyObject *spec)
+{
+    StepKernelObject *k = (StepKernelObject *)self;
+    step_kernel_release(self);
+    if (PyObject_GetBuffer(k->slab, &k->slab_buf,
+                           PyBUF_WRITABLE | PyBUF_FORMAT) < 0)
+        return -1;
+    k->slab_held = 1;
+    k->pool_native = PyObject_TypeCheck(k->pool, &Pool_Type);
+    return 0;
 }
 
 /* call one of the cached Python fallbacks, dropping the result */
@@ -2070,6 +2140,8 @@ step_kernel_mem_done_impl(PyObject *kself, PyObject *const *args,
 static PyObject *
 step_kernel_mem_done(PyObject *kself, PyObject *const *args, Py_ssize_t nargs)
 {
+    if (kernel_unready(kself) < 0)
+        return NULL;
     return settled(((KernelHead *)kself)->core,
                    step_kernel_mem_done_impl(kself, args, nargs));
 }
@@ -2092,7 +2164,7 @@ static PyMemberDef StepKernel_members[] = {
 static PyObject *
 handbacks_get(PyObject *self, void *offset)
 {
-    const long long *counts = (long long *)((char *)self + (size_t)offset);
+    const long long *counts = (long long *)FIELD_AT(self, (size_t)offset);
     PyObject *out = PyDict_New();
     int i;
     for (i = 0; out != NULL && i < N_HANDBACKS; i++) {
@@ -2110,21 +2182,14 @@ static PyGetSetDef StepKernel_getsets[] = {
     {NULL, NULL, NULL, NULL, NULL},
 };
 
-static PyTypeObject StepKernel_Type = {
-    PyVarObject_HEAD_INIT(NULL, 0).tp_name = "repro._native.StepKernel",
-    .tp_basicsize = sizeof(StepKernelObject),
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC |
-                Py_TPFLAGS_HAVE_VECTORCALL,
-    .tp_new = PyType_GenericNew,
-    .tp_init = (initproc)StepKernel_init,
-    .tp_dealloc = (destructor)StepKernel_dealloc,
-    .tp_traverse = (traverseproc)StepKernel_traverse,
-    .tp_clear = (inquiry)StepKernel_clear,
-    .tp_members = StepKernel_members,
-    .tp_methods = StepKernel_methods,
-    .tp_getset = StepKernel_getsets,
-    .tp_vectorcall_offset = offsetof(StepKernelObject, vectorcall),
-    .tp_call = PyVectorcall_Call,
+static KernelType StepKernel_Type = {
+    {PyVarObject_HEAD_INIT(NULL, 0).tp_name = "repro._native.StepKernel",
+     KERNEL_TYPE_SLOTS(StepKernelObject),
+     .tp_members = StepKernel_members,
+     .tp_methods = StepKernel_methods,
+     .tp_getset = StepKernel_getsets},
+    step_kernel_fields, step_kernel_vectorcall, step_kernel_init, NULL,
+    step_kernel_release,
 };
 
 /* ------------------------------------------------------------------ */
@@ -2350,39 +2415,6 @@ Pool_release(PoolObject *self, PyObject *packet)
 }
 
 static PyObject *
-Pool_get_enabled(PoolObject *self, void *c)
-{
-    return PyBool_FromLong(self->enabled);
-}
-
-static int
-Pool_set_enabled(PoolObject *self, PyObject *v, void *c)
-{
-    int x = PyObject_IsTrue(v);
-    if (x < 0)
-        return -1;
-    self->enabled = x;
-    return 0;
-}
-
-#define POOL_LL_GETSET(field)                                            \
-    static PyObject *Pool_get_##field(PoolObject *s, void *c)            \
-    {                                                                    \
-        return PyLong_FromLongLong(s->field);                            \
-    }                                                                    \
-    static int Pool_set_##field(PoolObject *s, PyObject *v, void *c)     \
-    {                                                                    \
-        long long x = PyLong_AsLongLong(v);                              \
-        if (x == -1 && PyErr_Occurred())                                 \
-            return -1;                                                   \
-        s->field = x;                                                    \
-        return 0;                                                        \
-    }
-
-POOL_LL_GETSET(allocated)
-POOL_LL_GETSET(recycled)
-
-static PyObject *
 Pool_get_free_list(PoolObject *self, void *c)
 {
     Py_INCREF(self->free_list);
@@ -2397,12 +2429,9 @@ static PyMethodDef Pool_methods[] = {
 };
 
 static PyGetSetDef Pool_getsets[] = {
-    {"enabled", (getter)Pool_get_enabled, (setter)Pool_set_enabled, NULL,
-     NULL},
-    {"allocated", (getter)Pool_get_allocated, (setter)Pool_set_allocated,
-     NULL, NULL},
-    {"recycled", (getter)Pool_get_recycled, (setter)Pool_set_recycled,
-     NULL, NULL},
+    FIELD_GETSET(flag, PoolObject, enabled),
+    FIELD_GETSET(ll, PoolObject, allocated),
+    FIELD_GETSET(ll, PoolObject, recycled),
     {"_free_list", (getter)Pool_get_free_list, NULL, NULL, NULL},
     {NULL, NULL, NULL, NULL, NULL},
 };
@@ -2432,130 +2461,62 @@ static PyTypeObject Pool_Type = {
 /* CacheController.receive for the memory→cache direction.            */
 /* ------------------------------------------------------------------ */
 
+/* RxChain's fields.  ``kernel`` is the node's StepKernel (or NULL), which
+ * carries the compiled fill and invalidate, and ``compiled`` the three
+ * cache_rx handlers they stand in for: a slot somebody rebinds afterwards
+ * is called, not compiled.  ``pool_release`` is a Python pool's. */
+#define RX_CHAIN(X)                                                      \
+    X(REF, nic, "nic", NULL)                                             \
+    X(REF, nic_receive, "receive", NULL)                                 \
+    X(REF, memory_handler, "memory_handler", NULL)                       \
+    X(REF, cache_rx, "cache_rx", &PyList_Type)                           \
+    X(REF, pool, "pool", NULL)                                           \
+    X(REF, divert, "divert", NULL)                                       \
+    X(DICT, nic_dict, nic)                                               \
+    X(HELD, kernel, )                                                    \
+    X(HELD, compiled, [3])                                               \
+    X(HELD, pool_release, )                                              \
+    X(ATTR, received, nic_dict, s_packets_received)
+
 typedef struct {
     KERNEL_HEAD
-    PyObject *nic, *nic_dict, *nic_receive, *memory_handler;
-    PyObject *cache_rx, *pool, *pool_release, *divert;
-    /* The node's StepKernel (or NULL), which carries the compiled fill
-     * and invalidate, and the three cache_rx handlers they stand in
-     * for: a slot somebody rebinds afterwards is called, not compiled. */
-    StepKernelObject *kernel;
-    PyObject *compiled[3];
+    RX_CHAIN(MEMBER)
     int pool_native;
-    long long received;     /* nic.packets_received, until the settle */
 } RxChainObject;
+
+#define KT RxChainObject
+FIELD_TABLE(rx_chain_fields, RX_CHAIN);
+#undef KT
 
 static int ck_fill(StepKernelObject *, PyObject *, int);
 static int ck_invalidate(StepKernelObject *, PyObject *);
 
-static PyObject *rx_chain_vectorcall(PyObject *, PyObject *const *, size_t,
-                                     PyObject *);
-
-static PER_RUN int
-rx_chain_fold(PyObject *self)
+static int
+rx_chain_init(PyObject *self, PyObject *spec)
 {
     RxChainObject *c = (RxChainObject *)self;
-    return fold_dict(c->nic_dict, s_packets_received, &c->received, 0);
-}
-
-static int
-RxChain_init(RxChainObject *self, PyObject *args, PyObject *kwds)
-{
-    PyObject *spec;
-    if (!g_ready) {
-        PyErr_SetString(PyExc_RuntimeError, "_native.setup() not called");
+    PyObject *kernel = spec_get(spec, "kernel");
+    int i;
+    if (kernel == NULL)
         return -1;
-    }
-    if (!PyArg_ParseTuple(args, "O!:RxChain", &PyDict_Type, &spec) ||
-        take_core(spec, &self->core) < 0)
-        return -1;
-    SPEC_REF(nic, "nic");
-    SPEC_REF(nic_receive, "receive");
-    SPEC_REF(memory_handler, "memory_handler");
-    SPEC_REF(cache_rx, "cache_rx");
-    SPEC_REF(pool, "pool");
-    SPEC_REF(divert, "divert");
-    Py_XSETREF(self->nic_dict, PyObject_GenericGetDict(self->nic, NULL));
-    if (self->nic_dict == NULL)
-        return -1;
-    if (!PyList_Check(self->cache_rx)) {
-        PyErr_SetString(PyExc_TypeError, "cache_rx must be a list");
-        return -1;
-    }
-    {
-        PyObject *kernel = spec_get(spec, "kernel");
-        int i;
-        if (kernel == NULL)
-            return -1;
-        Py_CLEAR(self->kernel);
-        if (PyObject_TypeCheck(kernel, &StepKernel_Type) &&
-            PyList_GET_SIZE(self->cache_rx) > g_op_rdata + 2) {
-            Py_INCREF(kernel);
-            self->kernel = (StepKernelObject *)kernel;
-            for (i = 0; i < 3; i++) {
-                PyObject *h = PyList_GET_ITEM(self->cache_rx, g_op_rdata + i);
-                Py_INCREF(h);
-                Py_XSETREF(self->compiled[i], h);
-            }
+    Py_CLEAR(c->kernel);
+    if (PyObject_TypeCheck(kernel, &StepKernel_Type.type) &&
+        ((KernelHead *)kernel)->vectorcall != NULL &&
+        PyList_GET_SIZE(c->cache_rx) > g_op_rdata + 2) {
+        c->kernel = Py_NewRef(kernel);
+        for (i = 0; i < 3; i++) {
+            PyObject *h = PyList_GET_ITEM(c->cache_rx, g_op_rdata + i);
+            Py_XSETREF(c->compiled[i], Py_NewRef(h));
         }
     }
-    self->pool_native = PyObject_TypeCheck(self->pool, &Pool_Type);
-    if (!self->pool_native) {
-        PyObject *rel = PyObject_GetAttrString(self->pool, "release");
+    c->pool_native = PyObject_TypeCheck(c->pool, &Pool_Type);
+    if (!c->pool_native) {
+        PyObject *rel = PyObject_GetAttrString(c->pool, "release");
         if (rel == NULL)
             return -1;
-        Py_XSETREF(self->pool_release, rel);
+        Py_XSETREF(c->pool_release, rel);
     }
-    self->vectorcall = rx_chain_vectorcall;
-    settler_join(self->core, &self->settler, (PyObject *)self, rx_chain_fold);
     return 0;
-}
-
-static int
-RxChain_traverse(RxChainObject *self, visitproc visit, void *arg)
-{
-    Py_VISIT(self->core);
-    Py_VISIT(self->nic);
-    Py_VISIT(self->nic_dict);
-    Py_VISIT(self->nic_receive);
-    Py_VISIT(self->memory_handler);
-    Py_VISIT(self->cache_rx);
-    Py_VISIT(self->pool);
-    Py_VISIT(self->pool_release);
-    Py_VISIT(self->divert);
-    Py_VISIT(self->kernel);
-    Py_VISIT(self->compiled[0]);
-    Py_VISIT(self->compiled[1]);
-    Py_VISIT(self->compiled[2]);
-    return 0;
-}
-
-static int
-RxChain_clear(RxChainObject *self)
-{
-    settler_retire(&self->settler);
-    Py_CLEAR(self->core);
-    Py_CLEAR(self->nic);
-    Py_CLEAR(self->nic_dict);
-    Py_CLEAR(self->nic_receive);
-    Py_CLEAR(self->memory_handler);
-    Py_CLEAR(self->cache_rx);
-    Py_CLEAR(self->pool);
-    Py_CLEAR(self->pool_release);
-    Py_CLEAR(self->divert);
-    Py_CLEAR(self->kernel);
-    Py_CLEAR(self->compiled[0]);
-    Py_CLEAR(self->compiled[1]);
-    Py_CLEAR(self->compiled[2]);
-    return 0;
-}
-
-static void
-RxChain_dealloc(RxChainObject *self)
-{
-    PyObject_GC_UnTrack(self);
-    RxChain_clear(self);
-    Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
 static PyObject *
@@ -2563,6 +2524,7 @@ rx_chain_call(PyObject *cself, PyObject *const *args, size_t nargsf,
               PyObject *kwnames)
 {
     RxChainObject *c = (RxChainObject *)cself;
+    StepKernelObject *kernel = (StepKernelObject *)c->kernel;
     PyObject *packet, *crc, *op, *r;
     long v = -1, which = -1; /* Op value; its offset from Op.RDATA */
     if (PyVectorcall_NARGS(nargsf) != 1 ||
@@ -2576,7 +2538,7 @@ rx_chain_call(PyObject *cself, PyObject *const *args, size_t nargsf,
         v = PyLong_AsLong(op);
         if (v == -1 && PyErr_Occurred())
             return NULL;
-        which = c->kernel != NULL ? v - g_op_rdata : -1;
+        which = kernel != NULL ? v - g_op_rdata : -1;
     }
     crc = PyDict_GetItemWithError(c->nic_dict, s_crc_enabled);
     if (crc == NULL && PyErr_Occurred())
@@ -2589,7 +2551,7 @@ rx_chain_call(PyObject *cself, PyObject *const *args, size_t nargsf,
             /* CRC checking is cold: let the Python NIC do the whole
                receive (it bumps packets_received itself). */
             if (which >= 0 && which < 3)
-                c->kernel->handbacks[HB_CRC] += 1;
+                kernel->handbacks[HB_CRC] += 1;
             return PyObject_CallOneArg(c->nic_receive, packet);
         }
     }
@@ -2606,8 +2568,8 @@ rx_chain_call(PyObject *cself, PyObject *const *args, size_t nargsf,
         if (which >= 0 && which < 3 && handler == c->compiled[which]) {
             /* RDATA, WDATA, INV: the compiled miss transaction, unless
                it hands the packet back (1) to the handler below */
-            int back = which == 2 ? ck_invalidate(c->kernel, packet)
-                                  : ck_fill(c->kernel, packet, which + 1);
+            int back = which == 2 ? ck_invalidate(kernel, packet)
+                                  : ck_fill(kernel, packet, which + 1);
             if (back < 0)
                 return NULL;
             if (!back)
@@ -2638,18 +2600,10 @@ rx_chain_call(PyObject *cself, PyObject *const *args, size_t nargsf,
 
 KERNEL_ENTRY(rx_chain_vectorcall, rx_chain_call)
 
-static PyTypeObject RxChain_Type = {
-    PyVarObject_HEAD_INIT(NULL, 0).tp_name = "repro._native.RxChain",
-    .tp_basicsize = sizeof(RxChainObject),
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC |
-                Py_TPFLAGS_HAVE_VECTORCALL,
-    .tp_new = PyType_GenericNew,
-    .tp_init = (initproc)RxChain_init,
-    .tp_dealloc = (destructor)RxChain_dealloc,
-    .tp_traverse = (traverseproc)RxChain_traverse,
-    .tp_clear = (inquiry)RxChain_clear,
-    .tp_vectorcall_offset = offsetof(RxChainObject, vectorcall),
-    .tp_call = PyVectorcall_Call,
+static KernelType RxChain_Type = {
+    {PyVarObject_HEAD_INIT(NULL, 0).tp_name = "repro._native.RxChain",
+     KERNEL_TYPE_SLOTS(RxChainObject)},
+    rx_chain_fields, rx_chain_vectorcall, rx_chain_init, NULL, NULL,
 };
 
 /* ------------------------------------------------------------------ */
@@ -2660,34 +2614,39 @@ static PyTypeObject RxChain_Type = {
 /* a drained machine accepts; a mid-run verify.diagnose sees none).   */
 /* ------------------------------------------------------------------ */
 
-/* the NetworkStats fields a send adds to, in g_stat's order */
-enum { NS_PACKETS, NS_WORDS, NS_HOPS, NS_LATENCY, NS_CONTENTION, N_NS };
+#define NET_SEND(X)                                                      \
+    X(REF, net, "net", NULL)                                             \
+    X(REF, stats, "stats", NULL)                                         \
+    X(REF, per_opcode, "per_opcode", &PyDict_Type)                       \
+    X(REF, handlers, "handlers", &PyList_Type)                           \
+    X(REF, route_cache, "route_cache", &PyDict_Type)                     \
+    X(REF, intern_route, "intern_route", NULL)                           \
+    X(REF, link_free_at, "link_free_at", &PyList_Type)                   \
+    X(REF, link_busy, "link_busy", &PyList_Type)                         \
+    X(DICT, net_dict, net)                                               \
+    X(LL, hop_latency, "hop_latency")                                    \
+    X(LL, cycles_per_word, "cycles_per_word")                            \
+    X(LL, injection_latency, "injection_latency")                        \
+    X(SLOTS, stat_n, [N_NS], stats, g_stat)
 
 typedef struct {
     KERNEL_HEAD
-    PyObject *net, *net_dict, *stats, *per_opcode, *handlers;
-    PyObject *route_cache, *intern_route, *link_free_at, *link_busy;
-    long long hop_latency, cycles_per_word, injection_latency;
-    /* until the settle: the stats fields, per_opcode by Op value, and
-     * link_busy by link index (grown as links are interned) */
-    long long stat_n[N_NS], op_n[64], *link_n;
+    NET_SEND(MEMBER)
+    /* until the settle, too: per_opcode by Op value, and link_busy by
+     * link index (grown as links are interned) */
+    long long op_n[64], *link_n;
     Py_ssize_t n_links;
 } NetSendObject;
 
-static PyObject *net_send_vectorcall(PyObject *, PyObject *const *, size_t,
-                                     PyObject *);
+#define KT NetSendObject
+FIELD_TABLE(net_send_fields, NET_SEND);
+#undef KT
 
 static PER_RUN int
 net_send_fold(PyObject *self)
 {
-    static const Py_ssize_t *const offsets[N_NS] = {
-        &g_stat.packets, &g_stat.words, &g_stat.hops, &g_stat.total_latency,
-        &g_stat.contention};
     NetSendObject *ns = (NetSendObject *)self;
     Py_ssize_t i;
-    for (i = 0; i < N_NS; i++)
-        if (fold_slot(ns->stats, *offsets[i], &ns->stat_n[i]) < 0)
-            return -1;
     for (i = 0; i < 64 && i < PyTuple_GET_SIZE(g_op_names); i++)
         if (fold_dict(ns->per_opcode, PyTuple_GET_ITEM(g_op_names, i),
                       &ns->op_n[i], 1) < 0)
@@ -2698,85 +2657,13 @@ net_send_fold(PyObject *self)
     return 0;
 }
 
-static int
-NetSend_init(NetSendObject *self, PyObject *args, PyObject *kwds)
-{
-    PyObject *spec;
-    if (!g_ready) {
-        PyErr_SetString(PyExc_RuntimeError, "_native.setup() not called");
-        return -1;
-    }
-    if (!PyArg_ParseTuple(args, "O!:NetSend", &PyDict_Type, &spec) ||
-        take_core(spec, &self->core) < 0)
-        return -1;
-    SPEC_REF(net, "net");
-    SPEC_REF(stats, "stats");
-    SPEC_REF(per_opcode, "per_opcode");
-    SPEC_REF(handlers, "handlers");
-    SPEC_REF(route_cache, "route_cache");
-    SPEC_REF(intern_route, "intern_route");
-    SPEC_REF(link_free_at, "link_free_at");
-    SPEC_REF(link_busy, "link_busy");
-    Py_XSETREF(self->net_dict, PyObject_GenericGetDict(self->net, NULL));
-    if (self->net_dict == NULL)
-        return -1;
-    if (spec_get_ll(spec, "hop_latency", &self->hop_latency) < 0 ||
-        spec_get_ll(spec, "cycles_per_word", &self->cycles_per_word) < 0 ||
-        spec_get_ll(spec, "injection_latency",
-                    &self->injection_latency) < 0)
-        return -1;
-    if (!PyList_Check(self->handlers) || !PyList_Check(self->link_free_at)
-        || !PyList_Check(self->link_busy) ||
-        !PyDict_Check(self->route_cache) ||
-        !PyDict_Check(self->per_opcode)) {
-        PyErr_SetString(PyExc_TypeError, "bad NetSend spec shapes");
-        return -1;
-    }
-    self->vectorcall = net_send_vectorcall;
-    settler_join(self->core, &self->settler, (PyObject *)self, net_send_fold);
-    return 0;
-}
-
-static int
-NetSend_traverse(NetSendObject *self, visitproc visit, void *arg)
-{
-    Py_VISIT(self->core);
-    Py_VISIT(self->net);
-    Py_VISIT(self->net_dict);
-    Py_VISIT(self->stats);
-    Py_VISIT(self->per_opcode);
-    Py_VISIT(self->handlers);
-    Py_VISIT(self->route_cache);
-    Py_VISIT(self->intern_route);
-    Py_VISIT(self->link_free_at);
-    Py_VISIT(self->link_busy);
-    return 0;
-}
-
-static int
-NetSend_clear(NetSendObject *self)
-{
-    settler_retire(&self->settler);
-    Py_CLEAR(self->core);
-    Py_CLEAR(self->net);
-    Py_CLEAR(self->net_dict);
-    Py_CLEAR(self->stats);
-    Py_CLEAR(self->per_opcode);
-    Py_CLEAR(self->handlers);
-    Py_CLEAR(self->route_cache);
-    Py_CLEAR(self->intern_route);
-    Py_CLEAR(self->link_free_at);
-    Py_CLEAR(self->link_busy);
-    return 0;
-}
-
 static void
-NetSend_dealloc(NetSendObject *self)
+net_send_release(PyObject *self)
 {
-    PyObject_GC_UnTrack(self);
-    NetSend_clear(self);
-    PyMem_Free(self->link_n);
-    Py_TYPE(self)->tp_free((PyObject *)self);
+    NetSendObject *ns = (NetSendObject *)self;
+    PyMem_Free(ns->link_n);
+    ns->link_n = NULL;
+    ns->n_links = 0;
 }
 
 /* per_opcode[key] = per_opcode.get(key, 0) + 1, key as in WormholeNetwork:
@@ -3007,18 +2894,11 @@ fail_path:
 
 KERNEL_ENTRY(net_send_vectorcall, net_send_call)
 
-static PyTypeObject NetSend_Type = {
-    PyVarObject_HEAD_INIT(NULL, 0).tp_name = "repro._native.NetSend",
-    .tp_basicsize = sizeof(NetSendObject),
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC |
-                Py_TPFLAGS_HAVE_VECTORCALL,
-    .tp_new = PyType_GenericNew,
-    .tp_init = (initproc)NetSend_init,
-    .tp_dealloc = (destructor)NetSend_dealloc,
-    .tp_traverse = (traverseproc)NetSend_traverse,
-    .tp_clear = (inquiry)NetSend_clear,
-    .tp_vectorcall_offset = offsetof(NetSendObject, vectorcall),
-    .tp_call = PyVectorcall_Call,
+static KernelType NetSend_Type = {
+    {PyVarObject_HEAD_INIT(NULL, 0).tp_name = "repro._native.NetSend",
+     KERNEL_TYPE_SLOTS(NetSendObject)},
+    net_send_fields, net_send_vectorcall, NULL, net_send_fold,
+    net_send_release,
 };
 
 /* ------------------------------------------------------------------ */
@@ -3056,13 +2936,17 @@ dict_peek(PyObject *dict, PyObject *key)
     return v;
 }
 
-/* network.send when it is the compiled one (borrowed), else NULL: a
- * non-wormhole topology, a capture fabric, a dismantled network */
+/* network.send, from the network's __dict__, when it is a built NetSend
+ * (borrowed), else NULL: a non-wormhole topology, a capture fabric, a
+ * dismantled network */
 static PyObject *
-ck_net_send(StepKernelObject *k)
+net_send_of(PyObject *net_dict)
 {
-    PyObject *send = dict_peek(k->net_dict, s_send);
-    return send != NULL && Py_TYPE(send) == &NetSend_Type ? send : NULL;
+    PyObject *send = dict_peek(net_dict, s_send);
+    return send != NULL && Py_TYPE(send) == &NetSend_Type.type &&
+                   ((KernelHead *)send)->vectorcall != NULL
+               ? send
+               : NULL;
 }
 
 /* ``dict[name]`` as a flag: 0 or 1 for a bool or a plain int, as Python's
@@ -3086,7 +2970,7 @@ ck_gate(StepKernelObject *k, int sends)
     int flag;
     if (!k->pool_native)
         return HB_POOL;
-    if (ck_net_send(k) == NULL) /* an emptied __dict__: dismantled */
+    if (net_send_of(k->net_dict) == NULL) /* an emptied __dict__: dismantled */
         return PyDict_GET_SIZE(k->net_dict) ? HB_FABRIC : HB_MALFORMED;
     if ((flag = ck_flag(k->cache_dict, s_fault_tolerant)) != 0)
         return flag < 0 ? HB_MALFORMED : HB_FAULT_TOLERANT;
@@ -3130,7 +3014,7 @@ ck_send(StepKernelObject *k, PyObject *dst, PyObject *op, PyObject *address,
 {
     PyObject *packet = pool_protocol_impl((PoolObject *)k->pool, k->node_obj,
                                           dst, op, address, data, meta);
-    PyObject *send = ck_net_send(k), *r = NULL;
+    PyObject *send = net_send_of(k->net_dict), *r = NULL;
     if (packet == NULL)
         return -1;
     if (send == NULL)
@@ -3524,20 +3408,6 @@ enum { DC_NONE, DC_RO_RREQ, DC_RO_WREQ, DC_RW_RREQ, DC_RW_WREQ, DC_RW_REPM,
     "limited._ro_rreq"
 #define MAX_DIR_CELLS 64  /* states x opcodes a table may have */
 
-/* What the kernel holds, by spec key.  One array rather than a field
- * each: init, traverse and clear are loops over it. */
-enum { DK_CTRL, DK_PROCESS, DK_RECEIVE, DK_DIRECTORY, DK_ROWS, DK_STATE,
-       DK_META, DK_LOCAL, DK_REQUESTER, DK_TXN, DK_PEAK, DK_SHARERS, DK_ACKS,
-       DK_TABLE, DK_CELLS, DK_SLOTS, DK_VALUES, DK_MEMORY, DK_BLOCKS,
-       DK_OCCUPANCY, DK_NIC, DK_NET, DK_POOL, DK_NODE, DK_STRAY_NAMES,
-       /* derived: the __dict__ of ctrl, occupancy, nic and net */
-       DK_CTRL_DICT, DK_OCC_DICT, DK_NIC_DICT, DK_NET_DICT, N_DK_REFS };
-static const char *const dk_ref_names[DK_CTRL_DICT] = {
-    "ctrl", "process", "receive", "directory", "rows", "state", "meta",
-    "local", "requester", "txn", "peak", "sharers", "acks", "table", "cells",
-    "slots", "values", "memory", "blocks", "occupancy", "nic", "net", "pool",
-    "node_id", "stray_names"};
-
 /* the named counters the cells bump, and their names in the bag */
 enum { DN_INVALIDATIONS, DN_REGRANT, DN_BUSY_SENT, DN_STRAY_DROPPED,
        DN_WRITE_DONE, DN_READ_DONE, DN_READ_OVERFLOW, DN_POINTER_EVICTIONS,
@@ -3545,141 +3415,126 @@ enum { DN_INVALIDATIONS, DN_REGRANT, DN_BUSY_SENT, DN_STRAY_DROPPED,
 static PyObject *s_dn[N_DN];
 #define MAX_DIR_OPS (MAX_DIR_CELLS / N_DIR_STATES)
 
-typedef struct {
-    KERNEL_HEAD                 /* kernel(packet) is ``process`` */
-    PyObject *r[N_DK_REFS];
-    unsigned char codes[MAX_DIR_CELLS]; /* DC_* by state * n_ops + op */
-    long long n_ops, packets_slot, node_id, seg_shift, n_nodes, low_mask;
-    int pool_native;
-    /* until the settle: the dir.packets cell, the named counters and
-     * dir.stray.<op>, occupancy.busy_cycles/requests, nic.packets_sent */
-    long long packets_n, named_n[N_DN], stray_n[MAX_DIR_OPS];
-    long long occ_busy, occ_requests, sent;
-    long long handbacks[N_HANDBACKS];
-} DirKernelObject;
-
 static PyObject *s_retained, *s_pointer_capacity, *s_software_pass;
 static PyObject *s_dir_occupancy, *s_free_at, *s_requests, *s_worker_sets;
 static PyObject *s_inv_rounds, *s_entry, *s_block, *s_fifo_order;
 
-static PyObject *dir_kernel_vectorcall(PyObject *, PyObject *const *, size_t,
-                                       PyObject *);
+/* DirKernel's fields: the controller, its bound pipeline methods, the
+ * SoaDirectory columns and the parts the cells reach. */
+#define DIR_KERNEL(X)                                                    \
+    X(REF, ctrl, "ctrl", NULL)                                           \
+    X(REF, process, "process", NULL)                                     \
+    X(REF, receive, "receive", NULL)                                     \
+    X(REF, directory, "directory", NULL)                                 \
+    X(REF, rows, "rows", &PyDict_Type)                                   \
+    X(REF, state, "state", &PyByteArray_Type)                            \
+    X(REF, meta, "meta", &PyByteArray_Type)                              \
+    X(REF, local, "local", &PyByteArray_Type)                            \
+    X(REF, requester, "requester", &PyList_Type)                         \
+    X(REF, txn, "txn", &PyList_Type)                                     \
+    X(REF, peak, "peak", &PyList_Type)                                   \
+    X(REF, sharers, "sharers", &PyList_Type)                             \
+    X(REF, acks, "acks", &PyList_Type)                                   \
+    X(REF, table, "table", &PyList_Type)                                 \
+    X(REF, cells, "cells", &PyTuple_Type)                                \
+    X(REF, slots, "slots", &PyList_Type)                                 \
+    X(REF, values, "values", &PyDict_Type)                               \
+    X(REF, memory, "memory", NULL)                                       \
+    X(REF, blocks, "blocks", &PyDict_Type)                               \
+    X(REF, occupancy, "occupancy", NULL)                                 \
+    X(REF, nic, "nic", NULL)                                             \
+    X(REF, net, "net", NULL)                                             \
+    X(REF, pool, "pool", NULL)                                           \
+    X(REF, node_obj, "node_id", NULL)                                    \
+    X(REF, stray_names, "stray_names", &PyTuple_Type)                    \
+    X(DICT, ctrl_dict, ctrl)                                             \
+    X(DICT, occ_dict, occupancy)                                         \
+    X(DICT, nic_dict, nic)                                               \
+    X(DICT, net_dict, net)                                               \
+    X(LL, n_ops, "n_ops")                                                \
+    X(LL, packets_slot, "packets_slot")                                  \
+    X(LL, node_id, "node_id")                                            \
+    X(LL, seg_shift, "seg_shift")                                        \
+    X(LL, n_nodes, "n_nodes")                                            \
+    X(LL, low_mask, "low_mask")                                          \
+    X(CELLS, packets_n, , slots, packets_slot)                           \
+    X(ATTR, occ_busy, occ_dict, s_busy_cycles)                           \
+    X(ATTR, occ_requests, occ_dict, s_requests)                          \
+    X(ATTR, sent, nic_dict, s_packets_sent)                              \
+    X(TALLY, named_n, [N_DN], values, s_dn)
+
+typedef struct {
+    KERNEL_HEAD                 /* kernel(packet) is ``process`` */
+    DIR_KERNEL(MEMBER)
+    unsigned char codes[MAX_DIR_CELLS]; /* DC_* by state * n_ops + op */
+    int pool_native;
+    long long stray_n[MAX_DIR_OPS]; /* dir.stray.<op>, until the settle */
+    long long handbacks[N_HANDBACKS];
+} DirKernelObject;
+
+#define KT DirKernelObject
+FIELD_TABLE(dir_kernel_fields, DIR_KERNEL);
+#undef KT
 
 static PER_RUN int
 dir_kernel_fold(PyObject *self)
 {
     DirKernelObject *k = (DirKernelObject *)self;
-    PyObject **r = k->r;
     Py_ssize_t i;
-    if (fold_list(r[DK_SLOTS], (Py_ssize_t)k->packets_slot, &k->packets_n) < 0
-        || fold_dict(r[DK_OCC_DICT], s_busy_cycles, &k->occ_busy, 0) < 0 ||
-        fold_dict(r[DK_OCC_DICT], s_requests, &k->occ_requests, 0) < 0 ||
-        fold_dict(r[DK_NIC_DICT], s_packets_sent, &k->sent, 0) < 0)
-        return -1;
-    for (i = 0; i < N_DN; i++)
-        if (fold_dict(r[DK_VALUES], s_dn[i], &k->named_n[i], 1) < 0)
-            return -1;
     for (i = 0; i < k->n_ops; i++)
-        if (fold_dict(r[DK_VALUES], PyTuple_GET_ITEM(r[DK_STRAY_NAMES], i),
+        if (fold_dict(k->values, PyTuple_GET_ITEM(k->stray_names, i),
                       &k->stray_n[i], 1) < 0)
             return -1;
     return 0;
 }
 
+/* The cell codes, and the ranges the compiled cells index by. */
 static int
-DirKernel_init(DirKernelObject *self, PyObject *args, PyObject *kwds)
+dir_kernel_init(PyObject *self, PyObject *spec)
 {
-    static const int dict_of[] = {DK_CTRL, DK_OCCUPANCY, DK_NIC, DK_NET};
-    PyObject *spec, *codes;
-    PyObject **r = self->r;
-    Py_ssize_t i, n_cells;
-    if (!g_ready) {
-        PyErr_SetString(PyExc_RuntimeError, "_native.setup() not called");
+    DirKernelObject *k = (DirKernelObject *)self;
+    PyObject *codes = spec_get(spec, "codes");
+    const char *bad = NULL;
+    Py_ssize_t i;
+    if (codes == NULL)
+        return -1;
+    if (!PyTuple_Check(codes)) {
+        PyErr_Format(PyExc_TypeError, "spec[codes] must be tuple, not %.80s",
+                     Py_TYPE(codes)->tp_name);
         return -1;
     }
-    if (!PyArg_ParseTuple(args, "O!:DirKernel", &PyDict_Type, &spec) ||
-        take_core(spec, &self->core) < 0)
+    if (k->n_ops < 1 || k->n_ops > MAX_DIR_OPS)
+        bad = "n_ops";
+    else if (PyTuple_GET_SIZE(k->cells) != N_DIR_STATES * k->n_ops)
+        bad = "cells";
+    else if (PyTuple_GET_SIZE(codes) != N_DIR_STATES * k->n_ops)
+        bad = "codes";
+    else if (PyTuple_GET_SIZE(k->stray_names) != k->n_ops)
+        bad = "stray_names";
+    else if (k->packets_slot < 0 ||
+             k->packets_slot >= PyList_GET_SIZE(k->slots))
+        bad = "packets_slot";
+    else if (k->n_nodes < 1 || k->n_nodes > 64)
+        bad = "n_nodes";
+    else if (k->node_id < 0 || k->node_id >= k->n_nodes)
+        bad = "node_id";
+    if (bad != NULL) {
+        PyErr_Format(PyExc_ValueError,
+                     "spec[%s] is the wrong size or out of range", bad);
         return -1;
-    for (i = 0; i < DK_CTRL_DICT; i++)
-        if (take_ref(spec, dk_ref_names[i], &r[i]) < 0)
+    }
+    for (i = 0; i < PyTuple_GET_SIZE(codes); i++) {
+        long long code;
+        if (spec_ll(PyTuple_GET_ITEM(codes, i), "codes", &code) < 0)
             return -1;
-    for (i = 0; i < 4; i++) {
-        Py_XSETREF(r[DK_CTRL_DICT + i],
-                   PyObject_GenericGetDict(r[dict_of[i]], NULL));
-        if (r[DK_CTRL_DICT + i] == NULL)
-            return -1;
-    }
-    if (spec_get_ll(spec, "n_ops", &self->n_ops) < 0 ||
-        spec_get_ll(spec, "packets_slot", &self->packets_slot) < 0 ||
-        spec_get_ll(spec, "node_id", &self->node_id) < 0 ||
-        spec_get_ll(spec, "seg_shift", &self->seg_shift) < 0 ||
-        spec_get_ll(spec, "n_nodes", &self->n_nodes) < 0 ||
-        spec_get_ll(spec, "low_mask", &self->low_mask) < 0 ||
-        (codes = spec_get(spec, "codes")) == NULL)
-        return -1;
-    n_cells = N_DIR_STATES * self->n_ops;
-    if (!PyDict_Check(r[DK_ROWS]) || !PyByteArray_Check(r[DK_STATE]) ||
-        !PyByteArray_Check(r[DK_META]) || !PyByteArray_Check(r[DK_LOCAL]) ||
-        !PyList_Check(r[DK_REQUESTER]) || !PyList_Check(r[DK_TXN]) ||
-        !PyList_Check(r[DK_PEAK]) || !PyList_Check(r[DK_SHARERS]) ||
-        !PyList_Check(r[DK_ACKS]) || !PyList_Check(r[DK_TABLE]) ||
-        !PyList_CheckExact(r[DK_SLOTS]) || !PyDict_Check(r[DK_VALUES]) ||
-        !PyDict_Check(r[DK_BLOCKS]) || !PyTuple_Check(r[DK_STRAY_NAMES]) ||
-        !PyTuple_Check(r[DK_CELLS]) || !PyTuple_Check(codes) ||
-        self->n_ops < 1 || n_cells > MAX_DIR_CELLS ||
-        PyTuple_GET_SIZE(r[DK_CELLS]) != n_cells ||
-        PyTuple_GET_SIZE(codes) != n_cells ||
-        PyTuple_GET_SIZE(r[DK_STRAY_NAMES]) != self->n_ops ||
-        self->packets_slot < 0 ||
-        self->packets_slot >= PyList_GET_SIZE(r[DK_SLOTS]) ||
-        self->n_nodes < 1 || self->n_nodes > 64 || self->node_id < 0 ||
-        self->node_id >= self->n_nodes) {
-        PyErr_SetString(PyExc_TypeError, "bad DirKernel spec shapes");
-        return -1;
-    }
-    for (i = 0; i < n_cells; i++) {
-        long code = PyLong_AsLong(PyTuple_GET_ITEM(codes, i));
         if (code < 0 || code >= N_DIR_CELLS) {
-            if (!PyErr_Occurred())
-                PyErr_SetString(PyExc_ValueError, "unknown directory cell");
+            PyErr_SetString(PyExc_ValueError, "unknown directory cell");
             return -1;
         }
-        self->codes[i] = (unsigned char)code;
+        k->codes[i] = (unsigned char)code;
     }
-    self->pool_native = PyObject_TypeCheck(r[DK_POOL], &Pool_Type);
-    self->vectorcall = dir_kernel_vectorcall;
-    settler_join(self->core, &self->settler, (PyObject *)self,
-                 dir_kernel_fold);
+    k->pool_native = PyObject_TypeCheck(k->pool, &Pool_Type);
     return 0;
-}
-
-static int
-DirKernel_traverse(DirKernelObject *self, visitproc visit, void *arg)
-{
-    int i;
-    Py_VISIT(self->core);
-    for (i = 0; i < N_DK_REFS; i++)
-        Py_VISIT(self->r[i]);
-    return 0;
-}
-
-static int
-DirKernel_clear(DirKernelObject *self)
-{
-    int i;
-    settler_retire(&self->settler);
-    Py_CLEAR(self->core);
-    for (i = 0; i < N_DK_REFS; i++)
-        Py_CLEAR(self->r[i]);
-    return 0;
-}
-
-static void
-DirKernel_dealloc(DirKernelObject *self)
-{
-    PyObject_GC_UnTrack(self);
-    DirKernel_clear(self);
-    Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
 /* One packet's step through ``process``: the packet's fields, the
@@ -3717,7 +3572,7 @@ dk_packet(DirKernelObject *k, PyObject *packet, DirStep *s, long long *addr)
     int flag;
     if (!k->pool_native)
         return HB_POOL;
-    if ((flag = ck_flag(k->r[DK_CTRL_DICT], s_fault_tolerant)) != 0)
+    if ((flag = ck_flag(k->ctrl_dict, s_fault_tolerant)) != 0)
         return flag < 0 ? HB_MALFORMED : HB_FAULT_TOLERANT;
     if ((PyObject *)Py_TYPE(packet) != g_packet_type)
         return HB_MALFORMED;
@@ -3748,7 +3603,7 @@ dk_packet(DirKernelObject *k, PyObject *packet, DirStep *s, long long *addr)
 static PER_MISS int
 dk_fifo_order(DirKernelObject *k, const DirStep *s, int *victim)
 {
-    PyObject *orders = dict_peek(k->r[DK_CTRL_DICT], s_fifo_order), *order;
+    PyObject *orders = dict_peek(k->ctrl_dict, s_fifo_order), *order;
     Py_ssize_t i;
     if (orders == NULL || !PyDict_Check(orders))
         return -1;
@@ -3778,7 +3633,6 @@ dk_fifo_order(DirKernelObject *k, const DirStep *s, int *victim)
 static PER_MISS int
 dk_decide(DirKernelObject *k, PyObject *packet, DirStep *s)
 {
-    PyObject **r = k->r;
     PyObject *row_obj, *meta_obj, *trow;
     unsigned long long home_bit = BIT(k->node_id), src_bit, holders;
     long long addr;
@@ -3790,7 +3644,7 @@ dk_decide(DirKernelObject *k, PyObject *packet, DirStep *s)
     if (meta_obj == NULL || !PyDict_CheckExact(meta_obj) ||
         (addr >> k->seg_shift) != k->node_id || (addr & k->low_mask))
         return HB_MALFORMED;
-    row_obj = PyDict_GetItemWithError(r[DK_ROWS], s->address);
+    row_obj = PyDict_GetItemWithError(k->rows, s->address);
     if (row_obj == NULL) {
         if (PyErr_Occurred())
             return -2;
@@ -3804,27 +3658,27 @@ dk_decide(DirKernelObject *k, PyObject *packet, DirStep *s)
     }
     else {
         Py_ssize_t row = PyLong_AsSsize_t(row_obj);
-        if (row < 0 || row >= PyByteArray_GET_SIZE(r[DK_STATE]) ||
-            row >= PyByteArray_GET_SIZE(r[DK_META]) ||
-            row >= PyByteArray_GET_SIZE(r[DK_LOCAL]) ||
-            row >= PyList_GET_SIZE(r[DK_REQUESTER]) ||
-            row >= PyList_GET_SIZE(r[DK_TXN]) ||
-            row >= PyList_GET_SIZE(r[DK_PEAK]) ||
-            row >= PyList_GET_SIZE(r[DK_SHARERS]) ||
-            row >= PyList_GET_SIZE(r[DK_ACKS])) {
+        if (row < 0 || row >= PyByteArray_GET_SIZE(k->state) ||
+            row >= PyByteArray_GET_SIZE(k->meta) ||
+            row >= PyByteArray_GET_SIZE(k->local) ||
+            row >= PyList_GET_SIZE(k->requester) ||
+            row >= PyList_GET_SIZE(k->txn) ||
+            row >= PyList_GET_SIZE(k->peak) ||
+            row >= PyList_GET_SIZE(k->sharers) ||
+            row >= PyList_GET_SIZE(k->acks)) {
             PyErr_Clear();
             return HB_MALFORMED;
         }
         s->row = row;
-        s->state = (unsigned char)PyByteArray_AS_STRING(r[DK_STATE])[row];
-        meta = (unsigned char)PyByteArray_AS_STRING(r[DK_META])[row];
-        s->local = PyByteArray_AS_STRING(r[DK_LOCAL])[row] != 0;
+        s->state = (unsigned char)PyByteArray_AS_STRING(k->state)[row];
+        meta = (unsigned char)PyByteArray_AS_STRING(k->meta)[row];
+        s->local = PyByteArray_AS_STRING(k->local)[row] != 0;
         s->sharers = PyLong_AsUnsignedLongLong(
-            PyList_GET_ITEM(r[DK_SHARERS], row));
-        s->acks = PyLong_AsUnsignedLongLong(PyList_GET_ITEM(r[DK_ACKS], row));
-        s->requester = PyLong_AsLongLong(PyList_GET_ITEM(r[DK_REQUESTER], row));
-        s->txn = PyLong_AsLongLong(PyList_GET_ITEM(r[DK_TXN], row));
-        s->peak = PyLong_AsLongLong(PyList_GET_ITEM(r[DK_PEAK], row));
+            PyList_GET_ITEM(k->sharers, row));
+        s->acks = PyLong_AsUnsignedLongLong(PyList_GET_ITEM(k->acks, row));
+        s->requester = PyLong_AsLongLong(PyList_GET_ITEM(k->requester, row));
+        s->txn = PyLong_AsLongLong(PyList_GET_ITEM(k->txn, row));
+        s->peak = PyLong_AsLongLong(PyList_GET_ITEM(k->peak, row));
         if (PyErr_Occurred()) { /* a mask with a node past 63, a non-int */
             PyErr_Clear();
             return HB_MALFORMED;
@@ -3837,15 +3691,15 @@ dk_decide(DirKernelObject *k, PyObject *packet, DirStep *s)
     if (meta && !(meta == g_trap_on_write && !(g_write_class >> s->op & 1)))
         return HB_DIR_META;
     /* dispatch: the cell must still be the one mirrored at install */
-    if (s->state >= N_DIR_STATES || s->state >= PyList_GET_SIZE(r[DK_TABLE]))
+    if (s->state >= N_DIR_STATES || s->state >= PyList_GET_SIZE(k->table))
         return HB_MALFORMED;
-    trow = PyList_GET_ITEM(r[DK_TABLE], s->state);
+    trow = PyList_GET_ITEM(k->table, s->state);
     if (!PyList_Check(trow) || s->op >= PyList_GET_SIZE(trow))
         return HB_MALFORMED;
     idx = s->state * (Py_ssize_t)k->n_ops + s->op;
     s->cell = k->codes[idx];
     if (s->cell == DC_NONE ||
-        PyList_GET_ITEM(trow, s->op) != PyTuple_GET_ITEM(r[DK_CELLS], idx))
+        PyList_GET_ITEM(trow, s->op) != PyTuple_GET_ITEM(k->cells, idx))
         return HB_DIR_OVERRIDE;
     src_bit = BIT(s->src);
     holders = s->sharers | (s->local ? home_bit : 0);
@@ -3862,8 +3716,8 @@ dk_decide(DirKernelObject *k, PyObject *packet, DirStep *s)
             return HB_MALFORMED;
         if (s->src == k->node_id || (s->sharers & src_bit))
             break;
-        cap = dict_peek(r[DK_CTRL_DICT], s_pointer_capacity);
-        pass = ck_flag(r[DK_CTRL_DICT], s_software_pass);
+        cap = dict_peek(k->ctrl_dict, s_pointer_capacity);
+        pass = ck_flag(k->ctrl_dict, s_software_pass);
         if (cap == NULL || pass < 0)
             return HB_MALFORMED;
         if (cap == Py_None || pass)
@@ -3952,7 +3806,7 @@ dk_decide(DirKernelObject *k, PyObject *packet, DirStep *s)
 static inline int
 dk_bump(DirKernelObject *k, int which, long long amount)
 {
-    return tally_named(k->r[DK_VALUES], s_dn[which], &k->named_n[which],
+    return tally_named(k->values, s_dn[which], &k->named_n[which],
                        amount);
 }
 
@@ -3961,14 +3815,14 @@ dk_bump(DirKernelObject *k, int which, long long amount)
 static PER_MISS PyObject *
 dk_block(DirKernelObject *k, PyObject *address)
 {
-    PyObject *stored = PyDict_GetItemWithError(k->r[DK_BLOCKS], address);
+    PyObject *stored = PyDict_GetItemWithError(k->blocks, address);
     if (stored != NULL) {
         Py_INCREF(stored);
         return stored;
     }
     if (PyErr_Occurred())
         return NULL;
-    return PyObject_CallMethodOneArg(k->r[DK_MEMORY], s_block, address);
+    return PyObject_CallMethodOneArg(k->memory, s_block, address);
 }
 
 /* a fresh list of ``holder.words`` */
@@ -4043,20 +3897,19 @@ dk_send(DirKernelObject *k, long long dst, int op, PyObject *address,
     PyObject *packet, *send, *result = NULL;
     if (dst_obj == NULL)
         return -1;
-    packet = pool_protocol_impl((PoolObject *)k->r[DK_POOL], k->r[DK_NODE],
+    packet = pool_protocol_impl((PoolObject *)k->pool, k->node_obj,
                                 dst_obj, g_miss_ops[op], address, data, meta);
     Py_DECREF(dst_obj);
     if (packet == NULL)
         return -1;
-    send = dict_peek(k->r[DK_NET_DICT], s_send);
-    if (send != NULL && Py_TYPE(send) == &NetSend_Type &&
-        ck_flag(k->r[DK_NIC_DICT], s_crc_enabled) == 0 &&
-        dict_peek(k->r[DK_NIC_DICT], s_send) == NULL) {
+    send = net_send_of(k->net_dict);
+    if (send != NULL && ck_flag(k->nic_dict, s_crc_enabled) == 0 &&
+        dict_peek(k->nic_dict, s_send) == NULL) {
         k->sent += 1;
         result = net_send_call(send, &packet, 1, NULL);
     }
     else
-        result = PyObject_CallMethodOneArg(k->r[DK_NIC], s_send, packet);
+        result = PyObject_CallMethodOneArg(k->nic, s_send, packet);
     Py_DECREF(packet);
     if (result == NULL)
         return -1;
@@ -4102,8 +3955,8 @@ dk_stray(DirKernelObject *k, long op)
 {
     if (dk_bump(k, DN_STRAY_DROPPED, 1) < 0)
         return -1;
-    return tally_named(k->r[DK_VALUES],
-                       PyTuple_GET_ITEM(k->r[DK_STRAY_NAMES], op),
+    return tally_named(k->values,
+                       PyTuple_GET_ITEM(k->stray_names, op),
                        &k->stray_n[op], 1);
 }
 
@@ -4157,23 +4010,22 @@ dk_store(PyObject *column, Py_ssize_t row, PyObject *value)
 static PER_MISS int
 dk_commit(DirKernelObject *k, const DirStep *was, const DirStep *s)
 {
-    PyObject **r = k->r;
     Py_ssize_t row = s->row;
-    PyByteArray_AS_STRING(r[DK_STATE])[row] = (char)s->state;
-    PyByteArray_AS_STRING(r[DK_LOCAL])[row] = (char)s->local;
+    PyByteArray_AS_STRING(k->state)[row] = (char)s->state;
+    PyByteArray_AS_STRING(k->local)[row] = (char)s->local;
     if ((s->sharers != was->sharers &&
-         dk_store(r[DK_SHARERS], row,
+         dk_store(k->sharers, row,
                   PyLong_FromUnsignedLongLong(s->sharers)) < 0) ||
         (s->acks != was->acks &&
-         dk_store(r[DK_ACKS], row,
+         dk_store(k->acks, row,
                   PyLong_FromUnsignedLongLong(s->acks)) < 0) ||
         (s->requester != was->requester &&
-         dk_store(r[DK_REQUESTER], row,
+         dk_store(k->requester, row,
                   PyLong_FromLongLong(s->requester)) < 0) ||
         (s->txn != was->txn &&
-         dk_store(r[DK_TXN], row, PyLong_FromLongLong(s->txn)) < 0) ||
+         dk_store(k->txn, row, PyLong_FromLongLong(s->txn)) < 0) ||
         (s->peak != was->peak &&
-         dk_store(r[DK_PEAK], row, PyLong_FromLongLong(s->peak)) < 0))
+         dk_store(k->peak, row, PyLong_FromLongLong(s->peak)) < 0))
         return -1;
     return 0;
 }
@@ -4199,7 +4051,7 @@ dk_cell(DirKernelObject *k, DirStep *s)
          * moved to the young end of the block's fifo order; on overflow
          * its _read_overflow evicts s->victim (an INV outside any round)
          * and serves the read from the pointer that frees */
-        PyObject *orders = dict_peek(k->r[DK_CTRL_DICT], s_fifo_order);
+        PyObject *orders = dict_peek(k->ctrl_dict, s_fifo_order);
         PyObject *order = dict_peek(orders, address);
         int evict = s->victim >= 0, recorded;
         if (order == NULL) { /* setdefault(entry.block, []) */
@@ -4248,7 +4100,7 @@ dk_cell(DirKernelObject *k, DirStep *s)
         /* transition 3: _begin_write_transaction */
         dk_begin(s, others, D_WRITE_TRANSACTION);
         if (dk_commit(k, &was, s) < 0 ||
-            hist_add(k->r[DK_CTRL_DICT], s_worker_sets,
+            hist_add(k->ctrl_dict, s_worker_sets,
                      __builtin_popcountll(others) + 1) < 0 ||
             dk_send_invs(k, others, s->txn, address) < 0)
             return -1;
@@ -4305,7 +4157,7 @@ dk_cell(DirKernelObject *k, DirStep *s)
         s->requester = -1;
         if (dk_commit(k, &was, s) < 0)
             return -1;
-        rounds = dict_peek(k->r[DK_CTRL_DICT], s_inv_rounds);
+        rounds = dict_peek(k->ctrl_dict, s_inv_rounds);
         if (rounds != NULL && PyDict_Check(rounds) && PyDict_GET_SIZE(rounds)
             && PyDict_DelItem(rounds, address) < 0)
             PyErr_Clear(); /* pop(block, None) */
@@ -4336,20 +4188,20 @@ dir_kernel_call(PyObject *kself, PyObject *const *args, size_t nargsf,
         return NULL;
     if (reason >= 0) {
         k->handbacks[reason] += 1;
-        return PyObject_CallOneArg(k->r[DK_PROCESS], packet);
+        return PyObject_CallOneArg(k->process, packet);
     }
     if (s.row < 0) {
         /* first touch: SoaDirectory.entry() appends the row read above */
-        PyObject *view = PyObject_CallMethodOneArg(k->r[DK_DIRECTORY],
+        PyObject *view = PyObject_CallMethodOneArg(k->directory,
                                                    s_entry, s.address);
         PyObject *row_obj;
         if (view == NULL)
             return NULL;
         Py_DECREF(view);
-        row_obj = PyDict_GetItemWithError(k->r[DK_ROWS], s.address);
+        row_obj = PyDict_GetItemWithError(k->rows, s.address);
         s.row = row_obj != NULL ? PyLong_AsSsize_t(row_obj) : -1;
-        if (s.row < 0 || s.row >= PyList_GET_SIZE(k->r[DK_ACKS]) ||
-            s.row >= PyByteArray_GET_SIZE(k->r[DK_STATE])) {
+        if (s.row < 0 || s.row >= PyList_GET_SIZE(k->acks) ||
+            s.row >= PyByteArray_GET_SIZE(k->state)) {
             if (!PyErr_Occurred())
                 PyErr_SetString(PyExc_RuntimeError,
                                 "directory.entry() allocated no row");
@@ -4357,10 +4209,10 @@ dir_kernel_call(PyObject *kself, PyObject *const *args, size_t nargsf,
         }
     }
     k->packets_n += 1;
-    if (PyDict_SetItem(k->r[DK_CTRL_DICT], s_retained, Py_False) < 0 ||
+    if (PyDict_SetItem(k->ctrl_dict, s_retained, Py_False) < 0 ||
         dk_cell(k, &s) < 0 ||
         /* no compiled cell retains its packet */
-        pool_release_impl((PoolObject *)k->r[DK_POOL], packet) < 0)
+        pool_release_impl((PoolObject *)k->pool, packet) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -4371,7 +4223,7 @@ KERNEL_ENTRY(dir_kernel_vectorcall, dir_kernel_call)
 static PyObject *
 dir_kernel_receive(DirKernelObject *k, PyObject *packet)
 {
-    PyObject *occ = k->r[DK_OCC_DICT];
+    PyObject *occ = k->occ_dict;
     PyObject *cycles_obj, *free_obj, *busy_obj, *req_obj, *done_obj;
     long long addr, cycles = 0, free_at = 0, start;
     DirStep s;
@@ -4380,7 +4232,7 @@ dir_kernel_receive(DirKernelObject *k, PyObject *packet)
         ((addr >> k->seg_shift) != k->node_id || (addr & k->low_mask)))
         reason = HB_DIR_ERROR; /* not homed here, not block aligned */
     if (reason < 0) {
-        cycles_obj = dict_peek(k->r[DK_CTRL_DICT], s_dir_occupancy);
+        cycles_obj = dict_peek(k->ctrl_dict, s_dir_occupancy);
         free_obj = dict_peek(occ, s_free_at);
         busy_obj = dict_peek(occ, s_busy_cycles);
         req_obj = dict_peek(occ, s_requests);
@@ -4400,7 +4252,7 @@ dir_kernel_receive(DirKernelObject *k, PyObject *packet)
     }
     if (reason >= 0) {
         k->handbacks[reason] += 1;
-        return PyObject_CallOneArg(k->r[DK_RECEIVE], packet);
+        return PyObject_CallOneArg(k->receive, packet);
     }
     /* occupancy.acquire(dir_occupancy) */
     start = k->core->now > free_at ? k->core->now : free_at;
@@ -4425,6 +4277,8 @@ dir_kernel_receive(DirKernelObject *k, PyObject *packet)
 static PyObject *
 DirKernel_receive(DirKernelObject *k, PyObject *packet)
 {
+    if (kernel_unready((PyObject *)k) < 0)
+        return NULL;
     return settled(k->core, dir_kernel_receive(k, packet));
 }
 
@@ -4439,20 +4293,13 @@ static PyGetSetDef DirKernel_getsets[] = {
     {NULL, NULL, NULL, NULL, NULL},
 };
 
-static PyTypeObject DirKernel_Type = {
-    PyVarObject_HEAD_INIT(NULL, 0).tp_name = "repro._native.DirKernel",
-    .tp_basicsize = sizeof(DirKernelObject),
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC |
-                Py_TPFLAGS_HAVE_VECTORCALL,
-    .tp_new = PyType_GenericNew,
-    .tp_init = (initproc)DirKernel_init,
-    .tp_dealloc = (destructor)DirKernel_dealloc,
-    .tp_traverse = (traverseproc)DirKernel_traverse,
-    .tp_clear = (inquiry)DirKernel_clear,
-    .tp_methods = DirKernel_methods,
-    .tp_getset = DirKernel_getsets,
-    .tp_vectorcall_offset = offsetof(DirKernelObject, vectorcall),
-    .tp_call = PyVectorcall_Call,
+static KernelType DirKernel_Type = {
+    {PyVarObject_HEAD_INIT(NULL, 0).tp_name = "repro._native.DirKernel",
+     KERNEL_TYPE_SLOTS(DirKernelObject),
+     .tp_methods = DirKernel_methods,
+     .tp_getset = DirKernel_getsets},
+    dir_kernel_fields, dir_kernel_vectorcall, dir_kernel_init,
+    dir_kernel_fold, NULL,
 };
 
 /* ------------------------------------------------------------------ */
@@ -4460,42 +4307,80 @@ static PyTypeObject DirKernel_Type = {
 /* kernels need; the extension never imports repro modules itself.    */
 /* ------------------------------------------------------------------ */
 
+/* what setup() keeps from its spec, by key */
+static const struct {
+    PyObject **slot;
+    const char *key;
+} setup_refs[] = {
+    {&g_sim_error, "SimulationError"}, {&g_event_type, "Event"},
+    {&g_no_arg, "NO_ARG"}, {&g_context_type, "Context"},
+    {&g_ctx_done, "DONE"}, {&g_ctx_running, "RUNNING"},
+    {&g_ctx_blocked, "BLOCKED"}, {&g_ctx_ready, "READY"},
+    {&g_waiter_type, "Waiter"}, {&g_mshr_type, "Mshr"},
+    {&g_block_data_type, "BlockData"}, {&g_op_kinds[0], "THINK"},
+    {&g_op_kinds[1], "LOAD"}, {&g_op_kinds[2], "STORE"},
+    {&g_op_kinds[3], "RMW"}, {&g_op_kinds[4], "SWITCH_HINT"},
+    {&g_op_kinds[5], "FENCE"}, {&g_op_kinds[6], "BURST"},
+    {&g_op_kinds[7], "SPIN"}, {&g_spin_ge, "GE"}, {&g_spin_eq, "EQ"},
+    {&g_spin_satisfied, "spin_satisfied"}, {&g_op_type, "Op"},
+    {&g_op_names, "OP_NAMES"}, {&g_op_by_name, "OP_BY_NAME"},
+    {&g_protocol_packet, "protocol_packet"}, {&g_packet_type, "Packet"},
+};
+
+/* every slot offset the kernels use: the class (by spec key), the member */
+static const struct {
+    Py_ssize_t *offset;
+    const char *cls, *name;
+} setup_slots[] = {
+    {&g_ev.cancelled, "Event", "cancelled"}, {&g_ev.done, "Event", "_done"},
+    {&g_ctx.state, "Context", "state"}, {&g_ctx.gen, "Context", "gen"},
+    {&g_ctx.started, "Context", "started"},
+    {&g_ctx.resume_value, "Context", "resume_value"},
+    {&g_ctx.ops_executed, "Context", "ops_executed"},
+    {&g_ctx.last_op, "Context", "last_op"},
+    {&g_ctx.outstanding_stores, "Context", "outstanding_stores"},
+    {&g_ctx.pending_op, "Context", "pending_op"},
+    {&g_ctx.pending_needs, "Context", "pending_needs"},
+    {&g_ctx.burst_ops, "Context", "burst_ops"},
+    {&g_ctx.burst_pos, "Context", "burst_pos"},
+    {&g_ctx.spin, "Context", "spin"}, {&g_ctx.mem_done, "Context", "mem_done"},
+    {&g_pkt.src, "Packet", "src"}, {&g_pkt.dst, "Packet", "dst"},
+    {&g_pkt.opcode, "Packet", "opcode"}, {&g_pkt.address, "Packet", "address"},
+    {&g_pkt.data, "Packet", "data"}, {&g_pkt.meta, "Packet", "meta"},
+    {&g_pkt.sent_at, "Packet", "sent_at"}, {&g_pkt.crc, "Packet", "crc"},
+    {&g_pkt.free, "Packet", "_free"},
+    {&g_stat[NS_PACKETS], "NetworkStats", "packets"},
+    {&g_stat[NS_WORDS], "NetworkStats", "words"},
+    {&g_stat[NS_HOPS], "NetworkStats", "hops"},
+    {&g_stat[NS_LATENCY], "NetworkStats", "total_latency"},
+    {&g_stat[NS_CONTENTION], "NetworkStats", "contention_cycles"},
+    {&g_waiter.kind, "Waiter", "kind"}, {&g_waiter.addr, "Waiter", "addr"},
+    {&g_waiter.payload, "Waiter", "payload"},
+    {&g_waiter.callback, "Waiter", "callback"},
+    {&g_waiter.issued_at, "Waiter", "issued_at"},
+    {&g_mshr.block, "Mshr", "block"},
+    {&g_mshr.need_write, "Mshr", "need_write"},
+    {&g_mshr.opened_at, "Mshr", "opened_at"},
+    {&g_mshr.waiters, "Mshr", "waiters"}, {&g_mshr.retries, "Mshr", "retries"},
+    {&g_mshr.epoch, "Mshr", "epoch"}, {&g_mshr.timeouts, "Mshr", "timeouts"},
+    {&g_mshr.wb_blocked, "Mshr", "wb_blocked"},
+    {&g_block_words, "BlockData", "words"},
+};
+
 static PyObject *
 mod_setup(PyObject *mod, PyObject *spec)
 {
-    PyObject *cls;
+    size_t row;
     if (!PyDict_Check(spec)) {
         PyErr_SetString(PyExc_TypeError, "setup() takes a dict");
         return NULL;
     }
-    if (take_ref(spec, "SimulationError", &g_sim_error) < 0 ||
-        take_ref(spec, "Event", &g_event_type) < 0 ||
-        take_ref(spec, "NO_ARG", &g_no_arg) < 0 ||
-        take_ref(spec, "Context", &g_context_type) < 0 ||
-        take_ref(spec, "DONE", &g_ctx_done) < 0 ||
-        take_ref(spec, "RUNNING", &g_ctx_running) < 0 ||
-        take_ref(spec, "BLOCKED", &g_ctx_blocked) < 0 ||
-        take_ref(spec, "READY", &g_ctx_ready) < 0 ||
-        take_ref(spec, "Waiter", &g_waiter_type) < 0 ||
-        take_ref(spec, "Mshr", &g_mshr_type) < 0 ||
-        take_ref(spec, "BlockData", &g_block_data_type) < 0 ||
-        take_ref(spec, "THINK", &g_op_kinds[0]) < 0 ||
-        take_ref(spec, "LOAD", &g_op_kinds[1]) < 0 ||
-        take_ref(spec, "STORE", &g_op_kinds[2]) < 0 ||
-        take_ref(spec, "RMW", &g_op_kinds[3]) < 0 ||
-        take_ref(spec, "SWITCH_HINT", &g_op_kinds[4]) < 0 ||
-        take_ref(spec, "FENCE", &g_op_kinds[5]) < 0 ||
-        take_ref(spec, "BURST", &g_op_kinds[6]) < 0 ||
-        take_ref(spec, "SPIN", &g_op_kinds[7]) < 0 ||
-        take_ref(spec, "GE", &g_spin_ge) < 0 ||
-        take_ref(spec, "EQ", &g_spin_eq) < 0 ||
-        take_ref(spec, "spin_satisfied", &g_spin_satisfied) < 0 ||
-        take_ref(spec, "Op", &g_op_type) < 0 ||
-        take_ref(spec, "OP_NAMES", &g_op_names) < 0 ||
-        take_ref(spec, "OP_BY_NAME", &g_op_by_name) < 0 ||
-        take_ref(spec, "protocol_packet", &g_protocol_packet) < 0 ||
-        take_ref(spec, "Packet", &g_packet_type) < 0)
-        return NULL;
+    for (row = 0; row < sizeof(setup_refs) / sizeof(setup_refs[0]); row++) {
+        PyObject *v = spec_get(spec, setup_refs[row].key);
+        if (v == NULL)
+            return NULL;
+        Py_XSETREF(*setup_refs[row].slot, Py_NewRef(v));
+    }
     if (!PyTuple_Check(g_op_names)) {
         PyErr_SetString(PyExc_TypeError, "OP_NAMES must be a tuple");
         return NULL;
@@ -4531,71 +4416,12 @@ mod_setup(PyObject *mod, PyObject *spec)
             return NULL;
         g_last_c2m = x;
     }
-    cls = spec_get(spec, "Event");
-    if (cls == NULL)
-        return NULL;
-    if ((g_ev.cancelled = slot_offset(cls, "cancelled")) < 0 ||
-        (g_ev.done = slot_offset(cls, "_done")) < 0)
-        return NULL;
-    cls = spec_get(spec, "Context");
-    if (cls == NULL)
-        return NULL;
-    if ((g_ctx.state = slot_offset(cls, "state")) < 0 ||
-        (g_ctx.gen = slot_offset(cls, "gen")) < 0 ||
-        (g_ctx.started = slot_offset(cls, "started")) < 0 ||
-        (g_ctx.resume_value = slot_offset(cls, "resume_value")) < 0 ||
-        (g_ctx.ops_executed = slot_offset(cls, "ops_executed")) < 0 ||
-        (g_ctx.last_op = slot_offset(cls, "last_op")) < 0 ||
-        (g_ctx.outstanding_stores =
-             slot_offset(cls, "outstanding_stores")) < 0 ||
-        (g_ctx.pending_op = slot_offset(cls, "pending_op")) < 0 ||
-        (g_ctx.pending_needs = slot_offset(cls, "pending_needs")) < 0 ||
-        (g_ctx.burst_ops = slot_offset(cls, "burst_ops")) < 0 ||
-        (g_ctx.burst_pos = slot_offset(cls, "burst_pos")) < 0 ||
-        (g_ctx.spin = slot_offset(cls, "spin")) < 0 ||
-        (g_ctx.mem_done = slot_offset(cls, "mem_done")) < 0)
-        return NULL;
-    cls = spec_get(spec, "Packet");
-    if (cls == NULL)
-        return NULL;
-    if ((g_pkt.src = slot_offset(cls, "src")) < 0 ||
-        (g_pkt.dst = slot_offset(cls, "dst")) < 0 ||
-        (g_pkt.opcode = slot_offset(cls, "opcode")) < 0 ||
-        (g_pkt.address = slot_offset(cls, "address")) < 0 ||
-        (g_pkt.data = slot_offset(cls, "data")) < 0 ||
-        (g_pkt.meta = slot_offset(cls, "meta")) < 0 ||
-        (g_pkt.sent_at = slot_offset(cls, "sent_at")) < 0 ||
-        (g_pkt.crc = slot_offset(cls, "crc")) < 0 ||
-        (g_pkt.free = slot_offset(cls, "_free")) < 0)
-        return NULL;
-    cls = spec_get(spec, "NetworkStats");
-    if (cls == NULL)
-        return NULL;
-    if ((g_stat.packets = slot_offset(cls, "packets")) < 0 ||
-        (g_stat.words = slot_offset(cls, "words")) < 0 ||
-        (g_stat.hops = slot_offset(cls, "hops")) < 0 ||
-        (g_stat.total_latency = slot_offset(cls, "total_latency")) < 0 ||
-        (g_stat.contention = slot_offset(cls, "contention_cycles")) < 0 ||
-        (g_stat.per_opcode = slot_offset(cls, "per_opcode")) < 0)
-        return NULL;
-    cls = g_waiter_type;
-    if ((g_waiter.kind = slot_offset(cls, "kind")) < 0 ||
-        (g_waiter.addr = slot_offset(cls, "addr")) < 0 ||
-        (g_waiter.payload = slot_offset(cls, "payload")) < 0 ||
-        (g_waiter.callback = slot_offset(cls, "callback")) < 0 ||
-        (g_waiter.issued_at = slot_offset(cls, "issued_at")) < 0)
-        return NULL;
-    cls = g_mshr_type;
-    if ((g_mshr.block = slot_offset(cls, "block")) < 0 ||
-        (g_mshr.need_write = slot_offset(cls, "need_write")) < 0 ||
-        (g_mshr.opened_at = slot_offset(cls, "opened_at")) < 0 ||
-        (g_mshr.waiters = slot_offset(cls, "waiters")) < 0 ||
-        (g_mshr.retries = slot_offset(cls, "retries")) < 0 ||
-        (g_mshr.epoch = slot_offset(cls, "epoch")) < 0 ||
-        (g_mshr.timeouts = slot_offset(cls, "timeouts")) < 0 ||
-        (g_mshr.wb_blocked = slot_offset(cls, "wb_blocked")) < 0 ||
-        (g_block_words = slot_offset(g_block_data_type, "words")) < 0)
-        return NULL;
+    for (row = 0; row < sizeof(setup_slots) / sizeof(setup_slots[0]); row++) {
+        PyObject *cls = spec_get(spec, setup_slots[row].cls);
+        if (cls == NULL || (*setup_slots[row].offset =
+                                slot_offset(cls, setup_slots[row].name)) < 0)
+            return NULL;
+    }
     {
         static const char *const names[N_MISS_OPS] = {
             "RREQ", "WREQ", "UPDATE", "ACKC", "RDATA", "WDATA", "INV", "REPM",
@@ -4707,13 +4533,11 @@ static const struct {
 PyMODINIT_FUNC
 PyInit__native(void)
 {
+    static PyTypeObject *const types[] = {
+        &Core_Type, &StepKernel_Type.type, &Pool_Type, &RxChain_Type.type,
+        &NetSend_Type.type, &DirKernel_Type.type};
     PyObject *mod;
     size_t i;
-    if (PyType_Ready(&Core_Type) < 0 ||
-        PyType_Ready(&StepKernel_Type) < 0 ||
-        PyType_Ready(&Pool_Type) < 0 || PyType_Ready(&RxChain_Type) < 0 ||
-        PyType_Ready(&NetSend_Type) < 0 || PyType_Ready(&DirKernel_Type) < 0)
-        return NULL;
     for (i = 0; i < sizeof(interned) / sizeof(interned[0]); i++) {
         *interned[i].slot = PyUnicode_InternFromString(interned[i].text);
         if (*interned[i].slot == NULL)
@@ -4735,17 +4559,12 @@ PyInit__native(void)
     mod = PyModule_Create(&native_module);
     if (mod == NULL)
         return NULL;
-    if (PyModule_AddObjectRef(mod, "Core", (PyObject *)&Core_Type) < 0 ||
-        PyModule_AddObjectRef(mod, "StepKernel",
-                              (PyObject *)&StepKernel_Type) < 0 ||
-        PyModule_AddObjectRef(mod, "Pool", (PyObject *)&Pool_Type) < 0 ||
-        PyModule_AddObjectRef(mod, "RxChain",
-                              (PyObject *)&RxChain_Type) < 0 ||
-        PyModule_AddObjectRef(mod, "NetSend",
-                              (PyObject *)&NetSend_Type) < 0 ||
-        PyModule_AddObjectRef(mod, "DirKernel",
-                              (PyObject *)&DirKernel_Type) < 0 ||
-        /* the SHA-256 of this file, as setup.py read it at build time */
+    for (i = 0; i < sizeof(types) / sizeof(types[0]); i++)
+        if (PyModule_AddType(mod, types[i]) < 0) { /* readies it, too */
+            Py_DECREF(mod);
+            return NULL;
+        }
+    if (/* the SHA-256 of this file, as setup.py read it at build time */
         PyModule_AddStringConstant(mod, "SOURCE_SHA256",
                                    REPRO_NATIVE_SOURCE_SHA256) < 0 ||
         PyModule_AddStringConstant(mod, "DIR_CELLS", DIR_CELL_NAMES) < 0) {

@@ -504,3 +504,52 @@ def test_the_bare_core_refuses_to_exist_before_setup():
     )
     assert result.returncode == 0, (result.returncode, result.stderr)
     assert result.stdout.strip() == "_native.setup() not called"
+
+
+@pytest.mark.skipif(not native.available(), reason="extension not built")
+@pytest.mark.parametrize(
+    "kernel, half_spec, call",
+    [
+        ("StepKernel", None, "mem_done(1, 2)"),
+        ("DirKernel", None, "receive(1)"),
+        ("StepKernel", "{'core': core, 'proc': ext}", "mem_done(1, 2)"),
+        ("DirKernel", "{'core': core, 'ctrl': ext}", "receive(1)"),
+    ],
+    ids=["bare mem_done", "bare receive", "half-built mem_done", "half-built receive"],
+)
+def test_a_kernel_never_built_refuses_its_methods(kernel, half_spec, call):
+    """A kernel that was never built, or whose ``__init__`` raised half way
+    through its spec, is refused by its methods as its call refuses it —
+    not a signal 11 at the first field they read."""
+    code = (
+        "from repro.backend import native\n"
+        "ext = native._native\n"
+        "core = native.NativeSimulator()._core\n"
+        f"k = ext.{kernel}.__new__(ext.{kernel})\n"
+    )
+    if half_spec is not None:
+        code += (
+            "try:\n"
+            f"    k.__init__({half_spec})\n"
+            "except KeyError as exc:\n"
+            "    print(exc)\n"
+        )
+    code += (
+        "for refused in (lambda: k(1), lambda: k." + call + "):\n"
+        "    try:\n"
+        "        refused()\n"
+        "    except TypeError as exc:\n"
+        "        print(exc)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": _SRC},
+        timeout=120,
+    )
+    assert result.returncode == 0, (result.returncode, result.stderr)
+    refusal = f"'repro._native.{kernel}' object does not support vectorcall"
+    missing = {"StepKernel": ["'spec missing tags'"], "DirKernel": ["'spec missing process'"]}
+    expected = (missing[kernel] if half_spec else []) + [refusal, refusal]
+    assert result.stdout.splitlines() == expected
