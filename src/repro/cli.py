@@ -2,7 +2,11 @@
 
 One top-level parser hosts every subcommand (``repro --help`` lists them
 all); bare experiment flags still work as an implicit ``run`` for
-backward compatibility.
+backward compatibility.  ``repro run`` and ``repro profile`` share one
+set of experiment flags (:func:`add_experiment_arguments`) and one
+config builder (:func:`_config`); every named workload is scaled to
+``--procs``/``--iterations`` by :func:`repro.sweep.spec.scaled_workload`,
+the table ``repro faults`` reads too.
 
 Examples::
 
@@ -19,56 +23,19 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable
 
 from .backend import backend_names, get_backend
 from .coherence.registry import protocol_names
 from .machine import AlewifeConfig, run_experiment
 from .stats.machine_report import machine_report
 from .stats.report import bar_chart, comparison_table
-from .workloads import (
-    ButterflyWorkload,
-    HotSpotWorkload,
-    LatencyToleranceWorkload,
-    MatmulWorkload,
-    MigratoryWorkload,
-    MultigridWorkload,
-    ProducerConsumerWorkload,
-    SyntheticSharingWorkload,
-    WeatherWorkload,
-    Workload,
-)
-
-WORKLOADS: dict[str, Callable[[argparse.Namespace], Workload]] = {
-    "weather": lambda a: WeatherWorkload(iterations=a.iterations),
-    "weather-optimized": lambda a: WeatherWorkload(
-        iterations=a.iterations, optimized=True
-    ),
-    "multigrid": lambda a: MultigridWorkload(),
-    "hotspot": lambda a: HotSpotWorkload(rounds=a.iterations),
-    "migratory": lambda a: MigratoryWorkload(rounds=max(1, a.iterations // 2)),
-    "producer-consumer": lambda a: ProducerConsumerWorkload(epochs=a.iterations),
-    "matmul": lambda a: MatmulWorkload(sweeps=max(1, a.iterations // 2)),
-    "synthetic": lambda a: SyntheticSharingWorkload(
-        worker_sets=[(2, 4), (a.procs // 2, 1)], rounds=a.iterations
-    ),
-    "butterfly": lambda a: ButterflyWorkload(sweeps=max(1, a.iterations // 2)),
-    "latency": lambda a: LatencyToleranceWorkload(
-        total_accesses_per_proc=12 * a.iterations
-    ),
-}
+from .sweep.spec import SCALED_WORKLOADS, scaled_workload
 
 
-def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--list", action="store_true", help="list protocols and workloads")
+def add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
+    """The flags that describe one experiment (``repro run``/``profile``)."""
     parser.add_argument("--protocol", default="limitless", choices=protocol_names())
-    parser.add_argument(
-        "--compare",
-        nargs="+",
-        metavar="PROTOCOL",
-        help="run several protocols on the same workload and chart them",
-    )
-    parser.add_argument("--workload", default="weather", choices=sorted(WORKLOADS))
+    parser.add_argument("--workload", default="weather", choices=SCALED_WORKLOADS)
     parser.add_argument("--procs", type=int, default=64)
     parser.add_argument("--pointers", type=int, default=4)
     parser.add_argument("--ts", type=int, default=50)
@@ -90,6 +57,17 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
         "when the extension is not built; bit-identical results either "
         "way, see docs/BACKENDS.md)",
     )
+
+
+def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--list", action="store_true", help="list protocols and workloads")
+    parser.add_argument(
+        "--compare",
+        nargs="+",
+        metavar="PROTOCOL",
+        help="run several protocols on the same workload and chart them",
+    )
+    add_experiment_arguments(parser)
     parser.add_argument(
         "--checkpoint-every",
         type=int,
@@ -188,36 +166,9 @@ def build_top_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _workload_spec(args: argparse.Namespace):
-    """The declarative :class:`WorkloadSpec` matching ``WORKLOADS[args.workload]``.
-
-    Checkpoint snapshots must record a *rebuildable* workload description,
-    not a live generator, so the checkpointed run path goes through the
-    same registry the sweep layer uses.
-    """
-    from .sweep.spec import WorkloadSpec
-
-    a = args
-    params: dict = {
-        "weather": {"iterations": a.iterations},
-        "weather-optimized": {"iterations": a.iterations, "optimized": True},
-        "multigrid": {},
-        "hotspot": {"rounds": a.iterations},
-        "migratory": {"rounds": max(1, a.iterations // 2)},
-        "producer-consumer": {"epochs": a.iterations},
-        "matmul": {"sweeps": max(1, a.iterations // 2)},
-        "synthetic": {
-            "worker_sets": [[2, 4], [a.procs // 2, 1]],
-            "rounds": a.iterations,
-        },
-        "butterfly": {"sweeps": max(1, a.iterations // 2)},
-        "latency": {"total_accesses_per_proc": 12 * a.iterations},
-    }[a.workload]
-    name = "weather" if a.workload == "weather-optimized" else a.workload
-    return WorkloadSpec(name, params)
-
-
-def _config(args: argparse.Namespace, protocol: str) -> AlewifeConfig:
+def _config(args: argparse.Namespace, protocol: str, **extras) -> AlewifeConfig:
+    """The machine the experiment flags describe; raises ``ValueError`` on
+    an invalid value, which the callers report as exit status 2."""
     return AlewifeConfig(
         n_procs=args.procs,
         protocol=protocol,
@@ -227,6 +178,7 @@ def _config(args: argparse.Namespace, protocol: str) -> AlewifeConfig:
         memory_model=args.memory_model,
         seed=args.seed,
         backend=args.backend,
+        **extras,
     )
 
 
@@ -243,10 +195,13 @@ def main(argv: list[str] | None = None) -> int:
 def _run_from_args(args: argparse.Namespace) -> int:
     if args.list:
         print("protocols: " + ", ".join(protocol_names()))
-        print("workloads: " + ", ".join(sorted(WORKLOADS)))
+        print("workloads: " + ", ".join(SCALED_WORKLOADS))
         return 0
 
-    workload = WORKLOADS[args.workload](args)
+    # A checkpointed run gets the spec, not the live workload: snapshots
+    # must record a rebuildable description.
+    spec = scaled_workload(args.workload, args.procs, args.iterations)
+    workload = spec.build()
     protocols = args.compare or [args.protocol]
     for name in protocols:
         if name not in protocol_names():
@@ -283,7 +238,7 @@ def _run_from_args(args: argparse.Namespace) -> int:
                 else:
                     stats = run_with_checkpoints(
                         config,
-                        _workload_spec(args),
+                        spec,
                         every=args.checkpoint_every,
                         out_dir=args.checkpoint_dir or "checkpoints",
                     )

@@ -20,7 +20,9 @@ run the same workload, e.g.::
     python -m repro faults --protocols limited --workloads weather \
         --rates 1e-3 --seeds 3
 
-which re-runs just that cell of the grid.
+which re-runs just that cell of the grid.  Workloads are scaled by
+:func:`repro.sweep.spec.scaled_workload`, the table ``repro run`` reads,
+so ``--iters`` plays the role of ``repro run --iterations``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Callable, Sequence
 from ..machine import AlewifeConfig
 from ..sweep.cache import ResultCache
 from ..sweep.runner import JobResult, ProgressPrinter, run_jobs
-from ..sweep.spec import Job, WorkloadSpec
+from ..sweep.spec import Job, scaled_workload
 
 DEFAULT_PROTOCOLS = ("fullmap", "limited", "limitless")
 DEFAULT_WORKLOADS = ("weather", "synthetic")
@@ -58,32 +60,6 @@ RECOVERY_COUNTERS = (
 )
 
 
-def workload_spec(name: str, procs: int, iters: int) -> WorkloadSpec:
-    """The campaign's parameterization of one named workload.
-
-    Mirrors the ``repro run`` CLI's scaling (``iters`` plays the role of
-    ``--iterations``) so a campaign cell can be cross-checked against a
-    single interactive run.
-    """
-    params = {
-        "weather": {"iterations": iters},
-        "synthetic": {
-            "worker_sets": [[2, 4], [max(2, procs // 2), 1]],
-            "rounds": iters,
-        },
-        "multigrid": {},
-        "hotspot": {"rounds": iters},
-        "migratory": {"rounds": max(1, iters // 2)},
-        "producer-consumer": {"epochs": iters},
-        "matmul": {"sweeps": max(1, iters // 2)},
-        "butterfly": {"sweeps": max(1, iters // 2)},
-        "latency": {"total_accesses_per_proc": 12 * iters},
-    }.get(name)
-    if params is None:
-        raise ValueError(f"no campaign parameterization for workload {name!r}")
-    return WorkloadSpec(name, params)
-
-
 def campaign_jobs(
     *,
     procs: int = 16,
@@ -101,7 +77,7 @@ def campaign_jobs(
     jobs: list[Job] = []
     for rate in rates:
         for wname in workloads:
-            spec = workload_spec(wname, procs, iters)
+            spec = scaled_workload(wname, procs, iters)
             for protocol in protocols:
                 for seed in seeds:
                     config = AlewifeConfig(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 
 from ..coherence.registry import protocol_names
+from ..sweep.spec import SCALED_WORKLOADS
 from .campaign import DEFAULT_PROTOCOLS, DEFAULT_WORKLOADS, run_campaign
 
 DESCRIPTION = (
@@ -38,6 +39,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "--workloads",
         nargs="+",
         default=list(DEFAULT_WORKLOADS),
+        choices=SCALED_WORKLOADS,
         metavar="WORKLOAD",
         help=f"workloads to stress (default: {' '.join(DEFAULT_WORKLOADS)})",
     )

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 
-from ..machine import AlewifeConfig
+from ..cli import _config, add_experiment_arguments
+from ..sweep.spec import scaled_workload
 
 DESCRIPTION = (
     "Run one experiment under cProfile + tracemalloc and report hot "
@@ -24,28 +26,7 @@ DESCRIPTION = (
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
-    from ..cli import WORKLOADS
-    from ..coherence.registry import protocol_names
-
-    parser.add_argument("--protocol", default="limitless", choices=protocol_names())
-    parser.add_argument("--workload", default="weather", choices=sorted(WORKLOADS))
-    parser.add_argument("--procs", type=int, default=64)
-    parser.add_argument("--pointers", type=int, default=4)
-    parser.add_argument("--ts", type=int, default=50)
-    parser.add_argument("--iterations", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument(
-        "--topology",
-        default="mesh",
-        choices=["mesh", "torus", "omega", "crossbar", "ideal"],
-    )
-    parser.add_argument("--memory-model", default="sc", choices=["sc", "wo"])
-    parser.add_argument(
-        "--backend",
-        default="reference",
-        help="simulation backend to profile ('reference', 'soa', or "
-        "'native'; see docs/BACKENDS.md)",
-    )
+    add_experiment_arguments(parser)
     parser.add_argument(
         "--no-pool",
         action="store_true",
@@ -104,24 +85,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_from_args(args: argparse.Namespace) -> int:
-    from ..cli import WORKLOADS
     from .harness import profile_run
 
-    config = AlewifeConfig(
-        n_procs=args.procs,
-        protocol=args.protocol,
-        pointers=args.pointers,
-        ts=args.ts,
-        topology=args.topology,
-        memory_model=args.memory_model,
-        seed=args.seed,
-        packet_pool=not args.no_pool,
-        backend=args.backend,
-    )
-    workload = WORKLOADS[args.workload](args)
+    try:
+        config = _config(args, args.protocol, packet_pool=not args.no_pool)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = profile_run(
         config,
-        workload,
+        scaled_workload(args.workload, args.procs, args.iterations).build(),
         top=args.top,
         sort=args.sort,
         alloc_top=args.alloc_top,

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 from ..machine.config import AlewifeConfig
 from ..machine.machine import run_experiment
-from ..sweep.spec import WorkloadSpec
+from ..sweep.spec import WorkloadSpec, scaled_workload
 from .checkpoint import latest_snapshot, resume_run, run_with_checkpoints
 
 
@@ -143,11 +143,9 @@ def chaos_points(
     ts: int = 50,
 ) -> list[tuple[str, AlewifeConfig, WorkloadSpec]]:
     """The default campaign grid: workload × protocol."""
-    from ..faults.campaign import workload_spec
-
     points = []
     for wname in workloads:
-        spec = workload_spec(wname, procs, iters)
+        spec = scaled_workload(wname, procs, iters)
         for protocol in protocols:
             config = AlewifeConfig(
                 n_procs=procs, protocol=protocol, pointers=pointers, ts=ts

@@ -16,7 +16,14 @@ from .cache import (
 )
 from .grids import figure_grids, run_figure_suite
 from .runner import JobResult, ProgressPrinter, ProgressTracker, run_jobs
-from .spec import WORKLOAD_REGISTRY, Job, WorkloadSpec, job_key
+from .spec import (
+    SCALED_WORKLOADS,
+    WORKLOAD_REGISTRY,
+    Job,
+    WorkloadSpec,
+    job_key,
+    scaled_workload,
+)
 
 __all__ = [
     "Job",
@@ -24,6 +31,7 @@ __all__ = [
     "ProgressPrinter",
     "ProgressTracker",
     "ResultCache",
+    "SCALED_WORKLOADS",
     "SourceFingerprint",
     "WORKLOAD_REGISTRY",
     "WorkloadSpec",
@@ -33,5 +41,6 @@ __all__ = [
     "job_key",
     "run_figure_suite",
     "run_jobs",
+    "scaled_workload",
     "source_fingerprint",
 ]

@@ -1,10 +1,14 @@
 """The paper's figure grids as declarative job lists, plus the suite
 driver shared by ``repro sweep`` and ``benchmarks/run_figures.py``.
 
-Each grid mirrors one figure of §5 / §6 exactly as the serial harness ran
-it; the driver flattens them, runs the whole set through the parallel
-cached runner (shared baselines like Full-Map/Weather simulate once), and
-reassembles per-figure reports in paper order.
+:func:`figure_grids` is the one definition of the evaluation's figures
+(§5 Figures 7–10, the §5.2 optimized Weather and the approximation
+ablation): the CLI, the benchmark ladder and the library all run these
+job lists.  :func:`run_figure_suite` flattens them, runs the whole set
+through :func:`~repro.sweep.runner.run_jobs` (shared baselines like
+Full-Map/Weather simulate once), and reassembles per-figure reports in
+paper order; its ``only=`` filter picks figures by title, e.g.
+``run_figure_suite(only=["Figure 8"])``.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from ..machine import AlewifeConfig
 from ..workloads import (
@@ -68,6 +68,53 @@ class WorkloadSpec:
     def describe(self) -> str:
         params = ", ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
         return f"{self.name}({params})"
+
+
+#: How each named workload of the CLIs scales with ``procs`` processors and
+#: ``iters`` iterations: name -> (registry name, params).  ``repro run``,
+#: ``repro profile``, ``repro faults`` and process chaos all read this one
+#: table, so a campaign cell re-runs as the same workload under ``repro run``.
+_SCALING: dict[str, tuple[str, Callable[[int, int], dict[str, Any]]]] = {
+    "weather": ("weather", lambda procs, iters: {"iterations": iters}),
+    "weather-optimized": (
+        "weather",
+        lambda procs, iters: {"iterations": iters, "optimized": True},
+    ),
+    "multigrid": ("multigrid", lambda procs, iters: {}),
+    "hotspot": ("hotspot", lambda procs, iters: {"rounds": iters}),
+    "migratory": ("migratory", lambda procs, iters: {"rounds": max(1, iters // 2)}),
+    "producer-consumer": (
+        "producer-consumer",
+        lambda procs, iters: {"epochs": iters},
+    ),
+    "matmul": ("matmul", lambda procs, iters: {"sweeps": max(1, iters // 2)}),
+    "synthetic": (
+        "synthetic",
+        lambda procs, iters: {
+            "worker_sets": [[2, 4], [max(2, procs // 2), 1]],
+            "rounds": iters,
+        },
+    ),
+    "butterfly": ("butterfly", lambda procs, iters: {"sweeps": max(1, iters // 2)}),
+    "latency": (
+        "latency",
+        lambda procs, iters: {"total_accesses_per_proc": 12 * iters},
+    ),
+}
+
+#: Every name :func:`scaled_workload` accepts (the CLIs' workload choices).
+SCALED_WORKLOADS: tuple[str, ...] = tuple(sorted(_SCALING))
+
+
+def scaled_workload(name: str, procs: int, iters: int) -> WorkloadSpec:
+    """The named workload scaled to ``procs`` processors and ``iters``
+    iterations (the CLIs' ``--procs`` and ``--iterations``/``--iters``)."""
+    if name not in _SCALING:
+        raise ValueError(
+            f"unknown workload {name!r}; choose from {list(SCALED_WORKLOADS)}"
+        )
+    registry_name, params = _SCALING[name]
+    return WorkloadSpec(registry_name, params(procs, iters))
 
 
 @dataclass

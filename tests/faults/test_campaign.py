@@ -6,12 +6,7 @@ import json
 
 import pytest
 
-from repro.faults.campaign import (
-    campaign_jobs,
-    classify_error,
-    run_campaign,
-    workload_spec,
-)
+from repro.faults.campaign import campaign_jobs, classify_error, run_campaign
 from repro.faults.cli import main as faults_main
 
 
@@ -45,8 +40,8 @@ class TestGrid:
         assert cfg.seed == 7
 
     def test_unknown_workload_raises(self):
-        with pytest.raises(ValueError, match="no campaign parameterization"):
-            workload_spec("nope", 4, 2)
+        with pytest.raises(ValueError, match="unknown workload 'nope'"):
+            campaign_jobs(procs=4, workloads=["nope"])
 
 
 class TestClassify:
@@ -134,6 +129,14 @@ class TestCli:
             ]
         )
         assert code == 1
+
+    def test_unknown_workload_is_exit_2_not_a_traceback(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            faults_main(["--workloads", "bogus"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err
+        assert "weather-optimized" in err
 
     def test_registered_as_repro_subcommand(self, tmp_path, capsys):
         from repro.cli import main as repro_main

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults.campaign import campaign_jobs, workload_spec
+from repro.faults.campaign import campaign_jobs
 from repro.machine import AlewifeConfig, run_experiment
 from repro.sweep.runner import run_jobs
+from repro.sweep.spec import scaled_workload
 
 RATE = 1e-3
 PROTOCOLS = ("fullmap", "limited", "limitless")
@@ -32,7 +33,7 @@ def test_soak_survives_with_bounded_retry_overhead(protocol, workload):
         fault_dup_rate=RATE,
         fault_delay_rate=RATE,
     )
-    stats = run_experiment(config, workload_spec(workload, 16, 2).build())
+    stats = run_experiment(config, scaled_workload(workload, 16, 2).build())
     # Completion: every processor finished (run_experiment would raise a
     # LivenessError otherwise) and the invariant audit covered real state.
     assert len(stats.per_proc_finish) == 16
@@ -73,5 +74,5 @@ def test_zero_rate_cell_is_bit_identical_to_the_unfaulted_machine():
         n_procs=16, protocol="limitless", pointers=4, ts=50, seed=0
     )
     faulted = run_experiment(job.config, job.workload.build())
-    baseline = run_experiment(plain, workload_spec("weather", 16, 2).build())
+    baseline = run_experiment(plain, scaled_workload("weather", 16, 2).build())
     assert faulted.to_dict() == baseline.to_dict()

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import WORKLOADS, build_parser, main
+from repro.cli import build_parser, main
+from repro.faults.campaign import campaign_jobs
+from repro.sweep.spec import SCALED_WORKLOADS, WorkloadSpec, scaled_workload
 
 
 class TestParser:
@@ -23,10 +25,37 @@ class TestParser:
             build_parser().parse_args(["--workload", "linpack"])
 
     def test_workload_factories_build(self):
-        args = build_parser().parse_args(["--procs", "8", "--iterations", "2"])
-        for name, factory in WORKLOADS.items():
-            workload = factory(args)
-            assert workload.describe()
+        for name in SCALED_WORKLOADS:
+            assert scaled_workload(name, 8, 2).build().describe()
+
+
+class _Built(Exception):
+    """Raised by a stubbed ``WorkloadSpec.build`` to stop a run early."""
+
+
+class TestOneScalingTable:
+    @pytest.mark.parametrize("procs", [3, 16])
+    @pytest.mark.parametrize("name", SCALED_WORKLOADS)
+    def test_run_builds_the_campaign_spec(self, monkeypatch, name, procs):
+        built: list[WorkloadSpec] = []
+
+        def build(spec):
+            built.append(spec)
+            raise _Built
+
+        monkeypatch.setattr(WorkloadSpec, "build", build)
+        with pytest.raises(_Built):
+            main(["run", "--workload", name, "--procs", str(procs),
+                  "--iterations", "2"])
+        (job,) = campaign_jobs(
+            procs=procs, protocols=["limitless"], workloads=[name],
+            seeds=[0], iters=2,
+        )
+        assert built == [job.workload]
+
+    def test_synthetic_keeps_a_worker_set_of_two_on_three_procs(self):
+        spec = scaled_workload("synthetic", 3, 2)
+        assert spec.params["worker_sets"] == [[2, 4], [2, 1]]
 
 
 class TestMain:
@@ -113,15 +142,22 @@ class TestMain:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--ts", "-5"], "error: ts must be >= 0, got -5"),
-            (["--procs", "0"], "error: need at least one processor"),
-            (["--pointers", "-1"], "error: pointer count must be >= 0"),
+            (["run", "--ts", "-5"], "error: ts must be >= 0, got -5"),
+            (["run", "--procs", "0"], "error: need at least one processor"),
+            (["run", "--pointers", "-1"], "error: pointer count must be >= 0"),
+            (["profile", "--backend", "bogus"], "invalid choice: 'bogus'"),
+            (["profile", "--ts", "-5"], "error: ts must be >= 0, got -5"),
+            (["profile", "--procs", "0"], "error: need at least one processor"),
         ],
     )
     def test_invalid_config_is_exit_2_not_a_traceback(
         self, capsys, flags, message
     ):
-        code = main(["run", "--workload", "hotspot", "--procs", "4", *flags])
+        command, *rest = flags
+        try:
+            code = main([command, "--workload", "hotspot", "--procs", "4", *rest])
+        except SystemExit as exc:  # argparse rejects a bad choice itself
+            code = exc.code
         assert code == 2
         assert message in capsys.readouterr().err
 

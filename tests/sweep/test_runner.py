@@ -240,6 +240,11 @@ class TestFigureGrids:
         # Full-Map/Weather and Dir4NB/Weather repeat across figures.
         assert len(keys) < len(jobs)
 
+    def test_figure8_small_scale_keeps_ordering(self):
+        jobs = figure_grids(16, 3)["Figure 8: Weather, limited and full-map"]
+        cycles = {r.job.label: r.stats.cycles for r in run_jobs(jobs)}
+        assert cycles["Dir1NB"] >= cycles["Dir4NB"] > cycles["Full-Map"]
+
     def test_run_figure_suite_writes_artifact(self, tmp_path):
         out = tmp_path / "BENCH_figures.json"
         artifact = run_figure_suite(
