@@ -75,13 +75,13 @@ def main() -> None:
                 f"{entry.state.name} / {entry.meta.name} P={set(snapshot[2]) or '{}'}"
             )
             last["state"] = snapshot
-        machine.sim.call_after(5, watch_state)
+        machine.sim.post_after(5, watch_state)
 
     print("Block X homed at node 0; LimitLESS with TWO hardware pointers.\n")
     for proc_id, gens in programs.items():
         for gen in gens:
             machine.nodes[proc_id].processor.add_thread(gen)
-    machine.sim.call_at(0, watch_state)
+    machine.sim.post(0, watch_state)
     for node in machine.nodes:
         node.start()
     machine.sim.run(until=1200)

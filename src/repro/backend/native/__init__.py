@@ -121,11 +121,10 @@ def _ensure_setup() -> None:
     )
     from ...proc import ops
     from ...proc.processor import Context, ContextState
-    from ...sim.kernel import _NO_ARG, Event, SimulationError
+    from ...sim.kernel import _NO_ARG, SimulationError
 
     spec = {
         "SimulationError": SimulationError,
-        "Event": Event,
         "NO_ARG": _NO_ARG,
         "Context": Context,
         **{state.name: state for state in ContextState},
@@ -194,17 +193,16 @@ def _core_property(name):
 class NativeSimulator(Simulator):
     """The reference kernel's interface over the compiled event core.
 
-    The scalar state (``now``, sequence counter, live count) is stored in
-    the :class:`_native.Core` and exposed through settable properties, so
-    every external poke that works on ``Simulator`` (``Event.cancel``,
-    checkpoint digests, modelcheck queue clears) works unchanged here.
-    The heap is the real ``_queue`` list; the core's 64-cycle scheduling
-    ring (which generalizes the reference kernel's same-cycle lane) is an
-    array of C structs inside the core, spilled into the heap whenever a
-    run returns, so between runs this *is* the reference kernel's queue.
-    ``run``/``run_until``/``post``/``call_at``/... are shadowed
-    per-instance by the core's compiled methods; ``step`` and
-    ``pending_events`` are inherited.
+    The scalar state (``now``, sequence counter) is stored in the
+    :class:`_native.Core` and exposed through settable properties, so
+    every external poke that works on ``Simulator`` (checkpoint digests,
+    modelcheck queue clears) works unchanged here.  The heap is the real
+    ``_queue`` list; the core's 64-cycle scheduling ring (which generalizes
+    the reference kernel's same-cycle lane) is an array of C structs
+    inside the core, spilled into the heap whenever a run returns, so
+    between runs this *is* the reference kernel's queue.
+    ``run``/``run_until``/``post``/``post_after`` are shadowed
+    per-instance by the core's compiled methods; ``step`` is inherited.
     """
 
     def __init__(self, *, max_cycles: int | None = None) -> None:
@@ -219,14 +217,11 @@ class NativeSimulator(Simulator):
         # methods as instance attributes so self.post(...) is one C call.
         self.post = core.post
         self.post_after = core.post_after
-        self.call_at = core.call_at
-        self.call_after = core.call_after
         self.run = core.run
         self.run_until = core.run_until
 
     now = _core_property("now")
     _seq = _core_property("seq")
-    _live = _core_property("live")
     events_executed = _core_property("executed")
     _running = _core_property("running")
 
@@ -242,13 +237,19 @@ class NativeSimulator(Simulator):
         queue = self._core.queue
         queue[:] = value
 
+    # Between runs the ring is empty and these are the reference reads of
+    # the heap.  A callback asking mid-run (nothing in the package does)
+    # has the ring spilled into the heap first, where the read can see
+    # it; the run carries on from the heap in the same (time, seq) order.
+
     def next_event_time(self) -> int | None:
-        # Between runs the ring is empty and this is the reference scan.
-        # A callback peeking mid-run (nothing in the package does) has the
-        # ring spilled into the heap first, where the scan can see it; the
-        # run carries on from the heap in the same (time, seq) order.
         self._core.flush_ring()
         return super().next_event_time()
+
+    @property
+    def pending_events(self) -> int:
+        self._core.flush_ring()
+        return len(self._core.queue)
 
 
 def _step_kernel(processor, core):
@@ -404,8 +405,7 @@ _CELLS = {
     "_rt_repm": _cell(_BASE, "_rt_repm", *_READ_DONE),
     "_rt_ackc": _cell(_BASE, "_rt_ackc", "_stray"),
     # Dir_iNB's read: the base cell inside the fifo bookkeeping, and on
-    # overflow its eviction (the fifo victim only: "random" draws from
-    # the machine's seeded stream, which stays Python's)
+    # overflow its eviction
     "limited._ro_rreq": _cell(
         LimitedController, "_ro_rreq",
         "_pointer_available", "_send_rdata", "_read_overflow", "_choose_victim",
@@ -419,18 +419,17 @@ def _cell_codes(ctrl, class_cells: dict) -> tuple:
     0 where the handler is not a method the C mirrors.
 
     ``class_cells`` memoizes the half of the answer that depends only on
-    the controller's class and victim policy — which cells' helpers are
-    the mirrored ones — across the (identical) controllers of one machine.
+    the controller's class — which cells' helpers are the mirrored ones —
+    across the (identical) controllers of one machine.
     """
     cls = type(ctrl)
-    fifo = getattr(ctrl, "victim_policy", None) == "fifo"
-    cells = class_cells.get((cls, fifo))
+    cells = class_cells.get(cls)
     if cells is None:
-        cells = class_cells[cls, fifo] = [
+        cells = class_cells[cls] = [
             (function, code, inlined)
             for code, name in enumerate(_native.DIR_CELLS.split(), 1)
             for owner, function, inlined in [_CELLS[name]]
-            if (owner is _BASE or fifo)
+            if issubclass(cls, owner)
             and all(getattr(cls, helper) is getattr(owner, helper) for helper in inlined)
         ]
     shadowed = vars(ctrl)

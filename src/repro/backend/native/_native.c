@@ -6,7 +6,7 @@
  * pipeline and Table-2 cells, and wormhole route stepping — re-expressed as
  * CPython C-API code over the *same Python data structures* the Python
  * engines use.  That is what makes bit-identity tractable: the heap is
- * the same list of ``(time, seq, callback, arg, event)`` tuples, and the
+ * the same list of ``(time, seq, callback, arg)`` tuples, and the
  * counters are the same attributes and live slot lists.  What a run does
  * per event stays out of Python objects, though: the 64-cycle ring holds
  * C structs, boxed into heap tuples only when a run returns with events
@@ -47,10 +47,6 @@ typedef struct {
 } CtxOffsets;
 
 typedef struct {
-    Py_ssize_t cancelled, done;
-} EvOffsets;
-
-typedef struct {
     Py_ssize_t src, dst, opcode, address, data, meta, sent_at, crc, free;
 } PktOffsets;
 
@@ -69,7 +65,6 @@ typedef struct {
 
 static PyObject *g_sim_error;       /* SimulationError */
 static PyObject *g_context_type;    /* proc.processor.Context */
-static PyObject *g_event_type;      /* kernel.Event */
 static PyObject *g_no_arg;          /* kernel._NO_ARG sentinel */
 static PyObject *g_ctx_done, *g_ctx_running, *g_ctx_blocked, *g_ctx_ready;
 #define N_OP_KINDS 8
@@ -104,7 +99,6 @@ enum { A_LOAD, A_STORE, A_RMW };
 static char g_data_bearing[64];
 static long g_last_c2m = 4;
 static CtxOffsets g_ctx;
-static EvOffsets g_ev;
 static PktOffsets g_pkt;
 static Py_ssize_t g_stat[N_NS];     /* NetworkStats, by NS_* */
 static WaiterOffsets g_waiter;
@@ -366,10 +360,11 @@ heap_pop(PyObject *queue)
 /* Core: the batched-ring event kernel state                          */
 /* ------------------------------------------------------------------ */
 
-/* One queued ring event; ``ev`` is its cancel handle, NULL for a post. */
+/* One queued ring event: a heap tuple without its time, which is the
+ * slot's. */
 typedef struct {
     long long seq;
-    PyObject *cb, *arg, *ev;
+    PyObject *cb, *arg;
 } RingEntry;
 
 /* One cycle's events, oldest first: items[head..n) are queued; a drain
@@ -393,7 +388,7 @@ static int kernel_fold(PyObject *owner);
 
 typedef struct {
     PyObject_HEAD
-    long long now, seq, live, executed;
+    long long now, seq, executed;
     unsigned long long ring_mask;
     int running;
     PyObject *queue;        /* list of heap tuples */
@@ -493,7 +488,6 @@ entry_release(RingEntry *e)
 {
     Py_DECREF(e->cb);
     Py_DECREF(e->arg);
-    Py_XDECREF(e->ev);
 }
 
 static int
@@ -506,7 +500,6 @@ Core_traverse(CoreObject *self, visitproc visit, void *arg)
         for (j = self->ring[i].head; j < self->ring[i].n; j++) {
             Py_VISIT(self->ring[i].items[j].cb);
             Py_VISIT(self->ring[i].items[j].arg);
-            Py_VISIT(self->ring[i].items[j].ev);
         }
     Py_VISIT(self->sim);
     return 0;
@@ -560,12 +553,11 @@ sched_error(long long time, long long now)
 }
 
 /* Queue an entry in the ring (caller guarantees mid-run and
- * time - now < RING); ``ev`` NULL for a post.  One struct write: the
- * array doubles when full, after reclaiming what a drain has consumed
- * once that is half of it. */
+ * time - now < RING).  One struct write: the array doubles when full,
+ * after reclaiming what a drain has consumed once that is half of it. */
 static int
 core_ring_push(CoreObject *core, long long time, long long seq, PyObject *cb,
-               PyObject *arg, PyObject *ev)
+               PyObject *arg)
 {
     RingSlot *slot = &core->ring[time & RING_MASK];
     RingEntry *e;
@@ -594,10 +586,7 @@ core_ring_push(CoreObject *core, long long time, long long seq, PyObject *cb,
     e->cb = cb;
     Py_INCREF(arg);
     e->arg = arg;
-    Py_XINCREF(ev);
-    e->ev = ev;
     core->ring_mask |= 1ULL << (time & RING_MASK);
-    core->live += 1;
     return 0;
 }
 
@@ -611,11 +600,11 @@ slot_pop(RingSlot *slot, RingEntry *out)
         slot->head = slot->n = 0;
 }
 
-/* Push ``(time, seq, cb, arg, ev or None)`` on the heap; ``t_obj`` is
- * ``time`` as an int when the caller has one. */
+/* Push ``(time, seq, cb, arg)`` on the heap; ``t_obj`` is ``time`` as
+ * an int when the caller has one. */
 static int
 core_heap_push(CoreObject *core, long long time, PyObject *t_obj,
-               long long seq, PyObject *cb, PyObject *arg, PyObject *ev)
+               long long seq, PyObject *cb, PyObject *arg)
 {
     PyObject *seq_obj = PyLong_FromLongLong(seq), *entry;
     int rc;
@@ -625,22 +614,18 @@ core_heap_push(CoreObject *core, long long time, PyObject *t_obj,
         t_obj = PyLong_FromLongLong(time);
     else
         Py_INCREF(t_obj);
-    entry = t_obj != NULL ? PyTuple_New(5) : NULL;
+    entry = t_obj != NULL ? PyTuple_New(4) : NULL;
     if (entry == NULL) {
         Py_DECREF(seq_obj);
         Py_XDECREF(t_obj);
         return -1;
     }
-    if (ev == NULL)
-        ev = Py_None;
     PyTuple_SET_ITEM(entry, 0, t_obj);
     PyTuple_SET_ITEM(entry, 1, seq_obj);
     Py_INCREF(cb);
     PyTuple_SET_ITEM(entry, 2, cb);
     Py_INCREF(arg);
     PyTuple_SET_ITEM(entry, 3, arg);
-    Py_INCREF(ev);
-    PyTuple_SET_ITEM(entry, 4, ev);
     rc = heap_push(core->queue, entry);
     Py_DECREF(entry);
     return rc;
@@ -657,11 +642,8 @@ core_post_impl(CoreObject *core, long long time, PyObject *time_obj,
         return -1;
     }
     if (core->running && time - core->now < RING)
-        return core_ring_push(core, time, core->seq++, cb, arg, NULL);
-    if (core_heap_push(core, time, time_obj, core->seq++, cb, arg, NULL) < 0)
-        return -1;
-    core->live += 1;
-    return 0;
+        return core_ring_push(core, time, core->seq++, cb, arg);
+    return core_heap_push(core, time, time_obj, core->seq++, cb, arg);
 }
 
 /* A time (or delay, or run limit) must be exactly an int (the ring cannot
@@ -722,7 +704,7 @@ parse_time_cb_arg(PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames,
     return 0;
 }
 
-/* ``now + delay`` for post_after/call_after, refusing a negative delay
+/* ``now + delay`` for post_after, refusing a negative delay
  * and a sum past the cycle counter: -1 with the error set. */
 static long long
 time_after(CoreObject *core, long long delay)
@@ -765,73 +747,7 @@ Core_post_after(CoreObject *self, PyObject *const *args, Py_ssize_t nargs,
     Py_RETURN_NONE;
 }
 
-/* call_at: like post but allocates an Event cancel handle. */
-static PyObject *
-core_call_at_impl(CoreObject *core, long long time, PyObject *cb,
-                  PyObject *arg)
-{
-    long long seq = core->seq;
-    PyObject *event, *seq_obj, *t_obj;
-    int rc;
-    if (time < core->now)
-        return sched_error(time, core->now);
-    core->seq = seq + 1;
-    seq_obj = PyLong_FromLongLong(seq);
-    t_obj = PyLong_FromLongLong(time);
-    event = seq_obj != NULL && t_obj != NULL
-                ? PyObject_CallFunctionObjArgs(g_event_type, t_obj, seq_obj,
-                                               cb, arg, core->sim, NULL)
-                : NULL;
-    Py_XDECREF(seq_obj);
-    if (event == NULL) {
-        Py_XDECREF(t_obj);
-        return NULL;
-    }
-    if (core->running && time - core->now < RING)
-        rc = core_ring_push(core, time, seq, cb, arg, event);
-    else {
-        rc = core_heap_push(core, time, t_obj, seq, cb, arg, event);
-        if (rc == 0)
-            core->live += 1;
-    }
-    Py_DECREF(t_obj);
-    if (rc < 0)
-        Py_CLEAR(event);
-    return event;
-}
-
-static PyObject *
-Core_call_at(CoreObject *self, PyObject *const *args, Py_ssize_t nargs,
-             PyObject *kwnames)
-{
-    PyObject *time_obj, *cb, *arg;
-    long long time;
-    if (parse_time_cb_arg(args, nargs, kwnames, "time", &time, &time_obj,
-                          &cb, &arg) < 0)
-        return NULL;
-    return core_call_at_impl(self, time, cb, arg);
-}
-
-static PyObject *
-Core_call_after(CoreObject *self, PyObject *const *args, Py_ssize_t nargs,
-                PyObject *kwnames)
-{
-    PyObject *time_obj, *cb, *arg;
-    long long delay, time;
-    if (parse_time_cb_arg(args, nargs, kwnames, "delay", &delay, &time_obj,
-                          &cb, &arg) < 0 ||
-        (time = time_after(self, delay)) < 0)
-        return NULL;
-    return core_call_at_impl(self, time, cb, arg);
-}
-
 /* -- execution ------------------------------------------------------ */
-
-static inline int
-event_cancelled(PyObject *ev)
-{
-    return SLOT_GET(ev, g_ev.cancelled) == Py_True;
-}
 
 /* Spill ring entries back into the heap with their original seqs: the
  * only place a ring entry is boxed.  An entry leaves its slot as it is
@@ -850,8 +766,7 @@ core_flush_ring(CoreObject *core)
             return -1;
         while (slot->head < slot->n) {
             RingEntry *e = &slot->items[slot->head];
-            if (core_heap_push(core, time, t_obj, e->seq, e->cb, e->arg,
-                               e->ev) < 0) {
+            if (core_heap_push(core, time, t_obj, e->seq, e->cb, e->arg) < 0) {
                 Py_DECREF(t_obj);
                 return -1;
             }
@@ -866,55 +781,32 @@ core_flush_ring(CoreObject *core)
     return 0;
 }
 
-/* Earliest live ring time strictly after now; drops cancelled heads.
- * Returns 1 with *out set, 0 when no live ring entry. */
+/* Earliest ring time strictly after now: 1 with *out set, 0 when the
+ * ring is empty.  Called with now's slot empty, and a set bit is a
+ * non-empty slot, so the first set bit after now's is the answer. */
 static int
 core_next_ring_time(CoreObject *core, long long *out)
 {
-    for (;;) {
-        unsigned long long mask = core->ring_mask, rot;
-        int start, dist, slot_idx;
-        RingSlot *slot;
-        if (!mask)
-            return 0;
-        start = (int)((core->now + 1) & RING_MASK);
-        rot = start ? ((mask >> start) | (mask << (RING - start))) : mask;
-        dist = __builtin_ctzll(rot);
-        slot_idx = (start + dist) & RING_MASK;
-        slot = &core->ring[slot_idx];
-        while (slot->head < slot->n) {
-            RingEntry *head = &slot->items[slot->head];
-            if (head->ev != NULL && event_cancelled(head->ev)) {
-                RingEntry dead;
-                slot_pop(slot, &dead);
-                entry_release(&dead);
-                continue;
-            }
-            *out = core->now + 1 + dist;
-            return 1;
-        }
-        core->ring_mask &= ~(1ULL << slot_idx);
-    }
+    unsigned long long mask = core->ring_mask, rot;
+    int start;
+    if (!mask)
+        return 0;
+    start = (int)((core->now + 1) & RING_MASK);
+    rot = start ? ((mask >> start) | (mask << (RING - start))) : mask;
+    *out = core->now + 1 + __builtin_ctzll(rot);
+    return 1;
 }
 
 /* Run one entry taken off the ring or the heap, consuming its
- * references: 0, or -1 when the callback raised.  A cancelled one is
- * dropped (cancel() already took it out of ``live``); a live one counts
- * before it is called, as the reference kernel counts it. */
+ * references: 0, or -1 when the callback raised.  It counts before it is
+ * called, as the reference kernel counts it. */
 static inline int
 core_dispatch(CoreObject *core, RingEntry *e)
 {
-    PyObject *res = Py_None;
-    if (e->ev != NULL && event_cancelled(e->ev))
-        Py_INCREF(res);
-    else {
-        if (e->ev != NULL)
-            slot_set_incref(e->ev, g_ev.done, Py_True);
-        core->executed += 1;
-        core->live -= 1;
-        res = (e->arg == g_no_arg) ? PyObject_CallNoArgs(e->cb)
-                                   : PyObject_CallOneArg(e->cb, e->arg);
-    }
+    PyObject *res;
+    core->executed += 1;
+    res = (e->arg == g_no_arg) ? PyObject_CallNoArgs(e->cb)
+                               : PyObject_CallOneArg(e->cb, e->arg);
     entry_release(e);
     if (res == NULL)
         return -1;
@@ -922,8 +814,8 @@ core_dispatch(CoreObject *core, RingEntry *e)
     return 0;
 }
 
-/* Pop the heap's head into ``*e`` (new references; ``ev`` NULL for a
- * post) and its time into ``*time``: 0, or -1 on error. */
+/* Pop the heap's head into ``*e`` (new references) and its time into
+ * ``*time``: 0, or -1 on error. */
 static int
 core_heap_pop(CoreObject *core, RingEntry *e, long long *time)
 {
@@ -933,8 +825,6 @@ core_heap_pop(CoreObject *core, RingEntry *e, long long *time)
     *time = tuple_ll(entry, 0);
     e->cb = Py_NewRef(PyTuple_GET_ITEM(entry, 2));
     e->arg = Py_NewRef(PyTuple_GET_ITEM(entry, 3));
-    e->ev = PyTuple_GET_ITEM(entry, 4);
-    e->ev = e->ev == Py_None ? NULL : Py_NewRef(e->ev);
     Py_DECREF(entry);
     return 0;
 }
@@ -1018,8 +908,7 @@ core_run_loop(CoreObject *core, int until_mode, long long limit)
         }
         rc = core_heap_pop(core, &e, &next);
         if (rc == 0) {
-            if (e.ev == NULL || !event_cancelled(e.ev))
-                core->now = next;
+            core->now = next;
             rc = core_dispatch(core, &e);
         }
     }
@@ -1116,10 +1005,6 @@ static PyMethodDef Core_methods[] = {
      METH_FASTCALL | METH_KEYWORDS, NULL},
     {"post_after", (PyCFunction)(void (*)(void))Core_post_after,
      METH_FASTCALL | METH_KEYWORDS, NULL},
-    {"call_at", (PyCFunction)(void (*)(void))Core_call_at,
-     METH_FASTCALL | METH_KEYWORDS, NULL},
-    {"call_after", (PyCFunction)(void (*)(void))Core_call_after,
-     METH_FASTCALL | METH_KEYWORDS, NULL},
     {"run", (PyCFunction)(void (*)(void))Core_run,
      METH_FASTCALL | METH_KEYWORDS, NULL},
     {"run_until", (PyCFunction)Core_run_until, METH_O, NULL},
@@ -1174,7 +1059,7 @@ Core_get_queue(CoreObject *s, void *c)
 
 static PyGetSetDef Core_getsets[] = {
     FIELD_GETSET(ll, CoreObject, now), FIELD_GETSET(ll, CoreObject, seq),
-    FIELD_GETSET(ll, CoreObject, live), FIELD_GETSET(ll, CoreObject, executed),
+    FIELD_GETSET(ll, CoreObject, executed),
     FIELD_GETSET(flag, CoreObject, running),
     {"queue", (getter)Core_get_queue, NULL, NULL, NULL},
     {NULL, NULL, NULL, NULL, NULL},
@@ -4312,8 +4197,8 @@ static const struct {
     PyObject **slot;
     const char *key;
 } setup_refs[] = {
-    {&g_sim_error, "SimulationError"}, {&g_event_type, "Event"},
-    {&g_no_arg, "NO_ARG"}, {&g_context_type, "Context"},
+    {&g_sim_error, "SimulationError"}, {&g_no_arg, "NO_ARG"},
+    {&g_context_type, "Context"},
     {&g_ctx_done, "DONE"}, {&g_ctx_running, "RUNNING"},
     {&g_ctx_blocked, "BLOCKED"}, {&g_ctx_ready, "READY"},
     {&g_waiter_type, "Waiter"}, {&g_mshr_type, "Mshr"},
@@ -4332,7 +4217,6 @@ static const struct {
     Py_ssize_t *offset;
     const char *cls, *name;
 } setup_slots[] = {
-    {&g_ev.cancelled, "Event", "cancelled"}, {&g_ev.done, "Event", "_done"},
     {&g_ctx.state, "Context", "state"}, {&g_ctx.gen, "Context", "gen"},
     {&g_ctx.started, "Context", "started"},
     {&g_ctx.resume_value, "Context", "resume_value"},

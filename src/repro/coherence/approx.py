@@ -74,7 +74,7 @@ class ApproxLimitLessController(FullMapController):
             if self.trap_engine is not None:
                 self.trap_engine.request_trap(self.ts, lambda: None)
             self._retained = True
-            self.sim.call_after(
+            self.sim.post_after(
                 self.ts, lambda: self._resume_dispatch(entry, packet)
             )
             return

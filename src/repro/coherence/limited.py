@@ -18,22 +18,17 @@ from .entry import DirectoryEntry
 class LimitedController(MemoryController):
     """Dir_iNB: ``pointer_capacity`` pointers, eviction on overflow.
 
-    ``victim_policy`` selects which pointer to evict: ``"fifo"`` evicts the
-    lowest-numbered node that is not the requester (deterministic and close
-    to a hardware rotating pointer), ``"random"`` draws from the entry's
-    current sharers.
+    The victim is the oldest recorded reader that is not the requester
+    (else the lowest-numbered sharer): deterministic and close to a
+    hardware rotating pointer.
     """
 
     protocol_name = "limited"
 
-    def __init__(self, *args, victim_policy: str = "fifo", rng=None, **kwargs) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         if self.pointer_capacity is None or self.pointer_capacity < 1:
             raise ValueError("limited directory needs >= 1 hardware pointer")
-        if victim_policy not in ("fifo", "random"):
-            raise ValueError(f"unknown victim policy {victim_policy!r}")
-        self.victim_policy = victim_policy
-        self._rng = rng
         self._fifo_order: dict[int, list[int]] = {}
 
     # ------------------------------------------------------------------
@@ -73,8 +68,6 @@ class LimitedController(MemoryController):
         candidates = sorted(entry.sharers - {requester})
         if not candidates:
             raise AssertionError("overflow with no evictable pointer")
-        if self.victim_policy == "random" and self._rng is not None:
-            return self._rng.choice("dir.victim", candidates)
         order = self._fifo_order.get(entry.block, [])
         for node in order:
             if node in candidates:

@@ -46,7 +46,6 @@ class AlewifeConfig:
     dir_occupancy: int = 3
     retry_base: int = 12
     retry_cap: int = 400
-    victim_policy: str = "fifo"
 
     # Processor
     switch_cycles: int = 11

@@ -59,9 +59,7 @@ class Node:
         # Payload CRCs are stamped/verified only under fault injection, so
         # fault-free runs never pay for (or are perturbed by) checksums.
         self.nic.crc_enabled = fault_tolerant
-        self.directory_controller = self._build_directory_controller(
-            sim, space, rng
-        )
+        self.directory_controller = self._build_directory_controller(sim, space)
         self.cache_array = self._backend.make_cache_array(
             space, config.cache_lines
         )
@@ -107,9 +105,7 @@ class Node:
             # The approximation stalls the local processor directly.
             self.directory_controller.trap_engine = self.processor
 
-    def _build_directory_controller(
-        self, sim: Simulator, space: AddressSpace, rng: DeterministicRng
-    ):
+    def _build_directory_controller(self, sim: Simulator, space: AddressSpace):
         cls = controller_class(self.config.protocol)
         kwargs: dict = dict(
             dir_occupancy=self.config.dir_occupancy,
@@ -130,9 +126,6 @@ class Node:
             "trap_always",
         ):
             kwargs["pointer_capacity"] = self.config.pointers
-        if self.config.protocol == "limited":
-            kwargs["victim_policy"] = self.config.victim_policy
-            kwargs["rng"] = rng
         if self.config.protocol == "limitless_approx":
             kwargs["hw_pointers"] = self.config.pointers
             kwargs["ts"] = self.config.ts

@@ -200,7 +200,7 @@ SPECS: dict[str, ModelSpec] = {
     "fullmap": ModelSpec(FullMapController, lambda p: {}),
     "limited": ModelSpec(
         LimitedController,
-        lambda p: {"pointer_capacity": p, "victim_policy": "fifo"},
+        lambda p: {"pointer_capacity": p},
         symmetric=False,
     ),
     "limited_broadcast": ModelSpec(

@@ -67,12 +67,12 @@ class LostAckLimitedController(LimitedController):
 MUTANTS: dict[str, ModelSpec] = {
     "limited_dropinv": ModelSpec(
         DroppedInvLimitedController,
-        lambda p: {"pointer_capacity": p, "victim_policy": "fifo"},
+        lambda p: {"pointer_capacity": p},
         symmetric=False,
     ),
     "limited_lostack": ModelSpec(
         LostAckLimitedController,
-        lambda p: {"pointer_capacity": p, "victim_policy": "fifo"},
+        lambda p: {"pointer_capacity": p},
         symmetric=False,
     ),
 }

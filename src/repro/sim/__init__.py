@@ -1,13 +1,12 @@
 """Event-driven simulation kernel (the reproduction's ASIM core)."""
 
 from .component import Component
-from .kernel import Event, SimulationError, Simulator, StallableResource
+from .kernel import SimulationError, Simulator, StallableResource
 from .rng import DeterministicRng
 
 __all__ = [
     "Component",
     "DeterministicRng",
-    "Event",
     "SimulationError",
     "Simulator",
     "StallableResource",

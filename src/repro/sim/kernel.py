@@ -8,16 +8,15 @@ reproduction's experiments compare protocols on *absolute execution cycles*;
 two runs of the same configuration must produce identical cycle counts.
 
 The kernel is the innermost loop of every experiment, so its data layout is
-chosen for speed: the heap holds plain ``(time, seq, callback, arg, event)``
+chosen for speed: the heap holds plain ``(time, seq, callback, arg)``
 tuples so that sift operations compare tuples in C instead of calling a
 Python ``__lt__`` (``seq`` is unique, so comparison never reaches the
-callback), ``Event`` uses ``__slots__``, and callbacks may carry one
-pre-bound argument (``call_at(t, handler, packet)``) so hot paths schedule
-without allocating a closure per event.  ``post``/``post_after`` skip the
-:class:`Event` cancel handle entirely — the last tuple slot is None — for
-schedulers that never cancel.  Live events are counted incrementally —
-scheduling increments, cancellation and execution decrement — so
-``pending_events`` is O(1) instead of an O(n) queue scan.
+callback), and callbacks may carry one pre-bound argument
+(``post(t, handler, packet)``) so hot paths schedule without allocating a
+closure per event.  Scheduling is fire-and-forget: nothing queued is ever
+withdrawn (the protocol timers drop stale firings by ``epoch``/``txn``
+checks instead), so every queued entry is a pending event and
+``pending_events`` is the queue's length.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ _MAX_TIME = (1 << 63) - 1
 
 def _bad_time(time: Any, now: int, verb: str = "schedule event at") -> Exception:
     """Why ``time`` cannot be scheduled (or run to) at cycle ``now`` — the
-    cold half of the one check every ``post``/``call_at``/``run`` makes."""
+    cold half of the one check every ``post``/``post_after``/``run`` makes."""
     if type(time) is not int:
         return TypeError(f"time must be an int, not {type(time).__name__}")
     if time < now:
@@ -56,59 +55,22 @@ def _bad_delay(delay: Any) -> Exception:
     return SimulationError(f"negative delay {delay}")
 
 
-class Event:
-    """A scheduled callback.
-
-    Events order by (time, seq): ties at the same cycle execute in the order
-    they were scheduled, which keeps runs deterministic.  The ordering lives
-    in the simulator's heap tuples; the Event object itself is the cancel
-    handle (and carries the optional pre-bound callback argument).
-    """
-
-    __slots__ = ("time", "seq", "callback", "arg", "cancelled", "_sim", "_done")
-
-    def __init__(
-        self,
-        time: int,
-        seq: int,
-        callback: Callable[..., None],
-        arg: Any = _NO_ARG,
-        sim: "Simulator | None" = None,
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.arg = arg
-        self.cancelled = False
-        self._sim = sim
-        self._done = False
-
-    def cancel(self) -> None:
-        """Prevent the callback from running when its time arrives."""
-        if self.cancelled or self._done:
-            return
-        self.cancelled = True
-        if self._sim is not None:
-            self._sim._live -= 1
-
-
 class Simulator:
     """Event queue plus the global cycle counter.
 
     Typical usage::
 
         sim = Simulator()
-        sim.call_at(10, lambda: print("cycle 10"))
+        sim.post(10, lambda: print("cycle 10"))
         sim.run()
     """
 
     def __init__(self, *, max_cycles: int | None = None) -> None:
         self._queue: list[tuple] = []
         self._seq = 0
-        self._live = 0
         #: same-cycle fast lane: events scheduled *for* the current cycle
         #: *during* the current cycle skip the heap entirely.  Entries are
-        #: ``(seq, callback, arg, event)``; their time is always ``now``.
+        #: heap tuples whose time is always ``now``.
         self._lane: deque[tuple] = deque()
         self.now = 0
         self.max_cycles = max_cycles
@@ -119,9 +81,9 @@ class Simulator:
     # Scheduling
     # ------------------------------------------------------------------
 
-    def call_at(
+    def post(
         self, time: int, callback: Callable[..., None], arg: Any = _NO_ARG
-    ) -> Event:
+    ) -> None:
         """Schedule ``callback`` at absolute cycle ``time``.
 
         ``arg``, when given, is passed to the callback at execution time —
@@ -133,47 +95,15 @@ class Simulator:
             raise _bad_time(time, now)
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, seq, callback, arg, self)
         if time == now and self._running:
-            self._lane.append((seq, callback, arg, event))
+            self._lane.append((time, seq, callback, arg))
         else:
-            _heappush(self._queue, (time, seq, callback, arg, event))
-        self._live += 1
-        return event
-
-    def call_after(
-        self, delay: int, callback: Callable[..., None], arg: Any = _NO_ARG
-    ) -> Event:
-        """Schedule ``callback`` ``delay`` cycles from now."""
-        if type(delay) is not int or delay < 0:
-            raise _bad_delay(delay)
-        return self.call_at(self.now + delay, callback, arg)
-
-    def post(
-        self, time: int, callback: Callable[..., None], arg: Any = _NO_ARG
-    ) -> None:
-        """Schedule without a cancel handle.
-
-        The hot-path twin of :meth:`call_at`: no :class:`Event` is
-        allocated, so the caller cannot cancel the callback.  Every
-        steady-state scheduler in the machine model (packet delivery,
-        pipeline steps, directory occupancy) uses this.
-        """
-        now = self.now
-        if type(time) is not int or not now <= time <= _MAX_TIME:
-            raise _bad_time(time, now)
-        seq = self._seq
-        self._seq = seq + 1
-        if time == now and self._running:
-            self._lane.append((seq, callback, arg, None))
-        else:
-            _heappush(self._queue, (time, seq, callback, arg, None))
-        self._live += 1
+            _heappush(self._queue, (time, seq, callback, arg))
 
     def post_after(
         self, delay: int, callback: Callable[..., None], arg: Any = _NO_ARG
     ) -> None:
-        """Schedule ``delay`` cycles from now without a cancel handle."""
+        """Schedule ``callback`` ``delay`` cycles from now."""
         if type(delay) is not int or delay < 0:
             raise _bad_delay(delay)
         self.post(self.now + delay, callback, arg)
@@ -182,39 +112,21 @@ class Simulator:
     # Execution
     # ------------------------------------------------------------------
 
-    def _flush_lane(self) -> None:
-        """Spill same-cycle lane entries back into the heap.
-
-        Only reachable when a callback raised mid-run: the lane drains
-        before the loops return normally.  Re-heaping (with the original
-        seqs) keeps ``step``/``run`` after a caught exception exact.
-        """
-        lane = self._lane
-        now = self.now
-        while lane:
-            seq, callback, arg, event = lane.popleft()
-            _heappush(self._queue, (now, seq, callback, arg, event))
-
     def step(self) -> bool:
         """Execute the next pending event.  Returns False when drained."""
         queue = self._queue
-        while queue:
-            time, _seq, callback, arg, event = heapq.heappop(queue)
-            if event is not None:
-                if event.cancelled:
-                    continue
-                event._done = True
-            if time < self.now:
-                raise SimulationError("event queue time went backwards")
-            self.now = time
-            self.events_executed += 1
-            self._live -= 1
-            if arg is _NO_ARG:
-                callback()
-            else:
-                callback(arg)
-            return True
-        return False
+        if not queue:
+            return False
+        time, _seq, callback, arg = heapq.heappop(queue)
+        if time < self.now:
+            raise SimulationError("event queue time went backwards")
+        self.now = time
+        self.events_executed += 1
+        if arg is _NO_ARG:
+            callback()
+        else:
+            callback(arg)
+        return True
 
     def run(self, until: int | None = None) -> int:
         """Run until the queue drains, ``until`` cycles, or ``max_cycles``.
@@ -259,75 +171,52 @@ class Simulator:
         no_arg = _NO_ARG
         self._running = True
         try:
-            # ``call_at`` refuses past times, so queue times are monotone and
+            # ``post`` refuses past times, so queue times are monotone and
             # the loop needs no went-backwards check.  A non-empty lane holds
             # events at exactly ``now``; a heap event at the same cycle was
             # necessarily scheduled in an earlier cycle (same-cycle schedules
             # go to the lane), so its seq is smaller and it runs first —
-            # comparing the heap top's seq against the lane head preserves
-            # exact (time, seq) order without heap traffic for lane events.
-            # A cancelled heap head still lower-bounds the live events
-            # under it, so stopping on it is exact too.
+            # comparing the heap top's (time, seq) against the lane head's
+            # preserves exact (time, seq) order without heap traffic for
+            # lane events.
             while True:
                 if lane:
-                    if (
-                        queue
-                        and queue[0][0] == self.now
-                        and queue[0][1] < lane[0][0]
-                    ):
-                        _time, _seq, callback, arg, event = pop(queue)
+                    if queue and queue[0] < lane[0]:
+                        _time, _seq, callback, arg = pop(queue)
                     else:
-                        _seq, callback, arg, event = lane.popleft()
-                    if event is not None:
-                        if event.cancelled:
-                            continue
-                        event._done = True
+                        _time, _seq, callback, arg = lane.popleft()
                 elif queue:
                     if queue[0][0] >= stop:
                         self.now = limit
                         break
-                    time, _seq, callback, arg, event = pop(queue)
-                    if event is not None:
-                        if event.cancelled:
-                            continue
-                        event._done = True
+                    time, _seq, callback, arg = pop(queue)
                     self.now = time
                 else:
                     break
                 self.events_executed += 1
-                self._live -= 1
                 if arg is no_arg:
                     callback()
                 else:
                     callback(arg)
         finally:
             self._running = False
-            if lane:
-                self._flush_lane()
+            # Only a callback that raised leaves the lane non-empty: spill
+            # it back (original seqs) so step/run after the catch stay exact.
+            while lane:
+                _heappush(queue, lane.popleft())
         if strict:
             self.now = limit
         return self.now
 
     def next_event_time(self) -> int | None:
-        """Time of the earliest live event, or None when drained.
-
-        Pops already-cancelled heap heads on the way (they would be
-        skipped at execution anyway), so the answer is exact.
-        """
+        """Time of the earliest pending event, or None when drained."""
         queue = self._queue
-        while queue:
-            head = queue[0]
-            event = head[4]
-            if event is not None and event.cancelled:
-                heapq.heappop(queue)
-                continue
-            return head[0]
-        return None
+        return queue[0][0] if queue else None
 
     @property
     def pending_events(self) -> int:
-        """Number of live (non-cancelled) events still queued.  O(1)."""
-        return self._live
+        """Number of events still queued."""
+        return len(self._queue) + len(self._lane)
 
 
 class StallableResource:

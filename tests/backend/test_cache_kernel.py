@@ -14,9 +14,8 @@ must (and the only ones it may) produce.
 
 The second half injects exceptions at the seams the compiled steps add
 — a fill nobody asked for, a completion callback or an ``rmw`` callable
-that raises, a payload word the slab cannot hold, ``Event.cancel``
-inside the ring drain a completion runs in — and compares the state at
-the raise and again after the surviving events drain.
+that raises, a payload word the slab cannot hold — and compares the
+state at the raise and again after the surviving events drain.
 """
 
 from __future__ import annotations
@@ -414,51 +413,3 @@ def test_a_word_outside_int64_is_refused_at_install():
     assert soa["error"][0] is OverflowError
     for name in sorted({"reference", "native"} - set(columns)):
         run_streams(make_machine(name), streams, poison)  # does not raise
-
-
-def test_event_cancel_inside_the_ring_drain_a_completion_runs_in():
-    """A completion posted by the fill schedules two same-cycle events
-    with cancel handles; the first cancels the second mid-drain."""
-
-    def run(backend):
-        machine = make_machine(backend)
-        log = []
-        sim = machine.sim
-
-        def completion(value):
-            log.append(("done", sim.now, value))
-            handles = {}
-
-            def first():
-                log.append(("first", sim.now))
-                handles["second"].cancel()
-
-            def second():  # pragma: no cover - cancelled
-                log.append(("second", sim.now))
-
-            sim.call_at(sim.now, first)
-            handles["second"] = sim.call_at(sim.now, second)
-            sim.call_at(sim.now + 3, lambda: log.append(("later", sim.now)))
-
-        def issue(m):
-            m.nodes[0].cache_controller.access(
-                "load", word_address(m, 1), None, completion
-            )
-
-        trace = []
-
-        def driver(m):
-            issue(m)
-            while sim.pending_events:
-                sim.run_until(sim.now + 7)
-                trace.append(kernel_state(m))
-
-        stats = machine.run(
-            OpStreamWorkload({0: [[("think", 90)]], **_NEIGHBOURS}), driver=driver
-        )
-        return log, trace, state_digest(machine), equivalence_fingerprint(stats)
-
-    reference = run("reference")
-    assert [entry[0] for entry in reference[0]] == ["done", "first", "later"]
-    for backend in BACKENDS[1:]:
-        assert run(backend) == reference, backend

@@ -23,8 +23,8 @@ that crossed it).
 The second half injects exceptions at the seams the kernel adds — a
 ``nic.send`` that raises in the middle of an invalidation fan-out, a
 write-back payload ``write_block`` cannot land, a table cell somebody
-rebinds, ``Event.cancel`` of a process event — and every failure the
-directory itself raises, compared at the raise and after the drain.
+rebinds — and every failure the directory itself raises, compared at the
+raise and after the drain.
 """
 
 from __future__ import annotations
@@ -448,11 +448,6 @@ CASES = [
           for p in range(4)},
          witness=("dir.pointer_evictions", "dir.invalidations"),
          overrides={"protocol": "limited", "pointers": 1}),
-    Case("limited_random_victims_stay_python",
-         {1: [[("load", 0)]], 2: [[("think", 40), ("load", 0)]],
-          3: [[("think", 80), ("load", 0)]], **_idle(0)},
-         reasons=frozenset({"dir_override"}), witness=("dir.pointer_evictions",),
-         overrides={"protocol": "limited", "pointers": 2, "victim_policy": "random"}),
     # -- hand-backs -----------------------------------------------------
     Case("limitless_overflow_interlock_and_write_termination",
          {1: [[("load", 0), ("think", 400), ("load", 4)]],
@@ -820,51 +815,6 @@ def test_a_rebound_table_cell_that_raises():
     case = Case("x", {1: [[("load", 0), ("store", 0, 5)]], **_idle(0, 2, 3)},
                 overrides=_FULLMAP, poke=rebind)
     assert assert_crashes_like_reference(case, "dir_override")["error"] == (Boom, "cell")
-
-
-def test_event_cancel_of_a_process_event():
-    """``process`` posted with cancel handles (``call_at``, which is how a
-    test or an extension would re-inject a packet): one is cancelled from
-    an event of the same cycle, inside the ring drain it would have run
-    in; its twin runs."""
-
-    def run(backend):
-        machine = make_machine(backend, **_FULLMAP)
-        log = []
-        trace = []
-
-        def driver(m):
-            sim = m.sim
-            ctrl = m.nodes[0].directory_controller
-            address = word_address(m, 0)
-            handles = {}
-            for src in (2, 3):  # nobody there to be confused by the reply
-                ScriptedCache(m, src, Script())
-
-            def inject():
-                at = sim.now + 4
-                sim.call_at(at, lambda: (log.append(sim.now), handles["doomed"].cancel()))
-                for name, src in (("doomed", 2), ("kept", 3)):
-                    packet = m.pool.protocol(src, 0, Op.RREQ, address)
-                    handles[name] = sim.call_at(at, ctrl.process, packet)
-
-            sim.post(20, inject)
-            while sim.pending_events:
-                sim.run_until(sim.now + 7)
-                trace.append((kernel_state(m), directory_state(m)))
-
-        stats = machine.run(
-            OpStreamWorkload({1: [[("load", 0), ("think", 60)]], **_idle(0, 2, 3)}),
-            driver=driver, audit=False,
-        )
-        entry = _entry(machine)
-        return log, trace, sorted(entry.sharers), state_digest(machine), \
-            equivalence_fingerprint(stats)
-
-    reference = run("reference")
-    assert reference[2] == [1, 3]
-    for backend in BACKENDS[1:]:
-        assert run(backend) == reference, backend
 
 
 @needs_extension

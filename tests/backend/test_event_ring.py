@@ -88,39 +88,6 @@ def test_entries_appended_before_a_raise_keep_their_place(sim):
 
 
 # ----------------------------------------------------------------------
-# Cancel handles inside the ring
-# ----------------------------------------------------------------------
-
-
-def test_call_at_and_cancel_inside_the_ring(sim):
-    log = []
-    handles = {}
-
-    def root():
-        handles["same"] = sim.call_at(sim.now, log.append, "same-cycle, cancelled")
-        handles["near"] = sim.call_at(sim.now + 3, log.append, "near, cancelled later")
-        handles["kept"] = sim.call_at(sim.now + 3, log.append, "kept")
-        handles["far"] = sim.call_at(sim.now + 40, log.append, "alone in its cycle")
-        sim.post(sim.now + 1, canceller)
-        handles["same"].cancel()
-
-    def canceller():
-        handles["near"].cancel()
-        handles["far"].cancel()
-        handles["far"].cancel()  # twice: live drops once
-
-    sim.post(10, root)
-    sim.run()
-    assert log == ["kept"]
-    # the cancelled entry alone in cycle 50 must not drag time there
-    assert sim.now == 13
-    assert (sim.events_executed, sim.pending_events) == (3, 0)
-    handles["kept"].cancel()  # after it ran: a no-op
-    assert sim.pending_events == 0
-    assert handles["kept"].cancelled is False and handles["near"].cancelled is True
-
-
-# ----------------------------------------------------------------------
 # A slot that grows while it is being drained
 # ----------------------------------------------------------------------
 
@@ -138,7 +105,7 @@ def test_a_slot_grows_past_its_capacity_during_its_own_drain(sim, width):
     def first(i):
         log.append(("first", i))
         sim.post(sim.now, second, ("second", i, "a"))
-        sim.call_at(sim.now, second, ("second", i, "b"))
+        sim.post(sim.now, second, ("second", i, "b"))
 
     def root():
         for i in range(width):
@@ -181,7 +148,7 @@ def test_the_63_64_cycle_boundary(sim):
     def root():
         for ahead in (64, 63, 65, 0, 63, 64):
             sim.post(sim.now + ahead, note, f"+{ahead}")
-        sim.call_at(sim.now + 64, note, "+64 handle")
+        sim.post(sim.now + 64, note, "+64 again")
         sim.post(sim.now + 1, late)
 
     def late():
@@ -198,7 +165,7 @@ def test_the_63_64_cycle_boundary(sim):
         (163, "+63"),
         (164, "+64"),
         (164, "+64"),
-        (164, "+64 handle"),
+        (164, "+64 again"),
         (164, "late +63"),
         (165, "+65"),
         (165, "late +64"),
@@ -233,19 +200,17 @@ def test_a_run_that_stops_early_hands_the_ring_back_in_time_seq_order(sim):
 
     def root():
         sim.post(sim.now + 30, log.append, "c")
-        sim.call_at(sim.now + 5, log.append, "a")
+        sim.post(sim.now + 5, log.append, "a")
         sim.post(sim.now + 30, log.append, "d")
         sim.post(sim.now + 5, log.append, "b")
-        sim.call_at(sim.now + 30, log.append, "cancelled").cancel()
 
     sim.post(10, root)
     assert sim.run(until=12) == 12
     assert log == []
-    queued = sorted(sim._queue, key=lambda entry: entry[:2])
-    assert [(t, seq) for t, seq, *_ in queued] == [
-        (15, 2), (15, 4), (40, 1), (40, 3), (40, 5),
+    queued = sorted(sim._queue)
+    assert [(t, seq, arg) for t, seq, _, arg in queued] == [
+        (15, 2, "a"), (15, 4, "b"), (40, 1, "c"), (40, 3, "d"),
     ]
-    assert [entry[4] is None for entry in queued] == [False, True, True, True, False]
     assert sim.next_event_time() == 15 and sim.pending_events == 4
     # the window form stops short of its limit too, and step() works
     # on what came back
@@ -275,8 +240,8 @@ def test_a_mid_run_peek_at_the_next_event_time_is_exact(sim):
 
 
 def test_the_collector_sees_what_the_ring_holds(sim):
-    """Entries queued in the ring own their callback, argument and cancel
-    handle, and the collector is told so: a collection in the middle of a
+    """Entries queued in the ring own their callback and argument, and the
+    collector is told so: a collection in the middle of a
     batch (machines allocate: it happens) must leave them be."""
 
     class Probe:
@@ -291,7 +256,7 @@ def test_the_collector_sees_what_the_ring_holds(sim):
         for ahead in (0, 1, 63):
             probe = Probe()
             sim.post(sim.now + ahead, probe.fire, probe)
-            sim.call_at(sim.now + ahead, probe.fire)
+            sim.post(sim.now + ahead, probe.fire)
         del probe  # the queue alone owns the probes now
         gc.collect()
         if hasattr(sim, "_core"):
@@ -304,7 +269,7 @@ def test_the_collector_sees_what_the_ring_holds(sim):
     if seen:  # native: what Core_traverse visited while the six were queued
         kinds = [type(obj).__name__ for obj in seen["core"]]
         assert kinds.count("method") == 6
-        assert kinds.count("Probe") == 3 and kinds.count("Event") == 3
+        assert kinds.count("Probe") == 3
 
 
 # ----------------------------------------------------------------------
@@ -316,12 +281,20 @@ def test_keywords_are_accepted_by_every_kernel(sim):
     log = []
     sim.post(time=1, callback=log.append, arg="post")
     sim.post_after(delay=2, callback=log.append, arg="post_after")
-    sim.call_at(time=3, callback=log.append, arg="call_at")
-    sim.call_after(delay=4, callback=log.append, arg="call_after")
     sim.post(5, log.append, arg="mixed")
-    sim.call_at(6, callback=lambda: log.append("no arg"))
+    sim.post_after(6, callback=lambda: log.append("no arg"))
     sim.run()
-    assert log == ["post", "post_after", "call_at", "call_after", "mixed", "no arg"]
+    assert log == ["post", "post_after", "mixed", "no arg"]
+
+
+# "post"/"post_after" schedule a bare callback; "call_at"/"call_after"
+# schedule, by the same two calls, a callback called with an argument.
+_SCHEDULE_FORMS = {
+    "post": lambda sim, time: sim.post(time, lambda: None),
+    "call_at": lambda sim, time: sim.post(time, print, "arg"),
+    "post_after": lambda sim, time: sim.post_after(time, lambda: None),
+    "call_after": lambda sim, time: sim.post_after(time, print, "arg"),
+}
 
 
 @pytest.mark.parametrize(
@@ -340,15 +313,16 @@ def test_keywords_are_accepted_by_every_kernel(sim):
 )
 @pytest.mark.parametrize("method", ["post", "call_at", "post_after", "call_after"])
 def test_a_time_that_is_not_a_cycle_count_is_refused_alike(sim, method, time, error):
+    schedule = _SCHEDULE_FORMS[method]
     with pytest.raises(error):
-        getattr(sim, method)(time, lambda: None)
+        schedule(sim, time)
     assert (sim._seq, sim.pending_events, list(sim._queue)) == (0, 0, [])
     # ... mid-run as well, where the ring would have taken it
     caught = []
 
     def root():
         try:
-            getattr(sim, method)(time, lambda: None)
+            schedule(sim, time)
         except Exception as exc:
             caught.append(type(exc))
 
@@ -359,12 +333,11 @@ def test_a_time_that_is_not_a_cycle_count_is_refused_alike(sim, method, time, er
 
 def test_the_largest_cycle_count_is_schedulable(sim):
     sim.post(2**63 - 1, lambda: None)
-    sim.call_at(2**63 - 1, lambda: None)
+    sim.post(2**63 - 1, print, "arg")
     assert sim.pending_events == 2 and sim.next_event_time() == 2**63 - 1
     sim.now = 10
-    for method in ("post_after", "call_after"):
-        with pytest.raises(SimulationError):
-            getattr(sim, method)(2**63 - 5, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.post_after(2**63 - 5, lambda: None)
 
 
 def _set_max_cycles(value):
@@ -440,7 +413,7 @@ def test_the_largest_cycle_count_is_a_valid_run_limit(sim):
         lambda sim: sim.post(1, print, 2, 3),
         lambda sim: sim.post(1, print, callback=print),
         lambda sim: sim.post(1, print, when=2),
-        lambda sim: sim.call_at(callback=print),
+        lambda sim: sim.post(callback=print),
     ],
     ids=["no callback", "too many", "callback twice", "unknown keyword", "no time"],
 )
@@ -464,7 +437,7 @@ def test_the_native_simulator_is_safe_to_construct_directly():
         "from repro.backend.native import NativeSimulator as S\n"
         "from repro.sim.kernel import SimulationError\n"
         "log = []\n"
-        "s = S(); s.post(0, log.append, 'ran'); s.call_at(1, log.append, 'too')\n"
+        "s = S(); s.post(0, log.append, 'ran'); s.post_after(1, log.append, 'too')\n"
         "try:\n"
         "    s.post(-1, print)\n"
         "except SimulationError as exc:\n"

@@ -99,13 +99,13 @@ def packet_storm(backend: str, side: int = 4, events: int = 10_000) -> None:
 
 def _raise_with_events_queued(sim, callback) -> None:
     """Run ``sim`` into a callback that queues ``callback`` all over the
-    ring's range (and beyond it), with and without handles, then raises
+    ring's range (and beyond it), with and without an argument, then raises
     from the middle of its cycle's batch."""
 
     def fill_and_raise():
         for ahead in (0, 0, 1, 63, 64, 200):
             sim.post(sim.now + ahead, callback, ahead)
-            sim.call_at(sim.now + ahead, callback)
+            sim.post(sim.now + ahead, callback)
         raise RuntimeError("abandoned")
 
     def root():

@@ -207,17 +207,17 @@ class _Core:
     def bind(self, sim):
         pass
 
-    post = post_after = call_at = call_after = bind
+    post = post_after = bind
     run = run_until = flush_ring = bind
 
 
-class _CoreWithoutLive(_Core):
+class _CoreWithoutSeq(_Core):
     """A ``Core`` one scalar short of what ``NativeSimulator`` sets."""
 
     def __setattr__(self, name, value):
-        if name == "live":
+        if name == "seq":
             raise AttributeError(
-                "'repro._native.Core' object has no attribute 'live'"
+                "'repro._native.Core' object has no attribute 'seq'"
             )
         super().__setattr__(name, value)
 
@@ -252,13 +252,13 @@ def test_an_unstamped_extension_degrades(monkeypatch):
 def test_an_extension_whose_core_lacks_an_attribute_degrades(monkeypatch):
     """``setup()`` passes, the stamp (a forged one, here) matches, and the
     first ``NativeSimulator()`` would have died with ``AttributeError:
-    'repro._native.Core' object has no attribute 'live'``."""
+    'repro._native.Core' object has no attribute 'seq'``."""
     stand_in = types.SimpleNamespace(
         setup=lambda spec: None,
-        Core=_CoreWithoutLive,
+        Core=_CoreWithoutSeq,
         SOURCE_SHA256=_checked_out_hash(),
     )
-    _assert_degrades_to_reference(monkeypatch, stand_in, "no attribute 'live'")
+    _assert_degrades_to_reference(monkeypatch, stand_in, "no attribute 'seq'")
 
 
 @pytest.mark.skipif(not native.available(), reason="extension not built")

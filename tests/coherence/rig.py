@@ -89,7 +89,7 @@ class ControllerRig:
 
     def send(self, src: int, opcode: str, block: int, *, data=None, **meta) -> None:
         packet = protocol_packet(src, self.home, opcode, block, data=data, **meta)
-        self.sim.call_at(self.sim.now, lambda: self.nics[src].send(packet))
+        self.sim.post(self.sim.now, lambda: self.nics[src].send(packet))
 
     def run(self) -> None:
         self.sim.run()

@@ -119,24 +119,3 @@ class TestConfiguration:
     def test_requires_at_least_one_pointer(self):
         with pytest.raises(ValueError):
             ControllerRig(LimitedController, pointer_capacity=0)
-
-    def test_rejects_unknown_policy(self):
-        with pytest.raises(ValueError):
-            ControllerRig(
-                LimitedController, pointer_capacity=2, victim_policy="lifo"
-            )
-
-    def test_random_policy_uses_rng(self):
-        from repro.sim.rng import DeterministicRng
-
-        rig = ControllerRig(
-            LimitedController,
-            pointer_capacity=2,
-            victim_policy="random",
-            rng=DeterministicRng(3),
-        )
-        blk = rig.block()
-        for node in (1, 2, 3):
-            rig.send(node, "RREQ", blk)
-        rig.run()
-        assert rig.counters.get("dir.pointer_evictions") == 1

@@ -61,7 +61,7 @@ class TestStrayTrapsInTrapOnWrite:
 class TestInterruptPackets:
     def test_interrupt_without_handler_is_dropped(self):
         rig, software, engine = make()
-        rig.sim.call_at(
+        rig.sim.post(
             0, lambda: rig.nics[1].send(interrupt_packet(1, 0, "IPI", n=1))
         )
         rig.run()
@@ -71,7 +71,7 @@ class TestInterruptPackets:
         rig, software, engine = make()
         got = []
         software.interrupt_handler = lambda pkt: got.append(pkt.meta["n"])
-        rig.sim.call_at(
+        rig.sim.post(
             0, lambda: rig.nics[1].send(interrupt_packet(1, 0, "IPI", n=7))
         )
         rig.run()
@@ -85,7 +85,7 @@ class TestInterruptPackets:
         blk = rig.block()
         rig.send(1, "RREQ", blk)
         rig.send(2, "RREQ", blk)  # overflow trap
-        rig.sim.call_at(1, lambda: rig.nics[3].send(interrupt_packet(3, 0, "IPI")))
+        rig.sim.post(1, lambda: rig.nics[3].send(interrupt_packet(3, 0, "IPI")))
         rig.run()
         assert got == ["IPI"]
         assert rig.sent_to(2, "RDATA")

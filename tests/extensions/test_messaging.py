@@ -45,7 +45,7 @@ def run_with_messages(machine, sends):
     for node in machine.nodes:
         node.start()
     for at, kwargs in sends:
-        machine.sim.call_at(at, lambda kw=kwargs: send_message(machine, **kw))
+        machine.sim.post(at, lambda kw=kwargs: send_message(machine, **kw))
     machine.sim.run()
     return mailboxes
 
@@ -115,7 +115,7 @@ class TestMessaging:
                 machine.nodes[proc_id].processor.add_thread(gen)
         for node in machine.nodes:
             node.start()
-        machine.sim.call_at(5, lambda: send_message(machine, src=3, dst=2))
+        machine.sim.post(5, lambda: send_message(machine, src=3, dst=2))
         machine.sim.run()
         assert got == [3]
 
@@ -143,7 +143,7 @@ class TestMessaging:
         for node in machine.nodes:
             node.start()
         for i in range(6):
-            machine.sim.call_at(
+            machine.sim.post(
                 20 * i + 5, lambda i=i: send_message(machine, src=i % 4, dst=0, n=i)
             )
         machine.sim.run()

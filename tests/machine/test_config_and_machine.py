@@ -77,6 +77,10 @@ class TestConfig:
         with pytest.raises(TypeError, match="shards"):
             AlewifeConfig(shards=2)
 
+    def test_removed_victim_policy_is_unknown(self):
+        with pytest.raises(TypeError, match="victim_policy"):
+            AlewifeConfig(protocol="limited", victim_policy="fifo")
+
     def test_with_returns_modified_copy(self):
         base = AlewifeConfig(n_procs=16)
         other = base.with_(ts=125)

@@ -69,3 +69,14 @@ def test_evict_without_line_is_rejected():
 def test_unknown_protocol_is_rejected():
     with pytest.raises(ValueError, match="unknown protocol"):
         ProtocolModel("no_such_protocol", 3)
+
+
+def test_a_restore_after_a_failed_step_leaves_no_pending_event():
+    """A failed step can leave events queued; the scratch restore drops
+    them, and ``pending_events`` — what the checkpointer and windowed
+    drivers poll — must say so, not count the dropped ones."""
+    model = ProtocolModel("fullmap", 2)
+    model.sim.post(model.sim.now + 5, lambda: None)
+    model._world = None  # what a failed step leaves
+    model._restore(model.initial_state())
+    assert model.sim.pending_events == 0

@@ -23,7 +23,7 @@ class TestWormholeDelivery:
         net = make_net(sim)
         log = []
         attach_recorder(net, 5, log)
-        sim.call_at(0, lambda: net.send(protocol_packet(0, 5, "RREQ", 0)))
+        sim.post(0, lambda: net.send(protocol_packet(0, 5, "RREQ", 0)))
         sim.run()
         assert len(log) == 1
         assert str(log[0][1].opcode) == "RREQ"
@@ -33,8 +33,8 @@ class TestWormholeDelivery:
         far, near = [], []
         attach_recorder(net, 15, far)
         attach_recorder(net, 1, near)
-        sim.call_at(0, lambda: net.send(protocol_packet(0, 15, "RREQ", 0)))
-        sim.call_at(0, lambda: net.send(protocol_packet(0, 1, "RREQ", 0)))
+        sim.post(0, lambda: net.send(protocol_packet(0, 15, "RREQ", 0)))
+        sim.post(0, lambda: net.send(protocol_packet(0, 1, "RREQ", 0)))
         sim.run()
         assert far[0][0] > near[0][0]
 
@@ -43,11 +43,11 @@ class TestWormholeDelivery:
         log = []
         attach_recorder(net, 3, log)
         data = BlockData(4)
-        sim.call_at(0, lambda: net.send(protocol_packet(0, 3, "RREQ", 0)))
+        sim.post(0, lambda: net.send(protocol_packet(0, 3, "RREQ", 0)))
         sim.run()
         control_time = log[0][0]
         log.clear()
-        sim.call_at(
+        sim.post(
             sim.now,
             lambda: net.send(protocol_packet(0, 3, "RDATA", 0, data=data)),
         )
@@ -59,7 +59,7 @@ class TestWormholeDelivery:
         net = make_net(sim)
         log = []
         attach_recorder(net, 2, log)
-        sim.call_at(0, lambda: net.send(protocol_packet(2, 2, "RREQ", 0)))
+        sim.post(0, lambda: net.send(protocol_packet(2, 2, "RREQ", 0)))
         sim.run()
         assert log[0][0] == 2
         assert net.link_busy_cycles == {}
@@ -69,8 +69,8 @@ class TestWormholeDelivery:
         log = []
         attach_recorder(net, 3, log)
         # Two packets from the same source share every link on the path.
-        sim.call_at(0, lambda: net.send(protocol_packet(0, 3, "RREQ", 0)))
-        sim.call_at(0, lambda: net.send(protocol_packet(0, 3, "RREQ", 16)))
+        sim.post(0, lambda: net.send(protocol_packet(0, 3, "RREQ", 0)))
+        sim.post(0, lambda: net.send(protocol_packet(0, 3, "RREQ", 16)))
         sim.run()
         t1, t2 = log[0][0], log[1][0]
         assert t2 > t1
@@ -81,8 +81,8 @@ class TestWormholeDelivery:
         log = []
         attach_recorder(net, 1, log)
         attach_recorder(net, 7, log)
-        sim.call_at(0, lambda: net.send(protocol_packet(0, 1, "RREQ", 0)))
-        sim.call_at(0, lambda: net.send(protocol_packet(4, 7, "RREQ", 0)))
+        sim.post(0, lambda: net.send(protocol_packet(0, 1, "RREQ", 0)))
+        sim.post(0, lambda: net.send(protocol_packet(4, 7, "RREQ", 0)))
         sim.run()
         assert net.stats.contention_cycles == 0
 
@@ -91,7 +91,7 @@ class TestWormholeDelivery:
         order = []
         net.attach(9, lambda p: order.append(p.meta["tag"]))
         for i in range(6):
-            sim.call_at(i, lambda i=i: net.send(
+            sim.post(i, lambda i=i: net.send(
                 protocol_packet(0, 9, "RREQ", 0, tag=i)
             ))
         sim.run()
@@ -102,7 +102,7 @@ class TestWormholeDelivery:
         log = []
         attach_recorder(net, 1, log)
         for i in range(5):
-            sim.call_at(i, lambda: net.send(protocol_packet(0, 1, "RREQ", 0)))
+            sim.post(i, lambda: net.send(protocol_packet(0, 1, "RREQ", 0)))
         sim.run()
         top = net.hottest_links(1)
         assert top and top[0][1] > 0
@@ -111,7 +111,7 @@ class TestWormholeDelivery:
         net = make_net(sim)
         log = []
         attach_recorder(net, 3, log)
-        sim.call_at(0, lambda: net.send(protocol_packet(0, 3, "RREQ", 0)))
+        sim.post(0, lambda: net.send(protocol_packet(0, 3, "RREQ", 0)))
         sim.run()
         assert net.stats.packets == 1
         assert net.stats.per_opcode["RREQ"] == 1
@@ -124,7 +124,7 @@ class TestIdealNetwork:
         log = []
         attach_recorder(net, 5, log)
         pkt = protocol_packet(0, 5, "RREQ", 0)
-        sim.call_at(0, lambda: net.send(pkt))
+        sim.post(0, lambda: net.send(pkt))
         sim.run()
         assert log[0][0] == 10 + pkt.length_words
 
@@ -132,8 +132,8 @@ class TestIdealNetwork:
         net = IdealNetwork(sim, 8, latency=10)
         log = []
         attach_recorder(net, 5, log)
-        sim.call_at(0, lambda: net.send(protocol_packet(0, 5, "RREQ", 0)))
-        sim.call_at(0, lambda: net.send(protocol_packet(1, 5, "RREQ", 0)))
+        sim.post(0, lambda: net.send(protocol_packet(0, 5, "RREQ", 0)))
+        sim.post(0, lambda: net.send(protocol_packet(1, 5, "RREQ", 0)))
         sim.run()
         assert log[0][0] == log[1][0]
 
@@ -142,10 +142,10 @@ class TestIdealNetwork:
         order = []
         net.attach(5, lambda p: order.append(p.meta["tag"]))
         data = BlockData(16)  # long packet first
-        sim.call_at(0, lambda: net.send(
+        sim.post(0, lambda: net.send(
             protocol_packet(0, 5, "RDATA", 0, data=data, tag="long")
         ))
-        sim.call_at(1, lambda: net.send(protocol_packet(0, 5, "RREQ", 0, tag="short")))
+        sim.post(1, lambda: net.send(protocol_packet(0, 5, "RREQ", 0, tag="short")))
         sim.run()
         assert order == ["long", "short"]
 
@@ -159,7 +159,7 @@ class TestAttachment:
 
     def test_unattached_destination_raises(self, sim):
         net = make_net(sim)
-        sim.call_at(0, lambda: net.send(protocol_packet(0, 3, "RREQ", 0)))
+        sim.post(0, lambda: net.send(protocol_packet(0, 3, "RREQ", 0)))
         with pytest.raises(KeyError):
             sim.run()
 

@@ -14,7 +14,7 @@ def deliver_all(sim, net, sends):
     for dst in {d for _, d in sends}:
         net.attach(dst, lambda p, d=dst: arrivals.setdefault(d, []).append(sim.now))
     for src, dst in sends:
-        sim.call_at(0, lambda s=src, d=dst: net.send(protocol_packet(s, d, "RREQ", 0)))
+        sim.post(0, lambda s=src, d=dst: net.send(protocol_packet(s, d, "RREQ", 0)))
     sim.run()
     return arrivals
 

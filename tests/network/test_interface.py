@@ -22,7 +22,7 @@ class TestDispatch:
         got = []
         nic1.set_memory_handler(got.append)
         nic1.set_cache_handler(lambda p: pytest.fail("wrong handler"))
-        sim.call_at(0, lambda: nic0.send(protocol_packet(0, 1, "RREQ", 0)))
+        sim.post(0, lambda: nic0.send(protocol_packet(0, 1, "RREQ", 0)))
         sim.run()
         assert got and got[0].opcode is Op.RREQ
 
@@ -31,20 +31,20 @@ class TestDispatch:
         got = []
         nic1.set_cache_handler(got.append)
         nic1.set_memory_handler(lambda p: pytest.fail("wrong handler"))
-        sim.call_at(0, lambda: nic0.send(protocol_packet(0, 1, "INV", 0)))
+        sim.post(0, lambda: nic0.send(protocol_packet(0, 1, "INV", 0)))
         sim.run()
         assert got and got[0].opcode is Op.INV
 
     def test_missing_handler_raises(self, sim):
         _, nic0, _nic1 = make_pair(sim)
-        sim.call_at(0, lambda: nic0.send(protocol_packet(0, 1, "RREQ", 0)))
+        sim.post(0, lambda: nic0.send(protocol_packet(0, 1, "RREQ", 0)))
         with pytest.raises(RuntimeError):
             sim.run()
 
     def test_counters(self, sim):
         _, nic0, nic1 = make_pair(sim)
         nic1.set_memory_handler(lambda p: None)
-        sim.call_at(0, lambda: nic0.send(protocol_packet(0, 1, "RREQ", 0)))
+        sim.post(0, lambda: nic0.send(protocol_packet(0, 1, "RREQ", 0)))
         sim.run()
         assert nic0.packets_sent == 1
         assert nic1.packets_received == 1
@@ -53,7 +53,7 @@ class TestDispatch:
 class TestIpiQueue:
     def test_interrupt_packets_enter_ipi_queue(self, sim):
         _, nic0, nic1 = make_pair(sim)
-        sim.call_at(0, lambda: nic0.send(interrupt_packet(0, 1, "IPI", n=1)))
+        sim.post(0, lambda: nic0.send(interrupt_packet(0, 1, "IPI", n=1)))
         sim.run()
         assert nic1.ipi_pending() == 1
         assert nic1.ipi_head().opcode == "IPI"
@@ -62,7 +62,7 @@ class TestIpiQueue:
         _, nic0, nic1 = make_pair(sim)
         fired = []
         nic1.set_trap_handler(lambda: fired.append(sim.now))
-        sim.call_at(0, lambda: nic0.send(interrupt_packet(0, 1, "IPI")))
+        sim.post(0, lambda: nic0.send(interrupt_packet(0, 1, "IPI")))
         sim.run()
         assert len(fired) == 1
 

@@ -214,7 +214,7 @@ class TestTrapEngine:
 
         rig.cpu.add_thread(program())
         rig.cpu.start()
-        rig.sim.call_at(5, lambda: rig.cpu.request_trap(100, lambda: None))
+        rig.sim.post(5, lambda: rig.cpu.request_trap(100, lambda: None))
         rig.sim.run()
         assert rig.cpu.done
         assert rig.cpu.finish_time >= 105

@@ -76,6 +76,11 @@ class TestRequestParsing:
                 job_payload(memory_model="wo", store_buffer=0),
                 "store_buffer must be >= 1",
             ),
+            # the removed Dir_iNB victim policy is an unknown field too
+            (
+                job_payload(victim_policy="fifo"),
+                "unexpected keyword argument 'victim_policy'",
+            ),
         ],
     )
     def test_bad_payloads_rejected(self, payload, match):

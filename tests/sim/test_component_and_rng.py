@@ -10,14 +10,14 @@ class TestComponent:
     def test_now_tracks_simulator(self, sim):
         comp = Component(sim, "c0")
         seen = []
-        sim.call_at(12, lambda: seen.append(comp.now))
+        sim.post(12, lambda: seen.append(comp.now))
         sim.run()
         assert seen == [12]
 
     def test_schedule_is_relative(self, sim):
         comp = Component(sim, "c0")
         seen = []
-        sim.call_at(10, lambda: comp.schedule(5, lambda: seen.append(comp.now)))
+        sim.post(10, lambda: comp.schedule(5, lambda: seen.append(comp.now)))
         sim.run()
         assert seen == [15]
 

@@ -10,48 +10,49 @@ from repro.sim.kernel import SimulationError, Simulator, StallableResource
 class TestScheduling:
     def test_events_run_in_time_order(self, sim):
         log = []
-        sim.call_at(30, lambda: log.append(30))
-        sim.call_at(10, lambda: log.append(10))
-        sim.call_at(20, lambda: log.append(20))
+        sim.post(30, lambda: log.append(30))
+        sim.post(10, lambda: log.append(10))
+        sim.post(20, lambda: log.append(20))
         sim.run()
         assert log == [10, 20, 30]
 
     def test_ties_run_in_scheduling_order(self, sim):
         log = []
         for i in range(5):
-            sim.call_at(7, lambda i=i: log.append(i))
+            sim.post(7, lambda i=i: log.append(i))
         sim.run()
         assert log == [0, 1, 2, 3, 4]
 
     def test_now_advances_to_event_time(self, sim):
         seen = []
-        sim.call_at(42, lambda: seen.append(sim.now))
+        sim.post(42, lambda: seen.append(sim.now))
         sim.run()
         assert seen == [42]
         assert sim.now == 42
 
     def test_call_after_is_relative(self, sim):
+        # a delay counts from the calling event's cycle, whether it lands
+        # in that same cycle, a near one or one past the ring's horizon
         seen = []
-        sim.call_at(10, lambda: sim.call_after(5, lambda: seen.append(sim.now)))
+
+        def call_after(delay):
+            sim.post_after(delay, lambda: seen.append((delay, sim.now)))
+
+        sim.post(10, call_after, 5)
+        sim.post(20, call_after, 0)
+        sim.post(20, call_after, 70)
         sim.run()
-        assert seen == [15]
+        assert seen == [(5, 15), (0, 20), (70, 90)]
 
     def test_scheduling_in_the_past_raises(self, sim):
-        sim.call_at(10, lambda: None)
+        sim.post(10, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
-            sim.call_at(5, lambda: None)
+            sim.post(5, lambda: None)
 
     def test_negative_delay_raises(self, sim):
         with pytest.raises(SimulationError):
-            sim.call_after(-1, lambda: None)
-
-    def test_cancelled_event_does_not_run(self, sim):
-        log = []
-        event = sim.call_at(10, lambda: log.append("nope"))
-        event.cancel()
-        sim.run()
-        assert log == []
+            sim.post_after(-1, lambda: None)
 
     def test_events_scheduled_during_execution_run(self, sim):
         log = []
@@ -59,9 +60,9 @@ class TestScheduling:
         def chain(n):
             log.append(n)
             if n < 3:
-                sim.call_after(1, lambda: chain(n + 1))
+                sim.post_after(1, lambda: chain(n + 1))
 
-        sim.call_at(0, lambda: chain(0))
+        sim.post(0, lambda: chain(0))
         sim.run()
         assert log == [0, 1, 2, 3]
 
@@ -69,8 +70,8 @@ class TestScheduling:
 class TestRunLimits:
     def test_run_until_stops_early(self, sim):
         log = []
-        sim.call_at(10, lambda: log.append("early"))
-        sim.call_at(100, lambda: log.append("late"))
+        sim.post(10, lambda: log.append("early"))
+        sim.post(100, lambda: log.append("late"))
         sim.run(until=50)
         assert log == ["early"]
         assert sim.now == 50
@@ -78,37 +79,39 @@ class TestRunLimits:
     def test_max_cycles_is_respected(self):
         sim = Simulator(max_cycles=25)
         log = []
-        sim.call_at(10, lambda: log.append("in"))
-        sim.call_at(30, lambda: log.append("out"))
+        sim.post(10, lambda: log.append("in"))
+        sim.post(30, lambda: log.append("out"))
         sim.run()
         assert log == ["in"]
 
     def test_pending_events_counts_live_events(self, sim):
-        keep = sim.call_at(10, lambda: None)
-        dead = sim.call_at(20, lambda: None)
-        dead.cancel()
+        sim.post(10, lambda: None)
+        sim.post(20, lambda: None)
+        assert sim.pending_events == 2
+        sim.run(until=15)
         assert sim.pending_events == 1
-        assert keep is not dead
+        sim.run()
+        assert sim.pending_events == 0
 
 
 class TestArgCarryingEvents:
-    def test_call_at_passes_argument(self, sim):
+    def test_post_passes_argument(self, sim):
         seen = []
-        sim.call_at(5, seen.append, "payload")
+        sim.post(5, seen.append, "payload")
         sim.run()
         assert seen == ["payload"]
 
-    def test_call_after_passes_argument(self, sim):
+    def test_post_after_passes_argument(self, sim):
         seen = []
-        sim.call_after(3, seen.append, None)  # None is a legal argument
+        sim.post_after(3, seen.append, None)  # None is a legal argument
         sim.run()
         assert seen == [None]
 
     def test_arg_events_interleave_deterministically(self, sim):
         log = []
-        sim.call_at(7, log.append, "a")
-        sim.call_at(7, lambda: log.append("b"))
-        sim.call_at(7, log.append, "c")
+        sim.post(7, log.append, "a")
+        sim.post(7, lambda: log.append("b"))
+        sim.post(7, log.append, "c")
         sim.run()
         assert log == ["a", "b", "c"]
 
@@ -124,12 +127,12 @@ class TestPost:
 
     def test_post_after_is_relative(self, sim):
         seen = []
-        sim.call_at(10, lambda: sim.post_after(5, lambda: seen.append(sim.now)))
+        sim.post(10, lambda: sim.post_after(5, lambda: seen.append(sim.now)))
         sim.run()
         assert seen == [15]
 
     def test_post_in_the_past_raises(self, sim):
-        sim.call_at(10, lambda: None)
+        sim.post(10, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
             sim.post(5, lambda: None)
@@ -139,51 +142,19 @@ class TestPost:
             sim.post_after(-1, lambda: None)
 
     def test_posts_and_events_share_one_time_order(self, sim):
+        # absolute and relative posts, with and without an argument, made
+        # before the run and by a running event, share one (time, seq) order
         log = []
-        sim.call_at(7, log.append, "event")
-        sim.post(7, log.append, "post")
-        cancelled = sim.call_at(7, lambda: log.append("cancelled"))
-        sim.post(7, log.append, "tail")
-        cancelled.cancel()
+
+        def root():
+            sim.post(7, log.append, "tail")
+            sim.post_after(2, lambda: log.append("relative"))
+
+        sim.post(7, log.append, "event")
+        sim.post_after(7, lambda: log.append("post"))
+        sim.post(5, root)
         sim.run()
-        assert log == ["event", "post", "tail"]
-
-
-class TestLiveEventCounter:
-    def test_counter_tracks_schedule_cancel_execute(self, sim):
-        first = sim.call_at(10, lambda: None)
-        second = sim.call_at(20, lambda: None)
-        assert sim.pending_events == 2
-        second.cancel()
-        assert sim.pending_events == 1
-        sim.run()
-        assert sim.pending_events == 0
-        assert first.cancelled is False
-
-    def test_double_cancel_decrements_once(self, sim):
-        event = sim.call_at(10, lambda: None)
-        sim.call_at(11, lambda: None)
-        event.cancel()
-        event.cancel()
-        assert sim.pending_events == 1
-
-    def test_cancel_after_execution_is_a_noop(self, sim):
-        log = []
-        event = sim.call_at(10, lambda: log.append("ran"))
-        sim.call_at(20, lambda: None)
-        sim.run(until=15)
-        assert log == ["ran"]
-        event.cancel()
-        assert sim.pending_events == 1  # the cycle-20 event is still live
-
-    def test_counter_matches_queue_scan(self, sim):
-        events = [sim.call_at(t, lambda: None) for t in range(5, 25, 5)]
-        events[1].cancel()
-        events[3].cancel()
-        live_scan = sum(
-            1 for *_, e in sim._queue if e is None or not e.cancelled
-        )
-        assert sim.pending_events == live_scan == 2
+        assert log == ["event", "post", "tail", "relative"]
 
 
 class TestStallableResource:
@@ -197,7 +168,7 @@ class TestStallableResource:
     def test_acquire_after_idle_starts_now(self, sim):
         res = StallableResource(sim, "dir")
         res.acquire(5)
-        sim.call_at(100, lambda: None)
+        sim.post(100, lambda: None)
         sim.run()
         assert res.acquire(5) == 105
 
@@ -236,7 +207,7 @@ class TestSameCycleFastLane:
             sim.post(sim.now, lambda: log.append("b"))
             sim.post(sim.now, lambda: log.append("c"))
 
-        sim.call_at(5, root)
+        sim.post(5, root)
         sim.run()
         assert log == ["a", "b", "c"]
         assert sim.now == 5
@@ -249,7 +220,7 @@ class TestSameCycleFastLane:
             if depth < 4:
                 sim.post(sim.now, chain, depth + 1)
 
-        sim.call_at(3, chain, 0)
+        sim.post(3, chain, 0)
         sim.run()
         assert log == [0, 1, 2, 3, 4]
         assert sim.now == 3
@@ -259,13 +230,13 @@ class TestSameCycleFastLane:
         # seq than anything scheduled *during* cycle 10, so it must run
         # before lane entries created by cycle-10 callbacks.
         log = []
-        sim.call_at(10, lambda: log.append("pending"))
+        sim.post(10, lambda: log.append("pending"))
 
         def first():
             log.append("first")
             sim.post(sim.now, lambda: log.append("lane"))
 
-        sim.call_at(9, lambda: sim.post(10, first))
+        sim.post(9, lambda: sim.post(10, first))
         sim.run()
         assert log == ["pending", "first", "lane"]
 
@@ -280,22 +251,10 @@ class TestSameCycleFastLane:
             log.append("A")
             sim.post(sim.now, lambda: log.append("L"))
 
-        sim.call_at(10, a)
-        sim.call_at(10, lambda: log.append("B"))
+        sim.post(10, a)
+        sim.post(10, lambda: log.append("B"))
         sim.run()
         assert log == ["A", "B", "L"]
-
-    def test_cancelled_lane_event_does_not_run(self, sim):
-        log = []
-
-        def root():
-            handle = sim.call_at(sim.now, lambda: log.append("dead"))
-            sim.call_at(sim.now, lambda: log.append("live"))
-            handle.cancel()
-
-        sim.call_at(2, root)
-        sim.run()
-        assert log == ["live"]
 
     def test_pending_events_counts_lane_entries(self, sim):
         seen = []
@@ -305,7 +264,7 @@ class TestSameCycleFastLane:
             sim.post(sim.now + 1, lambda: None)
             seen.append(sim.pending_events)
 
-        sim.call_at(1, root)
+        sim.post(1, root)
         sim.run()
         assert seen == [2]
         assert sim.pending_events == 0
@@ -317,7 +276,7 @@ class TestSameCycleFastLane:
             sim.post(sim.now, lambda: log.append("after"))
             raise RuntimeError("boom")
 
-        sim.call_at(4, root)
+        sim.post(4, root)
         with pytest.raises(RuntimeError):
             sim.run()
         # The lane entry survived the exception and runs on resume, in
@@ -329,9 +288,9 @@ class TestSameCycleFastLane:
 class TestRunUntilWindow:
     def test_executes_strictly_before_limit(self, sim):
         log = []
-        sim.call_at(5, lambda: log.append(5))
-        sim.call_at(10, lambda: log.append(10))
-        sim.call_at(15, lambda: log.append(15))
+        sim.post(5, lambda: log.append(5))
+        sim.post(10, lambda: log.append(10))
+        sim.post(15, lambda: log.append(15))
         sim.run_until(10)
         assert log == [5]
         assert sim.now == 10
@@ -359,11 +318,3 @@ class TestRunUntilWindow:
         sim.run_until(50)
         with pytest.raises(SimulationError):
             sim.run_until(49)
-
-    def test_next_event_time_skips_cancelled(self, sim):
-        dead = sim.call_at(5, lambda: None)
-        sim.call_at(9, lambda: None)
-        dead.cancel()
-        assert sim.next_event_time() == 9
-        sim.run()
-        assert sim.next_event_time() is None

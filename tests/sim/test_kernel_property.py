@@ -1,94 +1,76 @@
 """Property test: the kernel executes in exact (time, seq) order.
 
-A reference executor keeps every scheduled callback in a plain list and
-repeatedly runs the live minimum by ``(time, seq)`` — the definitionally
-correct order, with none of the kernel's machinery (heap, same-cycle fast
-lane, cancel handles).  The property drives both with the same randomly
-generated program of interleaved ``call_at(now)``/``post``/``cancel``
-actions and demands identical execution logs, so the fast lane cannot
-reorder anything relative to the specification.
+A reference executor keeps every posted callback in a plain list and
+repeatedly runs the minimum by ``(time, seq)`` — the definitionally correct
+order, with none of the kernels' machinery (heap, same-cycle fast lane,
+the compiled core's 64-cycle ring).  The property drives every backend's
+simulator and the reference with the same randomly generated program of
+nested ``post`` calls and demands identical execution logs, so neither the
+lane nor the ring can reorder anything relative to the specification.
 """
 
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.kernel import Simulator
+from repro.backend import backend_names, get_backend
 
-#: one root: (start time, child delays, cancel target, whether to cancel)
+#: one root: (start time, children), a child being (delay, grandchild delays)
 _root = st.tuples(
     st.integers(0, 4),
-    st.lists(st.integers(0, 3), max_size=3),
-    st.integers(0, 10),
-    st.booleans(),
+    st.lists(
+        st.tuples(st.integers(0, 3), st.lists(st.integers(0, 2), max_size=2)),
+        max_size=3,
+    ),
 )
-
-
-class _RefEvent:
-    __slots__ = ("time", "seq", "action", "done", "cancelled")
-
-    def __init__(self, time, seq, action):
-        self.time = time
-        self.seq = seq
-        self.action = action
-        self.done = False
-        self.cancelled = False
-
-    def cancel(self):
-        if not self.done:
-            self.cancelled = True
 
 
 class _RefSim:
     """List-based (time, seq) executor: the ordering specification."""
 
     def __init__(self):
-        self.events: list[_RefEvent] = []
+        self.events: list[tuple] = []
         self.seq = 0
         self.now = 0
 
-    def schedule(self, time, action):
-        event = _RefEvent(time, self.seq, action)
+    def post(self, time, action):
+        self.events.append((time, self.seq, action))
         self.seq += 1
-        self.events.append(event)
-        return event
 
     def run(self):
-        while True:
-            live = [e for e in self.events if not e.done and not e.cancelled]
-            if not live:
-                return
-            event = min(live, key=lambda e: (e.time, e.seq))
-            event.done = True
-            self.now = event.time
-            event.action()
+        while self.events:
+            event = min(self.events, key=lambda e: e[:2])
+            self.events.remove(event)
+            self.now = event[0]
+            event[2]()
 
 
-def _drive(sim, schedule, roots):
+def _drive(sim, roots):
     """Run ``roots`` on either simulator; returns the execution log.
 
-    Root i runs at its start time; it logs itself, schedules a child at
-    ``now + d`` for each delay (children log and schedule nothing), and
-    optionally cancels another root through its handle — exercising the
-    same-cycle path (d == 0), the heap path (d > 0), and cancellation of
-    both pending and already-run events.
+    Root i runs at its start time, logs itself and posts each child at
+    ``now + delay``; a child logs itself and posts its grandchildren the
+    same way.  A delay of 0 takes the same-cycle path (lane or ring), a
+    larger one the ring or the heap, and chains of them interleave with
+    roots that were posted before the run.
     """
     log = []
-    handles = []
 
-    def make_root(i, delays, target, do_cancel):
-        def run_root():
-            log.append(("r", i, sim.now))
-            for k, d in enumerate(delays):
-                child_time = sim.now + d
-                schedule(child_time, lambda i=i, k=k: log.append(("c", i, k, sim.now)))
-            if do_cancel and handles:
-                handles[target % len(handles)].cancel()
+    def grandchild(i, k, j):
+        log.append(("g", i, k, j, sim.now))
 
-        return run_root
+    def child(i, k, delays):
+        log.append(("c", i, k, sim.now))
+        for j, d in enumerate(delays):
+            sim.post(sim.now + d, lambda j=j: grandchild(i, k, j))
 
-    for i, (start, delays, target, do_cancel) in enumerate(roots):
-        handles.append(schedule(start, make_root(i, delays, target, do_cancel)))
+    def root(i, children):
+        log.append(("r", i, sim.now))
+        for k, (d, delays) in enumerate(children):
+            sim.post(sim.now + d, lambda k=k, delays=delays: child(i, k, delays))
+
+    for i, (start, children) in enumerate(roots):
+        sim.post(start, lambda i=i, children=children: root(i, children))
     sim.run()
     return log
 
@@ -96,10 +78,8 @@ def _drive(sim, schedule, roots):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_root, min_size=1, max_size=12))
 def test_kernel_matches_reference_order(roots):
-    ref = _RefSim()
-    ref_log = _drive(ref, ref.schedule, roots)
-
-    sim = Simulator()
-    sim_log = _drive(sim, sim.call_at, roots)
-
-    assert sim_log == ref_log
+    ref_log = _drive(_RefSim(), roots)
+    for name in backend_names():
+        sim = get_backend(name).make_simulator()
+        assert _drive(sim, roots) == ref_log, name
+        assert sim.pending_events == 0
