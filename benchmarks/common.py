@@ -1,11 +1,11 @@
-"""Shared infrastructure for the figure-reproduction benchmarks.
+"""Shared infrastructure for the benchmark modules.
 
-Every benchmark module reproduces one table or figure from the paper's
-evaluation (§5) on a scaled configuration: 64 simulated processors (the
-paper's machine size) but shortened iteration counts so the whole suite
-runs in minutes.  The *shape* of each figure — which scheme wins, by
-roughly what factor — is asserted; absolute cycle counts are reported in
-EXPERIMENTS.md.
+``test_figures.py`` runs the paper's figure grids (§5) exactly as
+``repro sweep`` does — ``figure_grids`` at 64 processors and 8 Weather
+iterations — and checks each figure's claims.  The other modules are
+the §3.1 model and ablations beyond the paper's figures; each asserts
+the *shape* of its result (which scheme wins, by roughly what factor).
+Absolute cycle counts are reported in EXPERIMENTS.md.
 
 Set ``REPRO_BENCH_PROCS`` to run the suite on a smaller machine.
 """
@@ -16,61 +16,23 @@ import os
 
 from repro.machine import AlewifeConfig, MachineStats, run_experiment
 from repro.stats.report import bar_chart, comparison_table
-from repro.sweep import Job, ResultCache, WorkloadSpec, run_jobs
+from repro.sweep import ResultCache
 
 BENCH_PROCS = int(os.environ.get("REPRO_BENCH_PROCS", "64"))
 
-#: Shared result cache: a scheme/workload point already simulated (by a
-#: previous benchmark run or by ``repro sweep``) is reused as long as
-#: ``src/repro`` is unchanged.  Set ``REPRO_BENCH_CACHE=0`` to bypass.
+#: Shared result cache for the figure grids: a point already simulated
+#: (by a previous benchmark run or by ``repro sweep``) is reused as long
+#: as ``src/repro`` is unchanged.  Set ``REPRO_BENCH_CACHE=0`` to bypass.
 BENCH_CACHE = ResultCache(enabled=os.environ.get("REPRO_BENCH_CACHE", "1") != "0")
 
-#: scheme rows in the order the paper's figures list them
-SCHEMES = {
-    "Dir1NB": dict(protocol="limited", pointers=1),
-    "Dir2NB": dict(protocol="limited", pointers=2),
-    "Dir4NB": dict(protocol="limited", pointers=4),
-    "LimitLESS1-Ts50": dict(protocol="limitless", pointers=1, ts=50),
-    "LimitLESS2-Ts50": dict(protocol="limitless", pointers=2, ts=50),
-    "LimitLESS4-Ts25": dict(protocol="limitless", pointers=4, ts=25),
-    "LimitLESS4-Ts50": dict(protocol="limitless", pointers=4, ts=50),
-    "LimitLESS4-Ts100": dict(protocol="limitless", pointers=4, ts=100),
-    "LimitLESS4-Ts150": dict(protocol="limitless", pointers=4, ts=150),
-    "ApproxLL4-Ts50": dict(protocol="limitless_approx", pointers=4, ts=50),
-    "Full-Map": dict(protocol="fullmap"),
-    "Chained": dict(protocol="chained"),
-}
 
-
-def scheme_config(scheme: str, **overrides) -> AlewifeConfig:
-    params = dict(SCHEMES[scheme])
-    params.update(overrides)
-    params.setdefault("n_procs", BENCH_PROCS)
-    params.setdefault("max_cycles", 30_000_000)
-    return AlewifeConfig(**params)
-
-
-def run_scheme(scheme: str, workload, **overrides) -> MachineStats:
-    """Run one scheme.  ``workload`` may be a live :class:`Workload` (run
-    directly, uncacheable) or a :class:`WorkloadSpec` (routed through the
-    sweep runner's content-addressed cache)."""
-    config = scheme_config(scheme, **overrides)
-    if isinstance(workload, WorkloadSpec):
-        return run_jobs([Job(scheme, config, workload)], cache=BENCH_CACHE)[0].stats
-    return run_experiment(config, workload)
-
-
-def measure(benchmark, scheme: str, workload, **overrides) -> MachineStats:
-    """Run one scheme under pytest-benchmark (single round: the metric of
-    interest is simulated cycles, not wall-clock jitter)."""
+def measure(benchmark, config: AlewifeConfig, workload) -> MachineStats:
+    """Run one machine under pytest-benchmark (single round: the metric
+    of interest is simulated cycles, not wall-clock jitter)."""
     stats = benchmark.pedantic(
-        run_scheme,
-        args=(scheme, workload),
-        kwargs=overrides,
-        rounds=1,
-        iterations=1,
+        run_experiment, args=(config, workload), rounds=1, iterations=1
     )
-    benchmark.extra_info["scheme"] = scheme
+    benchmark.extra_info["scheme"] = config.label
     benchmark.extra_info["cycles"] = stats.cycles
     benchmark.extra_info["mcycles"] = round(stats.mcycles(), 4)
     benchmark.extra_info["traps"] = stats.traps_taken

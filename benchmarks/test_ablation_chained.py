@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.machine import AlewifeConfig
 from repro.workloads import SyntheticSharingWorkload
 
 from common import BENCH_PROCS, FigureCollector, measure, shape_check
@@ -20,7 +21,11 @@ collector = FigureCollector(
 )
 
 WORKER_SETS = [4, 16, min(48, max(4, BENCH_PROCS - 2))]
-SCHEMES = ["Chained", "LimitLESS4-Ts50", "Full-Map"]
+SCHEMES = {
+    "Chained": dict(protocol="chained"),
+    "LimitLESS4-Ts50": dict(protocol="limitless", pointers=4, ts=50),
+    "Full-Map": dict(protocol="fullmap"),
+}
 
 
 def workload(ws):
@@ -32,7 +37,8 @@ def workload(ws):
 @pytest.mark.parametrize("ws", WORKER_SETS)
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_chained_case(benchmark, scheme, ws):
-    stats = measure(benchmark, scheme, workload(ws))
+    config = AlewifeConfig(n_procs=BENCH_PROCS, **SCHEMES[scheme])
+    stats = measure(benchmark, config, workload(ws))
     collector.add(f"{scheme}-ws{ws}", stats)
     assert stats.cycles > 0
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 import pytest
 
 from repro.extensions import make_fifo_block, make_update_block
-from repro.machine import AlewifeMachine
+from repro.machine import AlewifeConfig, AlewifeMachine
 from repro.proc import ops
 from repro.workloads.base import Workload
 
-from common import scheme_config
+from common import BENCH_PROCS
 
 
 class _PublishSubscribe(Workload):
@@ -51,7 +51,7 @@ class _PublishSubscribe(Workload):
 
 
 def run_pubsub(update_mode: bool):
-    config = scheme_config("LimitLESS4-Ts50")
+    config = AlewifeConfig(n_procs=BENCH_PROCS, protocol="limitless", pointers=4, ts=50)
     machine = AlewifeMachine(config)
     workload = _PublishSubscribe()
     programs = workload.build(machine)
@@ -96,7 +96,7 @@ class _LockContention(Workload):
 
 
 def run_lock(fifo: bool, n_procs: int = 16):
-    config = scheme_config("LimitLESS4-Ts50", n_procs=n_procs)
+    config = AlewifeConfig(n_procs=n_procs, protocol="limitless", pointers=4, ts=50)
     machine = AlewifeMachine(config)
     workload = _LockContention()
     programs = workload.build(machine)

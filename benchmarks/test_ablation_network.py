@@ -12,18 +12,26 @@ from __future__ import annotations
 
 import pytest
 
+from repro.machine import AlewifeConfig, run_experiment
 from repro.workloads import WeatherWorkload
 
-from common import FigureCollector, measure, shape_check
+from common import BENCH_PROCS, FigureCollector, measure, shape_check
 
 collector = FigureCollector("Ablation: contended mesh vs ideal network (Weather)")
 
+DIR4NB = dict(protocol="limited", pointers=4)
+FULL_MAP = dict(protocol="fullmap")
+
 CASES = [
-    ("Dir4NB-mesh", "Dir4NB", {}),
-    ("FullMap-mesh", "Full-Map", {}),
-    ("Dir4NB-ideal", "Dir4NB", {"topology": "ideal"}),
-    ("FullMap-ideal", "Full-Map", {"topology": "ideal"}),
+    ("Dir4NB-mesh", DIR4NB, {}),
+    ("FullMap-mesh", FULL_MAP, {}),
+    ("Dir4NB-ideal", DIR4NB, {"topology": "ideal"}),
+    ("FullMap-ideal", FULL_MAP, {"topology": "ideal"}),
 ]
+
+
+def config(scheme, **overrides):
+    return AlewifeConfig(n_procs=BENCH_PROCS, **scheme, **overrides)
 
 
 def workload():
@@ -32,7 +40,7 @@ def workload():
 
 @pytest.mark.parametrize("label,scheme,overrides", CASES, ids=[c[0] for c in CASES])
 def test_network_case(benchmark, label, scheme, overrides):
-    stats = measure(benchmark, scheme, workload(), **overrides)
+    stats = measure(benchmark, config(scheme, **overrides), workload())
     collector.add(label, stats)
     assert stats.cycles > 0
 
@@ -63,14 +71,6 @@ def test_contention_is_part_of_the_hotspot_story(benchmark):
 def test_omega_network_also_exhibits_hotspot(benchmark):
     """ASIM modelled mesh and Omega interconnects; the effect is topology-
     independent as long as the fabric models contention."""
-    stats = measure(benchmark, "Dir4NB", workload(), topology="omega")
-    full = measure_cache.get("omega_full")
-    if full is None:
-        from common import run_scheme
-
-        full = run_scheme("Full-Map", workload(), topology="omega")
-        measure_cache["omega_full"] = full
+    stats = measure(benchmark, config(DIR4NB, topology="omega"), workload())
+    full = run_experiment(config(FULL_MAP, topology="omega"), workload())
     assert stats.cycles > 1.3 * full.cycles
-
-
-measure_cache: dict = {}

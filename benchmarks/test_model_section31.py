@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.machine import AlewifeConfig
 from repro.model.analytical import (
     directory_overhead,
     limitless_remote_latency,
@@ -52,7 +53,8 @@ def test_section31_worked_example(benchmark):
 
 def test_measured_th_matches_papers_ballpark(benchmark):
     """The paper measured Th ~ 35 cycles for Weather on 64 nodes."""
-    stats = measure(benchmark, "Full-Map", WeatherWorkload(iterations=4))
+    config = AlewifeConfig(n_procs=BENCH_PROCS, protocol="fullmap")
+    stats = measure(benchmark, config, WeatherWorkload(iterations=4))
     if BENCH_PROCS != 64:
         pytest.skip("Th calibration is specific to the 64-node geometry")
     assert 15 <= stats.mean_miss_latency <= 80, (
@@ -63,11 +65,8 @@ def test_measured_th_matches_papers_ballpark(benchmark):
 def test_measured_overflow_fraction_small_when_optimized(benchmark):
     """'97% of accesses to remote data locations hit in the limited
     directory' for the optimized Weather program (§3.1)."""
-    stats = measure(
-        benchmark,
-        "LimitLESS4-Ts50",
-        WeatherWorkload(iterations=4, optimized=True),
-    )
+    config = AlewifeConfig(n_procs=BENCH_PROCS, protocol="limitless", pointers=4, ts=50)
+    stats = measure(benchmark, config, WeatherWorkload(iterations=4, optimized=True))
     c = stats.counters
     remote = c.get("cache.remote_requests")
     overflows = c.get("limitless.overflow_diverts") + c.get(

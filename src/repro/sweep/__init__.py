@@ -3,7 +3,8 @@
 The paper's evaluation is a grid of scheme x workload x parameter
 experiments; this package runs such grids over a process pool, caches
 every deterministic result on disk keyed by (config, workload spec,
-source fingerprint), and reproduces the figure reports.  See
+source fingerprint), and reproduces the figure reports, checking each
+figure's claims on the paper's 64-processor machine.  See
 ``repro sweep --help`` for the CLI.
 """
 
@@ -14,7 +15,13 @@ from .cache import (
     default_cache_dir,
     source_fingerprint,
 )
-from .grids import figure_grids, run_figure_suite
+from .grids import (
+    CLAIMS_PROCS,
+    FIGURE_CLAIMS,
+    check_claims,
+    figure_grids,
+    run_figure_suite,
+)
 from .runner import JobResult, ProgressPrinter, ProgressTracker, run_jobs
 from .spec import (
     SCALED_WORKLOADS,
@@ -26,6 +33,8 @@ from .spec import (
 )
 
 __all__ = [
+    "CLAIMS_PROCS",
+    "FIGURE_CLAIMS",
     "Job",
     "JobResult",
     "ProgressPrinter",
@@ -35,6 +44,7 @@ __all__ = [
     "SourceFingerprint",
     "WORKLOAD_REGISTRY",
     "WorkloadSpec",
+    "check_claims",
     "compute_source_fingerprint",
     "default_cache_dir",
     "figure_grids",

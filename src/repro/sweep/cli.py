@@ -106,29 +106,38 @@ def run_from_args(args: argparse.Namespace) -> int:
             for job in jobs:
                 print(f"  {job.label:28s} {job.workload.describe()}")
         return 0
+    if args.resume and args.no_cache:
+        print("error: --resume replays the result cache; drop --no-cache")
+        return 2
     # The write-ahead manifest lives next to the cached results so a
-    # crashed campaign can be resumed with `repro sweep --resume`.  With
-    # a manifest present the suite records failures instead of raising;
-    # the exit code reports them.
-    manifest = CampaignManifest(cache.directory / "sweep-manifest.ndjson")
+    # crashed campaign can be resumed with `repro sweep --resume`; a run
+    # that bypasses the cache writes nothing into it.  Failed points are
+    # recorded, and the exit code reports them.
+    manifest = (
+        CampaignManifest(cache.directory / "sweep-manifest.ndjson")
+        if cache.enabled
+        else None
+    )
     try:
-        with manifest:
-            artifact = run_figure_suite(
-                args.procs,
-                args.iters,
-                workers=args.workers,
-                cache=cache,
-                only=args.figures,
-                out=args.out or None,
-                timeout=args.timeout,
-                manifest=manifest,
-                resume=args.resume,
-                retries=args.retries,
-                retry_backoff=args.retry_backoff,
-            )
+        artifact = run_figure_suite(
+            args.procs,
+            args.iters,
+            workers=args.workers,
+            cache=cache,
+            only=args.figures,
+            out=args.out or None,
+            timeout=args.timeout,
+            manifest=manifest,
+            resume=args.resume,
+            retries=args.retries,
+            retry_backoff=args.retry_backoff,
+        )
     except ValueError as exc:
         print(f"error: {exc}")
         return 2
+    finally:
+        if manifest is not None:
+            manifest.close()
     return 0 if artifact["failed"] == 0 else 1
 
 

@@ -1,7 +1,7 @@
 """Parallel, cached execution of experiment grids.
 
-``run_jobs`` is the engine behind ``repro sweep`` and
-``benchmarks/run_figures.py``: it deduplicates identical grid points (the
+``run_jobs`` is the engine behind ``repro sweep`` and the figure
+benchmarks: it deduplicates identical grid points (the
 paper's figures share several baselines, e.g. Full-Map/Weather appears in
 Figures 8, 9 and 10), satisfies what it can from the on-disk result cache,
 and fans the remainder out over a ``multiprocessing`` pool.  Each job

@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
+import repro.sweep.grids as grids_module
 from repro.machine import AlewifeConfig
 from repro.sweep import (
+    FIGURE_CLAIMS,
     Job,
     ResultCache,
     WorkloadSpec,
+    check_claims,
     figure_grids,
     run_figure_suite,
     run_jobs,
@@ -267,6 +271,138 @@ class TestFigureGrids:
         with pytest.raises(ValueError, match="no figure matches"):
             run_figure_suite(4, 2, only=["Figure 99"], echo=lambda line: None)
 
+    def test_optimized_figure_compares_against_its_full_map(self, tmp_path):
+        lines = []
+        run_figure_suite(
+            4, 2, cache=ResultCache(tmp_path), only=["5.2"], echo=lines.append
+        )
+        assert "vs Full-Map" in "\n".join(lines)
+
+
+#: ``figure_grids(64, 8)`` at seed 42, (cycles, traps) per row: the
+#: figures as EXPERIMENTS.md records them.
+RECORDED_64 = {
+    "Figure 7: Static Multigrid": {
+        "Dir4NB": (7_526, 0),
+        "LimitLESS4 Ts=100": (9_079, 70),
+        "LimitLESS4 Ts=50": (8_222, 68),
+        "Full-Map": (7_600, 0),
+    },
+    "Figure 8: Weather, limited and full-map": {
+        "Dir1NB": (38_694, 0),
+        "Dir2NB": (37_240, 0),
+        "Dir4NB": (18_015, 0),
+        "Full-Map": (8_176, 0),
+    },
+    "§5.2: optimized Weather": {
+        "Dir4NB (optimized)": (7_432, 0),
+        "Full-Map (optimized)": (7_751, 0),
+    },
+    "Figure 9: Weather, LimitLESS Ts sweep": {
+        "Dir4NB": (18_015, 0),
+        "LimitLESS4 Ts=150": (12_274, 80),
+        "LimitLESS4 Ts=100": (10_608, 76),
+        "LimitLESS4 Ts=50": (9_271, 82),
+        "LimitLESS4 Ts=25": (8_613, 74),
+        "Full-Map": (8_176, 0),
+    },
+    "Figure 10: Weather, pointer sweep": {
+        "Dir4NB": (18_015, 0),
+        "LimitLESS1 Ts=50": (12_301, 1_405),
+        "LimitLESS2 Ts=50": (10_443, 342),
+        "LimitLESS4 Ts=50": (9_271, 82),
+        "Full-Map": (8_176, 0),
+    },
+    "Ablation: exact vs approximation": {
+        "LimitLESS4 exact": (9_271, 82),
+        "LimitLESS4 approx": (9_627, 80),
+        "Full-Map": (8_176, 0),
+    },
+}
+
+#: Per claim (figure, index into its FIGURE_CLAIMS list), rows moved so
+#: that this claim fails and every other still holds.  One number each,
+#: except Figure 9's Ts=50 bound: Ts=50 <= Ts=100 = 1.30x Full-Map keeps
+#: it inside 1.40x unless Ts=100 moves too.
+BREAKS = [
+    ("Figure 7: Static Multigrid", 0, {"Full-Map": (20_000, 0)}),
+    ("Figure 8: Weather, limited and full-map", 0, {"Dir2NB": (40_000, 0)}),
+    ("§5.2: optimized Weather", 0, {"Dir4NB (optimized)": (9_000, 0)}),
+    ("Figure 9: Weather, LimitLESS Ts sweep", 0, {"Dir4NB": (12_000, 0)}),
+    ("Figure 9: Weather, LimitLESS Ts sweep", 1, {"Full-Map": (6_800, 0)}),
+    (
+        "Figure 9: Weather, LimitLESS Ts sweep",
+        2,
+        {"LimitLESS4 Ts=50": (11_500, 82), "LimitLESS4 Ts=100": (12_000, 76)},
+    ),
+    ("Figure 9: Weather, LimitLESS Ts sweep", 3, {"LimitLESS4 Ts=100": (12_500, 76)}),
+    ("Figure 10: Weather, pointer sweep", 0, {"Dir4NB": (12_000, 0)}),
+    ("Figure 10: Weather, pointer sweep", 1, {"LimitLESS1 Ts=50": (11_000, 1_405)}),
+    ("Figure 10: Weather, pointer sweep", 2, {"LimitLESS4 Ts=50": (9_271, 400)}),
+    ("Ablation: exact vs approximation", 0, {"LimitLESS4 approx": (12_000, 80)}),
+]
+
+
+def recorded_rows(title, **moved):
+    table = {**RECORDED_64[title], **moved}
+    return {
+        label: SimpleNamespace(cycles=cycles, traps_taken=traps)
+        for label, (cycles, traps) in table.items()
+    }
+
+
+class TestFigureClaims:
+    def test_claims_cover_every_figure_in_order(self):
+        assert list(FIGURE_CLAIMS) == list(figure_grids(8, 2))
+        for title, jobs in figure_grids(8, 2).items():
+            assert list(RECORDED_64[title]) == [job.label for job in jobs]
+
+    def test_every_claim_holds_on_the_recorded_figures(self):
+        for title in FIGURE_CLAIMS:
+            verdicts = check_claims(title, recorded_rows(title))
+            assert all(verdicts.values()), (title, verdicts)
+
+    def test_every_claim_has_a_break(self):
+        assert [(title, index) for title, index, _ in BREAKS] == [
+            (title, index)
+            for title, claims in FIGURE_CLAIMS.items()
+            for index in range(len(claims))
+        ]
+
+    @pytest.mark.parametrize(
+        "title,index,moved", BREAKS, ids=[f"{t[:9]}-{i}" for t, i, _ in BREAKS]
+    )
+    def test_moving_a_number_breaks_only_its_claim(self, title, index, moved):
+        verdicts = check_claims(title, recorded_rows(title, **moved))
+        assert [i for i, holds in enumerate(verdicts.values()) if not holds] == [index]
+
+    def test_claims_not_checked_off_the_papers_machine(self, tmp_path):
+        lines = []
+        artifact = run_figure_suite(
+            4, 2, cache=ResultCache(tmp_path), only=["5.2"], echo=lines.append
+        )
+        assert artifact["figures"][0]["claims"] is None
+        assert any("claims not checked" in line for line in lines)
+        assert not any(line.startswith("claims:") for line in lines)
+
+    def test_verdict_per_figure_on_the_papers_machine(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(grids_module, "CLAIMS_PROCS", 4)
+        lines = []
+        artifact = run_figure_suite(
+            4,
+            2,
+            cache=ResultCache(tmp_path),
+            only=["5.2", "Figure 7"],
+            echo=lines.append,
+        )
+        for figure in artifact["figures"]:
+            assert list(figure["claims"]) == [
+                claim for claim, _ in FIGURE_CLAIMS[figure["title"]]
+            ]
+        verdict_lines = [line for line in lines if line.startswith("claims:")]
+        assert len(verdict_lines) == 2
+        assert not any("not checked" in line for line in lines)
+
 
 class TestSweepCli:
     def test_list_prints_grids(self, capsys):
@@ -289,6 +425,28 @@ class TestSweepCli:
         assert code == 0
         assert out.is_file()
         assert "optimized Weather" in capsys.readouterr().out
+
+    def test_no_cache_writes_nothing_into_the_cache(self, tmp_path, capsys):
+        cache_dir = tmp_path / "cache"
+        code = sweep_main(
+            [
+                "--procs", "4",
+                "--iters", "2",
+                "--figures", "5.2",
+                "--no-cache",
+                "--cache-dir", str(cache_dir),
+                "--out", "",
+            ]
+        )
+        assert code == 0
+        assert not cache_dir.exists()
+
+    def test_resume_without_cache_is_an_error(self, tmp_path, capsys):
+        code = sweep_main(
+            ["--resume", "--no-cache", "--cache-dir", str(tmp_path), "--out", ""]
+        )
+        assert code == 2
+        assert "--no-cache" in capsys.readouterr().out
 
     def test_unknown_figure_errors(self, tmp_path, capsys):
         code = sweep_main(
